@@ -199,14 +199,47 @@ impl fmt::Display for PortfolioCost {
 }
 
 /// One shared NRE artifact before amortization: total cost plus the usage
-/// weight each system contributes (`uses × quantity` is the allocation
-/// weight of Eq. (7)/(8)).
+/// each system contributes (`uses × quantity` is the allocation weight of
+/// Eq. (7)/(8)).
 #[derive(Debug, Clone, PartialEq)]
 struct EntityDraft {
     kind: NreEntityKind,
     name: String,
     cost: Money,
-    uses: BTreeMap<String, f64>,
+    /// `(system index, uses)` for every system using the artifact, in
+    /// system-name order — the order the allocation weight is summed in.
+    uses: Vec<(u32, f64)>,
+}
+
+impl EntityDraft {
+    /// The allocation weight `Σ uses_j × q_j`, summed left to right in
+    /// system-name order; `quantity_of(j)` is system `j`'s quantity.
+    fn total_weight(&self, quantity_of: impl Fn(usize) -> f64) -> f64 {
+        self.uses
+            .iter()
+            .map(|&(system, uses)| uses * quantity_of(system as usize))
+            .sum()
+    }
+
+    /// The per-unit share of a system using the artifact `uses` times:
+    /// its total share `cost × (uses × q) / Σ`, divided by its `q` units.
+    fn share(&self, uses: f64, total_weight: f64) -> Money {
+        if total_weight > 0.0 {
+            self.cost * (uses / total_weight)
+        } else {
+            Money::ZERO
+        }
+    }
+}
+
+/// The `kind` component of an NRE breakdown.
+fn component(nre: &mut NreBreakdown, kind: NreEntityKind) -> &mut Money {
+    match kind {
+        NreEntityKind::Module => &mut nre.modules,
+        NreEntityKind::Chip => &mut nre.chips,
+        NreEntityKind::Package => &mut nre.packages,
+        NreEntityKind::D2d => &mut nre.d2d,
+    }
 }
 
 /// The quantity-independent part of a [`Portfolio::cost`] evaluation:
@@ -219,15 +252,22 @@ struct EntityDraft {
 /// and re-amortize one core per quantity (and per reuse scheme), which is
 /// where the quantity axis of a grid stops costing anything.
 ///
-/// [`PortfolioCore::amortize`] reproduces [`Portfolio::cost`] exactly —
-/// `cost` is implemented as `core` followed by `amortize`, so the two paths
-/// cannot drift apart.
+/// The core is compiled into an index-based amortization plan: every
+/// artifact lists its `(system, uses)` pairs and every system lists its
+/// `(artifact, uses)` pairs, so [`PortfolioCore::member_at`] prices one
+/// member without touching a string or allocating.
+/// [`PortfolioCore::amortize`] runs the same arithmetic for every member
+/// and reproduces [`Portfolio::cost`] exactly — `cost` is implemented as
+/// `core` followed by `amortize`, so the two paths cannot drift apart.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PortfolioCore {
     names: Vec<String>,
     quantities: Vec<Quantity>,
     re: Vec<ReCostBreakdown>,
     drafts: Vec<EntityDraft>,
+    /// Per system, `(draft index, uses)` for every artifact it uses, in
+    /// draft order — the order its NRE components are summed in.
+    members: Vec<Vec<(u32, f64)>>,
 }
 
 impl PortfolioCore {
@@ -254,7 +294,8 @@ impl PortfolioCore {
     }
 
     /// Amortizes the NRE with every system at the same production
-    /// `quantity` — the per-quantity pass of a cached exploration grid.
+    /// `quantity`. [`PortfolioCore::member_at`] reads one member's totals
+    /// from the same arithmetic without materializing the result.
     pub fn amortize_at(&self, quantity: Quantity) -> PortfolioCost {
         self.amortize_impl(&vec![quantity; self.names.len()])
     }
@@ -279,70 +320,80 @@ impl PortfolioCore {
         Ok(self.amortize_impl(quantities))
     }
 
+    /// One member's `(per-unit total, per-unit RE)` with every system at
+    /// `quantity`, read straight from the plan without allocating — the
+    /// same numbers as `amortize_at(quantity)`'s system `system`
+    /// ([`SystemCost::per_unit_total`] and its RE total), bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `system` is not below [`PortfolioCore::len`].
+    pub fn member_at(&self, system: usize, quantity: Quantity) -> (Money, Money) {
+        let q = quantity.as_f64();
+        let nre = self.nre_of(system, |d| self.drafts[d].total_weight(|_| q));
+        let re = self.re[system].total();
+        (re + nre.total(), re)
+    }
+
+    /// System `system`'s per-unit NRE: its share of every artifact it
+    /// uses, added per component in draft order. `total_weight(d)` is
+    /// draft `d`'s allocation weight. Artifacts the system does not use
+    /// would add `+0.0` to accumulators that start at `+0.0`, so skipping
+    /// them changes no bit.
+    fn nre_of(&self, system: usize, total_weight: impl Fn(usize) -> f64) -> NreBreakdown {
+        let mut nre = NreBreakdown::default();
+        for &(d, uses) in &self.members[system] {
+            let draft = &self.drafts[d as usize];
+            *component(&mut nre, draft.kind) += draft.share(uses, total_weight(d as usize));
+        }
+        nre
+    }
+
     fn amortize_impl(&self, quantities: &[Quantity]) -> PortfolioCost {
-        let quantity_of: BTreeMap<&str, Quantity> = self
-            .names
+        let weights: Vec<f64> = self
+            .drafts
             .iter()
-            .map(String::as_str)
-            .zip(quantities.iter().copied())
+            .map(|draft| draft.total_weight(|j| quantities[j].as_f64()))
             .collect();
-        let mut entities = Vec::with_capacity(self.drafts.len());
-        for draft in &self.drafts {
-            let total_weight: f64 = draft
-                .uses
-                .iter()
-                .map(|(sys, uses)| uses * quantity_of[sys.as_str()].as_f64())
-                .sum();
-            let mut allocations = BTreeMap::new();
-            for (sys, uses) in &draft.uses {
-                // share_j (total) = cost × (uses_j × q_j) / Σ; per unit
-                // divide by q_j → cost × uses_j / Σ.
-                let per_unit = if total_weight > 0.0 {
-                    draft.cost * (uses / total_weight)
-                } else {
-                    Money::ZERO
-                };
-                allocations.insert(sys.clone(), per_unit);
-            }
-            entities.push(NreEntity {
+        let entities = self
+            .drafts
+            .iter()
+            .zip(&weights)
+            .map(|(draft, &total_weight)| NreEntity {
                 kind: draft.kind,
                 name: draft.name.clone(),
                 cost: draft.cost,
-                allocations,
-            });
-        }
-
-        let mut systems_out = Vec::with_capacity(self.names.len());
-        for ((name, &quantity), re) in self.names.iter().zip(quantities).zip(&self.re) {
-            let mut nre = NreBreakdown::default();
-            for e in &entities {
-                let share = e.allocation_for(name);
-                match e.kind() {
-                    NreEntityKind::Module => nre.modules += share,
-                    NreEntityKind::Chip => nre.chips += share,
-                    NreEntityKind::Package => nre.packages += share,
-                    NreEntityKind::D2d => nre.d2d += share,
-                }
-            }
-            systems_out.push(SystemCost {
+                allocations: draft
+                    .uses
+                    .iter()
+                    .map(|&(j, uses)| {
+                        (
+                            self.names[j as usize].clone(),
+                            draft.share(uses, total_weight),
+                        )
+                    })
+                    .collect(),
+            })
+            .collect();
+        let systems = self
+            .names
+            .iter()
+            .zip(quantities)
+            .zip(&self.re)
+            .enumerate()
+            .map(|(i, ((name, &quantity), re))| SystemCost {
                 name: name.clone(),
                 quantity,
                 re: *re,
-                nre_per_unit: nre,
-            });
-        }
+                nre_per_unit: self.nre_of(i, |d| weights[d]),
+            })
+            .collect();
         let mut nre_total = NreBreakdown::default();
-        for e in &entities {
-            match e.kind() {
-                NreEntityKind::Module => nre_total.modules += e.cost(),
-                NreEntityKind::Chip => nre_total.chips += e.cost(),
-                NreEntityKind::Package => nre_total.packages += e.cost(),
-                NreEntityKind::D2d => nre_total.d2d += e.cost(),
-            }
+        for draft in &self.drafts {
+            *component(&mut nre_total, draft.kind) += draft.cost;
         }
-
         PortfolioCost {
-            systems: systems_out,
+            systems,
             entities,
             nre_total,
         }
@@ -471,7 +522,8 @@ impl Portfolio {
         }
 
         // --- NRE entities with usage-weighted allocation. -------------------
-        // usage[system -> uses]; weight = uses × quantity.
+        // Each artifact collects (system index, uses); weight = uses × quantity.
+        let names: Vec<String> = self.systems.iter().map(|s| s.name().to_string()).collect();
         let mut drafts: Vec<EntityDraft> = Vec::new();
         let mut index: BTreeMap<(NreEntityKind, String), usize> = BTreeMap::new();
 
@@ -480,7 +532,7 @@ impl Portfolio {
                        kind: NreEntityKind,
                        name: String,
                        cost: Money,
-                       system: &str,
+                       system: u32,
                        uses: f64|
          -> Result<(), ArchError> {
             let key = (kind, name.clone());
@@ -502,17 +554,24 @@ impl Portfolio {
                         kind,
                         name: name.clone(),
                         cost,
-                        uses: BTreeMap::new(),
+                        uses: Vec::new(),
                     });
                     index.insert(key, drafts.len() - 1);
                     drafts.len() - 1
                 }
             };
-            *drafts[idx].uses.entry(system.to_string()).or_insert(0.0) += uses;
+            // Systems are added in order, so a system that already uses
+            // the artifact is its last user: repeated uses (a module placed
+            // twice) add up in place.
+            let users = &mut drafts[idx].uses;
+            match users.last_mut() {
+                Some((last, total)) if *last == system => *total += uses,
+                _ => users.push((system, uses)),
+            }
             Ok(())
         };
 
-        for s in &self.systems {
+        for (system, s) in (0u32..).zip(&self.systems) {
             // Module and chip designs.
             for (chip, count) in s.chips() {
                 let node = lib.node(chip.node().as_str())?;
@@ -523,7 +582,7 @@ impl Portfolio {
                     NreEntityKind::Chip,
                     chip.name().to_string(),
                     chip_level_nre(node, die_area),
-                    s.name(),
+                    system,
                     *count as f64,
                 )?;
                 for m in chip.modules() {
@@ -533,7 +592,7 @@ impl Portfolio {
                         NreEntityKind::Module,
                         format!("{}@{}", m.name(), m.node()),
                         module_design_cost(node, m.area()),
-                        s.name(),
+                        system,
                         *count as f64,
                     )?;
                 }
@@ -545,7 +604,7 @@ impl Portfolio {
                         NreEntityKind::D2d,
                         format!("d2d@{}", chip.node()),
                         d2d_nre(node),
-                        s.name(),
+                        system,
                         *count as f64,
                     )?;
                 }
@@ -562,16 +621,29 @@ impl Portfolio {
                 NreEntityKind::Package,
                 pkg_name,
                 package_nre_for_silicon(packaging, silicon_basis)?,
-                s.name(),
+                system,
                 1.0,
             )?;
         }
 
+        // Compile the plan: each artifact's users in system-name order,
+        // then each system's artifacts in draft order.
+        let mut members = vec![Vec::new(); names.len()];
+        for (d, draft) in (0u32..).zip(&mut drafts) {
+            draft
+                .uses
+                .sort_unstable_by(|a, b| names[a.0 as usize].cmp(&names[b.0 as usize]));
+            for &(system, uses) in &draft.uses {
+                members[system as usize].push((d, uses));
+            }
+        }
+
         Ok(PortfolioCore {
-            names: self.systems.iter().map(|s| s.name().to_string()).collect(),
+            names,
             quantities: self.systems.iter().map(System::quantity).collect(),
             re: re_by_system,
             drafts,
+            members,
         })
     }
 }
@@ -587,7 +659,9 @@ mod tests {
     use super::*;
     use crate::chip::Chip;
     use crate::module::Module;
-    use actuary_tech::IntegrationKind;
+    use crate::reuse::{FsmcSpec, OcmeSpec, ScmsSpec};
+    use actuary_tech::{IntegrationKind, NodeId};
+    use proptest::prelude::*;
 
     fn area(mm2: f64) -> Area {
         Area::from_mm2(mm2).unwrap()
@@ -868,5 +942,249 @@ mod tests {
         let c = chiplet("c", "m", 100.0);
         let p: Portfolio = vec![simple_system("a", c, 1, 1000)].into_iter().collect();
         assert_eq!(p.len(), 1);
+    }
+
+    /// A string-keyed reference amortization, the differential oracle for
+    /// the index plan: per-artifact usage maps keyed by system name, a
+    /// name-keyed quantity map, and every system looking up its share of
+    /// every artifact — used or not — by name.
+    fn oracle_amortize(core: &PortfolioCore, quantities: &[Quantity]) -> PortfolioCost {
+        let quantity_of: BTreeMap<&str, Quantity> = core
+            .names
+            .iter()
+            .map(String::as_str)
+            .zip(quantities.iter().copied())
+            .collect();
+        let mut entities = Vec::with_capacity(core.drafts.len());
+        for draft in &core.drafts {
+            let uses: BTreeMap<String, f64> = draft
+                .uses
+                .iter()
+                .map(|&(system, uses)| (core.names[system as usize].clone(), uses))
+                .collect();
+            let total_weight: f64 = uses
+                .iter()
+                .map(|(sys, uses)| uses * quantity_of[sys.as_str()].as_f64())
+                .sum();
+            let mut allocations = BTreeMap::new();
+            for (sys, uses) in &uses {
+                let per_unit = if total_weight > 0.0 {
+                    draft.cost * (uses / total_weight)
+                } else {
+                    Money::ZERO
+                };
+                allocations.insert(sys.clone(), per_unit);
+            }
+            entities.push(NreEntity {
+                kind: draft.kind,
+                name: draft.name.clone(),
+                cost: draft.cost,
+                allocations,
+            });
+        }
+        let mut systems = Vec::with_capacity(core.names.len());
+        for ((name, &quantity), re) in core.names.iter().zip(quantities).zip(&core.re) {
+            let mut nre = NreBreakdown::default();
+            for e in &entities {
+                let share = e.allocation_for(name);
+                match e.kind() {
+                    NreEntityKind::Module => nre.modules += share,
+                    NreEntityKind::Chip => nre.chips += share,
+                    NreEntityKind::Package => nre.packages += share,
+                    NreEntityKind::D2d => nre.d2d += share,
+                }
+            }
+            systems.push(SystemCost {
+                name: name.clone(),
+                quantity,
+                re: *re,
+                nre_per_unit: nre,
+            });
+        }
+        let mut nre_total = NreBreakdown::default();
+        for e in &entities {
+            match e.kind() {
+                NreEntityKind::Module => nre_total.modules += e.cost(),
+                NreEntityKind::Chip => nre_total.chips += e.cost(),
+                NreEntityKind::Package => nre_total.packages += e.cost(),
+                NreEntityKind::D2d => nre_total.d2d += e.cost(),
+            }
+        }
+        PortfolioCost {
+            systems,
+            entities,
+            nre_total,
+        }
+    }
+
+    /// Every number of a cost result, labelled, as raw `f64` bits: bitwise
+    /// equality, so `-0.0` and `+0.0` differ and NaN equals itself.
+    fn cost_bits(cost: &PortfolioCost) -> Vec<(String, u64)> {
+        let mut out = Vec::new();
+        for e in cost.entities() {
+            let entity = format!("{} {}", e.kind(), e.name());
+            out.push((format!("{entity} cost"), e.cost().usd().to_bits()));
+            for (sys, share) in e.allocations() {
+                out.push((format!("{entity} -> {sys}"), share.usd().to_bits()));
+            }
+        }
+        for s in cost.systems() {
+            out.push((
+                format!("{} quantity", s.name()),
+                s.quantity().as_f64().to_bits(),
+            ));
+            out.push((format!("{} re", s.name()), s.re().total().usd().to_bits()));
+            for (label, share) in s.nre_per_unit().components() {
+                out.push((format!("{} {label}", s.name()), share.usd().to_bits()));
+            }
+        }
+        for (label, total) in cost.nre_total().components() {
+            out.push((format!("total {label}"), total.usd().to_bits()));
+        }
+        out.push((
+            "nre_total".to_string(),
+            cost.nre_total().total().usd().to_bits(),
+        ));
+        out
+    }
+
+    /// Fails at the first number where `plan` and `oracle` differ in bits.
+    fn same_bits(plan: &PortfolioCost, oracle: &PortfolioCost) -> TestCaseResult {
+        let (plan, oracle) = (cost_bits(plan), cost_bits(oracle));
+        prop_assert_eq!(plan.len(), oracle.len());
+        for (plan, oracle) in plan.iter().zip(&oracle) {
+            prop_assert_eq!(plan, oracle);
+        }
+        Ok(())
+    }
+
+    /// One generated reuse family — SCMS, OCME or FSMC by `scheme` — as
+    /// its chiplet portfolio or, with `soc`, its monolithic
+    /// `soc_portfolio` baseline.
+    fn generated_family(
+        (scheme, soc, area_mm2, node, integration): (u32, bool, f64, usize, usize),
+        (multiplicities, package_reuse, center_14nm): &(Vec<u32>, bool, bool),
+        (sockets, chiplet_types): (u32, u32),
+    ) -> Result<Portfolio, ArchError> {
+        let node = ["14nm", "7nm", "5nm"][node];
+        let integration = IntegrationKind::MULTI_CHIP[integration];
+        let (package_reuse, center_14nm) = (*package_reuse, *center_14nm);
+        let quantity_each = Quantity::new(500_000);
+        match scheme {
+            0 => {
+                // Distinct multiplicities in generated (not sorted) order,
+                // so portfolio order and name order ("12X" < "2X") differ.
+                let mut distinct: Vec<u32> = Vec::new();
+                for &m in multiplicities {
+                    if !distinct.contains(&m) {
+                        distinct.push(m);
+                    }
+                }
+                let spec = ScmsSpec {
+                    chiplet_module_area: area(area_mm2),
+                    node: NodeId::new(node),
+                    multiplicities: distinct,
+                    integration,
+                    quantity_each,
+                    package_reuse,
+                };
+                if soc {
+                    spec.soc_portfolio()
+                } else {
+                    spec.portfolio()
+                }
+            }
+            1 => {
+                let spec = OcmeSpec {
+                    socket_module_area: area(area_mm2),
+                    node: NodeId::new(node),
+                    center_node: center_14nm.then(|| NodeId::new("14nm")),
+                    integration,
+                    quantity_each,
+                    package_reuse,
+                };
+                if soc {
+                    spec.soc_portfolio()
+                } else {
+                    spec.portfolio()
+                }
+            }
+            _ => {
+                let spec = FsmcSpec {
+                    sockets,
+                    chiplet_types,
+                    socket_module_area: area(area_mm2),
+                    node: NodeId::new(node),
+                    integration,
+                    quantity_each,
+                };
+                if soc {
+                    spec.soc_portfolio()
+                } else {
+                    spec.portfolio()
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The compiled plan is bit-identical to the string-keyed oracle on
+        /// generated SCMS, OCME and FSMC families (and their SoC
+        /// baselines), at the built, random per-system and uniform
+        /// quantities; `member_at` reads the materialized members exactly.
+        #[test]
+        fn plan_matches_the_string_keyed_oracle(
+            family in (0u32..3, proptest::bool::ANY, 10.0f64..200.0, 0usize..3, 0usize..3),
+            reuse in (
+                proptest::collection::vec(1u32..13, 1..6),
+                proptest::bool::ANY,
+                proptest::bool::ANY,
+            ),
+            fsmc in (1u32..=4, 1u32..=6),
+            spread in proptest::collection::vec((0u64..1000, 0u32..6), 256..257),
+            uniform in (0u64..1000, 0u32..6),
+        ) {
+            let portfolio = generated_family(family, &reuse, fsmc)
+                .map_err(|e| TestCaseError::fail(e.to_string()))?;
+            // Large 2.5D families can exceed the interposer: out of scope.
+            let core = portfolio.core(&lib(), AssemblyFlow::ChipLast);
+            prop_assume!(core.is_ok());
+            let core = core.map_err(|e| TestCaseError::fail(e.to_string()))?;
+            let n = core.len();
+
+            same_bits(&core.amortize(), &oracle_amortize(&core, &core.quantities))?;
+
+            let spread: Vec<Quantity> = spread[..n]
+                .iter()
+                .map(|&(mantissa, exp)| Quantity::new(mantissa * 10u64.pow(exp)))
+                .collect();
+            let plan = core
+                .amortize_with(&spread)
+                .map_err(|e| TestCaseError::fail(e.to_string()))?;
+            same_bits(&plan, &oracle_amortize(&core, &spread))?;
+
+            for q in [Quantity::new(uniform.0 * 10u64.pow(uniform.1)), Quantity::new(0)] {
+                let plan = core.amortize_at(q);
+                same_bits(&plan, &oracle_amortize(&core, &vec![q; n]))?;
+                for (i, system) in plan.systems().iter().enumerate() {
+                    let (per_unit, re) = core.member_at(i, q);
+                    let read = (per_unit.usd().to_bits(), re.usd().to_bits());
+                    let materialized = (
+                        system.per_unit_total().usd().to_bits(),
+                        system.re().total().usd().to_bits(),
+                    );
+                    prop_assert!(
+                        read == materialized,
+                        "member {} at {:?}: {:?} vs {:?}",
+                        system.name(),
+                        q,
+                        read,
+                        materialized
+                    );
+                }
+            }
+        }
     }
 }

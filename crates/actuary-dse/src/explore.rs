@@ -10,10 +10,11 @@
 //!
 //! Four properties distinguish the engine from a nest of loops:
 //!
-//! * **Parallel** — candidates are pre-expanded into a flat work list and
-//!   pulled in chunks by `std::thread::scope` workers over an atomic
-//!   index (the shared chunked engine); the [`actuary_tech::TechLibrary`] is
-//!   shared by reference, no dependencies are added.
+//! * **Parallel** — candidates are pre-expanded into a flat work list,
+//!   dealt as chunk ranges to per-worker `std::thread::scope` deques, and
+//!   rebalanced by stealing half of a busy worker's queue (the shared
+//!   engine); the [`actuary_tech::TechLibrary`] is shared by reference, no
+//!   dependencies are added.
 //! * **Cached** — the expensive RE/NRE core of a cell depends only on
 //!   (node, area, integration, chiplet count, flow), so one core is
 //!   evaluated per distinct geometry and re-amortized per quantity: ~3×
@@ -725,12 +726,14 @@ impl fmt::Display for ExploreResult {
 /// Evaluates every cell of `space` through the cached RE-core engine, on
 /// `threads` worker threads (`0` = the machine's available parallelism).
 ///
-/// Cells are pulled from a pre-expanded work list in chunks via an
-/// atomic index, so the split adapts to whatever cells turn out to be
-/// slow; results are reassembled in grid order, making the output
-/// independent of the thread count. One RE/NRE core is evaluated per
-/// distinct (node, area, integration, chiplet count) geometry and
-/// re-amortized per quantity — byte-identical to evaluating every cell
+/// The pre-expanded work list is dealt to the workers as chunk ranges; a
+/// worker that runs dry steals the back half of another's queue, so the
+/// split adapts to whatever cells turn out to be slow. Results are
+/// reassembled in grid order, making the output independent of the
+/// thread count and the steal schedule. One RE/NRE core is evaluated per
+/// distinct (node, area, integration, chiplet count) geometry; each cell
+/// then reads its per-unit cost at its quantity straight from the core's
+/// compiled amortization plan — byte-identical to evaluating every cell
 /// from scratch, at a third of the work on the default grid.
 ///
 /// # Errors

@@ -126,15 +126,14 @@ pub struct CandidateCore {
 impl CandidateCore {
     /// Amortizes the cached core at `quantity`, producing the same
     /// [`Candidate`] as [`evaluate_candidate`] — byte for byte, because
-    /// both run the identical [`PortfolioCore`] arithmetic.
+    /// both read the identical [`PortfolioCore::member_at`] arithmetic.
     pub fn at_quantity(&self, quantity: Quantity) -> Candidate {
-        let cost = self.core.amortize_at(quantity);
-        let sc = &cost.systems()[0];
+        let (per_unit, re_per_unit) = self.core.member_at(0, quantity);
         Candidate {
             integration: self.integration,
             chiplets: self.chiplets,
-            per_unit: sc.per_unit_total(),
-            re_per_unit: sc.re().total(),
+            per_unit,
+            re_per_unit,
         }
     }
 }

@@ -59,14 +59,16 @@
 //! [`CorePolicy::Uncached`] keeps the reference path alive for tests.
 //!
 //! The amortization pass is structured struct-of-arrays over the cells
-//! sharing one core: every core walks its own cell list contiguously,
-//! amortizing each distinct quantity once and reading members out of that
-//! one allocation, instead of the cells chasing a shared `(core,
-//! quantity)` map cell by cell.
+//! sharing one core: every core walks its own cell list contiguously and
+//! reads each cell's `(per-unit, RE)` pair straight from the core's
+//! compiled amortization plan ([`actuary_arch::PortfolioCore::member_at`]),
+//! resolving a family member's index once per core. No cell allocates or
+//! materializes a whole-family [`actuary_arch::PortfolioCost`].
 //!
-//! Work is pulled in chunks from an atomic index (the shared chunked
-//! engine), and results are reassembled in grid order: one thread and N
-//! threads emit byte-identical CSV.
+//! Both passes run on the shared work-stealing engine: chunk ranges are
+//! dealt to per-worker deques, an idle worker steals the back half of a
+//! busy one's queue, and results are reassembled in grid order — one
+//! thread and N threads emit byte-identical CSV.
 //!
 //! # Examples
 //!
@@ -99,7 +101,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use serde::{Deserialize, Serialize};
 
 use actuary_arch::reuse::{FsmcSpec, OcmeSpec, ScmsSpec};
-use actuary_arch::{ArchError, PortfolioCore, PortfolioCost};
+use actuary_arch::{ArchError, PortfolioCore};
 use actuary_model::AssemblyFlow;
 use actuary_tech::{IntegrationKind, NodeId, TechLibrary};
 use actuary_units::{Area, Artifact, Quantity};
@@ -1592,8 +1594,8 @@ fn core_geometry(scheme: ReuseScheme, area_mm2: f64, chiplets: u32) -> (f64, u32
     }
 }
 
-/// The family member a compatible cell reads out of its
-/// [`PortfolioCost`]. Only called for family schemes (`none` cells read
+/// The name of the family member a compatible cell reads out of its
+/// [`PortfolioCore`]. Only called for family schemes (`none` cells read
 /// their single core directly).
 fn member_name(scheme: ReuseScheme, chiplets: u32, soc: bool) -> String {
     let suffix = if soc { "-soc" } else { "" };
@@ -1831,9 +1833,9 @@ fn explore_portfolio_impl(
 
     // --- Phase C: struct-of-arrays amortization, one contiguous pass per -
     // core. Every core owns the list of cells that read it; a worker walks
-    // that list once, amortizing each distinct quantity a single time and
-    // reading family members out of the same allocation — no shared
-    // (core, quantity) map, no per-cell pointer chasing.
+    // that list once and reads each cell's `(per-unit, RE)` straight out of
+    // the core's compiled amortization plan. A family core resolves each
+    // chiplet count's member index once; no cell allocates.
     let mut amortize_span = actuary_obs::span!("dse.amortize");
     amortize_span.record("cells", evaluable.len() as u64);
     let mut by_core: Vec<Vec<usize>> = vec![Vec::new(); specs.len()];
@@ -1850,38 +1852,37 @@ fn explore_portfolio_impl(
                     }
                 }
                 Ok(CoreValue::Single(core)) => {
-                    let mut amortized: BTreeMap<u64, Candidate> = BTreeMap::new();
                     for &j in core_cells {
                         let idx = shape.coords(evaluable[j].0);
-                        let quantity = space.quantities[idx.quantity];
-                        let candidate = amortized
-                            .entry(quantity)
-                            .or_insert_with(|| core.at_quantity(Quantity::new(quantity)));
-                        out.push((j, CellOutcome::Feasible(candidate.clone())));
+                        let quantity = Quantity::new(space.quantities[idx.quantity]);
+                        out.push((j, CellOutcome::Feasible(core.at_quantity(quantity))));
                     }
                 }
                 Ok(CoreValue::Family(core)) => {
-                    let mut amortized: BTreeMap<u64, PortfolioCost> = BTreeMap::new();
+                    // Member index per chiplet-count axis position; the
+                    // core fixes the scheme and the integration.
+                    let mut member_of: Vec<Option<usize>> = vec![None; shape.chiplets];
                     for &j in core_cells {
                         let idx = shape.coords(evaluable[j].0);
-                        let quantity = space.quantities[idx.quantity];
-                        let cost = amortized
-                            .entry(quantity)
-                            .or_insert_with(|| core.amortize_at(Quantity::new(quantity)));
+                        let quantity = Quantity::new(space.quantities[idx.quantity]);
                         let integration = space.integrations[idx.integration];
                         let chiplets = space.chiplet_counts[idx.chiplets];
-                        let soc = integration == IntegrationKind::Soc;
-                        let member = member_name(variants[idx.variant].scheme, chiplets, soc);
-                        let sc = cost
-                            .system(&member)
-                            .expect("the family contains every planned member");
+                        let member = *member_of[idx.chiplets].get_or_insert_with(|| {
+                            let soc = integration == IntegrationKind::Soc;
+                            let name = member_name(variants[idx.variant].scheme, chiplets, soc);
+                            core.system_names()
+                                .iter()
+                                .position(|n| *n == name)
+                                .expect("the family contains every planned member")
+                        });
+                        let (per_unit, re_per_unit) = core.member_at(member, quantity);
                         out.push((
                             j,
                             CellOutcome::Feasible(Candidate {
                                 integration,
                                 chiplets,
-                                per_unit: sc.per_unit_total(),
-                                re_per_unit: sc.re().total(),
+                                per_unit,
+                                re_per_unit,
                             }),
                         ));
                     }
