@@ -1,7 +1,5 @@
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use actuary_tech::{NodeId, TechLibrary};
 use actuary_units::Area;
 
@@ -32,7 +30,7 @@ use crate::module::Module;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Chip {
     name: String,
     node: NodeId,

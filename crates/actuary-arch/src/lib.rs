@@ -23,8 +23,8 @@
 //! [`reuse`]: [`reuse::ScmsSpec`] (single chiplet, multiple systems),
 //! [`reuse::OcmeSpec`] (one center, multiple extensions) and
 //! [`reuse::FsmcSpec`] (a few sockets, multiple collocations). The
-//! partitioning question ("how many chiplets?") is served by [`partition`],
-//! and interposer/substrate sizing by [`floorplan`].
+//! partitioning question ("how many chiplets?") is served by
+//! [`partition`].
 //!
 //! # Examples
 //!
@@ -55,7 +55,6 @@
 
 mod chip;
 mod error;
-pub mod floorplan;
 mod module;
 pub mod partition;
 mod portfolio;

@@ -1,7 +1,5 @@
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use actuary_tech::{NodeId, ProcessNode, TechLibrary};
 use actuary_units::Area;
 
@@ -27,7 +25,7 @@ use crate::error::ArchError;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Module {
     name: String,
     node: NodeId,

@@ -1,8 +1,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use actuary_model::{
     chip_level_nre, d2d_nre, module_design_cost, package_nre_for_silicon, AssemblyFlow,
     NreBreakdown, ReCostBreakdown,
@@ -14,7 +12,7 @@ use crate::error::ArchError;
 use crate::system::System;
 
 /// What kind of design artifact an NRE entity is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum NreEntityKind {
     /// A module design (`K_m·S_m`), shared by every chip embedding it.
     Module,
@@ -41,7 +39,7 @@ impl fmt::Display for NreEntityKind {
 /// to each system (proportional to usage × quantity, the paper's
 /// "amortized to each system depending on the number of modules and chips
 /// included", §4.2).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NreEntity {
     kind: NreEntityKind,
     name: String,
@@ -80,7 +78,7 @@ impl NreEntity {
 
 /// Per-system cost result: RE breakdown plus the per-unit amortized NRE
 /// shares.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemCost {
     name: String,
     quantity: Quantity,
@@ -139,7 +137,7 @@ impl fmt::Display for SystemCost {
 }
 
 /// The full cost result of a [`Portfolio`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PortfolioCost {
     systems: Vec<SystemCost>,
     entities: Vec<NreEntity>,
@@ -407,7 +405,7 @@ impl PortfolioCore {
 ///
 /// See the crate-level example; the reuse schemes in [`crate::reuse`] all
 /// produce portfolios.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Portfolio {
     systems: Vec<System>,
 }

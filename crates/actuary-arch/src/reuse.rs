@@ -13,8 +13,6 @@
 //!   Figure 10): `n` chiplet types in a `k`-socket package build every
 //!   multiset collocation.
 
-use serde::{Deserialize, Serialize};
-
 use actuary_tech::{IntegrationKind, NodeId};
 use actuary_units::{Area, Quantity};
 
@@ -116,7 +114,7 @@ pub fn multisets(types: u32, size: u32) -> Vec<Vec<u32>> {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScmsSpec {
     /// Module area carried by the single chiplet design.
     pub chiplet_module_area: Area,
@@ -227,7 +225,7 @@ impl ScmsSpec {
 /// The optional heterogeneous variant designs the center die at a mature
 /// node; the center's modules are treated as "unscalable" (same area at the
 /// mature node), which is the case the paper says benefits from OCME.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OcmeSpec {
     /// Module area per socket (center and extensions alike).
     pub socket_module_area: Area,
@@ -373,7 +371,7 @@ impl OcmeSpec {
 /// same footprint and a `k`-socket package build every multiset collocation
 /// of 1 to `k` chiplets (Figure 10 evaluates `(k, n)` from `(2, 2)` to
 /// `(4, 6)`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FsmcSpec {
     /// Number of package sockets `k`.
     pub sockets: u32,

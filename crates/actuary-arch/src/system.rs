@@ -1,7 +1,5 @@
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use actuary_model::{re_cost_sized, AssemblyFlow, DiePlacement, ReCostBreakdown};
 use actuary_tech::{IntegrationKind, TechLibrary};
 use actuary_units::{Area, Quantity};
@@ -38,7 +36,7 @@ use crate::error::ArchError;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct System {
     name: String,
     integration: IntegrationKind,

@@ -11,7 +11,8 @@
 //! * `actuary partition --node 5nm --area 800 --quantity 2000000` — the
 //!   optimizer's recommendation;
 //! * `actuary explore --threads 0` — the multi-axis (node × area ×
-//!   quantity × integration × chiplet count) grid, evaluated in parallel;
+//!   quantity × integration × chiplet count, plus flow and reuse scheme
+//!   under `--flow-axis` / `--schemes`) grid, evaluated in parallel;
 //! * `actuary serve --addr 127.0.0.1:8080` — a long-running HTTP process
 //!   answering POSTed scenario files with chunk-streamed CSV artifacts;
 //! * `actuary mc --node 7nm --area 180 --chiplets 2 --integration 2.5d`
@@ -29,12 +30,11 @@ use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 use actuary_arch::{partition::equal_chiplets, Portfolio, System};
-use actuary_dse::explore::{explore, ExploreSpace};
 use actuary_dse::optimizer::{recommend, SearchSpace};
 use actuary_dse::portfolio::{
     explore_portfolio, parse_fsmc_situation, PortfolioSpace, ReuseScheme,
 };
-use actuary_dse::refine::{explore_portfolio_refined_with, explore_refined_with, RefineOptions};
+use actuary_dse::refine::{explore_portfolio_refined_with, RefineOptions};
 use actuary_mc::{simulate_system, DefectProcess, McConfig};
 use actuary_model::{re_cost, AssemblyFlow, DiePlacement};
 use actuary_tech::{IntegrationKind, TechLibrary};
@@ -683,157 +683,42 @@ fn cmd_explore(lib: &TechLibrary, flags: &BTreeMap<String, String>) -> Result<()
     }
     let threads = get_u64_or(flags, "threads", 0)? as usize;
 
-    // A portfolio request (a scheme or flow axis) runs the portfolio
-    // engine; a plain request stays on the single-system grid and output.
-    let portfolio_mode = flags.contains_key("schemes") || flags.contains_key("flow-axis");
-    if portfolio_mode {
-        return cmd_explore_portfolio(lib, flags, &space, threads);
-    }
-
-    let single = ExploreSpace {
-        nodes: space.nodes,
-        areas_mm2: space.areas_mm2,
-        quantities: space.quantities,
-        integrations: space.integrations,
-        chiplet_counts: space.chiplet_counts,
-        flow: space.flows[0],
-    };
     let result = if flags.contains_key("refine") {
-        explore_refined_with(lib, &single, threads, parse_refine_options(flags)?)
+        explore_portfolio_refined_with(lib, &space, threads, parse_refine_options(flags)?)
     } else {
-        explore(lib, &single, threads)
+        explore_portfolio(lib, &space, threads)
     }
     .map_err(|e| e.to_string())?;
-    if let Some(path) = flags.get("pareto-out") {
-        stream_to_file(path, |sink| {
-            result.pareto_program_artifact().write_csv_to(sink)
-        })?;
-        // No point count in the message: counting would recompute the
-        // front the artifact write just streamed.
-        println!("wrote the program-Pareto front to {path}");
-    }
-    if let Some(path) = flags.get("out") {
-        stream_to_file(path, |sink| result.grid_artifact().write_csv_to(sink))?;
-        println!("wrote {} grid cells to {path}", result.len());
-        return Ok(());
-    }
-    if flags.contains_key("csv") {
-        print!("{}", result.grid_artifact().csv());
-        return Ok(());
-    }
-
-    println!("explored {result}\n");
-    println!("cheapest configuration per (node, area, quantity):");
-    let mut winners = actuary_report::Table::new(vec![
-        "node",
-        "area_mm2",
-        "quantity",
-        "integration",
-        "chiplets",
-        "per-unit",
-        "vs SoC",
-    ]);
-    for w in result.winners() {
-        let (integration, chiplets, per_unit) = match &w.best {
-            Some(c) => (
-                c.integration.to_string(),
-                c.chiplets.to_string(),
-                c.per_unit.to_string(),
-            ),
-            None => ("-".to_string(), "-".to_string(), "infeasible".to_string()),
-        };
-        winners.push_row(vec![
-            w.node.clone(),
-            format!("{}", w.area_mm2),
-            Quantity::new(w.quantity).to_string(),
-            integration,
-            chiplets,
-            per_unit,
-            w.saving_vs_soc_display().unwrap_or_else(|| "-".to_string()),
-        ]);
-    }
-    println!("{winners}");
-
-    println!("Pareto front over (per-unit cost, chiplet count):");
-    let mut front = actuary_report::Table::new(vec![
-        "per-unit",
-        "chiplets",
-        "node",
-        "area_mm2",
-        "quantity",
-        "integration",
-    ]);
-    for cell in result.pareto_front() {
-        let c = cell.outcome.candidate().expect("Pareto cells are feasible");
-        front.push_row(vec![
-            c.per_unit.to_string(),
-            cell.chiplets.to_string(),
-            cell.node.clone(),
-            format!("{}", cell.area_mm2),
-            Quantity::new(cell.quantity).to_string(),
-            cell.integration.to_string(),
-        ]);
-    }
-    println!("{front}");
-    println!("(re-run with --csv for the full machine-readable grid)");
-    Ok(())
-}
-
-/// The refinement options the explore flags select: `--quantity-stride N`
-/// sets the coarse sampling stride along the quantity axis (absent = the
-/// engine picks from the axis length; the area stride stays
-/// engine-picked).
-fn parse_refine_options(flags: &BTreeMap<String, String>) -> Result<RefineOptions, String> {
-    let quantity_stride = match flags.get("quantity-stride") {
-        None => 0,
-        Some(raw) => {
-            let stride: usize = raw
-                .parse()
-                .map_err(|e| format!("invalid --quantity-stride {raw:?}: {e}"))?;
-            if stride == 0 {
-                return Err(
-                    "--quantity-stride must be at least 1 (omit it to let the engine pick)"
-                        .to_string(),
-                );
-            }
-            stride
-        }
-    };
-    Ok(RefineOptions {
-        area_stride: 0,
-        quantity_stride,
-    })
-}
-
-/// The `--schemes` / `--flow-axis` output path: per-scheme winner tables
-/// and Pareto fronts over the portfolio grid.
-fn cmd_explore_portfolio(
-    lib: &TechLibrary,
-    flags: &BTreeMap<String, String>,
-    space: &PortfolioSpace,
-    threads: usize,
-) -> Result<(), String> {
-    let result = if flags.contains_key("refine") {
-        explore_portfolio_refined_with(lib, space, threads, parse_refine_options(flags)?)
+    // Without a scheme or flow axis the grid is the single-system one, and
+    // its machine-readable outputs keep the single-system columns.
+    let dropped: &[&str] = if flags.contains_key("schemes") || flags.contains_key("flow-axis") {
+        &[]
     } else {
-        explore_portfolio(lib, space, threads)
-    }
-    .map_err(|e| e.to_string())?;
+        &SINGLE_SYSTEM_DROPPED
+    };
     if let Some(path) = flags.get("pareto-out") {
         stream_to_file(path, |sink| {
-            result.pareto_program_artifact().write_csv_to(sink)
+            result
+                .pareto_program_artifact()
+                .without_columns(dropped)
+                .write_csv_to(sink)
         })?;
         // No point count in the message: counting would recompute every
         // scheme's front the artifact write just streamed.
         println!("wrote the program-Pareto front to {path}");
     }
     if let Some(path) = flags.get("out") {
-        stream_to_file(path, |sink| result.grid_artifact().write_csv_to(sink))?;
+        stream_to_file(path, |sink| {
+            result
+                .grid_artifact()
+                .without_columns(dropped)
+                .write_csv_to(sink)
+        })?;
         println!("wrote {} grid cells to {path}", result.len());
         return Ok(());
     }
     if flags.contains_key("csv") {
-        print!("{}", result.grid_artifact().csv());
+        print!("{}", result.grid_artifact().without_columns(dropped).csv());
         return Ok(());
     }
 
@@ -899,6 +784,38 @@ fn cmd_explore_portfolio(
     }
     println!("(re-run with --csv or --out FILE for the full machine-readable grid)");
     Ok(())
+}
+
+/// The grid columns a plain `explore` (no `--schemes`, no `--flow-axis`)
+/// leaves out of its CSV outputs: its only scheme is `none` and its only
+/// flow the `--flow` one, so they carry nothing, and without them the
+/// outputs keep the single-system layout.
+const SINGLE_SYSTEM_DROPPED: [&str; 3] = ["scheme", "scheme_params", "flow"];
+
+/// The refinement options the explore flags select: `--quantity-stride N`
+/// sets the coarse sampling stride along the quantity axis (absent = the
+/// engine picks from the axis length; the area stride stays
+/// engine-picked).
+fn parse_refine_options(flags: &BTreeMap<String, String>) -> Result<RefineOptions, String> {
+    let quantity_stride = match flags.get("quantity-stride") {
+        None => 0,
+        Some(raw) => {
+            let stride: usize = raw
+                .parse()
+                .map_err(|e| format!("invalid --quantity-stride {raw:?}: {e}"))?;
+            if stride == 0 {
+                return Err(
+                    "--quantity-stride must be at least 1 (omit it to let the engine pick)"
+                        .to_string(),
+                );
+            }
+            stride
+        }
+    };
+    Ok(RefineOptions {
+        area_stride: 0,
+        quantity_stride,
+    })
 }
 
 /// `actuary run <scenario.toml>`: parse, lower and execute a declarative

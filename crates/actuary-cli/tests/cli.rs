@@ -471,6 +471,60 @@ fn explore_pareto_out_streams_the_program_front() {
     assert!(written.contains("scms"), "{written}");
 }
 
+/// Removes the named columns from an exploration CSV. Only the last
+/// column (`detail`) can hold a quoted comma, so splitting each line into
+/// at most as many fields as the header has keeps every cell whole.
+fn drop_csv_columns(csv: &str, dropped: &[&str]) -> String {
+    let header: Vec<&str> = csv.lines().next().unwrap().split(',').collect();
+    let keep: Vec<bool> = header.iter().map(|c| !dropped.contains(c)).collect();
+    let mut out = String::new();
+    for line in csv.lines() {
+        let kept: Vec<&str> = line
+            .splitn(header.len(), ',')
+            .zip(&keep)
+            .filter_map(|(cell, &k)| k.then_some(cell))
+            .collect();
+        out.push_str(&kept.join(","));
+        out.push('\n');
+    }
+    out
+}
+
+#[test]
+fn plain_explore_is_the_none_scheme_grid_without_its_axis_columns() {
+    // Single-system exploration is the `none` slice of the scheme grid: a
+    // plain run's machine-readable outputs are the `--schemes none` ones
+    // minus the one-value flow and scheme columns, byte for byte.
+    let grid = [
+        "explore",
+        "--nodes",
+        "7nm,5nm",
+        "--areas",
+        "200,600,1200",
+        "--quantities",
+        "500000,2000000",
+        "--threads",
+        "1",
+    ];
+    let dropped = ["flow", "scheme", "scheme_params"];
+    let plain = stdout(&[&grid[..], &["--csv"]].concat());
+    let none = stdout(&[&grid[..], &["--schemes", "none", "--csv"]].concat());
+    assert_ne!(plain, none, "the --schemes output keeps its axis columns");
+    assert_eq!(plain, drop_csv_columns(&none, &dropped));
+
+    let path = std::env::temp_dir().join(format!("actuary-slice-{}.csv", std::process::id()));
+    let path_str = path.to_str().unwrap();
+    let pareto = |extra: &[&str]| {
+        stdout(&[&grid[..], extra, &["--pareto-out", path_str]].concat());
+        std::fs::read_to_string(&path).expect("the --pareto-out file must exist")
+    };
+    let plain_front = pareto(&[]);
+    let none_front = pareto(&["--schemes", "none"]);
+    std::fs::remove_file(&path).ok();
+    assert!(plain_front.lines().count() >= 2, "{plain_front}");
+    assert_eq!(plain_front, drop_csv_columns(&none_front, &dropped));
+}
+
 #[test]
 fn run_writes_selected_outputs_and_sweeps_as_artifacts() {
     let dir = std::env::temp_dir().join(format!("actuary-artifacts-{}", std::process::id()));

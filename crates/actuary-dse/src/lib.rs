@@ -18,13 +18,15 @@
 //!   d(ln cost)/d(ln parameter) for any scalar knob.
 //! * Trade-off surfaces — [`pareto::pareto_min_indices`] extracts the
 //!   non-dominated frontier from any two-objective sweep.
-//! * Grid-scale exploration — [`explore::explore`] evaluates the full
-//!   (node × area × quantity × integration × chiplet count) Cartesian
-//!   grid in parallel and post-processes it into winner tables, Pareto
-//!   fronts and CSV.
-//! * Adaptive exploration — [`refine::explore_portfolio_refined`] reaches
-//!   the same winner tables and fronts coarse-to-fine, evaluating a
-//!   stride-sampled subgrid and refining only around winner flips and
+//! * Grid-scale exploration — [`portfolio::explore_portfolio`] evaluates
+//!   the full (node × area × quantity × integration × chiplet count ×
+//!   flow × reuse scheme) Cartesian grid in parallel and post-processes
+//!   it into per-scheme winner tables, Pareto fronts and CSV. The §6
+//!   single-system grid is its [`portfolio::ReuseScheme::None`] slice;
+//!   every cell reports an [`explore::CellOutcome`].
+//! * Adaptive exploration — [`refine::explore_portfolio_refined_with`]
+//!   reaches the same winner tables and fronts coarse-to-fine, evaluating
+//!   a stride-sampled subgrid and refining only around winner flips and
 //!   front membership changes instead of exhausting the grid.
 //!
 //! # Layer role

@@ -8,8 +8,6 @@
 //! `D(t) = D_∞ + (D₀ − D_∞) · exp(−t/τ)` and a helper that replays any
 //! study against a library snapshot at process age `t`.
 
-use serde::{Deserialize, Serialize};
-
 use actuary_arch::ArchError;
 use actuary_tech::{ProcessNode, TechLibrary};
 use actuary_yield::DefectDensity;
@@ -29,7 +27,7 @@ use actuary_yield::DefectDensity;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DefectRamp {
     initial: f64,
     mature: f64,

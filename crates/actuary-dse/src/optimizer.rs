@@ -7,15 +7,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use actuary_arch::{partition::equal_chiplets, ArchError, Portfolio, PortfolioCore, System};
 use actuary_model::AssemblyFlow;
 use actuary_tech::{IntegrationKind, TechLibrary};
 use actuary_units::{Area, Money, Quantity};
 
 /// The search space of [`recommend`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SearchSpace {
     /// Chiplet counts to consider for multi-chip schemes (the paper's §6
     /// advice: "two or three chiplets is usually sufficient", so the
@@ -39,7 +37,7 @@ impl Default for SearchSpace {
 }
 
 /// One evaluated configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Candidate {
     /// Integration scheme.
     pub integration: IntegrationKind,
@@ -63,7 +61,7 @@ impl fmt::Display for Candidate {
 
 /// The optimizer's output: the winner plus every evaluated candidate
 /// (sorted by per-unit cost ascending) for transparency.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Recommendation {
     /// Winning integration scheme.
     pub integration: IntegrationKind,
@@ -240,11 +238,12 @@ pub fn recommend(
     }
     for &kind in &space.integrations {
         for &n in &space.chiplet_counts {
-            // Incompatible axis combinations are skipped the way `explore`
-            // records them: a monolithic kind holds exactly one die, and a
-            // multi-chip kind needs at least two (a single die has no D2D
-            // interface — `equal_chiplets` would hand the system builder a
-            // D2D-less chip and the whole search used to hard-error).
+            // Incompatible axis combinations are skipped the way the
+            // exploration grid records them: a monolithic kind holds
+            // exactly one die, and a multi-chip kind needs at least two (a
+            // single die has no D2D interface — `equal_chiplets` would hand
+            // the system builder a D2D-less chip and the whole search used
+            // to hard-error).
             let compatible = if kind.is_multi_chip() { n >= 2 } else { n == 1 };
             if !compatible {
                 continue;
@@ -439,8 +438,8 @@ mod tests {
         // Regression: a search space listing 1 among the chiplet counts of
         // a multi-chip kind used to hard-error the whole `recommend` call
         // (`equal_chiplets` produced a D2D-less die the system builder
-        // rejected). `explore` records such cells as incompatible; the
-        // optimizer now skips them the same way.
+        // rejected). The exploration grid records such cells as
+        // incompatible; the optimizer now skips them the same way.
         let space = SearchSpace {
             chiplet_counts: vec![1, 2, 3],
             integrations: IntegrationKind::MULTI_CHIP.to_vec(),

@@ -1,9 +1,9 @@
-//! Portfolio-grid exploration: the paper's reuse schemes as a search axis.
+//! Grid exploration: the paper's reuse schemes and assembly flows as
+//! search axes next to the single-system ones.
 //!
-//! [`crate::explore`] grids *single systems* — it answers "how should one
-//! chip be built", not the paper's headline question "how much does chiplet
-//! *reuse across derivative systems* save" (§5, Figures 8–10). This module
-//! crosses the single-system axes with two more:
+//! This is the one exploration engine. A [`PortfolioSpace`] is the
+//! Cartesian product of the §6 single-system axes (node, area, quantity,
+//! integration, chiplet count) with two more:
 //!
 //! * a **reuse-scheme axis** ([`ReuseScheme`]): the standalone baseline
 //!   plus the paper's SCMS, OCME and FSMC schemes, built from
@@ -14,6 +14,14 @@
 //!   instead of a whole-grid scalar, exposing the §5 flow comparison
 //!   mechanically.
 //!
+//! The paper's §6 question ("which integration, how many chiplets") is
+//! the one-scheme slice of its §5 reuse question: a space with
+//! `schemes: vec![ReuseScheme::None]` and one flow is the single-system
+//! grid (see [`crate::explore`]), and its artifacts without the `flow`,
+//! `scheme` and `scheme_params` columns
+//! ([`actuary_units::Artifact::without_columns`]) are the single-system
+//! tables.
+//!
 //! # Cell semantics
 //!
 //! Every cell keeps the single-system reading of its coordinates: `area`
@@ -22,7 +30,7 @@
 //!
 //! | scheme | family | member selected by `chiplets` |
 //! |--------|--------|-------------------------------|
-//! | `none` | the member alone (PR-2 semantics) | any count |
+//! | `none` | the member alone (a standalone system) | any count |
 //! | `scms` | one chiplet design of `area/chiplets` builds every multiplicity in [`PortfolioSpace::scms_multiplicities`] | a listed multiplicity |
 //! | `ocme` | centre + extensions of `area/chiplets` sockets (`C`, `C+1X`, `C+1X+1Y`, `C+2X+2Y`) | 1, 2, 3 or 5 chips |
 //! | `fsmc` | every collocation of `n` types in a `k`-socket package, one family per [`PortfolioSpace::fsmc_situations`] entry | a collocation size `1..=k` |
@@ -67,7 +75,8 @@
 //!
 //! Both passes run on the shared work-stealing engine: chunk ranges are
 //! dealt to per-worker deques, an idle worker steals the back half of a
-//! busy one's queue, and results are reassembled in grid order — one
+//! busy one's queue, and results are reassembled in grid order (node →
+//! area → quantity → integration → chiplet count → flow → scheme) — one
 //! thread and N threads emit byte-identical CSV.
 //!
 //! # Examples
@@ -98,8 +107,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use serde::{Deserialize, Serialize};
-
 use actuary_arch::reuse::{FsmcSpec, OcmeSpec, ScmsSpec};
 use actuary_arch::{ArchError, PortfolioCore};
 use actuary_model::AssemblyFlow;
@@ -112,10 +119,11 @@ use crate::optimizer::{candidate_core, Candidate, CandidateCore};
 use crate::pareto::pareto_min_indices;
 
 /// How a grid cell's NRE is shared across derivative systems.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ReuseScheme {
     /// No cross-derivative reuse: the cell is a standalone single system
-    /// (the monolithic-portfolio baseline, PR-2's `explore` semantics).
+    /// (the monolithic-portfolio baseline; alone on the scheme axis, the
+    /// §6 single-system grid).
     None,
     /// *Single Chiplet Multiple Systems* (§5.1, Figure 8).
     Scms,
@@ -205,7 +213,7 @@ pub fn parse_fsmc_situation(s: &str) -> Result<(u32, u32), String> {
 }
 
 /// The portfolio exploration grid: the Cartesian product of every axis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PortfolioSpace {
     /// Process-node identifiers to explore (must exist in the library).
     pub nodes: Vec<String>,
@@ -286,22 +294,6 @@ impl SchemeVariant {
 }
 
 impl PortfolioSpace {
-    /// The single-system space `space`, lifted into a one-scheme
-    /// one-flow portfolio space — [`crate::explore::explore`] runs on the
-    /// portfolio engine through this conversion.
-    pub fn from_single_system(space: &crate::explore::ExploreSpace) -> Self {
-        PortfolioSpace {
-            nodes: space.nodes.clone(),
-            areas_mm2: space.areas_mm2.clone(),
-            quantities: space.quantities.clone(),
-            integrations: space.integrations.clone(),
-            chiplet_counts: space.chiplet_counts.clone(),
-            flows: vec![space.flow],
-            schemes: vec![ReuseScheme::None],
-            ..PortfolioSpace::default()
-        }
-    }
-
     /// The paper's five Figure 10 `(sockets k, chiplet types n)` situations.
     pub const FSMC_PAPER_SITUATIONS: [(u32, u32); 5] = [(2, 2), (2, 4), (3, 4), (4, 4), (4, 6)];
 

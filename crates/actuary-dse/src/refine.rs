@@ -1,7 +1,7 @@
-//! Coarse-to-fine grid refinement: the exhaustive engines' winner tables
+//! Coarse-to-fine grid refinement: the exhaustive engine's winner tables
 //! and Pareto fronts at a fraction of the full evaluations.
 //!
-//! The exhaustive engines ([`crate::explore`], [`crate::portfolio`]) price
+//! The exhaustive engine ([`crate::portfolio::explore_portfolio`]) prices
 //! every cell of the axis product. The paper's successors explore spaces
 //! where that product reaches 10⁸ cells (Tang & Xie, arXiv:2206.07308;
 //! CATCH, arXiv:2503.15753) — far past what full enumeration can serve.
@@ -56,28 +56,31 @@
 //!
 //! # Streaming
 //!
-//! [`explore_portfolio_refined_observed`] accepts a phase observer that
-//! receives the partial result after each phase together with the cells
-//! that phase newly stored — `actuary serve` uses it to stream a refined
-//! grid's coarse picture before the run completes (see
-//! `docs/http-api.md`).
+//! [`explore_portfolio_refined_with`] is the plain entry point;
+//! [`explore_portfolio_refined_observed`] adds a cross-call core cache and
+//! a phase observer that receives the partial result after each phase
+//! together with the cells that phase newly stored — `actuary serve` uses
+//! it to stream a refined grid's coarse picture before the run completes
+//! (see `docs/http-api.md`).
 //!
 //! # Examples
 //!
 //! ```
-//! use actuary_dse::explore::ExploreSpace;
-//! use actuary_dse::refine::explore_refined;
+//! use actuary_dse::portfolio::{PortfolioSpace, ReuseScheme};
+//! use actuary_dse::refine::{explore_portfolio_refined_with, RefineOptions};
 //! use actuary_tech::TechLibrary;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let lib = TechLibrary::paper_defaults()?;
-//! let space = ExploreSpace {
+//! let space = PortfolioSpace {
 //!     nodes: vec!["7nm".to_string()],
 //!     areas_mm2: (1..=30).map(|i| f64::from(i) * 30.0).collect(),
 //!     quantities: vec![2_000_000],
-//!     ..ExploreSpace::default()
+//!     schemes: vec![ReuseScheme::None],
+//!     ..PortfolioSpace::default()
 //! };
-//! let refined = explore_refined(&lib, &space, 2)?;
+//! // Default options pick both coarse strides from the axis lengths.
+//! let refined = explore_portfolio_refined_with(&lib, &space, 2, RefineOptions::default())?;
 //! assert_eq!(refined.len(), space.len());
 //! // Pruned cells are accounted for, never silently dropped.
 //! assert_eq!(
@@ -98,7 +101,7 @@ use actuary_arch::ArchError;
 use actuary_tech::{IntegrationKind, TechLibrary};
 
 use crate::engine::resolve_threads;
-use crate::explore::{CellOutcome, ExploreResult, ExploreSpace};
+use crate::explore::CellOutcome;
 use crate::pareto::pareto_min_indices;
 use crate::portfolio::{
     explore_portfolio, explore_portfolio_shared, CellIdx, GridShape, PortfolioResult,
@@ -731,10 +734,13 @@ fn auto_stride(len: usize) -> usize {
     stride
 }
 
-/// [`explore_portfolio_refined`] with explicit per-axis starting strides.
-/// Exposed so the benches and the reference tests can force coarse starts
-/// on small grids (and so `--quantity-stride` / scenario `quantity_stride`
-/// reach the engine).
+/// Explores `space` coarse-to-fine from the given per-axis starting
+/// strides ([`RefineOptions::default`] picks both from the axis lengths):
+/// the refinement twin of [`crate::portfolio::explore_portfolio`],
+/// returning the same sparse result type with skipped cells recorded as
+/// [`CellOutcome::Pruned`]. Explicit strides let the benches and the
+/// reference tests force coarse starts on small grids (and let
+/// `--quantity-stride` / scenario `quantity_stride` reach the engine).
 ///
 /// # Errors
 ///
@@ -751,36 +757,13 @@ pub fn explore_portfolio_refined_with(
     explore_portfolio_refined_observed(lib, space, threads, options, None, None)
 }
 
-/// [`explore_portfolio_refined`] with cores reused *across calls* through
-/// `cache` under the given library `tag` — the refinement twin of
-/// [`explore_portfolio_shared`]. Every coarse, bisection, fill and
-/// escalation sub-run consults the cache, so overlapping requests skip
-/// straight to amortization.
-///
-/// # Errors
-///
-/// See [`explore_portfolio_refined_with`].
-pub fn explore_portfolio_refined_shared(
-    lib: &TechLibrary,
-    space: &PortfolioSpace,
-    threads: usize,
-    cache: &SharedCoreCache,
-    tag: [u8; 32],
-) -> Result<PortfolioResult, ArchError> {
-    explore_portfolio_refined_observed(
-        lib,
-        space,
-        threads,
-        RefineOptions::default(),
-        Some((cache, tag)),
-        None,
-    )
-}
-
 /// The full-control refinement entry: explicit strides, an optional
 /// cross-call core cache, and an optional per-phase [`RefineObserver`]
-/// (the streaming hook). All other refinement entries are facades over
-/// this one.
+/// (the streaming hook). With a cache, every coarse, bisection, fill and
+/// escalation sub-run consults it under the given library `tag` (see
+/// [`explore_portfolio_shared`]), so overlapping requests skip straight to
+/// amortization. [`explore_portfolio_refined_with`] is this entry without
+/// either.
 ///
 /// # Errors
 ///
@@ -1165,58 +1148,6 @@ fn notify(
     Ok(())
 }
 
-/// Explores `space` coarse-to-fine with automatically chosen starting
-/// strides on both axes: the portfolio twin of
-/// [`crate::portfolio::explore_portfolio`], returning the same sparse
-/// result type with skipped cells recorded as [`CellOutcome::Pruned`].
-///
-/// # Errors
-///
-/// See [`explore_portfolio_refined_with`].
-pub fn explore_portfolio_refined(
-    lib: &TechLibrary,
-    space: &PortfolioSpace,
-    threads: usize,
-) -> Result<PortfolioResult, ArchError> {
-    explore_portfolio_refined_with(lib, space, threads, RefineOptions::default())
-}
-
-/// Explores a single-system space coarse-to-fine: the refinement twin of
-/// [`crate::explore::explore`].
-///
-/// # Errors
-///
-/// See [`explore_portfolio_refined_with`] (the single-system axes are
-/// validated with this module's messages first).
-pub fn explore_refined(
-    lib: &TechLibrary,
-    space: &ExploreSpace,
-    threads: usize,
-) -> Result<ExploreResult, ArchError> {
-    explore_refined_with(lib, space, threads, RefineOptions::default())
-}
-
-/// [`explore_refined`] with explicit per-axis strides (the single-system
-/// home of `--quantity-stride`).
-///
-/// # Errors
-///
-/// See [`explore_refined`].
-pub fn explore_refined_with(
-    lib: &TechLibrary,
-    space: &ExploreSpace,
-    threads: usize,
-    options: RefineOptions,
-) -> Result<ExploreResult, ArchError> {
-    space.validate()?;
-    for id in &space.nodes {
-        lib.node(id).map_err(ArchError::Tech)?;
-    }
-    let lifted = PortfolioSpace::from_single_system(space);
-    let inner = explore_portfolio_refined_with(lib, &lifted, threads, options)?;
-    Ok(ExploreResult::from_inner(space, inner))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1290,7 +1221,8 @@ mod tests {
             areas_mm2: vec![400.0, 200.0],
             ..ramp_space()
         };
-        let err = explore_portfolio_refined(&lib(), &space, 1).unwrap_err();
+        let err = explore_portfolio_refined_with(&lib(), &space, 1, RefineOptions::default())
+            .unwrap_err();
         assert!(
             err.to_string().contains("strictly increasing areas_mm2"),
             "unexpected error: {err}"
@@ -1303,7 +1235,8 @@ mod tests {
             quantities: vec![10_000_000, 500_000],
             ..ramp_space()
         };
-        let err = explore_portfolio_refined(&lib(), &space, 1).unwrap_err();
+        let err = explore_portfolio_refined_with(&lib(), &space, 1, RefineOptions::default())
+            .unwrap_err();
         assert!(
             err.to_string().contains("strictly increasing quantities"),
             "unexpected error: {err}"
@@ -1404,7 +1337,8 @@ mod tests {
             areas_mm2: vec![200.0, 800.0],
             ..ramp_space()
         };
-        let refined = explore_portfolio_refined(&lib, &space, 1).unwrap();
+        let refined =
+            explore_portfolio_refined_with(&lib, &space, 1, RefineOptions::default()).unwrap();
         let exhaustive = explore_portfolio(&lib, &space, 1).unwrap();
         assert_eq!(
             refined.grid_artifact().csv(),
@@ -1480,16 +1414,19 @@ mod tests {
     #[test]
     fn single_system_refinement_matches_explore() {
         let lib = lib();
-        let space = ExploreSpace {
+        let space = PortfolioSpace {
             nodes: vec!["14nm".to_string(), "5nm".to_string()],
             areas_mm2: (1..=12).map(|i| f64::from(i) * 80.0).collect(),
             quantities: vec![500_000, 10_000_000],
             integrations: IntegrationKind::ALL.to_vec(),
             chiplet_counts: vec![1, 2, 3, 4, 5],
-            flow: AssemblyFlow::ChipLast,
+            flows: vec![AssemblyFlow::ChipLast],
+            schemes: vec![ReuseScheme::None],
+            ..PortfolioSpace::default()
         };
-        let exhaustive = crate::explore::explore(&lib, &space, 2).unwrap();
-        let refined = explore_refined(&lib, &space, 2).unwrap();
+        let exhaustive = explore_portfolio(&lib, &space, 2).unwrap();
+        let refined =
+            explore_portfolio_refined_with(&lib, &space, 2, RefineOptions::default()).unwrap();
         assert_eq!(
             refined.winners_artifact().csv(),
             exhaustive.winners_artifact().csv()
@@ -1508,10 +1445,22 @@ mod tests {
     fn refined_shared_matches_refined_and_reuses_warm_cores() {
         let lib = lib();
         let space = ramp_space();
-        let reference = explore_portfolio_refined(&lib, &space, 2).unwrap();
+        let options = RefineOptions::default();
+        let reference = explore_portfolio_refined_with(&lib, &space, 2, options).unwrap();
 
         let cache = SharedCoreCache::new(4096);
-        let cold = explore_portfolio_refined_shared(&lib, &space, 2, &cache, [9; 32]).unwrap();
+        let shared = || {
+            explore_portfolio_refined_observed(
+                &lib,
+                &space,
+                2,
+                options,
+                Some((&cache, [9; 32])),
+                None,
+            )
+            .unwrap()
+        };
+        let cold = shared();
         assert_eq!(
             cold.winners_artifact().csv(),
             reference.winners_artifact().csv()
@@ -1528,7 +1477,7 @@ mod tests {
 
         // Warm rerun: refinement takes the same adaptive path, and every
         // core it asks for is already resident.
-        let warm = explore_portfolio_refined_shared(&lib, &space, 2, &cache, [9; 32]).unwrap();
+        let warm = shared();
         assert_eq!(
             warm.winners_artifact().csv(),
             reference.winners_artifact().csv()

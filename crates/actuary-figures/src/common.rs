@@ -2,14 +2,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// One qualitative claim from the paper's prose about a figure, with the
 /// value this reproduction measured and whether it holds.
 ///
 /// `EXPERIMENTS.md` is generated from these records, and the integration
 /// suite asserts `pass` for every claim of every figure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShapeCheck {
     /// The paper's claim, quoted or paraphrased.
     pub claim: String,

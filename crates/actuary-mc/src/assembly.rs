@@ -5,7 +5,6 @@ use std::fmt;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use actuary_arch::{ArchError, System};
 use actuary_model::AssemblyFlow;
@@ -15,7 +14,7 @@ use actuary_units::Money;
 use crate::factory::{DefectProcess, DieFactory};
 
 /// Configuration of a Monte-Carlo run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct McConfig {
     /// Number of *good* systems to produce (renewal cycles to sample).
     pub systems: u32,
@@ -36,7 +35,7 @@ impl Default for McConfig {
 }
 
 /// Result of a Monte-Carlo run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct McResult {
     mean_cost: Money,
     std_error: Money,

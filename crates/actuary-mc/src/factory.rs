@@ -3,7 +3,6 @@
 use std::fmt;
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use actuary_model::ModelError;
 use actuary_tech::ProcessNode;
@@ -12,7 +11,7 @@ use actuary_units::{Area, Money};
 use crate::sampling::{gamma, poisson};
 
 /// How the simulator draws die defects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DefectProcess {
     /// Each die is independently good with the marginal negative-binomial
     /// yield of Eq. (1). Fast; exact in the mean.

@@ -8,7 +8,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use actuary_model::ModelError;
 use actuary_tech::ProcessNode;
@@ -19,7 +18,7 @@ use crate::factory::DefectProcess;
 use crate::sampling::{gamma, poisson};
 
 /// One die site on the wafer map.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DieSite {
     /// Off the usable wafer (edge or outside the disc).
     Edge,
@@ -30,7 +29,7 @@ pub enum DieSite {
 }
 
 /// A simulated wafer: the rectangular grid of die sites.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WaferMap {
     columns: usize,
     rows: usize,

@@ -1,8 +1,6 @@
 use std::fmt;
 use std::ops::Add;
 
-use serde::{Deserialize, Serialize};
-
 use actuary_units::Money;
 
 /// The five-component RE cost breakdown of the paper's §3.2.
@@ -35,7 +33,7 @@ use actuary_units::Money;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ReCostBreakdown {
     /// 1) Cost of raw chips (dies at perfect yield).
     pub raw_chips: Money,
@@ -146,7 +144,7 @@ impl fmt::Display for ReCostBreakdown {
 /// NRE cost breakdown used by the total-cost figures (Figure 6, 8, 9, 10):
 /// module design, chip-level design (incl. masks/IP), package design and D2D
 /// interface design.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct NreBreakdown {
     /// `Σ K_m·S_m` — module design and block verification.
     pub modules: Money,

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use actuary_tech::{PackagingTech, ProcessNode};
 use actuary_units::{Area, Money, Prob};
 
@@ -65,7 +63,7 @@ impl<'a> DiePlacement<'a> {
 /// bonding steps. The paper concludes chip-last "is the priority selection
 /// for multi-chip systems" and uses it for all experiments — as does every
 /// default in this repository.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum AssemblyFlow {
     /// Dies first, packaging after (cheap flow, wasteful on KGDs).
     ChipFirst,

@@ -1,7 +1,5 @@
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use actuary_units::{Money, Quantity};
 
 use crate::breakdown::{NreBreakdown, ReCostBreakdown};
@@ -28,7 +26,7 @@ use crate::error::ModelError;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TotalCost {
     re: ReCostBreakdown,
     nre: NreBreakdown,

@@ -485,7 +485,7 @@ impl Scenario {
     ///
     /// Returns [`ScenarioError::Engine`] naming the failing job.
     pub fn run(&self, threads: usize) -> Result<ScenarioRun, ScenarioError> {
-        self.run_impl(threads, None)
+        self.run_jobs(threads, None, None)
     }
 
     /// [`Scenario::run`] with explore-job cores reused *across runs*
@@ -503,74 +503,7 @@ impl Scenario {
         cache: &SharedCoreCache,
         tag: [u8; 32],
     ) -> Result<ScenarioRun, ScenarioError> {
-        self.run_impl(threads, Some((cache, tag)))
-    }
-
-    fn run_impl(
-        &self,
-        threads: usize,
-        shared: Option<(&SharedCoreCache, [u8; 32])>,
-    ) -> Result<ScenarioRun, ScenarioError> {
-        let mut run = ScenarioRun {
-            name: self.name.clone(),
-            cost_rows: Vec::new(),
-            yield_rows: Vec::new(),
-            explores: Vec::new(),
-            sweeps: Vec::new(),
-        };
-        let engine = |job: &str, e: &dyn fmt::Display| ScenarioError::Engine {
-            context: job.to_string(),
-            message: e.to_string(),
-        };
-        for job in &self.jobs {
-            match job {
-                Job::Cost(j) => {
-                    let _span = actuary_obs::span!("scenario.cost");
-                    let cost = j
-                        .portfolio
-                        .cost(&self.library, j.flow)
-                        .map_err(|e| engine(&j.name, &e))?;
-                    for sc in cost.systems() {
-                        let nre = sc.nre_per_unit();
-                        run.cost_rows.push(CostRow {
-                            job: j.name.clone(),
-                            system: sc.name().to_string(),
-                            quantity: sc.quantity().count(),
-                            re_usd: sc.re().total().usd(),
-                            re_packaging_usd: sc.re().packaging_total().usd(),
-                            nre_modules_usd: nre.modules.usd(),
-                            nre_chips_usd: nre.chips.usd(),
-                            nre_packages_usd: nre.packages.usd(),
-                            nre_d2d_usd: nre.d2d.usd(),
-                            per_unit_usd: sc.per_unit_total().usd(),
-                        });
-                    }
-                }
-                Job::Yield(j) => {
-                    let _span = actuary_obs::span!("scenario.yield");
-                    run_yield_job(&self.library, j, &mut run.yield_rows)
-                        .map_err(|e| engine(&j.name, &e))?;
-                }
-                Job::Sweep(j) => {
-                    let _span = actuary_obs::span!("scenario.sweep");
-                    let sweep = run_sweep_job(&self.library, j).map_err(|e| engine(&j.name, &e))?;
-                    run.sweeps.push(SweepRun {
-                        name: j.name.clone(),
-                        sweep,
-                    });
-                }
-                Job::Explore(j) => {
-                    let result = run_explore_job(&self.library, threads, shared, j, None)
-                        .map_err(|e| engine(&j.name, &e))?;
-                    run.explores.push(ExploreRun {
-                        name: j.name.clone(),
-                        outputs: j.outputs.clone(),
-                        result,
-                    });
-                }
-            }
-        }
-        Ok(run)
+        self.run_jobs(threads, Some((cache, tag)), None)
     }
 
     /// [`Scenario::run`] with incremental delivery: every artifact is
@@ -600,7 +533,7 @@ impl Scenario {
         threads: usize,
         sink: &mut dyn StreamSink,
     ) -> Result<ScenarioRun, ScenarioError> {
-        self.run_streamed_impl(threads, None, sink)
+        self.run_jobs(threads, None, Some(sink))
     }
 
     /// [`Scenario::run_streamed`] with explore-job cores reused across
@@ -617,26 +550,23 @@ impl Scenario {
         tag: [u8; 32],
         sink: &mut dyn StreamSink,
     ) -> Result<ScenarioRun, ScenarioError> {
-        self.run_streamed_impl(threads, Some((cache, tag)), sink)
+        self.run_jobs(threads, Some((cache, tag)), Some(sink))
     }
 
-    fn run_streamed_impl(
+    /// The one run loop behind [`Scenario::run`] and
+    /// [`Scenario::run_streamed`] (and their shared-cache forms): the
+    /// cost, yield and sweep jobs first, then the explore jobs — the order
+    /// the lowering already groups them in, so the cost and yield tables
+    /// are complete (and, with a `sink`, on the wire) before the first
+    /// long-running grid starts. With a `sink`, every artifact is also
+    /// delivered as it completes, in the order [`Scenario::run_streamed`]
+    /// documents.
+    fn run_jobs(
         &self,
         threads: usize,
         shared: Option<(&SharedCoreCache, [u8; 32])>,
-        sink: &mut dyn StreamSink,
+        mut sink: Option<&mut dyn StreamSink>,
     ) -> Result<ScenarioRun, ScenarioError> {
-        let engine = |job: &str, e: &dyn fmt::Display| ScenarioError::Engine {
-            context: job.to_string(),
-            message: e.to_string(),
-        };
-        let abort = |job: &str| ScenarioError::Engine {
-            context: job.to_string(),
-            message: "the stream sink declined to continue".to_string(),
-        };
-        // Non-explore jobs first (the lowering already groups them ahead
-        // of [explore]), so the cost and yield tables are complete — and
-        // on the wire — before the first long-running grid starts.
         let mut run = ScenarioRun {
             name: self.name.clone(),
             cost_rows: Vec::new(),
@@ -651,7 +581,7 @@ impl Scenario {
                     let cost = j
                         .portfolio
                         .cost(&self.library, j.flow)
-                        .map_err(|e| engine(&j.name, &e))?;
+                        .map_err(|e| engine_error(&j.name, &e))?;
                     for sc in cost.systems() {
                         let nre = sc.nre_per_unit();
                         run.cost_rows.push(CostRow {
@@ -671,11 +601,12 @@ impl Scenario {
                 Job::Yield(j) => {
                     let _span = actuary_obs::span!("scenario.yield");
                     run_yield_job(&self.library, j, &mut run.yield_rows)
-                        .map_err(|e| engine(&j.name, &e))?;
+                        .map_err(|e| engine_error(&j.name, &e))?;
                 }
                 Job::Sweep(j) => {
                     let _span = actuary_obs::span!("scenario.sweep");
-                    let sweep = run_sweep_job(&self.library, j).map_err(|e| engine(&j.name, &e))?;
+                    let sweep =
+                        run_sweep_job(&self.library, j).map_err(|e| engine_error(&j.name, &e))?;
                     run.sweeps.push(SweepRun {
                         name: j.name.clone(),
                         sweep,
@@ -684,75 +615,112 @@ impl Scenario {
                 Job::Explore(_) => {}
             }
         }
-        if !run.cost_rows.is_empty() && !sink.segment(run.costs_artifact(), false) {
-            return Err(abort("costs"));
-        }
-        if !run.yield_rows.is_empty() && !sink.segment(run.yields_artifact(), false) {
-            return Err(abort("yields"));
+        if let Some(sink) = sink.as_deref_mut() {
+            if !run.cost_rows.is_empty() && !sink.segment(run.costs_artifact(), false) {
+                return Err(sink_declined("costs"));
+            }
+            if !run.yield_rows.is_empty() && !sink.segment(run.yields_artifact(), false) {
+                return Err(sink_declined("yields"));
+            }
         }
         for job in &self.jobs {
             let Job::Explore(j) = job else {
                 continue;
             };
-            let streams_grid =
-                j.mode == ExploreMode::Refine && j.outputs.contains(&ExploreOutput::Grid);
-            let result = if streams_grid {
-                let grid_name = format!("{}-grid", j.name);
-                let mut first = true;
-                let mut delivered = true;
-                let mut observer = |_phase, snapshot: &PortfolioResult, fresh: &[usize]| {
-                    let segment = snapshot
-                        .grid_rows_artifact(fresh.to_vec())
-                        .named(grid_name.clone());
-                    delivered = sink.segment(segment, !first);
-                    first = false;
-                    delivered
-                };
-                let result =
-                    run_explore_job(&self.library, threads, shared, j, Some(&mut observer));
-                if !delivered {
-                    return Err(abort(&j.name));
-                }
-                let result = result.map_err(|e| engine(&j.name, &e))?;
-                // The evaluated cells all went out with the phases above;
-                // the pruned/incompatible residual completes the table.
-                if !sink.segment(result.grid_unstored_artifact().named(grid_name), true) {
-                    return Err(abort(&j.name));
-                }
-                result
-            } else {
-                run_explore_job(&self.library, threads, shared, j, None)
-                    .map_err(|e| engine(&j.name, &e))?
+            let result = match sink.as_deref_mut() {
+                None => run_explore_job(&self.library, threads, shared, j, None)
+                    .map_err(|e| engine_error(&j.name, &e))?,
+                Some(sink) => self.stream_explore_job(threads, shared, j, sink)?,
             };
-            for output in &j.outputs {
-                if streams_grid && *output == ExploreOutput::Grid {
-                    continue;
-                }
-                let artifact = match output {
-                    ExploreOutput::Grid => result.grid_artifact(),
-                    ExploreOutput::Winners => result.winners_artifact(),
-                    ExploreOutput::Pareto => result.pareto_artifact(),
-                    ExploreOutput::ParetoProgram => result.pareto_program_artifact(),
-                };
-                if !sink.segment(
-                    artifact.named(format!("{}-{}", j.name, output.label())),
-                    false,
-                ) {
-                    return Err(abort(&j.name));
-                }
-            }
             run.explores.push(ExploreRun {
                 name: j.name.clone(),
                 outputs: j.outputs.clone(),
                 result,
             });
         }
-        for s in &run.sweeps {
-            if !sink.segment(s.sweep.artifact(format!("{}-sweep", s.name)), false) {
-                return Err(abort(&s.name));
+        if let Some(sink) = sink {
+            for s in &run.sweeps {
+                if !sink.segment(s.sweep.artifact(format!("{}-sweep", s.name)), false) {
+                    return Err(sink_declined(&s.name));
+                }
             }
         }
         Ok(run)
+    }
+
+    /// Runs one explore job and delivers its selected surfaces to `sink`:
+    /// a refine-mode grid segment by segment as the phases finish, then
+    /// the remaining surfaces in selected order.
+    fn stream_explore_job(
+        &self,
+        threads: usize,
+        shared: Option<(&SharedCoreCache, [u8; 32])>,
+        j: &ExploreJob,
+        sink: &mut dyn StreamSink,
+    ) -> Result<PortfolioResult, ScenarioError> {
+        let streams_grid =
+            j.mode == ExploreMode::Refine && j.outputs.contains(&ExploreOutput::Grid);
+        let result = if streams_grid {
+            let grid_name = format!("{}-grid", j.name);
+            let mut first = true;
+            let mut delivered = true;
+            let mut observer = |_phase, snapshot: &PortfolioResult, fresh: &[usize]| {
+                let segment = snapshot
+                    .grid_rows_artifact(fresh.to_vec())
+                    .named(grid_name.clone());
+                delivered = sink.segment(segment, !first);
+                first = false;
+                delivered
+            };
+            let result = run_explore_job(&self.library, threads, shared, j, Some(&mut observer));
+            if !delivered {
+                return Err(sink_declined(&j.name));
+            }
+            let result = result.map_err(|e| engine_error(&j.name, &e))?;
+            // The evaluated cells all went out with the phases above;
+            // the pruned/incompatible residual completes the table.
+            if !sink.segment(result.grid_unstored_artifact().named(grid_name), true) {
+                return Err(sink_declined(&j.name));
+            }
+            result
+        } else {
+            run_explore_job(&self.library, threads, shared, j, None)
+                .map_err(|e| engine_error(&j.name, &e))?
+        };
+        for output in &j.outputs {
+            if streams_grid && *output == ExploreOutput::Grid {
+                continue;
+            }
+            let artifact = match output {
+                ExploreOutput::Grid => result.grid_artifact(),
+                ExploreOutput::Winners => result.winners_artifact(),
+                ExploreOutput::Pareto => result.pareto_artifact(),
+                ExploreOutput::ParetoProgram => result.pareto_program_artifact(),
+            };
+            if !sink.segment(
+                artifact.named(format!("{}-{}", j.name, output.label())),
+                false,
+            ) {
+                return Err(sink_declined(&j.name));
+            }
+        }
+        Ok(result)
+    }
+}
+
+/// The [`ScenarioError::Engine`] of a job the engine failed.
+fn engine_error(job: &str, e: &dyn fmt::Display) -> ScenarioError {
+    ScenarioError::Engine {
+        context: job.to_string(),
+        message: e.to_string(),
+    }
+}
+
+/// The [`ScenarioError::Engine`] of a delivery the stream sink declined.
+fn sink_declined(job: &str) -> ScenarioError {
+    ScenarioError::Engine {
+        context: job.to_string(),
+        message: "the stream sink declined to continue".to_string(),
     }
 }
 

@@ -4,8 +4,9 @@
 //! Everything the engine can evaluate — technology libraries, systems,
 //! portfolios, reuse schemes and exploration spaces — can be described in
 //! a TOML file instead of Rust. A scenario is parsed by the crate's own
-//! std-only [`toml`] parser (the offline serde shim has no deserializer),
-//! lowered through a schema layer with line/column diagnostics, and
+//! std-only [`toml`] parser (the offline build has no registry TOML or
+//! serialization crates), lowered through a schema layer with line/column
+//! diagnostics, and
 //! executed through the existing `actuary-arch` / `actuary-dse` engines.
 //!
 //! # Layer role

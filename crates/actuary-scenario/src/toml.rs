@@ -1,7 +1,7 @@
 //! A dependency-free parser for the TOML subset scenario files use.
 //!
-//! The offline serde shim has no deserializer, so this crate owns its own
-//! lexer/parser. The subset covers everything scenario files need:
+//! The offline build has no registry TOML or serialization crates, so this
+//! crate owns its own lexer/parser. The subset covers everything scenario files need:
 //!
 //! * comments (`# …`), blank lines;
 //! * `[table]` and `[[array-of-tables]]` headers with dotted paths;

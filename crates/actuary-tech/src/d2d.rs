@@ -1,7 +1,5 @@
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use actuary_units::{Area, Money};
 
 use crate::error::TechError;
@@ -30,7 +28,7 @@ use crate::error::TechError;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct D2dSpec {
     area_fraction: f64,
     nre_cost: Money,

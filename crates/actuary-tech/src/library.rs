@@ -1,8 +1,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::TechError;
 use crate::node::{NodeId, ProcessNode};
 use crate::packaging::{IntegrationKind, PackagingTech};
@@ -33,7 +31,7 @@ use crate::presets;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TechLibrary {
     nodes: BTreeMap<NodeId, ProcessNode>,
     packaging: BTreeMap<IntegrationKind, PackagingTech>,

@@ -1,7 +1,5 @@
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use actuary_units::{Area, Money, Prob};
 use actuary_yield::{DefectDensity, NegativeBinomial, WaferSpec, YieldModel};
 
@@ -19,8 +17,7 @@ use crate::error::TechError;
 /// assert_eq!(id.as_str(), "7nm");
 /// assert_eq!(id.to_string(), "7nm");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(String);
 
 impl NodeId {
@@ -68,7 +65,7 @@ impl AsRef<str> for NodeId {
 ///   physical design (`K_c`).
 /// * `mask_set` + `ip_license` — the fixed per-chip cost `C` (full mask set,
 ///   IP licensing), paid once for every distinct chip taped out.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NreFactors {
     /// `K_m`: module design + block verification, $ per mm².
     pub k_module: Money,
@@ -114,7 +111,7 @@ impl NreFactors {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProcessNode {
     id: NodeId,
     defect_density: DefectDensity,

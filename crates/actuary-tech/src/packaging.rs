@@ -1,7 +1,5 @@
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use actuary_units::{Area, Money, Prob};
 use actuary_yield::{DefectDensity, NegativeBinomial, WaferSpec, YieldModel};
 
@@ -17,7 +15,7 @@ use crate::error::TechError;
 ///   redistribution layer (RDL) manufactured in a wafer-level process.
 /// * [`IntegrationKind::TwoPointFiveD`] — dies on a silicon interposer
 ///   (CoWoS-style 2.5D).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum IntegrationKind {
     /// Monolithic SoC in a single-die package.
     Soc,
@@ -79,7 +77,7 @@ impl fmt::Display for IntegrationKind {
 /// silicon interposer `D = 0.06, c = 6`. The interposer is "calculated
 /// similarly with the die cost" (§3.2): its raw cost comes from a wafer
 /// price and dies-per-wafer, and its yield `y₁` from Eq. (1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InterposerSpec {
     defect_density: DefectDensity,
     cluster: f64,
@@ -209,7 +207,7 @@ impl fmt::Display for InterposerSpec {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PackagingTech {
     kind: IntegrationKind,
     substrate_cost_per_mm2: Money,

@@ -117,6 +117,49 @@ impl<'a> Artifact<'a> {
         self
     }
 
+    /// The same artifact with the named columns projected away: the
+    /// header and every row drop them together, names the artifact does
+    /// not have are ignored, and the name and kind are kept. Dropping the
+    /// columns of a one-value axis gives a narrower view of the same table
+    /// (the single-system exploration grid is the `none`-scheme, one-flow
+    /// grid without its `scheme`, `scheme_params` and `flow` columns).
+    #[must_use]
+    pub fn without_columns(self, dropped: &[&str]) -> Artifact<'a> {
+        let keep: Vec<bool> = self
+            .columns
+            .iter()
+            .map(|c| !dropped.contains(&c.as_str()))
+            .collect();
+        if keep.iter().all(|&k| k) {
+            return self;
+        }
+        let columns = self
+            .columns
+            .into_iter()
+            .zip(&keep)
+            .filter_map(|(c, &k)| k.then_some(c))
+            .collect();
+        let rows = self.rows;
+        Artifact {
+            name: self.name,
+            kind: self.kind,
+            columns,
+            rows: Box::new(move |emit| {
+                let mut kept = Vec::with_capacity(keep.len());
+                rows(&mut |row: &[String]| {
+                    kept.clear();
+                    kept.extend(
+                        row.iter()
+                            .zip(&keep)
+                            .filter(|(_, &k)| k)
+                            .map(|(cell, _)| cell.clone()),
+                    );
+                    emit(&kept)
+                })
+            }),
+        }
+    }
+
     /// Streams the artifact as RFC-4180 CSV into `out` — header row, then
     /// every data row — without materializing the document. This is the
     /// one serializer every emitter in the workspace goes through.
@@ -380,6 +423,21 @@ mod tests {
         let a = sample().named("renamed");
         assert_eq!(a.name(), "renamed");
         assert_eq!(a.csv(), "a,b\n1,\"x,y\"\n2,\n");
+    }
+
+    #[test]
+    fn without_columns_drops_header_and_cells_together() {
+        let a = Artifact::new("t", "table", &["a", "b", "c"], |emit| {
+            emit(&["1".to_string(), "x,y".to_string(), "p".to_string()])?;
+            emit(&["2".to_string(), String::new(), "q".to_string()])
+        });
+        let projected = a.without_columns(&["b", "not-a-column"]);
+        assert_eq!(projected.name(), "t");
+        assert_eq!(projected.kind(), "table");
+        assert_eq!(projected.columns(), ["a", "c"]);
+        assert_eq!(projected.csv(), "a,c\n1,p\n2,q\n");
+        // Dropping nothing is the identity.
+        assert_eq!(sample().without_columns(&[]).csv(), sample().csv());
     }
 
     #[test]

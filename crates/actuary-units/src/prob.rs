@@ -1,8 +1,6 @@
 use std::fmt;
 use std::ops::Mul;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::UnitError;
 
 /// A probability in `[0, 1]`, used for yields of dies, bonds and packages.
@@ -24,8 +22,7 @@ use crate::error::UnitError;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Prob(f64);
 
 impl Prob {

@@ -2,8 +2,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Mul};
 
-use serde::{Deserialize, Serialize};
-
 use crate::fmt::fmt_thousands;
 
 /// A production quantity (number of systems, chips or packages built).
@@ -20,10 +18,7 @@ use crate::fmt::fmt_thousands;
 /// assert_eq!(q.to_string(), "500,000");
 /// assert_eq!((q * 4).count(), 2_000_000);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Quantity(u64);
 
 impl Quantity {

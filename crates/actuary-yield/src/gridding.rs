@@ -7,8 +7,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use actuary_units::Area;
 
 use crate::error::YieldError;
@@ -30,7 +28,7 @@ use crate::error::YieldError;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DieFootprint {
     width_mm: f64,
     height_mm: f64,
@@ -124,7 +122,7 @@ impl fmt::Display for DieFootprint {
 
 /// Grid alignment offset (as a fraction of the die pitch) that produced a
 /// particular placement count.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GridOffset {
     /// Horizontal offset of the grid origin, as a fraction of the x pitch.
     pub dx_frac: f64,
@@ -139,7 +137,7 @@ impl fmt::Display for GridOffset {
 }
 
 /// Result of an exact die-placement count.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GridCount {
     count: u32,
     offset: GridOffset,

@@ -19,8 +19,6 @@
 //! where `E[exp(−s·G)] = (1 + s/c)^(−c)` is the Gamma Laplace transform —
 //! i.e. every term is an Eq. (1) evaluation. No sampling required.
 
-use serde::{Deserialize, Serialize};
-
 use actuary_units::{Area, Money, Prob};
 
 use crate::defect::DefectDensity;
@@ -45,7 +43,7 @@ use crate::error::YieldError;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HarvestSpec {
     units: u32,
     min_good_units: u32,

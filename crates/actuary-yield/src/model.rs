@@ -1,7 +1,5 @@
 use std::fmt::Debug;
 
-use serde::{Deserialize, Serialize};
-
 use actuary_units::{Area, Prob};
 
 use crate::defect::DefectDensity;
@@ -50,7 +48,7 @@ pub trait YieldModel: Debug {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NegativeBinomial {
     cluster: f64,
 }
@@ -96,7 +94,7 @@ impl YieldModel for NegativeBinomial {
 /// The Poisson yield model `Y = e^(−D·S)`, the `c → ∞` limit of
 /// [`NegativeBinomial`]. Pessimistic for large dies because it ignores defect
 /// clustering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Poisson;
 
 impl Poisson {
@@ -119,7 +117,7 @@ impl YieldModel for Poisson {
 
 /// Murphy's model `Y = ((1 − e^(−D·S)) / (D·S))²`, a classical compromise
 /// between Poisson and uniform defect distributions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Murphy;
 
 impl Murphy {
@@ -147,7 +145,7 @@ impl YieldModel for Murphy {
 
 /// The exponential (Seeds) model `Y = 1 / (1 + D·S)`, the most optimistic of
 /// the classical models for very large dies (maximum clustering).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SeedsExponential;
 
 impl SeedsExponential {
@@ -170,7 +168,7 @@ impl YieldModel for SeedsExponential {
 
 /// The Bose-Einstein model `Y = (1 + D·S)^(−n)` for `n` critical mask
 /// levels; equivalent to [`SeedsExponential`] at `n = 1`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoseEinstein {
     levels: f64,
 }

@@ -1,7 +1,5 @@
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use actuary_units::Area;
 
 use crate::error::YieldError;
@@ -28,7 +26,7 @@ use crate::gridding::DieFootprint;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Reticle {
     width_mm: f64,
     height_mm: f64,

@@ -1,7 +1,5 @@
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use actuary_units::{Area, Money};
 
 use crate::error::YieldError;
@@ -31,7 +29,7 @@ use crate::gridding::{count_dies_in_circle, DieFootprint, GridCount};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WaferSpec {
     diameter_mm: f64,
     edge_exclusion_mm: f64,

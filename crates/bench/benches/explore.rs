@@ -1,20 +1,24 @@
-//! Benchmarks the multi-axis exploration engine: the default 1,620-cell
-//! grid evaluated single-threaded vs on every available hardware thread.
+//! Benchmarks the multi-axis exploration engine on the §6 single-system
+//! grid (the default space's `none`-scheme slice, 1,620 cells) evaluated
+//! single-threaded vs on every available hardware thread.
 //!
 //! On a multi-core machine the `threads=N` row should run close to N×
-//! faster than `threads=1` (the per-cell work is independent and the
-//! engine's only shared state is one atomic work index); on a single-core
-//! container the two rows time alike, which is itself the correctness
-//! signal that the threading adds no overhead.
+//! faster than `threads=1` (the per-cell work is independent, and the
+//! engine's only shared state is the per-worker work-stealing deques);
+//! on a single-core container the two rows time alike, which is itself the
+//! correctness signal that the threading adds no overhead.
 
-use actuary_dse::explore::{explore, ExploreSpace};
+use actuary_dse::portfolio::{explore_portfolio, PortfolioSpace, ReuseScheme};
 use bench::library;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 fn bench_explore(c: &mut Criterion) {
     let lib = library();
-    let space = ExploreSpace::default();
+    let space = PortfolioSpace {
+        schemes: vec![ReuseScheme::None],
+        ..PortfolioSpace::default()
+    };
     let hardware = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
@@ -22,7 +26,7 @@ fn bench_explore(c: &mut Criterion) {
     // so the scheduling overhead (which should be negligible) is visible.
     let workers = hardware.max(2);
 
-    let probe = explore(&lib, &space, workers).expect("the default grid must evaluate");
+    let probe = explore_portfolio(&lib, &space, workers).expect("the default grid must evaluate");
     println!(
         "==================================================================\n\
          multi-axis exploration: {} grid cells, {} hardware thread(s)\n\
@@ -35,10 +39,10 @@ fn bench_explore(c: &mut Criterion) {
     let mut group = c.benchmark_group("explore_default_grid");
     group.sample_size(10);
     group.bench_function("threads=1", |b| {
-        b.iter(|| explore(black_box(&lib), black_box(&space), 1).unwrap())
+        b.iter(|| explore_portfolio(black_box(&lib), black_box(&space), 1).unwrap())
     });
     group.bench_function(&format!("threads={workers}"), |b| {
-        b.iter(|| explore(black_box(&lib), black_box(&space), workers).unwrap())
+        b.iter(|| explore_portfolio(black_box(&lib), black_box(&space), workers).unwrap())
     });
     group.finish();
 }

@@ -13,7 +13,6 @@
 use std::fmt;
 use std::time::Instant;
 
-use actuary_dse::explore::{explore, ExploreSpace};
 use actuary_dse::portfolio::{explore_portfolio, PortfolioSpace, ReuseScheme};
 use actuary_dse::refine::{explore_portfolio_refined_with, RefineOptions};
 use actuary_model::AssemblyFlow;
@@ -51,12 +50,16 @@ fn main() {
         .unwrap_or(1);
     const RUNS: usize = 3;
 
-    let explore_space = ExploreSpace::default();
+    // The §6 single-system grid: the default space's `none` slice.
+    let explore_space = PortfolioSpace {
+        schemes: vec![ReuseScheme::None],
+        ..PortfolioSpace::default()
+    };
     let explore_1 = median_secs(RUNS, || {
-        explore(&lib, &explore_space, 1).expect("default grid");
+        explore_portfolio(&lib, &explore_space, 1).expect("default grid");
     });
     let explore_all = median_secs(RUNS, || {
-        explore(&lib, &explore_space, threads).expect("default grid");
+        explore_portfolio(&lib, &explore_space, threads).expect("default grid");
     });
 
     let portfolio_space = PortfolioSpace::default();

@@ -19,7 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Module::new("core-cluster-1", node, Area::from_mm2(120.0)?),
         Module::new("l3-cache", node, Area::from_mm2(90.0)?),
         Module::new("memory-ctrl", node, Area::from_mm2(70.0)?),
-        Module::new("io-serdes", node, Area::from_mm2(80.0)?),
+        Module::new("io-SerDes", node, Area::from_mm2(80.0)?),
         Module::new("accelerator", node, Area::from_mm2(110.0)?),
     ];
     let total: Area = modules.iter().map(|m| m.area()).sum();

@@ -1,9 +1,11 @@
-//! Integration tests of the multi-axis exploration engine against the full
-//! model stack: the parallel grid must agree with the serial grid byte for
-//! byte, with the single-point optimizer, and with the paper's §6 shape.
+//! Integration tests of the multi-axis exploration engine's single-system
+//! slice (the `none` reuse scheme under one flow) against the full model
+//! stack: the parallel grid must agree with the serial grid byte for byte,
+//! with the single-point optimizer, and with the paper's §6 shape.
 
-use chiplet_actuary::dse::explore::{explore, CellOutcome, ExploreSpace};
+use chiplet_actuary::dse::explore::CellOutcome;
 use chiplet_actuary::dse::optimizer::{recommend, SearchSpace};
+use chiplet_actuary::dse::portfolio::{explore_portfolio, PortfolioSpace, ReuseScheme};
 use chiplet_actuary::prelude::*;
 
 fn lib() -> TechLibrary {
@@ -13,14 +15,16 @@ fn lib() -> TechLibrary {
 /// The fixed grid the determinism tests run on: two nodes, five areas
 /// from 150 mm² past the 900 mm² Figure 4 ceiling to 1,200 mm², two
 /// quantities, 1–9 chiplets — 720 cells of mixed feasibility.
-fn fixed_space() -> ExploreSpace {
-    ExploreSpace {
+fn fixed_space() -> PortfolioSpace {
+    PortfolioSpace {
         nodes: vec!["14nm".to_string(), "5nm".to_string()],
         areas_mm2: vec![150.0, 300.0, 600.0, 900.0, 1_200.0],
         quantities: vec![500_000, 10_000_000],
         integrations: IntegrationKind::ALL.to_vec(),
         chiplet_counts: vec![1, 2, 3, 4, 5, 6, 7, 8, 9],
-        flow: AssemblyFlow::ChipLast,
+        flows: vec![AssemblyFlow::ChipLast],
+        schemes: vec![ReuseScheme::None],
+        ..PortfolioSpace::default()
     }
 }
 
@@ -29,10 +33,10 @@ fn serial_and_parallel_exploration_agree_on_a_fixed_grid() {
     let lib = lib();
     let space = fixed_space();
     assert_eq!(space.len(), 2 * 5 * 2 * 4 * 9);
-    let serial = explore(&lib, &space, 1).unwrap();
+    let serial = explore_portfolio(&lib, &space, 1).unwrap();
     assert_eq!(serial.threads(), 1);
     for threads in [2, 3, 8] {
-        let parallel = explore(&lib, &space, threads).unwrap();
+        let parallel = explore_portfolio(&lib, &space, threads).unwrap();
         assert_eq!(serial.cells(), parallel.cells(), "threads={threads}");
         assert_eq!(
             serial.grid_artifact().csv(),
@@ -45,14 +49,14 @@ fn serial_and_parallel_exploration_agree_on_a_fixed_grid() {
         );
     }
     // threads = 0 resolves to the machine's parallelism and still agrees.
-    let auto = explore(&lib, &space, 0).unwrap();
+    let auto = explore_portfolio(&lib, &space, 0).unwrap();
     assert!(auto.threads() >= 1);
     assert_eq!(serial.grid_artifact().csv(), auto.grid_artifact().csv());
 }
 
 #[test]
 fn every_cell_is_accounted_for() {
-    let result = explore(&lib(), &fixed_space(), 4).unwrap();
+    let result = explore_portfolio(&lib(), &fixed_space(), 4).unwrap();
     assert_eq!(result.len(), fixed_space().len());
     assert_eq!(
         result.feasible_count() + result.infeasible_count() + result.incompatible_count(),
@@ -79,17 +83,16 @@ fn every_cell_is_accounted_for() {
 #[test]
 fn grid_winners_match_the_single_point_optimizer() {
     let lib = lib();
-    let space = ExploreSpace {
+    let space = PortfolioSpace {
         nodes: vec!["7nm".to_string(), "5nm".to_string()],
         areas_mm2: vec![400.0, 800.0],
         quantities: vec![2_000_000, 10_000_000],
-        integrations: IntegrationKind::ALL.to_vec(),
         chiplet_counts: vec![1, 2, 3, 4, 5],
-        flow: AssemblyFlow::ChipLast,
+        ..fixed_space()
     };
-    let result = explore(&lib, &space, 2).unwrap();
+    let result = explore_portfolio(&lib, &space, 2).unwrap();
     let search = SearchSpace::default(); // multi-chip kinds × {2,3,4,5}
-    for w in result.winners() {
+    for w in result.winners(ReuseScheme::None) {
         let rec = recommend(
             &lib,
             &w.node,
@@ -98,7 +101,7 @@ fn grid_winners_match_the_single_point_optimizer() {
             &search,
         )
         .unwrap();
-        let best = w.best.as_ref().expect("these operating points cost fine");
+        let (best, _flow) = w.best.as_ref().expect("these operating points cost fine");
         assert!(
             (best.per_unit.usd() - rec.per_unit.usd()).abs() < 1e-9,
             "{}/{}/{}: grid {} vs optimizer {}",
@@ -117,25 +120,24 @@ fn grid_winners_match_the_single_point_optimizer() {
 fn the_grid_reproduces_the_section_6_takeaways() {
     // §6 at grid scale: small cheap-node low-volume systems stay
     // monolithic; huge advanced-node high-volume systems split.
-    let result = explore(
+    let result = explore_portfolio(
         &lib(),
-        &ExploreSpace {
-            nodes: vec!["14nm".to_string(), "5nm".to_string()],
+        &PortfolioSpace {
             areas_mm2: vec![150.0, 800.0],
             quantities: vec![100_000, 10_000_000],
-            integrations: IntegrationKind::ALL.to_vec(),
             chiplet_counts: vec![1, 2, 3, 4, 5],
-            flow: AssemblyFlow::ChipLast,
+            ..fixed_space()
         },
         0,
     )
     .unwrap();
-    let winners = result.winners();
+    let winners = result.winners(ReuseScheme::None);
     let winner_of = |node: &str, area: f64, quantity: u64| {
         winners
             .iter()
             .find(|w| w.node == node && w.area_mm2 == area && w.quantity == quantity)
             .and_then(|w| w.best.as_ref())
+            .map(|(candidate, _flow)| candidate)
             .expect("operating point must have a winner")
     };
     let small = winner_of("14nm", 150.0, 100_000);
@@ -146,8 +148,8 @@ fn the_grid_reproduces_the_section_6_takeaways() {
 
 #[test]
 fn pareto_front_over_the_fixed_grid_is_non_dominated() {
-    let result = explore(&lib(), &fixed_space(), 4).unwrap();
-    let front = result.pareto_front();
+    let result = explore_portfolio(&lib(), &fixed_space(), 4).unwrap();
+    let front = result.pareto_front(ReuseScheme::None);
     assert!(!front.is_empty());
     for (i, a) in front.iter().enumerate() {
         let ca = a.outcome.candidate().unwrap();

@@ -5,7 +5,6 @@
 //! winners with the `actuary-figures` Fig. 8/9/10 reproductions on their
 //! exact operating points.
 
-use chiplet_actuary::dse::explore::{explore_with, ExploreSpace};
 use chiplet_actuary::dse::portfolio::{
     explore_portfolio, explore_portfolio_with, CorePolicy, PortfolioSpace, ReuseScheme,
 };
@@ -62,9 +61,12 @@ fn cached_core_is_byte_identical_and_at_least_halves_the_evaluations() {
     // own evaluation counter on both default grids.
     let lib = lib();
 
-    let single = ExploreSpace::default();
-    let cached = explore_with(&lib, &single, 4, CorePolicy::Cached).unwrap();
-    let uncached = explore_with(&lib, &single, 4, CorePolicy::Uncached).unwrap();
+    let single = PortfolioSpace {
+        schemes: vec![ReuseScheme::None],
+        ..PortfolioSpace::default()
+    };
+    let cached = explore_portfolio_with(&lib, &single, 4, CorePolicy::Cached).unwrap();
+    let uncached = explore_portfolio_with(&lib, &single, 4, CorePolicy::Uncached).unwrap();
     assert_eq!(cached.cells(), uncached.cells());
     assert_eq!(cached.grid_artifact().csv(), uncached.grid_artifact().csv());
     assert_eq!(
@@ -465,7 +467,11 @@ fn streaming_csv_matches_the_materialized_string() {
     result.grid_artifact().write_csv_to(&mut streamed).unwrap();
     assert_eq!(streamed, result.grid_artifact().csv());
 
-    let single = explore_with(&lib, &ExploreSpace::default(), 2, CorePolicy::Cached).unwrap();
+    let single_space = PortfolioSpace {
+        schemes: vec![ReuseScheme::None],
+        ..PortfolioSpace::default()
+    };
+    let single = explore_portfolio(&lib, &single_space, 2).unwrap();
     let mut streamed = String::new();
     single.grid_artifact().write_csv_to(&mut streamed).unwrap();
     assert_eq!(streamed, single.grid_artifact().csv());

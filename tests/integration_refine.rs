@@ -7,13 +7,10 @@
 //! committed §4.2 scenario: 2-D refinement must find the same
 //! MCM-under-SoC crossover quantity that exhaustion finds.
 
-use chiplet_actuary::dse::explore::{explore, ExploreSpace};
 use chiplet_actuary::dse::portfolio::{
     explore_portfolio, PortfolioResult, PortfolioSpace, ReuseScheme,
 };
-use chiplet_actuary::dse::refine::{
-    explore_portfolio_refined_with, explore_refined, ExploreMode, RefineOptions,
-};
+use chiplet_actuary::dse::refine::{explore_portfolio_refined_with, ExploreMode, RefineOptions};
 use chiplet_actuary::prelude::*;
 use chiplet_actuary::scenario::{Job, Scenario, SweepAxis};
 
@@ -239,16 +236,19 @@ fn two_d_refinement_finds_the_crossover_quantity_of_the_committed_scenario() {
 #[test]
 fn single_system_refinement_matches_explore_through_the_facade() {
     let lib = lib();
-    let space = ExploreSpace {
+    let space = PortfolioSpace {
         nodes: vec!["7nm".to_string(), "5nm".to_string()],
         areas_mm2: (1..=30).map(|i| f64::from(i) * 40.0).collect(),
         quantities: vec![500_000, 10_000_000],
         integrations: IntegrationKind::ALL.to_vec(),
         chiplet_counts: vec![1, 2, 3, 4, 5],
-        flow: AssemblyFlow::ChipLast,
+        flows: vec![AssemblyFlow::ChipLast],
+        schemes: vec![ReuseScheme::None],
+        ..PortfolioSpace::default()
     };
-    let exhaustive = explore(&lib, &space, 2).unwrap();
-    let refined = explore_refined(&lib, &space, 2).unwrap();
+    let exhaustive = explore_portfolio(&lib, &space, 2).unwrap();
+    let refined =
+        explore_portfolio_refined_with(&lib, &space, 2, RefineOptions::default()).unwrap();
     assert_eq!(
         refined.winners_artifact().csv(),
         exhaustive.winners_artifact().csv()
