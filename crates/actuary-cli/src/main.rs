@@ -34,7 +34,7 @@ use actuary_dse::optimizer::{recommend, SearchSpace};
 use actuary_dse::portfolio::{
     explore_portfolio, parse_fsmc_situation, PortfolioSpace, ReuseScheme,
 };
-use actuary_dse::refine::{explore_portfolio_refined_with, RefineOptions};
+use actuary_dse::refine::explore_portfolio_refined;
 use actuary_mc::{simulate_system, DefectProcess, McConfig};
 use actuary_model::{re_cost, AssemblyFlow, DiePlacement};
 use actuary_tech::{IntegrationKind, TechLibrary};
@@ -69,7 +69,7 @@ fn usage() -> &'static str {
                [--integrations KIND,..] [--chiplets K,..] [--flow F]\n\
                [--schemes none,scms,ocme,fsmc|all] [--flow-axis]\n\
                [--fsmc-situations KxN,..|paper] [--ocme-centers none,NODE,..]\n\
-               [--package-reuse] [--refine] [--quantity-stride N] [--threads T]\n\
+               [--package-reuse] [--refine] [--threads T]\n\
                [--csv] [--out FILE] [--pareto-out FILE]\n\
                                          multi-axis parallel grid exploration\n\
                                          (T = 0 or omitted: all hardware threads;\n\
@@ -77,10 +77,9 @@ fn usage() -> &'static str {
                                          --flow-axis grids chip-first vs chip-last,\n\
                                          --fsmc-situations grids Figure 10's (k,n) axis,\n\
                                          --ocme-centers grids mature-node OCME centres,\n\
-                                         --refine explores coarse-to-fine over the\n\
-                                         area and quantity axes, pruning cells away\n\
-                                         from winner/front changes (--quantity-stride\n\
-                                         sets its coarse quantity sampling),\n\
+                                         --refine bisects the area axis, pruning\n\
+                                         configurations a monotone cost bound\n\
+                                         proves cannot win,\n\
                                          --out streams the grid CSV to FILE,\n\
                                          --pareto-out streams the program-total vs\n\
                                          per-unit Pareto front to FILE)\n\
@@ -231,7 +230,6 @@ fn run(args: &[String]) -> Result<(), String> {
                 "ocme-centers",
                 "package-reuse",
                 "refine",
-                "quantity-stride",
                 "threads",
                 "csv",
                 "out",
@@ -678,13 +676,10 @@ fn cmd_explore(lib: &TechLibrary, flags: &BTreeMap<String, String>) -> Result<()
                 .to_string(),
         );
     }
-    if flags.contains_key("quantity-stride") && !flags.contains_key("refine") {
-        return Err("--quantity-stride tunes the coarse-to-fine walk; add --refine".to_string());
-    }
     let threads = get_u64_or(flags, "threads", 0)? as usize;
 
     let result = if flags.contains_key("refine") {
-        explore_portfolio_refined_with(lib, &space, threads, parse_refine_options(flags)?)
+        explore_portfolio_refined(lib, &space, threads)
     } else {
         explore_portfolio(lib, &space, threads)
     }
@@ -791,32 +786,6 @@ fn cmd_explore(lib: &TechLibrary, flags: &BTreeMap<String, String>) -> Result<()
 /// flow the `--flow` one, so they carry nothing, and without them the
 /// outputs keep the single-system layout.
 const SINGLE_SYSTEM_DROPPED: [&str; 3] = ["scheme", "scheme_params", "flow"];
-
-/// The refinement options the explore flags select: `--quantity-stride N`
-/// sets the coarse sampling stride along the quantity axis (absent = the
-/// engine picks from the axis length; the area stride stays
-/// engine-picked).
-fn parse_refine_options(flags: &BTreeMap<String, String>) -> Result<RefineOptions, String> {
-    let quantity_stride = match flags.get("quantity-stride") {
-        None => 0,
-        Some(raw) => {
-            let stride: usize = raw
-                .parse()
-                .map_err(|e| format!("invalid --quantity-stride {raw:?}: {e}"))?;
-            if stride == 0 {
-                return Err(
-                    "--quantity-stride must be at least 1 (omit it to let the engine pick)"
-                        .to_string(),
-                );
-            }
-            stride
-        }
-    };
-    Ok(RefineOptions {
-        area_stride: 0,
-        quantity_stride,
-    })
-}
 
 /// `actuary run <scenario.toml>`: parse, lower and execute a declarative
 /// scenario file through the scenario subsystem.

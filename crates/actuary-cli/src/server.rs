@@ -104,10 +104,11 @@ const MAX_TRACKED_CLIENTS: usize = 4096;
 /// server's work; `actuary run` stays uncapped — there the operator wrote
 /// the file.
 const MAX_SERVED_CELLS: u128 = 1_000_000;
-/// Upper bound for `mode = "refine"` explore jobs. Refinement evaluates a
-/// stride-sampled subgrid plus the cells near winner flips and front
-/// changes, so the served work scales with the *structure* of the space,
-/// not its cell count — grids up to 10⁸ cells stay answerable.
+/// Upper bound for `mode = "refine"` explore jobs. Refinement prices the
+/// axis endpoints in full and, between them, only the configurations its
+/// cost bound cannot exclude, so the served work scales with the
+/// *structure* of the space, not its cell count — grids up to 10⁸ cells
+/// stay answerable.
 const MAX_SERVED_CELLS_REFINE: u128 = 100_000_000;
 
 /// Everything `actuary serve` can be configured with; see the flag docs
@@ -1171,7 +1172,7 @@ fn respond_run<S: Write>(
     // Content addressing happens on the *parsed* document: formatting,
     // comments and key order hit the cache; semantic changes miss it.
     // Streamed delivery bypasses the cache *read* — replaying a finished
-    // run cannot deliver phases incrementally — but still stores its
+    // run cannot deliver waves incrementally — but still stores its
     // completed run for later batch requests.
     let digest = digest_document(&doc);
     if !streamed {
@@ -1285,7 +1286,7 @@ fn respond_run_streamed<S: Write>(
 /// Adapts the HTTP chunk stream to the scenario runner's [`StreamSink`]:
 /// opening segments carry the header (or JSON-lines metadata object),
 /// continuations are rows-only, and every segment is flushed through the
-/// chunked framing immediately so phases arrive as they complete rather
+/// chunked framing immediately so waves arrive as they complete rather
 /// than when the buffer fills.
 struct HttpStreamSink<'a, S: Write> {
     chunked: ChunkedWriter<&'a mut S>,
@@ -1721,7 +1722,6 @@ mod tests {
         "integrations = [\"soc\", \"mcm\"]\n",
         "chiplets = [1, 2]\n",
         "mode = \"refine\"\n",
-        "quantity_stride = 4\n",
         "outputs = [\"grid\", \"winners\"]\n",
     );
 
@@ -1773,11 +1773,11 @@ mod tests {
         let chunks = dechunk(&streamed.output);
         // The coarse segment flushes as its own chunk batch: the first
         // chunk opens the grid but must not already hold the whole run.
-        assert!(chunks.len() >= 3, "phase flushes, got {}", chunks.len());
+        assert!(chunks.len() >= 3, "wave flushes, got {}", chunks.len());
         assert!(chunks[0].starts_with("node,area_mm2,"), "{}", chunks[0]);
         let streamed_body = chunks.concat();
         assert!(chunks[0].lines().count() < streamed_body.lines().count());
-        // Same rows, phase-interleaved delivery: every grid row carries
+        // Same rows, wave-interleaved delivery: every grid row carries
         // its full coordinates, so line-sorting both bodies must agree.
         let mut batch_lines: Vec<&str> = batch_body.lines().collect();
         let mut streamed_lines: Vec<&str> = streamed_body.lines().collect();

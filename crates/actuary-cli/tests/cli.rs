@@ -285,6 +285,17 @@ fn every_subcommand_rejects_foreign_flags() {
 }
 
 #[test]
+fn explore_rejects_the_retired_quantity_stride_flag() {
+    let out = actuary(&["explore", "--refine", "--quantity-stride", "8"]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown flag --quantity-stride"),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn explore_summarizes_the_grid() {
     let text = stdout(&[
         "explore",

@@ -7,9 +7,9 @@
 //! worker drains its own queue front-to-back, and a worker that runs dry
 //! steals the back half of a victim's queue. Uniform workloads never
 //! steal (the deal is already balanced and contention-free); skewed
-//! workloads — refine's escalation phase can concentrate every expensive
-//! cell in one stretch of the list — rebalance instead of serializing on
-//! the tail. Results are reassembled in work-list order, so the output
+//! workloads — a refinement wave can concentrate every expensive cell in
+//! one stretch of the list — rebalance instead of serializing on the
+//! tail. Results are reassembled in work-list order, so the output
 //! stays independent of both the thread count and the steal schedule.
 //!
 //! Steal events are counted into the global

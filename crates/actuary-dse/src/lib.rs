@@ -24,10 +24,10 @@
 //!   it into per-scheme winner tables, Pareto fronts and CSV. The §6
 //!   single-system grid is its [`portfolio::ReuseScheme::None`] slice;
 //!   every cell reports an [`explore::CellOutcome`].
-//! * Adaptive exploration — [`refine::explore_portfolio_refined_with`]
-//!   reaches the same winner tables and fronts coarse-to-fine, evaluating
-//!   a stride-sampled subgrid and refining only around winner flips and
-//!   front membership changes instead of exhausting the grid.
+//! * Adaptive exploration — [`refine::explore_portfolio_refined`]
+//!   reaches the same winner tables and fronts by bisecting the area
+//!   axis, skipping every configuration a monotone cost bound proves
+//!   cannot win instead of exhausting the grid.
 //!
 //! # Layer role
 //!

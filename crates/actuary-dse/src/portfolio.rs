@@ -48,8 +48,8 @@
 //! pruned — is re-derived from its grid coordinates on read through the
 //! internal `classify` pass. A family-scheme grid with a wide chiplet-count axis is
 //! *mostly* incompatible, so this turns the dominant storage term into
-//! nothing at all: a 10⁸-cell refine run keeps a few hundred thousand
-//! entries, not 10⁸ `CellOutcome`s. Readers ([`PortfolioResult::cells`],
+//! nothing at all, and a 10⁸-cell refine run keeps only the cells it
+//! priced, not 10⁸ `CellOutcome`s. Readers ([`PortfolioResult::cells`],
 //! the artifacts, the winner tables, the fronts) see the identical dense
 //! grid in the identical order.
 //!
@@ -809,17 +809,6 @@ impl GridShape {
         self.integrations * self.chiplets * self.flows * self.variants
     }
 
-    pub(crate) fn index(&self, c: CellIdx) -> usize {
-        (((((c.node * self.areas + c.area) * self.quantities + c.quantity) * self.integrations
-            + c.integration)
-            * self.chiplets
-            + c.chiplets)
-            * self.flows
-            + c.flow)
-            * self.variants
-            + c.variant
-    }
-
     pub(crate) fn coords(&self, index: usize) -> CellIdx {
         let variant = index % self.variants;
         let rest = index / self.variants;
@@ -944,10 +933,15 @@ impl PortfolioResult {
     }
 
     /// The sparse store: evaluated cells as `(flat index, outcome)`,
-    /// sorted by index. The refinement driver reads partial results
-    /// through this.
+    /// sorted by index. Refinement reads each wave's cells through this.
     pub(crate) fn stored_entries(&self) -> &[(usize, CellOutcome)] {
         &self.stored
+    }
+
+    /// Consumes the result into its sparse store, so refinement can move
+    /// a wave's cells into its own store instead of cloning them.
+    pub(crate) fn into_stored(self) -> Vec<(usize, CellOutcome)> {
+        self.stored
     }
 
     /// Materializes the cell at `idx` with the given outcome.
@@ -1336,7 +1330,7 @@ impl PortfolioResult {
 
     /// The grid rows of every cell *absent* from the sparse store — the
     /// pruned and incompatible remainder, in grid order. A streamed
-    /// refinement emits this after the per-phase segments: the segments
+    /// refinement emits this after the per-wave segments: the segments
     /// plus this artifact's rows cover every grid row exactly once.
     pub fn grid_unstored_artifact(&self) -> Artifact<'_> {
         Artifact::new("grid", "grid", &Self::GRID_COLUMNS, move |emit| {
@@ -1636,7 +1630,7 @@ pub fn explore_portfolio_with(
     threads: usize,
     policy: CorePolicy,
 ) -> Result<PortfolioResult, ArchError> {
-    explore_portfolio_impl(lib, space, threads, policy, None)
+    explore_portfolio_impl(lib, space, threads, policy, None, None)
 }
 
 /// Evaluates every cell of `space` with cores additionally reused *across
@@ -1660,7 +1654,14 @@ pub fn explore_portfolio_shared(
     cache: &SharedCoreCache,
     tag: [u8; 32],
 ) -> Result<PortfolioResult, ArchError> {
-    explore_portfolio_impl(lib, space, threads, CorePolicy::Cached, Some((cache, tag)))
+    explore_portfolio_impl(
+        lib,
+        space,
+        threads,
+        CorePolicy::Cached,
+        Some((cache, tag)),
+        None,
+    )
 }
 
 /// Maps recoverable per-cell failures (infeasible geometry, yield-model
@@ -1674,12 +1675,22 @@ fn soften(result: Result<CoreValue, ArchError>) -> Result<Result<CoreValue, Stri
     }
 }
 
-fn explore_portfolio_impl(
+/// The cells one engine call prices: per (node index, area index), a mask
+/// over the configuration block (`true` = price that configuration at
+/// every quantity). Pairs absent from the map price nothing; incompatible
+/// configurations are never priced, whatever their mask says.
+pub(crate) type Selection = BTreeMap<(usize, usize), Vec<bool>>;
+
+/// The one engine behind every exploration entry point. `selection`
+/// restricts the run to the masked columns (one refinement wave);
+/// `None` prices every cell.
+pub(crate) fn explore_portfolio_impl(
     lib: &TechLibrary,
     space: &PortfolioSpace,
     threads: usize,
     policy: CorePolicy,
     shared: Option<(&SharedCoreCache, [u8; 32])>,
+    selection: Option<&Selection>,
 ) -> Result<PortfolioResult, ArchError> {
     space.validate()?;
     for id in &space.nodes {
@@ -1702,16 +1713,26 @@ fn explore_portfolio_impl(
     let mut key_index: BTreeMap<CoreKey, usize> = BTreeMap::new();
     // (flat cell index, spec index) for every evaluable cell, in grid order.
     let mut evaluable: Vec<(usize, usize)> = Vec::new();
-    let mut template: Vec<Option<Planned<'_>>> = Vec::with_capacity(block);
+    // (block offset, plan) of every configuration the (node, area) prices.
+    let mut template: Vec<(usize, Planned<'_>)> = Vec::with_capacity(block);
     for (n_i, node) in space.nodes.iter().enumerate() {
         for (a_i, &area_mm2) in space.areas_mm2.iter().enumerate() {
+            let mask = match selection.map(|s| s.get(&(n_i, a_i))) {
+                None => None,
+                Some(None) => continue,
+                Some(Some(mask)) => Some(mask),
+            };
             template.clear();
+            let mut next_off = 0usize;
             for &integration in &space.integrations {
                 for &chiplets in &space.chiplet_counts {
                     for &flow in &space.flows {
                         for (v_i, variant) in variants.iter().enumerate() {
-                            if classify(space, variant, integration, chiplets).is_some() {
-                                template.push(None);
+                            let off = next_off;
+                            next_off += 1;
+                            if mask.is_some_and(|m| !m[off])
+                                || classify(space, variant, integration, chiplets).is_some()
+                            {
                                 continue;
                             }
                             let (core_area_mm2, key_chiplets) =
@@ -1727,7 +1748,7 @@ fn explore_portfolio_impl(
                                 fsmc: variant.fsmc,
                                 center_node: variant.center_node.as_deref(),
                             };
-                            template.push(Some(match policy {
+                            let planned = match policy {
                                 CorePolicy::Uncached => Planned::PerCell(spec),
                                 CorePolicy::Cached => {
                                     let key = CoreKey {
@@ -1743,18 +1764,18 @@ fn explore_portfolio_impl(
                                         specs.len() - 1
                                     }))
                                 }
-                            }));
+                            };
+                            template.push((off, planned));
                         }
                     }
                 }
             }
             for q_i in 0..shape.quantities {
                 let base = ((n_i * shape.areas + a_i) * shape.quantities + q_i) * block;
-                for (off, planned) in template.iter().enumerate() {
+                for (off, planned) in &template {
                     match planned {
-                        None => {}
-                        Some(Planned::Shared(spec)) => evaluable.push((base + off, *spec)),
-                        Some(Planned::PerCell(spec)) => {
+                        Planned::Shared(spec) => evaluable.push((base + off, *spec)),
+                        Planned::PerCell(spec) => {
                             // The uncached reference path evaluates every
                             // cell from scratch, including per quantity.
                             specs.push(*spec);
@@ -2010,9 +2031,35 @@ mod tests {
         let space = small_space();
         let shape = GridShape::of(&space, space.scheme_variants().len());
         assert_eq!(shape.len(), space.len());
-        for i in 0..shape.len() {
-            assert_eq!(shape.index(shape.coords(i)), i);
+        // Flat indices count up in grid order: node → area → quantity →
+        // integration → chiplet count → flow → scheme variant.
+        let mut i = 0;
+        for node in 0..shape.nodes {
+            for area in 0..shape.areas {
+                for quantity in 0..shape.quantities {
+                    for integration in 0..shape.integrations {
+                        for chiplets in 0..shape.chiplets {
+                            for flow in 0..shape.flows {
+                                for variant in 0..shape.variants {
+                                    let expected = CellIdx {
+                                        node,
+                                        area,
+                                        quantity,
+                                        integration,
+                                        chiplets,
+                                        flow,
+                                        variant,
+                                    };
+                                    assert_eq!(shape.coords(i), expected);
+                                    i += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
         }
+        assert_eq!(i, shape.len());
     }
 
     #[test]

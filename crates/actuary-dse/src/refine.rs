@@ -1,73 +1,72 @@
-//! Coarse-to-fine grid refinement: the exhaustive engine's winner tables
-//! and Pareto fronts at a fraction of the full evaluations.
+//! Certified coarse-to-fine refinement: the exhaustive engine's winner
+//! tables and Pareto fronts from a fraction of its evaluations, with a
+//! proof that no skipped cell could have changed them.
 //!
 //! The exhaustive engine ([`crate::portfolio::explore_portfolio`]) prices
 //! every cell of the axis product. The paper's successors explore spaces
 //! where that product reaches 10⁸ cells (Tang & Xie, arXiv:2206.07308;
-//! CATCH, arXiv:2503.15753) — far past what full enumeration can serve.
-//! This module exploits the structure those grids actually have: along the
-//! ordered *area* and *quantity* axes, per-scheme winners and Pareto-front
-//! membership are piecewise-constant with a handful of crossover points
-//! (the paper's §4 area crossovers and §4.2 crossover *quantities* are
-//! exactly such points). The driver therefore works on the 2-D
-//! (area × quantity) plane:
+//! CATCH, arXiv:2503.15753), and at that scale a pruned answer is only
+//! trustworthy with a certificate. This module prices whole *columns* —
+//! one configuration (integration × chiplet count × flow × scheme
+//! variant) at one (node, area), at every quantity — and bisects the
+//! ordered area axis in waves:
 //!
-//! 1. **samples** a stride-spaced rectangular subgrid — every stride-th
-//!    area × every stride-th quantity, plus both axis endpoints — at every
-//!    configuration and node;
-//! 2. **bisects** along *both* axes: every sampled gap whose endpoints
-//!    disagree — a per-scheme winner flip at any node, or a change in
-//!    which configurations sit on the Pareto fronts — is split until each
-//!    disagreement is bracketed by adjacent areas (or adjacent
-//!    quantities; this is what finds the §4.2 crossover quantities
-//!    directly), pricing each midpoint only on the *candidate
-//!    configurations* its gap endpoints consider relevant: their winners,
-//!    their front members, and the winners' monolithic baselines;
-//! 3. **fills** each remaining (provably quiet) point the same way — a
-//!    handful of candidate configurations per point instead of the full
-//!    breadth — first along each evaluated quantity row, then down the
-//!    completed columns, until every (area, quantity) point is priced;
-//! 4. **escalates** until stable: each side of a still-disagreeing
-//!    boundary on either axis must have priced every configuration that
-//!    wins or sits on a front on the other side — any it skipped gets
-//!    priced now, so a crossover can't hide behind a narrow evaluation.
+//! 1. **wave 0** prices the first and last area of every node in full;
+//! 2. **each later wave** prices the midpoint of every open gap
+//!    `(lo, hi)` between priced areas, all midpoints of a level in one
+//!    engine call. At a midpoint it prices only the configurations `c`
+//!    with `L_c(q) ≤ U_s(q)·(1 + 10⁻⁹)` at some quantity `q`, where `L_c`
+//!    is `c`'s cost at its nearest priced area ≤ `lo` and `U_s` is the
+//!    minimum cost of `c`'s scheme at `hi`. A configuration that is
+//!    infeasible at that lower anchor is skipped, and each survivor
+//!    brings along its SoC companion — the cell a winner row's
+//!    `saving_vs_soc` is quoted against.
 //!
 //! Skipped cells are recorded as [`CellOutcome::Pruned`] in the sparse
-//! result; counts, artifacts and grid order are unchanged. Per
-//! `PortfolioCore`'s split, cores are quantity-independent and the
-//! refiner reuses them across all of its sub-runs through a core cache,
-//! so the quantity axis' win is the skipped amortization, post-processing
-//! and storage work on pruned cells — on top of the candidate-breadth
-//! core savings along the area axis.
+//! result; counts, artifacts and grid order are unchanged.
 //!
-//! # Exact vs heuristic
+//! # Why it is exact
 //!
-//! Refinement is *exact* — byte-identical winner tables and Pareto fronts
-//! to the exhaustive engine — whenever winner regions and front
-//! membership are contiguous along the ordered axes, which the bisection
-//! step then brackets completely. It is heuristic against structure that
-//! is invisible at every evaluated point: a configuration that wins (or
-//! joins a front) only strictly inside an unevaluated gap while both
-//! endpoints agree on a different picture. The reference tests pin the
-//! exact case on tier-1-sized grids across strides and thread counts;
-//! `core_evaluations()` reports the honest distinct-core work (the
-//! refiner's internal core cache dedups cores re-requested by later
-//! passes, so each core counts once).
+//! The paper's cost model rises with area: Eq. (1) yield falls, and
+//! wafer, NRE and package cost grow as a die gets bigger. Refinement
+//! rests on two premises, which `tests/proptest_invariants.rs` checks
+//! over random technology overlays:
+//!
+//! 1. for a fixed node, configuration and quantity, per-unit cost never
+//!    falls as area grows;
+//! 2. infeasibility is upward-closed in area.
+//!
+//! By induction from wave 0, every priced area prices its own winners, so
+//! `U_s(q)` is the true minimum at `hi`. The configuration achieving it
+//! is feasible at the midpoint and no costlier there, so `U_s(q)` is at
+//! least the midpoint's minimum. A skipped configuration costs at least
+//! `L_c(q) > U_s(q)` at the midpoint, or is infeasible there: at every
+//! quantity it is strictly costlier than some other configuration, so it
+//! can neither win nor tie, and the first-in-grid-order tie rule sees
+//! exactly the candidates exhaustion sees — which carries the induction
+//! to the midpoint. Both Pareto fronts sit at the smallest area, which
+//! wave 0 prices in full: every cell is weakly dominated by its own
+//! configuration there, and that cell comes first in grid order. The
+//! winner tables and both fronts are therefore byte-identical to
+//! exhaustion, and every priced grid row equals its exhaustive row; only
+//! which rows read `pruned` differs.
+//!
+//! The quantity axis is never pruned: amortizing a priced column at
+//! every quantity costs little next to evaluating its core.
 //!
 //! # Streaming
 //!
-//! [`explore_portfolio_refined_with`] is the plain entry point;
+//! [`explore_portfolio_refined`] is the plain entry point;
 //! [`explore_portfolio_refined_observed`] adds a cross-call core cache and
-//! a phase observer that receives the partial result after each phase
-//! together with the cells that phase newly stored — `actuary serve` uses
-//! it to stream a refined grid's coarse picture before the run completes
-//! (see `docs/http-api.md`).
+//! a wave observer that receives each wave's own result together with the
+//! cells it priced — `actuary serve` uses it to stream a refined grid
+//! while the run converges (see `docs/http-api.md`).
 //!
 //! # Examples
 //!
 //! ```
-//! use actuary_dse::portfolio::{PortfolioSpace, ReuseScheme};
-//! use actuary_dse::refine::{explore_portfolio_refined_with, RefineOptions};
+//! use actuary_dse::portfolio::{explore_portfolio, PortfolioSpace, ReuseScheme};
+//! use actuary_dse::refine::explore_portfolio_refined;
 //! use actuary_tech::TechLibrary;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -79,10 +78,11 @@
 //!     schemes: vec![ReuseScheme::None],
 //!     ..PortfolioSpace::default()
 //! };
-//! // Default options pick both coarse strides from the axis lengths.
-//! let refined = explore_portfolio_refined_with(&lib, &space, 2, RefineOptions::default())?;
-//! assert_eq!(refined.len(), space.len());
+//! let refined = explore_portfolio_refined(&lib, &space, 2)?;
+//! let exhaustive = explore_portfolio(&lib, &space, 2)?;
+//! assert_eq!(refined.winners_artifact().csv(), exhaustive.winners_artifact().csv());
 //! // Pruned cells are accounted for, never silently dropped.
+//! assert!(refined.pruned_count() > 0);
 //! assert_eq!(
 //!     refined.feasible_count()
 //!         + refined.infeasible_count()
@@ -94,7 +94,6 @@
 //! # }
 //! ```
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use actuary_arch::ArchError;
@@ -102,19 +101,21 @@ use actuary_tech::{IntegrationKind, TechLibrary};
 
 use crate::engine::resolve_threads;
 use crate::explore::CellOutcome;
-use crate::pareto::pareto_min_indices;
 use crate::portfolio::{
-    explore_portfolio, explore_portfolio_shared, CellIdx, GridShape, PortfolioResult,
-    PortfolioSpace, SharedCoreCache,
+    explore_portfolio_impl, CorePolicy, GridShape, PortfolioResult, PortfolioSpace, ReuseScheme,
+    Selection, SharedCoreCache,
 };
+
+/// Relative slack on the pruning bound: f64 rounding in a cost that is
+/// monotone in exact arithmetic must never let the bound skip a winner.
+const SLACK: f64 = 1e-9;
 
 /// How an exploration request walks its grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExploreMode {
     /// Evaluate every cell (the reference path).
     Exhaustive,
-    /// Coarse-to-fine refinement over the area × quantity plane (this
-    /// module).
+    /// Certified bisection over the area axis (this module).
     Refine,
 }
 
@@ -150,640 +151,209 @@ impl std::str::FromStr for ExploreMode {
     }
 }
 
-/// Coarse-sampling strides for the two refined axes. A stride of `0`
-/// picks an automatic value for that axis (a power of two near half the
-/// square root of the axis length); a stride of `1` keeps the axis
-/// dense (refinement then only narrows the *other* axis). The default
-/// refines both axes automatically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RefineOptions {
-    /// Coarse stride along the area axis (`0` = automatic).
-    pub area_stride: usize,
-    /// Coarse stride along the quantity axis (`0` = automatic).
-    pub quantity_stride: usize,
+/// A wave callback for [`explore_portfolio_refined_observed`]: receives
+/// each wave's own result (the cells that wave priced; every other cell
+/// reads as pruned or incompatible) and the grid indices of those cells,
+/// ascending. Returning `false` aborts the run — the streaming server
+/// uses this when a client hangs up mid-response.
+pub type RefineObserver<'o> = dyn FnMut(&PortfolioResult, &[usize]) -> bool + 'o;
+
+/// A priced column: the configuration's per-unit cost at every quantity,
+/// or `None` when it is infeasible at that (node, area).
+type Column = Option<Vec<f64>>;
+
+/// What refinement keeps of one priced (node, area) point.
+struct Point {
+    /// The priced configurations' columns, by block offset.
+    columns: Vec<(usize, Column)>,
+    /// Per scheme (position in `space.schemes`): the cheapest priced cost
+    /// at every quantity, `INFINITY` where no configuration is feasible.
+    best: Vec<Vec<f64>>,
 }
 
-/// A refinement phase, in execution order. Observers receive one
-/// callback per phase that stored new cells.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RefinePhase {
-    /// The stride-sampled rectangular subgrid at full breadth.
-    Coarse,
-    /// Midpoints of disagreeing gaps, both axes, at candidate breadth.
-    Bisect,
-    /// Every remaining point at candidate breadth.
-    Fill,
-    /// Boundary re-pricing until every disagreement is mutually priced.
-    Escalate,
-}
-
-impl RefinePhase {
-    /// Stable lower-case label (used in streamed-segment diagnostics).
-    pub fn label(self) -> &'static str {
-        match self {
-            RefinePhase::Coarse => "coarse",
-            RefinePhase::Bisect => "bisect",
-            RefinePhase::Fill => "fill",
-            RefinePhase::Escalate => "escalate",
-        }
-    }
-}
-
-/// A phase callback for [`explore_portfolio_refined_observed`]: receives
-/// the phase, the partial result so far (every cell evaluated to date,
-/// pruned cells derived on read), and the master-grid indices the phase
-/// newly stored, sorted ascending. Returning `false` aborts the run —
-/// the streaming server uses this when a client hangs up mid-response.
-pub type RefineObserver<'o> = dyn FnMut(RefinePhase, &PortfolioResult, &[usize]) -> bool + 'o;
-
-/// A configuration point of one operating point's block: indices into the
-/// (integration, chiplet count, flow, scheme variant) axes.
-type Config = (usize, usize, usize, usize);
-
-/// Per-scheme winner of every (node, quantity, area) operating point,
-/// keyed (scheme position, node, quantity, area).
-type WinnerMap = BTreeMap<(usize, usize, usize, usize), (Config, f64)>;
-
-/// Pareto-front members grouped by the (area, quantity) point they sit
-/// at.
-type FrontMap = BTreeMap<(usize, usize), BTreeSet<Config>>;
-
-/// Restricted-evaluation requests batched by candidate set (`None` =
-/// full breadth), each holding the (area, quantity) points to price.
-type RequestMap = BTreeMap<Option<Vec<Config>>, BTreeSet<(usize, usize)>>;
-
-/// How thoroughly an (area, quantity) point has been evaluated so far:
-/// every configuration, or the union of the restricted (integration,
-/// chiplet, flow) axis products it has been priced on. Recording the
-/// products — not just a restricted/full bit — lets the escalation pass
-/// ask the precise question that matters for exactness: "has this point
-/// priced the configuration that wins next door?"
-#[derive(Debug, Clone)]
-enum Coverage {
-    /// Every configuration.
-    Full,
-    /// Only the recorded axis products.
-    Products(Vec<ConfigFilter>),
-}
-
-struct Refiner<'a> {
-    lib: &'a TechLibrary,
-    space: &'a PortfolioSpace,
-    /// The caller's thread request, passed through to every sub-run.
-    threads: usize,
+/// The bisection state: every priced point, plus the per-configuration
+/// facts the bound needs.
+struct Refiner {
     shape: GridShape,
-    /// Variant index → position of its scheme in `space.schemes`.
-    scheme_pos: Vec<usize>,
-    /// Evaluated cells by flat master-grid index.
-    master: BTreeMap<usize, CellOutcome>,
-    /// Pricing coverage per evaluated (area index, quantity index) point.
-    coverage: BTreeMap<(usize, usize), Coverage>,
-    core_evaluations: usize,
-    /// Every sub-run reuses cores through this cache under the given
-    /// library tag — the caller's cross-request cache when provided, a
-    /// run-private one otherwise (cores are quantity-independent, so
-    /// stripe-wise sub-runs re-request the same cores constantly).
-    shared: (&'a SharedCoreCache, [u8; 32]),
-    /// Master indices newly stored since the last observer flush (only
-    /// tracked when an observer is installed).
-    track_dirty: bool,
-    dirty: Vec<usize>,
+    schemes: usize,
+    /// Per block offset: the position of its scheme in `space.schemes`.
+    scheme_of: Vec<usize>,
+    /// Per block offset: its SoC companion's offset — the same scheme
+    /// variant and flow under the SoC integration, at the same chiplet
+    /// count (1 for `none`) — when the axes contain it.
+    companion: Vec<Option<usize>>,
+    /// Per node, per area: the point, once priced.
+    points: Vec<Vec<Option<Point>>>,
 }
 
-impl<'a> Refiner<'a> {
-    fn new(
-        lib: &'a TechLibrary,
-        space: &'a PortfolioSpace,
-        threads: usize,
-        shared: (&'a SharedCoreCache, [u8; 32]),
-        track_dirty: bool,
-    ) -> Self {
+impl Refiner {
+    fn new(space: &PortfolioSpace) -> Self {
         let variants = space.scheme_variants();
-        let scheme_pos = variants
+        let shape = GridShape::of(space, variants.len());
+        let soc = space
+            .integrations
             .iter()
-            .map(|v| {
-                space
+            .position(|&k| k == IntegrationKind::Soc);
+        let one = space.chiplet_counts.iter().position(|&c| c == 1);
+        let (scheme_of, companion) = (0..shape.block())
+            .map(|off| {
+                // A block offset decodes like the first operating point's
+                // flat index.
+                let c = shape.coords(off);
+                let variant = &variants[c.variant];
+                let scheme = space
                     .schemes
                     .iter()
-                    .position(|&s| s == v.scheme)
-                    .expect("variants come from the scheme axis")
-            })
-            .collect();
-        Refiner {
-            lib,
-            space,
-            threads,
-            shape: GridShape::of(space, variants.len()),
-            scheme_pos,
-            master: BTreeMap::new(),
-            coverage: BTreeMap::new(),
-            core_evaluations: 0,
-            shared,
-            track_dirty,
-            dirty: Vec::new(),
-        }
-    }
-
-    /// Evaluates the rectangle of the given master-axis areas × quantities
-    /// through the exhaustive engine — every configuration when `filter`
-    /// is `None`, the filtered (integration, chiplet, flow) index product
-    /// otherwise — and merges the evaluated cells into the master store.
-    /// Scheme axes are always carried whole so variant indices map
-    /// one-to-one.
-    fn eval_rect(
-        &mut self,
-        areas: &BTreeSet<usize>,
-        quantities: &BTreeSet<usize>,
-        filter: Option<&ConfigFilter>,
-    ) -> Result<(), ArchError> {
-        if areas.is_empty() || quantities.is_empty() {
-            return Ok(());
-        }
-        let area_list: Vec<usize> = areas.iter().copied().collect();
-        let quantity_list: Vec<usize> = quantities.iter().copied().collect();
-        let full = ConfigFilter {
-            integrations: (0..self.shape.integrations).collect(),
-            chiplets: (0..self.shape.chiplets).collect(),
-            flows: (0..self.shape.flows).collect(),
-        };
-        let restriction = filter;
-        let filter = filter.unwrap_or(&full);
-        let sub = PortfolioSpace {
-            nodes: self.space.nodes.clone(),
-            areas_mm2: area_list.iter().map(|&a| self.space.areas_mm2[a]).collect(),
-            quantities: quantity_list
-                .iter()
-                .map(|&q| self.space.quantities[q])
-                .collect(),
-            integrations: filter
-                .integrations
-                .iter()
-                .map(|&i| self.space.integrations[i])
-                .collect(),
-            chiplet_counts: filter
-                .chiplets
-                .iter()
-                .map(|&c| self.space.chiplet_counts[c])
-                .collect(),
-            flows: filter.flows.iter().map(|&f| self.space.flows[f]).collect(),
-            schemes: self.space.schemes.clone(),
-            scms_multiplicities: self.space.scms_multiplicities.clone(),
-            fsmc_situations: self.space.fsmc_situations.clone(),
-            ocme_center_nodes: self.space.ocme_center_nodes.clone(),
-            package_reuse: self.space.package_reuse,
-        };
-        let (cache, tag) = self.shared;
-        let result = explore_portfolio_shared(self.lib, &sub, self.threads, cache, tag)?;
-        self.core_evaluations += result.core_evaluations();
-        let sub_shape = result.shape();
-        for (sub_i, outcome) in result.stored_entries() {
-            let c = sub_shape.coords(*sub_i);
-            let master_idx = self.shape.index(CellIdx {
-                node: c.node,
-                area: area_list[c.area],
-                quantity: quantity_list[c.quantity],
-                integration: filter.integrations[c.integration],
-                chiplets: filter.chiplets[c.chiplets],
-                flow: filter.flows[c.flow],
-                variant: c.variant,
-            });
-            if self.master.insert(master_idx, outcome.clone()).is_none() && self.track_dirty {
-                self.dirty.push(master_idx);
-            }
-        }
-        for &a in &area_list {
-            for &q in &quantity_list {
-                let entry = self
-                    .coverage
-                    .entry((a, q))
-                    .or_insert_with(|| Coverage::Products(Vec::new()));
-                match (restriction, &mut *entry) {
-                    (None, entry) => *entry = Coverage::Full,
-                    (Some(f), Coverage::Products(products)) => products.push(f.clone()),
-                    (Some(_), Coverage::Full) => {}
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Whether the point has been evaluated at every configuration.
-    fn is_full(&self, area: usize, quantity: usize) -> bool {
-        matches!(self.coverage.get(&(area, quantity)), Some(Coverage::Full))
-    }
-
-    /// Whether the point's evaluations so far have priced the given
-    /// configuration (the variant axis is always carried whole, so only
-    /// the filtered axes decide).
-    fn priced(&self, area: usize, quantity: usize, config: Config) -> bool {
-        match self.coverage.get(&(area, quantity)) {
-            Some(Coverage::Full) => true,
-            Some(Coverage::Products(products)) => products.iter().any(|f| {
-                f.integrations.contains(&config.0)
-                    && f.chiplets.contains(&config.1)
-                    && f.flows.contains(&config.2)
-            }),
-            None => false,
-        }
-    }
-
-    /// The evaluated point set as quantity-indexed rows and area-indexed
-    /// columns, each sorted ascending.
-    fn evaluated_lines(&self) -> (BTreeMap<usize, Vec<usize>>, BTreeMap<usize, Vec<usize>>) {
-        let mut rows: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        let mut cols: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for &(a, q) in self.coverage.keys() {
-            rows.entry(q).or_default().push(a);
-            cols.entry(a).or_default().push(q);
-        }
-        // BTreeMap iteration visits (a, q) in lexicographic order, so rows
-        // are already ascending; columns need the sort.
-        for col in cols.values_mut() {
-            col.sort_unstable();
-        }
-        (rows, cols)
-    }
-
-    /// The current per-scheme winner of every (node, quantity, area)
-    /// operating point: first strict minimum in grid order, matching the
-    /// exhaustive winner tables' tie rule.
-    fn winner_map(&self) -> WinnerMap {
-        let mut winners: WinnerMap = BTreeMap::new();
-        for (&i, outcome) in &self.master {
-            let CellOutcome::Feasible(c) = outcome else {
-                continue;
-            };
-            let idx = self.shape.coords(i);
-            let key = (
-                self.scheme_pos[idx.variant],
-                idx.node,
-                idx.quantity,
-                idx.area,
-            );
-            let cost = c.per_unit.usd();
-            let config = (idx.integration, idx.chiplets, idx.flow, idx.variant);
-            match winners.get(&key) {
-                Some((_, best)) if cost >= *best => {}
-                _ => {
-                    winners.insert(key, (config, cost));
-                }
-            }
-        }
-        winners
-    }
-
-    /// Which configurations sit on each scheme's Pareto fronts (both the
-    /// per-unit × chiplet-count and the program-total × per-unit front),
-    /// grouped by the (area, quantity) point they sit at.
-    fn front_map(&self) -> FrontMap {
-        let mut fronts: FrontMap = BTreeMap::new();
-        for s_pos in 0..self.space.schemes.len() {
-            // (flat index, per-unit, chiplet count, program total)
-            let mut cells: Vec<(usize, f64, f64, f64)> = Vec::new();
-            for (&i, outcome) in &self.master {
-                let CellOutcome::Feasible(c) = outcome else {
-                    continue;
+                    .position(|&s| s == variant.scheme)
+                    .expect("variants come from the scheme axis");
+                let chiplets = match variant.scheme {
+                    ReuseScheme::None => one,
+                    _ => Some(c.chiplets),
                 };
-                let idx = self.shape.coords(i);
-                if self.scheme_pos[idx.variant] != s_pos {
-                    continue;
-                }
-                let per_unit = c.per_unit.usd();
-                cells.push((
-                    i,
-                    per_unit,
-                    f64::from(self.space.chiplet_counts[idx.chiplets]),
-                    per_unit * self.space.quantities[idx.quantity] as f64,
-                ));
-            }
-            let chip_points: Vec<(f64, f64)> = cells.iter().map(|&(_, p, ch, _)| (p, ch)).collect();
-            let program_points: Vec<(f64, f64)> =
-                cells.iter().map(|&(_, p, _, pr)| (pr, p)).collect();
-            for k in pareto_min_indices(&chip_points)
-                .into_iter()
-                .chain(pareto_min_indices(&program_points))
-            {
-                let idx = self.shape.coords(cells[k].0);
-                fronts.entry((idx.area, idx.quantity)).or_default().insert((
-                    idx.integration,
-                    idx.chiplets,
-                    idx.flow,
-                    idx.variant,
-                ));
-            }
+                let companion = soc.zip(chiplets).map(|(soc, chiplets)| {
+                    ((soc * shape.chiplets + chiplets) * shape.flows + c.flow) * shape.variants
+                        + c.variant
+                });
+                (scheme, companion)
+            })
+            .unzip();
+        Refiner {
+            shape,
+            schemes: space.schemes.len(),
+            scheme_of,
+            companion,
+            points: (0..shape.nodes)
+                .map(|_| (0..shape.areas).map(|_| None).collect())
+                .collect(),
         }
-        fronts
     }
 
-    /// The candidate configurations the given (area, quantity) points
-    /// consider relevant: their per-node winners and their Pareto-front
-    /// members.
-    fn candidates_at(
-        &self,
-        winners: &WinnerMap,
-        fronts: &FrontMap,
-        points: &[(usize, usize)],
-    ) -> BTreeSet<Config> {
-        let mut candidates: BTreeSet<Config> = BTreeSet::new();
-        for &(a, q) in points {
-            for s in 0..self.space.schemes.len() {
-                for n in 0..self.shape.nodes {
-                    if let Some((config, _)) = winners.get(&(s, n, q, a)) {
-                        candidates.insert(*config);
+    /// Wave 0: the first and last area of every node, every configuration.
+    fn first_wave(&self) -> Selection {
+        let last = self.shape.areas - 1;
+        (0..self.shape.nodes)
+            .flat_map(|n| [(n, 0), (n, last)])
+            .map(|point| (point, vec![true; self.shape.block()]))
+            .collect()
+    }
+
+    /// Records the columns `wave` priced at each point of `selection`.
+    fn absorb(&mut self, selection: &Selection, wave: &PortfolioResult) {
+        let (quantities, block) = (self.shape.quantities, self.shape.block());
+        let mut rest = wave.stored_entries();
+        // Selection keys ascend in the node → area order of flat indices.
+        for &(n, a) in selection.keys() {
+            let end = (n * self.shape.areas + a + 1) * quantities * block;
+            let (here, tail) = rest.split_at(rest.partition_point(|(i, _)| *i < end));
+            rest = tail;
+            let mut slot = vec![usize::MAX; block];
+            let mut columns: Vec<(usize, Column)> = Vec::new();
+            for (i, outcome) in here {
+                let (q, off) = ((i / block) % quantities, i % block);
+                if slot[off] == usize::MAX {
+                    slot[off] = columns.len();
+                    columns.push((off, outcome.is_feasible().then(|| vec![0.0; quantities])));
+                }
+                if let (Some(costs), Some(c)) = (&mut columns[slot[off]].1, outcome.candidate()) {
+                    costs[q] = c.per_unit.usd();
+                }
+            }
+            let mut best = vec![vec![f64::INFINITY; quantities]; self.schemes];
+            for (off, column) in &columns {
+                if let Some(costs) = column {
+                    for (b, &c) in best[self.scheme_of[*off]].iter_mut().zip(costs) {
+                        *b = b.min(c);
                     }
                 }
             }
-            if let Some(members) = fronts.get(&(a, q)) {
-                candidates.extend(members.iter().copied());
-            }
+            self.points[n][a] = Some(Point { columns, best });
         }
-        candidates
     }
 
-    /// The monolithic-baseline companion of a restricted evaluation:
-    /// whatever SoC cells the main product and its pads miss that a
-    /// winner they can produce would quote its saving against — SoC at
-    /// the same chiplet count for the family schemes, SoC at chiplet
-    /// count 1 for scheme-free cells. Every chiplet index any of the
-    /// products prices needs its SoC companion (a pad can discover the
-    /// point's winner just as the main span can), minus the (soc,
-    /// chiplets) pairs a product already covers. Kept separate from the
-    /// main product so the chiplet-1 baseline can't drag a narrow
-    /// chiplet range back toward full breadth.
-    fn baseline_filter(&self, main: &ConfigFilter, pads: &[ConfigFilter]) -> Option<ConfigFilter> {
-        let soc = self
-            .space
-            .integrations
-            .iter()
-            .position(|&k| k == IntegrationKind::Soc)?;
-        let mut chiplets: BTreeSet<usize> = main
-            .chiplets
-            .iter()
-            .chain(pads.iter().flat_map(|p| p.chiplets.iter()))
-            .copied()
-            .collect();
-        if let Some(one) = self.space.chiplet_counts.iter().position(|&c| c == 1) {
-            chiplets.insert(one);
+    /// The next wave: the midpoint of every open gap between priced
+    /// areas, each with the configurations the bound cannot exclude.
+    fn next_wave(&self) -> Selection {
+        let mut wave = Selection::new();
+        for (n, points) in self.points.iter().enumerate() {
+            // Each configuration's column at its nearest priced area so far.
+            let mut anchor: Vec<Option<&Column>> = vec![None; self.shape.block()];
+            let mut lo = None;
+            for (a, point) in points.iter().enumerate() {
+                let Some(point) = point else { continue };
+                if let Some(lo) = lo.filter(|&lo| a - lo > 1) {
+                    wave.insert((n, lo + (a - lo) / 2), self.survivors(&anchor, &point.best));
+                }
+                for (off, column) in &point.columns {
+                    anchor[*off] = Some(column);
+                }
+                lo = Some(a);
+            }
         }
-        let covered = |c: &usize| {
-            std::iter::once(main)
-                .chain(pads)
-                .any(|f| f.integrations.contains(&soc) && f.chiplets.contains(c))
-        };
-        chiplets.retain(|c| !covered(c));
-        if chiplets.is_empty() {
-            return None;
-        }
-        Some(ConfigFilter {
-            integrations: vec![soc],
-            chiplets: chiplets.into_iter().collect(),
-            flows: main.flows.clone(),
-        })
+        wave
     }
 
-    /// Evaluates the rectangle on the contiguous axis product spanning the
-    /// given configurations, plus the monolithic baselines that product
-    /// misses.
-    fn eval_restricted(
-        &mut self,
-        areas: &BTreeSet<usize>,
-        quantities: &BTreeSet<usize>,
-        configs: &[Config],
-    ) -> Result<(), ArchError> {
-        let main = ConfigFilter::spanning(configs);
-        let pads = main.pads(
-            self.space.integrations.len(),
-            self.space.chiplet_counts.len(),
-        );
-        let baseline = self.baseline_filter(&main, &pads);
-        self.eval_rect(areas, quantities, Some(&main))?;
-        for pad in &pads {
-            self.eval_rect(areas, quantities, Some(pad))?;
-        }
-        if let Some(baseline) = baseline {
-            self.eval_rect(areas, quantities, Some(&baseline))?;
-        }
-        Ok(())
-    }
-
-    /// Runs every batched point request: points sharing a candidate set
-    /// are split into rows and rows with identical area sets merge into
-    /// one rectangular evaluation, so a quiet region that fills the same
-    /// way across many quantities costs one engine sub-run, not one per
-    /// row. Grouping is pure BTree bookkeeping — deterministic regardless
-    /// of thread count.
-    fn eval_requests(&mut self, requests: RequestMap) -> Result<(), ArchError> {
-        for (configs, points) in requests {
-            let mut by_row: BTreeMap<usize, BTreeSet<usize>> = BTreeMap::new();
-            for (a, q) in points {
-                by_row.entry(q).or_default().insert(a);
-            }
-            let mut rects: BTreeMap<Vec<usize>, BTreeSet<usize>> = BTreeMap::new();
-            for (q, row_areas) in by_row {
-                rects
-                    .entry(row_areas.into_iter().collect())
-                    .or_default()
-                    .insert(q);
-            }
-            for (rect_areas, rect_quantities) in rects {
-                let rect_areas: BTreeSet<usize> = rect_areas.into_iter().collect();
-                match &configs {
-                    None => self.eval_rect(&rect_areas, &rect_quantities, None)?,
-                    Some(c) => self.eval_restricted(&rect_areas, &rect_quantities, c)?,
+    /// The mask of configurations whose lower bound (`anchor`) reaches
+    /// their scheme's upper bound (`upper`) at some quantity, plus their
+    /// SoC companions.
+    fn survivors(&self, anchor: &[Option<&Column>], upper: &[Vec<f64>]) -> Vec<bool> {
+        let mut mask = vec![false; anchor.len()];
+        for (off, column) in anchor.iter().enumerate() {
+            // Incompatible (never priced), or infeasible at its anchor and
+            // therefore at every larger area.
+            let Some(Some(lower)) = column else { continue };
+            let bound = &upper[self.scheme_of[off]];
+            if lower
+                .iter()
+                .zip(bound)
+                .any(|(&l, &u)| l <= u * (1.0 + SLACK))
+            {
+                mask[off] = true;
+                if let Some(companion) = self.companion[off] {
+                    mask[companion] = true;
                 }
             }
         }
-        Ok(())
-    }
-
-    /// Whether areas `lo` and `hi` disagree along the fixed quantity row
-    /// `q`: a per-scheme winner flip at any node, or a difference in
-    /// front membership at the two points.
-    fn differs_area(
-        &self,
-        winners: &WinnerMap,
-        fronts: &FrontMap,
-        q: usize,
-        lo: usize,
-        hi: usize,
-    ) -> bool {
-        for s in 0..self.space.schemes.len() {
-            for n in 0..self.shape.nodes {
-                let at = |a: usize| winners.get(&(s, n, q, a)).map(|(config, _)| *config);
-                if at(lo) != at(hi) {
-                    return true;
-                }
-            }
-        }
-        let empty = BTreeSet::new();
-        fronts.get(&(lo, q)).unwrap_or(&empty) != fronts.get(&(hi, q)).unwrap_or(&empty)
-    }
-
-    /// Whether quantities `lo` and `hi` disagree along the fixed area
-    /// column `a` — the quantity-axis twin of [`Self::differs_area`];
-    /// a flip here is a §4.2 crossover quantity.
-    fn differs_quantity(
-        &self,
-        winners: &WinnerMap,
-        fronts: &FrontMap,
-        a: usize,
-        lo: usize,
-        hi: usize,
-    ) -> bool {
-        for s in 0..self.space.schemes.len() {
-            for n in 0..self.shape.nodes {
-                let at = |q: usize| winners.get(&(s, n, q, a)).map(|(config, _)| *config);
-                if at(lo) != at(hi) {
-                    return true;
-                }
-            }
-        }
-        let empty = BTreeSet::new();
-        fronts.get(&(a, lo)).unwrap_or(&empty) != fronts.get(&(a, hi)).unwrap_or(&empty)
+        mask
     }
 }
 
-/// The (integration, chiplet count, flow) axis-index subsets a restricted
-/// evaluation covers.
-#[derive(Debug, Clone)]
-struct ConfigFilter {
-    integrations: Vec<usize>,
-    chiplets: Vec<usize>,
-    flows: Vec<usize>,
-}
-
-impl ConfigFilter {
-    /// The smallest *contiguous* axis product covering every given
-    /// configuration: per axis, every index between the smallest and
-    /// largest one used. Contiguity is deliberate — winner structure
-    /// moves monotonically along the ordered axes (larger areas favour
-    /// more chiplets and climb the integration ladder), so a
-    /// configuration that wins strictly between two bracketing winners
-    /// almost always sits between them on each axis too, and the range
-    /// prices it where the bare index set would miss it.
-    fn spanning(configs: &[Config]) -> ConfigFilter {
-        let mut ranges = [(usize::MAX, 0usize); 3];
-        for &(i, c, f, _) in configs {
-            for (range, v) in ranges.iter_mut().zip([i, c, f]) {
-                range.0 = range.0.min(v);
-                range.1 = range.1.max(v);
-            }
-        }
-        let [integrations, chiplets, flows] = ranges.map(|(lo, hi)| (lo..=hi).collect());
-        ConfigFilter {
-            integrations,
-            chiplets,
-            flows,
-        }
-    }
-
-    /// The one-index padding filters flanking this span on the ordered
-    /// integration and chiplet axes (clamped to each axis). Winner
-    /// regions on these axes meet in near-tie bands, and such a band can
-    /// enclose a micro-region whose true winner appears in *no* coarse
-    /// sample's belief — invisible to bisection and escalation, which
-    /// only chase disagreements they can see. The direct axis neighbours
-    /// of the believed winners are exactly the configurations those
-    /// bands near-tie against, so pricing them closes the hole. The pads
-    /// are cross-shaped, not a widened rectangle: each extends one axis
-    /// while holding the other at the span's own values, skipping the
-    /// corner products a second-order island would need.
-    fn pads(&self, integrations: usize, chiplets: usize) -> Vec<ConfigFilter> {
-        let flanks = |range: &[usize], len: usize| -> Vec<usize> {
-            let (Some(&lo), Some(&hi)) = (range.first(), range.last()) else {
-                return Vec::new();
-            };
-            let mut out = Vec::new();
-            if lo > 0 {
-                out.push(lo - 1);
-            }
-            if hi + 1 < len {
-                out.push(hi + 1);
-            }
-            out
-        };
-        let mut pads = Vec::new();
-        let integration_flanks = flanks(&self.integrations, integrations);
-        if !integration_flanks.is_empty() {
-            pads.push(ConfigFilter {
-                integrations: integration_flanks,
-                chiplets: self.chiplets.clone(),
-                flows: self.flows.clone(),
-            });
-        }
-        let chiplet_flanks = flanks(&self.chiplets, chiplets);
-        if !chiplet_flanks.is_empty() {
-            pads.push(ConfigFilter {
-                integrations: self.integrations.clone(),
-                chiplets: chiplet_flanks,
-                flows: self.flows.clone(),
-            });
-        }
-        pads
-    }
-}
-
-/// The stride refinement starts an axis from: covers the axis with
-/// roughly `4 × stride` coarse samples, doubling as long as the axis
-/// affords it.
-fn auto_stride(len: usize) -> usize {
-    let mut stride = 1;
-    while stride * stride * 4 <= len {
-        stride *= 2;
-    }
-    stride
-}
-
-/// Explores `space` coarse-to-fine from the given per-axis starting
-/// strides ([`RefineOptions::default`] picks both from the axis lengths):
-/// the refinement twin of [`crate::portfolio::explore_portfolio`],
-/// returning the same sparse result type with skipped cells recorded as
-/// [`CellOutcome::Pruned`]. Explicit strides let the benches and the
-/// reference tests force coarse starts on small grids (and let
-/// `--quantity-stride` / scenario `quantity_stride` reach the engine).
+/// Explores `space` by certified bisection over the area axis: the
+/// refinement twin of [`crate::portfolio::explore_portfolio`], returning
+/// the same sparse result type with skipped cells recorded as
+/// [`CellOutcome::Pruned`].
 ///
 /// # Errors
 ///
 /// Everything [`crate::portfolio::explore_portfolio`] raises, plus
 /// [`ArchError::InvalidArchitecture`] when the area or quantity axis is
-/// not strictly increasing (refinement bisects gaps along both, so the
-/// axes must be ordered).
-pub fn explore_portfolio_refined_with(
+/// not strictly increasing (the bound walks both as ordered axes).
+pub fn explore_portfolio_refined(
     lib: &TechLibrary,
     space: &PortfolioSpace,
     threads: usize,
-    options: RefineOptions,
 ) -> Result<PortfolioResult, ArchError> {
-    explore_portfolio_refined_observed(lib, space, threads, options, None, None)
+    explore_portfolio_refined_observed(lib, space, threads, None, None)
 }
 
-/// The full-control refinement entry: explicit strides, an optional
-/// cross-call core cache, and an optional per-phase [`RefineObserver`]
-/// (the streaming hook). With a cache, every coarse, bisection, fill and
-/// escalation sub-run consults it under the given library `tag` (see
-/// [`explore_portfolio_shared`]), so overlapping requests skip straight to
-/// amortization. [`explore_portfolio_refined_with`] is this entry without
-/// either.
+/// The full-control refinement entry: an optional cross-call core cache
+/// and an optional per-wave [`RefineObserver`] (the streaming hook). With
+/// a cache, every wave consults it under the given library `tag` (see
+/// [`crate::portfolio::explore_portfolio_shared`]), so overlapping
+/// requests skip straight to amortization. [`explore_portfolio_refined`]
+/// is this entry without either.
 ///
 /// # Errors
 ///
-/// See [`explore_portfolio_refined_with`]; additionally fails when the
-/// observer returns `false` (the run is abandoned mid-phase).
+/// See [`explore_portfolio_refined`]; additionally fails when the
+/// observer returns `false` (the run is abandoned after that wave).
 pub fn explore_portfolio_refined_observed(
     lib: &TechLibrary,
     space: &PortfolioSpace,
     threads: usize,
-    options: RefineOptions,
     shared: Option<(&SharedCoreCache, [u8; 32])>,
     mut observer: Option<&mut RefineObserver<'_>>,
 ) -> Result<PortfolioResult, ArchError> {
     space.validate()?;
-    for id in &space.nodes {
-        lib.node(id).map_err(ArchError::Tech)?;
-    }
-    for center in space.ocme_center_nodes.iter().flatten() {
-        lib.node(center).map_err(ArchError::Tech)?;
-    }
     if !space.areas_mm2.windows(2).all(|w| w[0] < w[1]) {
         return Err(ArchError::InvalidArchitecture {
             reason: "coarse-to-fine refinement requires a strictly increasing areas_mm2 axis"
@@ -796,373 +366,82 @@ pub fn explore_portfolio_refined_observed(
                 .to_string(),
         });
     }
-    let areas = space.areas_mm2.len();
-    let quantities = space.quantities.len();
-    let resolved_threads = resolve_threads(threads, space.len());
-    let astride = match (areas, options.area_stride) {
-        // Two samples already cover a two-point axis.
-        (0..=2, _) => 1,
-        (_, 0) => auto_stride(areas),
-        (_, s) => s,
-    };
-    let qstride = match (quantities, options.quantity_stride) {
-        (0..=2, _) => 1,
-        (_, 0) => auto_stride(quantities),
-        (_, s) => s,
-    };
-    if astride <= 1 && qstride <= 1 {
-        // Nothing to skip on either axis: the coarse pass would already be
-        // exhaustive.
-        let result = match shared {
-            Some((cache, tag)) => explore_portfolio_shared(lib, space, threads, cache, tag)?,
-            None => explore_portfolio(lib, space, threads)?,
-        };
-        if let Some(obs) = observer.as_mut() {
-            let all: Vec<usize> = result.stored_entries().iter().map(|(i, _)| *i).collect();
-            if !obs(RefinePhase::Coarse, &result, &all) {
-                return Err(observer_abort());
+    let mut refiner = Refiner::new(space);
+    let mut store: Vec<(usize, CellOutcome)> = Vec::new();
+    let mut core_evaluations = 0;
+    let mut waves = 0u64;
+    let mut phase = "refine.coarse";
+    let mut selection = refiner.first_wave();
+    while !selection.is_empty() {
+        // One span per wave; watch them with `--log-level debug` or via
+        // the `actuary_engine_phase_seconds` histogram on `/metricsz`.
+        let mut span = actuary_obs::span!(phase);
+        let wave = explore_portfolio_impl(
+            lib,
+            space,
+            threads,
+            CorePolicy::Cached,
+            shared,
+            Some(&selection),
+        )?;
+        refiner.absorb(&selection, &wave);
+        span.record("points", selection.len() as u64);
+        span.record("cells", wave.evaluated_cells() as u64);
+        span.record("core_evaluations", wave.core_evaluations() as u64);
+        drop(span);
+        core_evaluations += wave.core_evaluations();
+        waves += 1;
+        if let Some(observe) = observer.as_mut() {
+            let fresh: Vec<usize> = wave.stored_entries().iter().map(|(i, _)| *i).collect();
+            if !observe(&wave, &fresh) {
+                return Err(ArchError::InvalidArchitecture {
+                    reason: "refinement aborted: the wave observer declined to continue"
+                        .to_string(),
+                });
             }
         }
-        return Ok(result);
+        store.extend(wave.into_stored());
+        phase = "refine.bisect";
+        selection = refiner.next_wave();
     }
-
-    // The run-private core cache (used when the caller brought none):
-    // cores are quantity-independent, so the row- and column-wise
-    // sub-runs below re-request the same cores constantly; dedup'ing them
-    // here is what keeps the quantity axis nearly free of core work.
-    let private_cache;
-    let shared = match shared {
-        Some(s) => s,
-        None => {
-            private_cache = SharedCoreCache::new(usize::MAX);
-            (&private_cache, [0u8; 32])
-        }
-    };
-    let mut refiner = Refiner::new(lib, space, threads, shared, observer.is_some());
-
-    // 1. Coarse pass: the stride-sampled rectangle plus both axis
-    //    endpoints, every configuration. Each pass below closes a span
-    //    recording cumulative coverage and core-evaluation counts; watch
-    //    them with `--log-level debug` or via the
-    //    `actuary_engine_phase_seconds` histogram on `/metricsz`.
-    let mut coarse_span = actuary_obs::span!("refine.coarse");
-    let mut coarse_areas: BTreeSet<usize> = (0..areas).step_by(astride).collect();
-    coarse_areas.insert(areas - 1);
-    let mut coarse_quantities: BTreeSet<usize> = (0..quantities).step_by(qstride).collect();
-    coarse_quantities.insert(quantities - 1);
-    refiner.eval_rect(&coarse_areas, &coarse_quantities, None)?;
-    coarse_span.record("points_evaluated", refiner.coverage.len() as u64);
-    coarse_span.record("core_evaluations", refiner.core_evaluations as u64);
-    drop(coarse_span);
-    notify(
-        &mut refiner,
-        &mut observer,
-        RefinePhase::Coarse,
-        resolved_threads,
-    )?;
-
-    // 2. Bisection: split every gap whose endpoints disagree — along each
-    //    evaluated quantity row (area gaps) and each evaluated area
-    //    column (quantity gaps; these brackets are the §4.2 crossover
-    //    quantities) — until each disagreement is bracketed by adjacent
-    //    indices. Midpoints are priced only on the configurations their
-    //    gap endpoints consider relevant — flips are dense along fine
-    //    axes, so full-breadth midpoints would dominate the whole run;
-    //    the escalation pass below re-prices any boundary this narrowness
-    //    gets wrong. Every requested midpoint is a new point, so this
-    //    terminates.
-    loop {
-        let winners = refiner.winner_map();
-        let fronts = refiner.front_map();
-        let (rows, cols) = refiner.evaluated_lines();
-        let mut area_requests: RequestMap = BTreeMap::new();
-        for (&q, row) in &rows {
-            for pair in row.windows(2) {
-                let (lo, hi) = (pair[0], pair[1]);
-                if hi - lo > 1 && refiner.differs_area(&winners, &fronts, q, lo, hi) {
-                    let mid = lo + (hi - lo) / 2;
-                    let local = refiner.candidates_at(&winners, &fronts, &[(lo, q), (hi, q)]);
-                    let key = (!local.is_empty()).then(|| local.into_iter().collect());
-                    area_requests.entry(key).or_default().insert((mid, q));
-                }
-            }
-        }
-        let mut quantity_requests: RequestMap = BTreeMap::new();
-        for (&a, col) in &cols {
-            for pair in col.windows(2) {
-                let (lo, hi) = (pair[0], pair[1]);
-                if hi - lo > 1 && refiner.differs_quantity(&winners, &fronts, a, lo, hi) {
-                    let mid = lo + (hi - lo) / 2;
-                    let local = refiner.candidates_at(&winners, &fronts, &[(a, lo), (a, hi)]);
-                    let key = (!local.is_empty()).then(|| local.into_iter().collect());
-                    quantity_requests.entry(key).or_default().insert((a, mid));
-                }
-            }
-        }
-        if area_requests.is_empty() && quantity_requests.is_empty() {
-            break;
-        }
-        if !area_requests.is_empty() {
-            let mut span = actuary_obs::span!("refine.bisect");
-            let points: usize = area_requests.values().map(BTreeSet::len).sum();
-            refiner.eval_requests(area_requests)?;
-            span.record("points_evaluated", points as u64);
-            span.record("core_evaluations", refiner.core_evaluations as u64);
-        }
-        if !quantity_requests.is_empty() {
-            let mut span = actuary_obs::span!("refine.bisect_q");
-            let points: usize = quantity_requests.values().map(BTreeSet::len).sum();
-            refiner.eval_requests(quantity_requests)?;
-            span.record("points_evaluated", points as u64);
-            span.record("core_evaluations", refiner.core_evaluations as u64);
-        }
-    }
-    notify(
-        &mut refiner,
-        &mut observer,
-        RefinePhase::Bisect,
-        resolved_threads,
-    )?;
-
-    // 3. Fill each remaining (provably quiet) point with only the
-    //    configurations its surrounding evaluated points consider
-    //    relevant — the sub-space is an axis product, so a *global*
-    //    candidate union would multiply back out toward full breadth,
-    //    while per-gap candidates stay a handful. Points that resolve to
-    //    the same candidate set batch into shared rectangular runs.
-    //
-    //    Two sweeps: first along every evaluated quantity row (interior
-    //    gaps take both endpoints' candidates; rows created by quantity
-    //    bisection lack the axis endpoints, so their edge runs extend
-    //    one-sided from the nearest evaluated point), then down the — now
-    //    complete — area columns, which the coarse rows at quantity 0 and
-    //    Q−1 bracket. After both sweeps every (area, quantity) point is
-    //    priced, which the winner tables require: they report every
-    //    operating point.
-    let mut fill_span = actuary_obs::span!("refine.fill");
-    {
-        let winners = refiner.winner_map();
-        let fronts = refiner.front_map();
-        let (rows, _) = refiner.evaluated_lines();
-        let mut requests: RequestMap = BTreeMap::new();
-        for (&q, row) in &rows {
-            for pair in row.windows(2) {
-                let (lo, hi) = (pair[0], pair[1]);
-                if hi - lo <= 1 {
-                    continue;
-                }
-                let local = refiner.candidates_at(&winners, &fronts, &[(lo, q), (hi, q)]);
-                let key: Option<Vec<Config>> =
-                    (!local.is_empty()).then(|| local.into_iter().collect());
-                let slot = requests.entry(key).or_default();
-                slot.extend((lo + 1..hi).map(|a| (a, q)));
-            }
-            let (&first, &last) = (
-                row.first().expect("evaluated rows are non-empty"),
-                row.last().expect("evaluated rows are non-empty"),
-            );
-            for (edge, nearest) in [(0..first, first), (last + 1..areas, last)] {
-                if edge.is_empty() {
-                    continue;
-                }
-                let local = refiner.candidates_at(&winners, &fronts, &[(nearest, q)]);
-                let key: Option<Vec<Config>> =
-                    (!local.is_empty()).then(|| local.into_iter().collect());
-                requests
-                    .entry(key)
-                    .or_default()
-                    .extend(edge.map(|a| (a, q)));
-            }
-        }
-        refiner.eval_requests(requests)?;
-    }
-    {
-        let winners = refiner.winner_map();
-        let fronts = refiner.front_map();
-        let (_, cols) = refiner.evaluated_lines();
-        let mut requests: RequestMap = BTreeMap::new();
-        for (&a, col) in &cols {
-            for pair in col.windows(2) {
-                let (lo, hi) = (pair[0], pair[1]);
-                if hi - lo <= 1 {
-                    continue;
-                }
-                let local = refiner.candidates_at(&winners, &fronts, &[(a, lo), (a, hi)]);
-                let key: Option<Vec<Config>> =
-                    (!local.is_empty()).then(|| local.into_iter().collect());
-                let slot = requests.entry(key).or_default();
-                slot.extend((lo + 1..hi).map(|q| (a, q)));
-            }
-        }
-        refiner.eval_requests(requests)?;
-    }
-    debug_assert_eq!(
-        refiner.coverage.len(),
-        areas * quantities,
-        "fill must price every (area, quantity) point"
-    );
-    fill_span.record("points_evaluated", refiner.coverage.len() as u64);
-    fill_span.record("core_evaluations", refiner.core_evaluations as u64);
-    drop(fill_span);
-    notify(
-        &mut refiner,
-        &mut observer,
-        RefinePhase::Fill,
-        resolved_threads,
-    )?;
-
-    // 4. Escalate: every boundary disagreement that survives bisection and
-    //    fill should be genuine structure — but a narrowly priced point is
-    //    only trustworthy evidence of that if it actually priced the
-    //    configurations winning (or sitting on the fronts) right next
-    //    door, on either axis. Re-price each suspect point on exactly the
-    //    configurations it is missing; winners may shift as cheaper
-    //    configs come into view, so loop until every disagreeing boundary
-    //    is mutually priced. Coverage only ever grows, so this terminates.
-    let mut escalate_span = actuary_obs::span!("refine.escalate");
-    loop {
-        let winners = refiner.winner_map();
-        let fronts = refiner.front_map();
-        let mut escalate: BTreeMap<(usize, usize), BTreeSet<Config>> = BTreeMap::new();
-        let mut demand = |point: (usize, usize), from: (usize, usize), refiner: &Refiner| {
-            if refiner.is_full(point.0, point.1) {
-                return;
-            }
-            let missing: BTreeSet<Config> = refiner
-                .candidates_at(&winners, &fronts, &[from])
-                .into_iter()
-                .filter(|&c| !refiner.priced(point.0, point.1, c))
-                .collect();
-            if !missing.is_empty() {
-                escalate.entry(point).or_default().extend(missing);
-            }
-        };
-        for q in 0..quantities {
-            for lo in 0..areas.saturating_sub(1) {
-                let hi = lo + 1;
-                if (refiner.is_full(lo, q) && refiner.is_full(hi, q))
-                    || !refiner.differs_area(&winners, &fronts, q, lo, hi)
-                {
-                    continue;
-                }
-                demand((lo, q), (hi, q), &refiner);
-                demand((hi, q), (lo, q), &refiner);
-            }
-        }
-        for a in 0..areas {
-            for lo in 0..quantities.saturating_sub(1) {
-                let hi = lo + 1;
-                if (refiner.is_full(a, lo) && refiner.is_full(a, hi))
-                    || !refiner.differs_quantity(&winners, &fronts, a, lo, hi)
-                {
-                    continue;
-                }
-                demand((a, lo), (a, hi), &refiner);
-                demand((a, hi), (a, lo), &refiner);
-            }
-        }
-        if escalate.is_empty() {
-            break;
-        }
-        let mut requests: RequestMap = BTreeMap::new();
-        for (point, missing) in escalate {
-            requests
-                .entry(Some(missing.into_iter().collect()))
-                .or_default()
-                .insert(point);
-        }
-        refiner.eval_requests(requests)?;
-    }
-    escalate_span.record("points_evaluated", refiner.coverage.len() as u64);
-    escalate_span.record("core_evaluations", refiner.core_evaluations as u64);
-    drop(escalate_span);
-    notify(
-        &mut refiner,
-        &mut observer,
-        RefinePhase::Escalate,
-        resolved_threads,
-    )?;
 
     if actuary_obs::log::enabled(actuary_obs::log::Level::Debug) {
-        let full = refiner
-            .coverage
-            .values()
-            .filter(|c| matches!(c, Coverage::Full))
-            .count();
+        let columns: usize = refiner
+            .points
+            .iter()
+            .flatten()
+            .flatten()
+            .map(|point| point.columns.len())
+            .sum();
         actuary_obs::log::event(
             actuary_obs::log::Level::Debug,
             "refine.summary",
             &[
-                ("points", (areas * quantities).into()),
-                ("full", full.into()),
-                ("restricted", (refiner.coverage.len() - full).into()),
-                (
-                    "unevaluated",
-                    (areas * quantities - refiner.coverage.len()).into(),
-                ),
-                ("core_evaluations", refiner.core_evaluations.into()),
+                ("waves", waves.into()),
+                ("columns", columns.into()),
+                ("cells", store.len().into()),
+                ("core_evaluations", core_evaluations.into()),
             ],
         );
     }
     Ok(PortfolioResult::from_parts(
         space,
-        resolved_threads,
-        refiner.core_evaluations,
-        refiner.master.into_iter().collect(),
+        resolve_threads(threads, space.len()),
+        core_evaluations,
+        store,
     ))
-}
-
-fn observer_abort() -> ArchError {
-    ArchError::InvalidArchitecture {
-        reason: "refinement aborted: the phase observer declined to continue".to_string(),
-    }
-}
-
-/// Flushes the refiner's newly stored cells to the observer as a partial
-/// [`PortfolioResult`] snapshot. Phases that stored nothing new are still
-/// reported (an empty segment keeps the streamed phase order stable).
-fn notify(
-    refiner: &mut Refiner<'_>,
-    observer: &mut Option<&mut RefineObserver<'_>>,
-    phase: RefinePhase,
-    resolved_threads: usize,
-) -> Result<(), ArchError> {
-    let Some(obs) = observer.as_mut() else {
-        return Ok(());
-    };
-    let mut fresh = std::mem::take(&mut refiner.dirty);
-    fresh.sort_unstable();
-    let snapshot = PortfolioResult::from_parts(
-        refiner.space,
-        resolved_threads,
-        refiner.core_evaluations,
-        refiner
-            .master
-            .iter()
-            .map(|(&i, outcome)| (i, outcome.clone()))
-            .collect(),
-    );
-    if !obs(phase, &snapshot, &fresh) {
-        return Err(observer_abort());
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
-    use crate::portfolio::ReuseScheme;
+    use crate::portfolio::explore_portfolio;
     use actuary_model::AssemblyFlow;
 
     fn lib() -> TechLibrary {
         TechLibrary::paper_defaults().unwrap()
-    }
-
-    fn strides(area_stride: usize, quantity_stride: usize) -> RefineOptions {
-        RefineOptions {
-            area_stride,
-            quantity_stride,
-        }
     }
 
     /// A 16-area ramp across every scheme: large enough for real gaps,
@@ -1180,8 +459,8 @@ mod tests {
         }
     }
 
-    /// A quantity-heavy ramp crossing the §4.2 crossover band: 12
-    /// quantities give the quantity axis real gaps to skip.
+    /// A quantity-heavy ramp crossing the §4.2 crossover band: winners
+    /// flip along the quantity axis too, which the bound must carry.
     fn quantity_ramp_space() -> PortfolioSpace {
         PortfolioSpace {
             nodes: vec!["7nm".to_string()],
@@ -1207,22 +486,12 @@ mod tests {
     }
 
     #[test]
-    fn auto_stride_grows_with_the_axis() {
-        assert_eq!(auto_stride(3), 1);
-        assert_eq!(auto_stride(9), 2);
-        assert_eq!(auto_stride(16), 4);
-        assert_eq!(auto_stride(100), 8);
-        assert_eq!(auto_stride(500), 16);
-    }
-
-    #[test]
     fn refinement_requires_an_ordered_area_axis() {
         let space = PortfolioSpace {
             areas_mm2: vec![400.0, 200.0],
             ..ramp_space()
         };
-        let err = explore_portfolio_refined_with(&lib(), &space, 1, RefineOptions::default())
-            .unwrap_err();
+        let err = explore_portfolio_refined(&lib(), &space, 1).unwrap_err();
         assert!(
             err.to_string().contains("strictly increasing areas_mm2"),
             "unexpected error: {err}"
@@ -1235,8 +504,7 @@ mod tests {
             quantities: vec![10_000_000, 500_000],
             ..ramp_space()
         };
-        let err = explore_portfolio_refined_with(&lib(), &space, 1, RefineOptions::default())
-            .unwrap_err();
+        let err = explore_portfolio_refined(&lib(), &space, 1).unwrap_err();
         assert!(
             err.to_string().contains("strictly increasing quantities"),
             "unexpected error: {err}"
@@ -1246,74 +514,43 @@ mod tests {
     #[test]
     fn refined_winners_and_fronts_match_exhaustion_across_strides_and_threads() {
         let lib = lib();
-        let space = ramp_space();
-        let exhaustive = explore_portfolio(&lib, &space, 1).unwrap();
-        for (stride, threads) in [(2, 1), (4, 1), (4, 4), (8, 4)] {
-            let refined =
-                explore_portfolio_refined_with(&lib, &space, threads, strides(stride, 0)).unwrap();
-            assert_eq!(refined.len(), exhaustive.len());
-            assert_eq!(
-                refined.winners_artifact().csv(),
-                exhaustive.winners_artifact().csv(),
-                "stride={stride} threads={threads}: winner tables must be byte-identical"
-            );
-            assert_eq!(
-                refined.pareto_artifact().csv(),
-                exhaustive.pareto_artifact().csv(),
-                "stride={stride} threads={threads}: Pareto fronts must be byte-identical"
-            );
-            assert_eq!(
-                refined.pareto_program_artifact().csv(),
-                exhaustive.pareto_program_artifact().csv(),
-                "stride={stride} threads={threads}"
-            );
-            // Every cell accounted for: evaluated + re-derived + pruned.
-            assert_eq!(
-                refined.feasible_count()
-                    + refined.infeasible_count()
-                    + refined.incompatible_count()
-                    + refined.pruned_count(),
-                refined.len(),
-                "stride={stride} threads={threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn two_axis_refinement_matches_exhaustion() {
-        let lib = lib();
-        let space = quantity_ramp_space();
-        let exhaustive = explore_portfolio(&lib, &space, 1).unwrap();
-        for (astride, qstride) in [(4, 4), (2, 4), (4, 3), (1, 4)] {
-            let refined =
-                explore_portfolio_refined_with(&lib, &space, 2, strides(astride, qstride)).unwrap();
-            assert_eq!(
-                refined.winners_artifact().csv(),
-                exhaustive.winners_artifact().csv(),
-                "area_stride={astride} quantity_stride={qstride}"
-            );
-            assert_eq!(
-                refined.pareto_artifact().csv(),
-                exhaustive.pareto_artifact().csv(),
-                "area_stride={astride} quantity_stride={qstride}"
-            );
-            assert_eq!(
-                refined.pareto_program_artifact().csv(),
-                exhaustive.pareto_program_artifact().csv(),
-                "area_stride={astride} quantity_stride={qstride}"
-            );
-            assert!(
-                refined.pruned_count() > 0,
-                "area_stride={astride} quantity_stride={qstride}: 2-D refinement must prune"
-            );
-            assert_eq!(
-                refined.feasible_count()
-                    + refined.infeasible_count()
-                    + refined.incompatible_count()
-                    + refined.pruned_count(),
-                refined.len(),
-                "area_stride={astride} quantity_stride={qstride}"
-            );
+        for (name, space) in [
+            ("ramp", ramp_space()),
+            ("quantity ramp", quantity_ramp_space()),
+        ] {
+            let exhaustive = explore_portfolio(&lib, &space, 1).unwrap();
+            for threads in [1, 4] {
+                let refined = explore_portfolio_refined(&lib, &space, threads).unwrap();
+                assert_eq!(refined.len(), exhaustive.len());
+                assert_eq!(
+                    refined.winners_artifact().csv(),
+                    exhaustive.winners_artifact().csv(),
+                    "{name}, threads={threads}: winner tables must be byte-identical"
+                );
+                assert_eq!(
+                    refined.pareto_artifact().csv(),
+                    exhaustive.pareto_artifact().csv(),
+                    "{name}, threads={threads}: Pareto fronts must be byte-identical"
+                );
+                assert_eq!(
+                    refined.pareto_program_artifact().csv(),
+                    exhaustive.pareto_program_artifact().csv(),
+                    "{name}, threads={threads}"
+                );
+                assert!(
+                    refined.pruned_count() > 0,
+                    "{name}, threads={threads}: refinement must prune"
+                );
+                // Every cell accounted for: evaluated + re-derived + pruned.
+                assert_eq!(
+                    refined.feasible_count()
+                        + refined.infeasible_count()
+                        + refined.incompatible_count()
+                        + refined.pruned_count(),
+                    refined.len(),
+                    "{name}, threads={threads}"
+                );
+            }
         }
     }
 
@@ -1321,8 +558,8 @@ mod tests {
     fn refinement_is_thread_count_independent() {
         let lib = lib();
         let space = quantity_ramp_space();
-        let serial = explore_portfolio_refined_with(&lib, &space, 1, strides(4, 4)).unwrap();
-        let parallel = explore_portfolio_refined_with(&lib, &space, 4, strides(4, 4)).unwrap();
+        let serial = explore_portfolio_refined(&lib, &space, 1).unwrap();
+        let parallel = explore_portfolio_refined(&lib, &space, 4).unwrap();
         // The refinement decisions (and therefore the evaluated set, the
         // grid CSV and the pruned accounting) must not depend on threads.
         assert_eq!(serial.grid_artifact().csv(), parallel.grid_artifact().csv());
@@ -1337,8 +574,7 @@ mod tests {
             areas_mm2: vec![200.0, 800.0],
             ..ramp_space()
         };
-        let refined =
-            explore_portfolio_refined_with(&lib, &space, 1, RefineOptions::default()).unwrap();
+        let refined = explore_portfolio_refined(&lib, &space, 1).unwrap();
         let exhaustive = explore_portfolio(&lib, &space, 1).unwrap();
         assert_eq!(
             refined.grid_artifact().csv(),
@@ -1351,43 +587,27 @@ mod tests {
     fn observer_sees_every_stored_cell_in_phase_order() {
         let lib = lib();
         let space = quantity_ramp_space();
-        let mut phases: Vec<RefinePhase> = Vec::new();
+        let mut waves = 0;
         let mut streamed: BTreeSet<usize> = BTreeSet::new();
-        let mut observer = |phase: RefinePhase, partial: &PortfolioResult, fresh: &[usize]| {
-            phases.push(phase);
+        let mut observer = |wave: &PortfolioResult, fresh: &[usize]| {
+            waves += 1;
             assert!(fresh.windows(2).all(|w| w[0] < w[1]), "fresh cells sorted");
+            // A wave's result holds exactly the cells the wave priced.
+            assert_eq!(fresh.len(), wave.evaluated_cells());
+            assert_eq!(wave.len(), space.len());
             for &i in fresh {
-                assert!(
-                    streamed.insert(i),
-                    "cell {i} streamed twice (phase {phase:?})"
-                );
+                assert!(streamed.insert(i), "cell {i} streamed twice");
             }
-            // Every streamed cell is visible in the partial snapshot.
-            assert!(streamed.len() <= partial.len());
             true
         };
-        let result = explore_portfolio_refined_observed(
-            &lib,
-            &space,
-            2,
-            strides(4, 4),
-            None,
-            Some(&mut observer),
-        )
-        .unwrap();
-        assert_eq!(
-            phases,
-            vec![
-                RefinePhase::Coarse,
-                RefinePhase::Bisect,
-                RefinePhase::Fill,
-                RefinePhase::Escalate
-            ]
-        );
+        let result =
+            explore_portfolio_refined_observed(&lib, &space, 2, None, Some(&mut observer)).unwrap();
+        // Eight areas: {0, 7}, then 3, then {1, 5}, then {2, 4, 6}.
+        assert_eq!(waves, 4);
         let stored: BTreeSet<usize> = result.stored_entries().iter().map(|(i, _)| *i).collect();
         assert_eq!(
             streamed, stored,
-            "the streamed segments union to exactly the stored cells"
+            "the streamed waves union to exactly the stored cells"
         );
     }
 
@@ -1395,16 +615,9 @@ mod tests {
     fn observer_abort_stops_the_run() {
         let lib = lib();
         let space = quantity_ramp_space();
-        let mut observer = |_: RefinePhase, _: &PortfolioResult, _: &[usize]| false;
-        let err = explore_portfolio_refined_observed(
-            &lib,
-            &space,
-            1,
-            strides(4, 4),
-            None,
-            Some(&mut observer),
-        )
-        .unwrap_err();
+        let mut observer = |_: &PortfolioResult, _: &[usize]| false;
+        let err = explore_portfolio_refined_observed(&lib, &space, 1, None, Some(&mut observer))
+            .unwrap_err();
         assert!(
             err.to_string().contains("aborted"),
             "unexpected error: {err}"
@@ -1425,8 +638,7 @@ mod tests {
             ..PortfolioSpace::default()
         };
         let exhaustive = explore_portfolio(&lib, &space, 2).unwrap();
-        let refined =
-            explore_portfolio_refined_with(&lib, &space, 2, RefineOptions::default()).unwrap();
+        let refined = explore_portfolio_refined(&lib, &space, 2).unwrap();
         assert_eq!(
             refined.winners_artifact().csv(),
             exhaustive.winners_artifact().csv()
@@ -1445,43 +657,24 @@ mod tests {
     fn refined_shared_matches_refined_and_reuses_warm_cores() {
         let lib = lib();
         let space = ramp_space();
-        let options = RefineOptions::default();
-        let reference = explore_portfolio_refined_with(&lib, &space, 2, options).unwrap();
+        let reference = explore_portfolio_refined(&lib, &space, 2).unwrap();
 
         let cache = SharedCoreCache::new(4096);
         let shared = || {
-            explore_portfolio_refined_observed(
-                &lib,
-                &space,
-                2,
-                options,
-                Some((&cache, [9; 32])),
-                None,
-            )
-            .unwrap()
+            explore_portfolio_refined_observed(&lib, &space, 2, Some((&cache, [9; 32])), None)
+                .unwrap()
         };
         let cold = shared();
-        assert_eq!(
-            cold.winners_artifact().csv(),
-            reference.winners_artifact().csv()
-        );
-        assert_eq!(
-            cold.pareto_artifact().csv(),
-            reference.pareto_artifact().csv()
-        );
-        // Both paths dedup within the run (the unshared path through a
-        // run-private cache), so the cold shared pass does exactly the
-        // reference's distinct-core evaluations.
+        assert_eq!(cold.grid_artifact().csv(), reference.grid_artifact().csv());
+        // A family core two waves share is evaluated once with the cache
+        // and once per wave without it.
         assert!(cold.core_evaluations() > 0);
         assert!(cold.core_evaluations() <= reference.core_evaluations());
 
-        // Warm rerun: refinement takes the same adaptive path, and every
-        // core it asks for is already resident.
+        // Warm rerun: refinement takes the same path, and every core it
+        // asks for is already resident.
         let warm = shared();
-        assert_eq!(
-            warm.winners_artifact().csv(),
-            reference.winners_artifact().csv()
-        );
+        assert_eq!(warm.grid_artifact().csv(), reference.grid_artifact().csv());
         assert_eq!(warm.core_evaluations(), 0);
     }
 }

@@ -14,9 +14,7 @@ use actuary_dse::portfolio::{
     explore_portfolio, explore_portfolio_shared, parse_fsmc_situation, PortfolioResult,
     PortfolioSpace, ReuseScheme, SharedCoreCache,
 };
-use actuary_dse::refine::{
-    explore_portfolio_refined_observed, ExploreMode, RefineObserver, RefineOptions,
-};
+use actuary_dse::refine::{explore_portfolio_refined_observed, ExploreMode, RefineObserver};
 use actuary_dse::sweep::{sweep_area, sweep_quantity, Sweep};
 use actuary_model::{re_cost, AssemblyFlow, DiePlacement};
 use actuary_tech::{IntegrationKind, NodeId, TechLibrary};
@@ -175,10 +173,6 @@ pub struct ExploreJob {
     /// How the grid is walked: exhaustively (the default) or coarse-to-fine
     /// (the `mode = "refine"` key).
     pub mode: ExploreMode,
-    /// Coarse sampling stride along the quantity axis for `mode =
-    /// "refine"` (the `quantity_stride` key); `0` lets the engine pick
-    /// from the axis length.
-    pub quantity_stride: usize,
     /// Which surfaces the job emits, in file order (default: the grid).
     pub outputs: Vec<ExploreOutput>,
 }
@@ -509,7 +503,7 @@ impl Scenario {
     /// [`Scenario::run`] with incremental delivery: every artifact is
     /// handed to `sink` as soon as it is complete, and refine-mode explore
     /// jobs that emit the grid stream it *segment by segment* as
-    /// refinement phases finish — the coarse segment goes out while
+    /// refinement waves finish — the coarse segment goes out while
     /// bisection is still running — instead of holding the table back
     /// until the whole scenario returns.
     ///
@@ -649,7 +643,7 @@ impl Scenario {
     }
 
     /// Runs one explore job and delivers its selected surfaces to `sink`:
-    /// a refine-mode grid segment by segment as the phases finish, then
+    /// a refine-mode grid segment by segment as the waves finish, then
     /// the remaining surfaces in selected order.
     fn stream_explore_job(
         &self,
@@ -664,8 +658,8 @@ impl Scenario {
             let grid_name = format!("{}-grid", j.name);
             let mut first = true;
             let mut delivered = true;
-            let mut observer = |_phase, snapshot: &PortfolioResult, fresh: &[usize]| {
-                let segment = snapshot
+            let mut observer = |wave: &PortfolioResult, fresh: &[usize]| {
+                let segment = wave
                     .grid_rows_artifact(fresh.to_vec())
                     .named(grid_name.clone());
                 delivered = sink.segment(segment, !first);
@@ -677,7 +671,7 @@ impl Scenario {
                 return Err(sink_declined(&j.name));
             }
             let result = result.map_err(|e| engine_error(&j.name, &e))?;
-            // The evaluated cells all went out with the phases above;
+            // The evaluated cells all went out with the waves above;
             // the pruned/incompatible residual completes the table.
             if !sink.segment(result.grid_unstored_artifact().named(grid_name), true) {
                 return Err(sink_declined(&j.name));
@@ -726,7 +720,7 @@ fn sink_declined(job: &str) -> ScenarioError {
 
 /// Runs one explore job through the engine the job's mode selects,
 /// threading the optional shared core cache and (for refine mode) the
-/// optional phase observer — the single dispatch [`Scenario::run`] and
+/// optional wave observer — the single dispatch [`Scenario::run`] and
 /// [`Scenario::run_streamed`] both go through.
 fn run_explore_job(
     library: &TechLibrary,
@@ -743,13 +737,7 @@ fn run_explore_job(
             Some((cache, tag)) => explore_portfolio_shared(library, &j.space, threads, cache, tag),
         },
         ExploreMode::Refine => {
-            let options = RefineOptions {
-                area_stride: 0,
-                quantity_stride: j.quantity_stride,
-            };
-            explore_portfolio_refined_observed(
-                library, &j.space, threads, options, shared, observer,
-            )
+            explore_portfolio_refined_observed(library, &j.space, threads, shared, observer)
         }
     }
 }
@@ -1391,27 +1379,6 @@ fn lower_explore_job(table: &Table, lib: &TechLibrary) -> Result<ExploreJob, Sce
             .parse::<ExploreMode>()
             .map_err(|message| ScenarioError::schema(s.pos, message))?,
     };
-    let quantity_stride = match view.opt_u64("quantity_stride")? {
-        None => 0,
-        Some(s) => {
-            if mode != ExploreMode::Refine {
-                return Err(ScenarioError::schema(
-                    s.pos,
-                    "`quantity_stride` requires `mode = \"refine\"` (exhaustive walks visit \
-                     every quantity anyway)",
-                ));
-            }
-            if s.value == 0 {
-                return Err(ScenarioError::schema(
-                    s.pos,
-                    "`quantity_stride` must be at least 1 (omit it to let the engine pick)",
-                ));
-            }
-            usize::try_from(s.value).map_err(|_| {
-                ScenarioError::schema(s.pos, "`quantity_stride` exceeds the platform word size")
-            })?
-        }
-    };
     let outputs = match view.opt_array("outputs", |v, p| {
         let s = elem_str(v, p, "an output")?;
         // The grammar is owned by this crate's FromStr, shared with docs.
@@ -1446,7 +1413,6 @@ fn lower_explore_job(table: &Table, lib: &TechLibrary) -> Result<ExploreJob, Sce
         name,
         space,
         mode,
-        quantity_stride,
         outputs,
     })
 }

@@ -411,6 +411,16 @@ mod tests {
 
         let err = Scenario::from_toml(&minimal("[explore]\nmode = \"wat\"\n")).unwrap_err();
         assert!(err.to_string().contains("unknown explore mode"), "{err}");
+        // Refinement has no tuning knobs: the retired stride key is a
+        // schema error, not a silent no-op.
+        let err = Scenario::from_toml(&minimal(&format!(
+            "[explore]\nmode = \"refine\"\nquantity_stride = 4\n{axes}"
+        )))
+        .unwrap_err();
+        assert!(
+            err.to_string().contains("unknown key `quantity_stride`"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -37,11 +37,7 @@ const SECTIONS: [(&str, &[&str]); 9] = [
     // reported for observability, not gated.
     (
         "refine_quantity_grid",
-        &[
-            "cells_per_sec_exhaustive",
-            "cells_per_sec_area_only",
-            "cells_per_sec_two_d",
-        ],
+        &["cells_per_sec_exhaustive", "cells_per_sec_refine"],
     ),
     ("engine_steal", &["cells_per_sec"]),
     // BENCH_serve.json sections (bench_serve.rs); a gate run over the
@@ -207,7 +203,6 @@ mod tests {
   },
   "refine_large_grid": {
     "cells": 10000000,
-    "stride": 32,
     "cells_per_sec_exhaustive": 55000.0,
     "cells_per_sec_refine": 1250000.0,
     "full_evaluations_exhaustive": 60000,

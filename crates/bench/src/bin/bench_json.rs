@@ -14,7 +14,7 @@ use std::fmt;
 use std::time::Instant;
 
 use actuary_dse::portfolio::{explore_portfolio, PortfolioSpace, ReuseScheme};
-use actuary_dse::refine::{explore_portfolio_refined_with, RefineOptions};
+use actuary_dse::refine::explore_portfolio_refined;
 use actuary_model::AssemblyFlow;
 use actuary_tech::IntegrationKind;
 use bench::library;
@@ -112,14 +112,13 @@ fn main() {
             .expect("stream");
     });
 
-    // The coarse-to-fine headline: a 10⁷-cell single-scheme grid (500
-    // areas × 100 quantities × 4 integrations × 50 chiplet counts) that
-    // both engines answer identically (pinned by tier-1), timed once per
-    // engine — at this size a median of repeats would cost minutes for a
-    // number CI only trend-watches. `core_evaluations` counts full
-    // RE-core computations, the expensive half of a cell; refinement must
-    // prune most of them to claim the 10⁸-cell spaces the served API
-    // now admits in refine mode.
+    // The refinement headline: a 10⁷-cell single-scheme grid (500 areas ×
+    // 100 quantities × 4 integrations × 50 chiplet counts) that both
+    // engines must answer identically, timed once per engine — at this
+    // size a median of repeats would cost minutes for a number CI only
+    // trend-watches. `core_evaluations` counts full RE-core computations,
+    // the expensive half of a cell; refinement must skip ≥10× of them to
+    // claim the 10⁸-cell spaces the served API admits in refine mode.
     let large_space = PortfolioSpace {
         nodes: vec!["7nm".to_string()],
         areas_mm2: (1..=500).map(|i| f64::from(i) * 4.0).collect(),
@@ -135,31 +134,28 @@ fn main() {
     let large_exhaustive =
         explore_portfolio(&lib, &large_space, threads).expect("large exhaustive grid");
     let large_exhaustive_secs = start.elapsed().as_secs_f64();
-    const LARGE_STRIDE: usize = 32;
     let start = Instant::now();
-    let large_refined = explore_portfolio_refined_with(
-        &lib,
-        &large_space,
-        threads,
-        RefineOptions {
-            area_stride: LARGE_STRIDE,
-            quantity_stride: 0,
-        },
-    )
-    .expect("large refined grid");
+    let large_refined =
+        explore_portfolio_refined(&lib, &large_space, threads).expect("large refined grid");
     let large_refined_secs = start.elapsed().as_secs_f64();
     assert_eq!(
         large_refined.winners_artifact().csv(),
         large_exhaustive.winners_artifact().csv(),
         "the timed paths must agree before their timings mean anything"
     );
+    assert!(
+        large_exhaustive.core_evaluations() >= 10 * large_refined.core_evaluations(),
+        "refinement must evaluate >=10x fewer cores than exhaustion \
+         (exhaustive {} vs refine {})",
+        large_exhaustive.core_evaluations(),
+        large_refined.core_evaluations(),
+    );
 
-    // The 2-D refinement headline: a quantity-heavy grid spanning the
-    // §4.2 crossover band (120 quantities — crossover flips live on this
-    // axis), refined area-only (quantity axis dense, the PR-6 behaviour)
-    // versus on both axes. All three paths must agree on the winner
-    // tables and both Pareto fronts before the comparison means anything;
-    // `evaluated_cells` counts the cells each engine actually priced.
+    // The quantity-heavy headline: a grid spanning the §4.2 crossover
+    // band (120 quantities — crossover flips live on this axis). Both
+    // engines must agree on the winner tables and both Pareto fronts
+    // before the comparison means anything, and refinement must evaluate
+    // ≥3× fewer cores.
     let quantity_space = PortfolioSpace {
         nodes: vec!["7nm".to_string()],
         areas_mm2: (1..=40).map(|i| f64::from(i) * 20.0).collect(),
@@ -176,54 +172,32 @@ fn main() {
         explore_portfolio(&lib, &quantity_space, threads).expect("quantity exhaustive grid");
     let q_exhaustive_secs = start.elapsed().as_secs_f64();
     let start = Instant::now();
-    let q_area_only = explore_portfolio_refined_with(
-        &lib,
-        &quantity_space,
-        threads,
-        RefineOptions {
-            area_stride: 8,
-            quantity_stride: 1,
-        },
-    )
-    .expect("area-only refined grid");
-    let q_area_only_secs = start.elapsed().as_secs_f64();
-    let start = Instant::now();
-    let q_two_d = explore_portfolio_refined_with(
-        &lib,
-        &quantity_space,
-        threads,
-        RefineOptions {
-            area_stride: 8,
-            quantity_stride: 8,
-        },
-    )
-    .expect("2-D refined grid");
-    let q_two_d_secs = start.elapsed().as_secs_f64();
-    for (label, refined) in [("area-only", &q_area_only), ("2-D", &q_two_d)] {
-        assert_eq!(
-            refined.winners_artifact().csv(),
-            q_exhaustive.winners_artifact().csv(),
-            "{label}: winner tables must match exhaustion"
-        );
-        assert_eq!(
-            refined.pareto_artifact().csv(),
-            q_exhaustive.pareto_artifact().csv(),
-            "{label}: the per-unit Pareto front must match exhaustion"
-        );
-        assert_eq!(
-            refined.pareto_program_artifact().csv(),
-            q_exhaustive.pareto_program_artifact().csv(),
-            "{label}: the program-total Pareto front must match exhaustion"
-        );
-    }
+    let q_refined =
+        explore_portfolio_refined(&lib, &quantity_space, threads).expect("refined quantity grid");
+    let q_refined_secs = start.elapsed().as_secs_f64();
+    assert_eq!(
+        q_refined.winners_artifact().csv(),
+        q_exhaustive.winners_artifact().csv(),
+        "winner tables must match exhaustion"
+    );
+    assert_eq!(
+        q_refined.pareto_artifact().csv(),
+        q_exhaustive.pareto_artifact().csv(),
+        "the per-unit Pareto front must match exhaustion"
+    );
+    assert_eq!(
+        q_refined.pareto_program_artifact().csv(),
+        q_exhaustive.pareto_program_artifact().csv(),
+        "the program-total Pareto front must match exhaustion"
+    );
     let quantity_reduction =
-        q_area_only.evaluated_cells() as f64 / q_two_d.evaluated_cells() as f64;
+        q_exhaustive.core_evaluations() as f64 / q_refined.core_evaluations() as f64;
     assert!(
         quantity_reduction >= 3.0,
-        "2-D refinement must price >=3x fewer cells than area-only \
-         (area-only {} vs 2-D {})",
-        q_area_only.evaluated_cells(),
-        q_two_d.evaluated_cells(),
+        "refinement must evaluate >=3x fewer cores than exhaustion \
+         (exhaustive {} vs refine {})",
+        q_exhaustive.core_evaluations(),
+        q_refined.core_evaluations(),
     );
 
     // Work-stealing scheduler: a chiplet-heavy grid whose per-cell cost
@@ -287,7 +261,7 @@ fn main() {
     );
     println!(
         "  \"refine_large_grid\": {{\n    \"cells\": {large_cells},\n    \
-         \"stride\": {LARGE_STRIDE},\n    \"threads\": {threads},\n    \
+         \"threads\": {threads},\n    \
          \"exhaustive_secs\": {large_exhaustive_secs:.3},\n    \
          \"refine_secs\": {large_refined_secs:.3},\n    \
          \"cells_per_sec_exhaustive\": {:.1},\n    \
@@ -307,22 +281,19 @@ fn main() {
         "  \"refine_quantity_grid\": {{\n    \"cells\": {quantity_cells},\n    \
          \"quantities\": {},\n    \"threads\": {threads},\n    \
          \"exhaustive_secs\": {q_exhaustive_secs:.3},\n    \
-         \"area_only_secs\": {q_area_only_secs:.3},\n    \
-         \"two_d_secs\": {q_two_d_secs:.3},\n    \
+         \"refine_secs\": {q_refined_secs:.3},\n    \
          \"cells_per_sec_exhaustive\": {:.1},\n    \
-         \"cells_per_sec_area_only\": {:.1},\n    \
-         \"cells_per_sec_two_d\": {:.1},\n    \
-         \"evaluated_cells_area_only\": {},\n    \
-         \"evaluated_cells_two_d\": {},\n    \
+         \"cells_per_sec_refine\": {:.1},\n    \
+         \"full_evaluations_exhaustive\": {},\n    \
+         \"full_evaluations_refine\": {},\n    \
          \"evaluation_reduction_factor\": {quantity_reduction:.2},\n    \
-         \"pruned_cells_two_d\": {}\n  }},",
+         \"pruned_cells\": {}\n  }},",
         quantity_space.quantities.len(),
         quantity_cells as f64 / q_exhaustive_secs,
-        quantity_cells as f64 / q_area_only_secs,
-        quantity_cells as f64 / q_two_d_secs,
-        q_area_only.evaluated_cells(),
-        q_two_d.evaluated_cells(),
-        q_two_d.pruned_count(),
+        quantity_cells as f64 / q_refined_secs,
+        q_exhaustive.core_evaluations(),
+        q_refined.core_evaluations(),
+        q_refined.pruned_count(),
     );
     println!(
         "  \"engine_steal\": {{\n    \"cells\": {steal_cells},\n    \

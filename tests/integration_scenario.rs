@@ -425,7 +425,6 @@ const STREAMED_SCENARIO: &str = concat!(
     "integrations = [\"soc\", \"mcm\", \"info\", \"2.5d\"]\n",
     "chiplets = [1, 2, 3]\n",
     "mode = \"refine\"\n",
-    "quantity_stride = 4\n",
     "outputs = [\"grid\", \"winners\", \"pareto\"]\n",
 );
 
@@ -490,7 +489,7 @@ fn run_streamed_segments_reassemble_to_the_batch_run_byte_for_byte() {
         .collect();
     assert!(
         grid.len() >= 3,
-        "coarse, at least one refinement phase, and the residual: got {}",
+        "coarse, at least one bisection wave, and the residual: got {}",
         grid.len()
     );
     assert!(grid[1..].iter().all(|(_, c, _)| *c), "continuations only");

@@ -1,7 +1,10 @@
 //! Cross-crate property tests: invariants that must hold for *any* system
 //! configuration, not just the paper's.
 
+use chiplet_actuary::dse::explore::CellOutcome;
+use chiplet_actuary::dse::portfolio::explore_portfolio;
 use chiplet_actuary::prelude::*;
+use chiplet_actuary::scenario::{Job, Scenario};
 use proptest::prelude::*;
 
 fn lib() -> TechLibrary {
@@ -156,5 +159,86 @@ proptest! {
         let bare_cost = node.yielded_die_cost(bare).unwrap();
         let inflated_cost = node.yielded_die_cost(inflated).unwrap();
         prop_assert!(inflated_cost > bare_cost);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Refinement's proof obligation (see `actuary_dse::refine`): under any
+    /// technology overlay the builders accept, every scheme variant ×
+    /// integration × chiplet count × flow at a fixed node and quantity
+    /// prices per-unit cost non-decreasing in area, and never turns
+    /// feasible again at a larger area once infeasible.
+    #[test]
+    fn per_unit_cost_is_monotone_in_area_for_every_configuration(
+        node_idx in 0usize..3,
+        first_area in 10.0f64..300.0,
+        area_step in 5.0f64..100.0,
+        wafer_price in 0.0f64..40_000.0,
+        defect in 0.0f64..0.4,
+        cluster in 0.5f64..30.0,
+        mask_set in 0.0f64..6e7,
+        k_module in 0.0f64..3e6,
+        d2d_fraction in 0.0f64..0.5,
+        assembly in 0.0f64..30.0,
+        bond_cost in 0.0f64..5.0,
+        bond_yield in 0.9f64..1.0,
+        interposer_defect in 0.0f64..0.3,
+    ) {
+        let node = ["5nm", "7nm", "14nm"][node_idx];
+        let doc = format!(
+            "name = \"premise\"\nextends = \"preset\"\n\
+             [nodes.{node}]\nwafer_price_usd = {wafer_price}\ndefect_density = {defect}\n\
+             cluster = {cluster}\nmask_set_usd = {mask_set}\nk_module_usd = {k_module}\n\
+             [nodes.{node}.d2d]\narea_fraction = {d2d_fraction}\n\
+             [packaging.mcm]\nassembly_cost_usd = {assembly}\n\
+             bond_cost_per_chip_usd = {bond_cost}\nchip_bond_yield = {bond_yield}\n\
+             [packaging.\"2.5d\".interposer]\ndefect_density = {interposer_defect}\n\
+             [explore]\nnodes = [\"{node}\"]\nareas_mm2 = [{areas}]\n\
+             quantities = [200000, 20000000]\nchiplets = [1, 2, 3, 4, 5]\n\
+             flows = [\"chip-first\", \"chip-last\"]\n\
+             schemes = [\"none\", \"scms\", \"ocme\", \"fsmc\"]\n\
+             ocme_center_nodes = [\"none\", \"14nm\"]\n",
+            areas = (0..10)
+                .map(|i| (first_area + f64::from(i) * area_step).to_string())
+                .collect::<Vec<_>>()
+                .join(", "),
+        );
+        let scenario = Scenario::from_toml(&doc).unwrap();
+        let Some(Job::Explore(job)) = scenario.jobs.first() else {
+            panic!("the document has one explore job");
+        };
+        let space = &job.space;
+        let cells = explore_portfolio(&scenario.library, space, 1).unwrap().cells();
+        // One node: cells run area-major, so each (quantity, configuration)
+        // series strides through the grid by one area's worth of cells.
+        let stride = cells.len() / space.areas_mm2.len();
+        for series in 0..stride {
+            let mut cheapest_so_far: Option<f64> = None;
+            let mut infeasible_at: Option<f64> = None;
+            for cell in cells.iter().skip(series).step_by(stride) {
+                match &cell.outcome {
+                    CellOutcome::Feasible(c) => {
+                        prop_assert!(
+                            infeasible_at.is_none(),
+                            "{cell:?} is feasible above an infeasible area {infeasible_at:?}"
+                        );
+                        let cost = c.per_unit.usd();
+                        if let Some(previous) = cheapest_so_far {
+                            prop_assert!(
+                                cost >= previous,
+                                "{cell:?}: per-unit cost fell from {previous} with area"
+                            );
+                        }
+                        cheapest_so_far = Some(cost);
+                    }
+                    CellOutcome::Infeasible(_) => {
+                        infeasible_at = infeasible_at.or(Some(cell.area_mm2));
+                    }
+                    CellOutcome::Incompatible(_) | CellOutcome::Pruned => {}
+                }
+            }
+        }
     }
 }
