@@ -1,4 +1,5 @@
 use std::fmt;
+use std::sync::Arc;
 
 use actuary_tech::{NodeId, TechLibrary};
 use actuary_units::Area;
@@ -11,6 +12,11 @@ use crate::module::Module;
 ///
 /// Chips are identified by name for NRE sharing — building the same chiplet
 /// into many systems pays its chip-level NRE only once (Eq. (8)).
+///
+/// A chip is immutable and its data sits behind one shared pointer, so
+/// cloning a chip into many systems copies a reference count, and
+/// [`crate::Portfolio::core`] recognises the clones of one design by
+/// pointer.
 ///
 /// # Examples
 ///
@@ -30,8 +36,11 @@ use crate::module::Module;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct Chip {
+#[derive(Clone, PartialEq)]
+pub struct Chip(Arc<ChipData>);
+
+#[derive(PartialEq)]
+struct ChipData {
     name: String,
     node: NodeId,
     modules: Vec<Module>,
@@ -42,12 +51,7 @@ impl Chip {
     /// Creates a chiplet: modules plus the node's D2D interface. The die
     /// area is inflated by the node's D2D area fraction.
     pub fn chiplet(name: impl Into<String>, node: impl Into<NodeId>, modules: Vec<Module>) -> Self {
-        Chip {
-            name: name.into(),
-            node: node.into(),
-            modules,
-            is_chiplet: true,
-        }
+        Chip::new(name.into(), node.into(), modules, true)
     }
 
     /// Creates a monolithic SoC die: modules only, no D2D interface.
@@ -56,37 +60,47 @@ impl Chip {
         node: impl Into<NodeId>,
         modules: Vec<Module>,
     ) -> Self {
-        Chip {
-            name: name.into(),
-            node: node.into(),
+        Chip::new(name.into(), node.into(), modules, false)
+    }
+
+    fn new(name: String, node: NodeId, modules: Vec<Module>, is_chiplet: bool) -> Self {
+        Chip(Arc::new(ChipData {
+            name,
+            node,
             modules,
-            is_chiplet: false,
-        }
+            is_chiplet,
+        }))
     }
 
     /// The chip's design name (the NRE-sharing identity).
     pub fn name(&self) -> &str {
-        &self.name
+        &self.0.name
     }
 
     /// The process node the chip is manufactured on.
     pub fn node(&self) -> &NodeId {
-        &self.node
+        &self.0.node
     }
 
     /// The modules the chip carries.
     pub fn modules(&self) -> &[Module] {
-        &self.modules
+        &self.0.modules
     }
 
     /// Whether the chip is a chiplet (carries a D2D interface).
     pub fn is_chiplet(&self) -> bool {
-        self.is_chiplet
+        self.0.is_chiplet
+    }
+
+    /// Whether `other` is the same design: a clone of this chip (checked
+    /// by pointer) or a chip built separately with equal data.
+    pub(crate) fn same_design(&self, other: &Chip) -> bool {
+        Arc::ptr_eq(&self.0, &other.0) || self.0 == other.0
     }
 
     /// Total functional module area (excluding D2D).
     pub fn module_area(&self) -> Area {
-        self.modules.iter().map(|m| m.area()).sum()
+        self.modules().iter().map(|m| m.area()).sum()
     }
 
     /// Die area: module area, inflated by the node's D2D fraction when the
@@ -98,22 +112,22 @@ impl Chip {
     /// [`ArchError::InvalidArchitecture`] if a module targets a different
     /// node than the chip.
     pub fn die_area(&self, lib: &TechLibrary) -> Result<Area, ArchError> {
-        for m in &self.modules {
-            if m.node() != &self.node {
+        for m in self.modules() {
+            if m.node() != self.node() {
                 return Err(ArchError::InvalidArchitecture {
                     reason: format!(
                         "chip {} is on {} but module {} is designed at {}",
-                        self.name,
-                        self.node,
+                        self.name(),
+                        self.node(),
                         m.name(),
                         m.node()
                     ),
                 });
             }
         }
-        let node = lib.node(self.node.as_str())?;
+        let node = lib.node(self.node())?;
         let module_area = self.module_area();
-        if self.is_chiplet {
+        if self.is_chiplet() {
             Ok(node.d2d().inflate_module_area(module_area)?)
         } else {
             Ok(module_area)
@@ -131,19 +145,30 @@ impl Chip {
     }
 }
 
+impl fmt::Debug for Chip {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Chip")
+            .field("name", &self.0.name)
+            .field("node", &self.0.node)
+            .field("modules", &self.0.modules)
+            .field("is_chiplet", &self.0.is_chiplet)
+            .finish()
+    }
+}
+
 impl fmt::Display for Chip {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
             "{} ({} @ {}, {} modules)",
-            self.name,
-            if self.is_chiplet {
+            self.name(),
+            if self.is_chiplet() {
                 "chiplet"
             } else {
                 "SoC die"
             },
-            self.node,
-            self.modules.len()
+            self.node(),
+            self.modules().len()
         )
     }
 }

@@ -1,4 +1,5 @@
 use std::fmt;
+use std::sync::Arc;
 
 use actuary_tech::{NodeId, ProcessNode, TechLibrary};
 use actuary_units::Area;
@@ -11,6 +12,9 @@ use crate::error::ArchError;
 /// Two modules are *the same design* — and therefore share their NRE across
 /// a portfolio — exactly when both their name and their node match (the
 /// paper regards the same function at different nodes as "diverse modules").
+///
+/// Like [`crate::Chip`], a module is immutable and shares its data, so
+/// placing one module design in many chips copies a reference count.
 ///
 /// # Examples
 ///
@@ -25,8 +29,11 @@ use crate::error::ArchError;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct Module {
+#[derive(Clone, PartialEq)]
+pub struct Module(Arc<ModuleData>);
+
+#[derive(PartialEq)]
+struct ModuleData {
     name: String,
     node: NodeId,
     area: Area,
@@ -35,31 +42,26 @@ pub struct Module {
 impl Module {
     /// Creates a module of `area` designed at `node`.
     pub fn new(name: impl Into<String>, node: impl Into<NodeId>, area: Area) -> Self {
-        Module {
+        Module(Arc::new(ModuleData {
             name: name.into(),
             node: node.into(),
             area,
-        }
+        }))
     }
 
     /// The module's design name.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.0.name
     }
 
     /// The process node the module is designed at.
     pub fn node(&self) -> &NodeId {
-        &self.node
+        &self.0.node
     }
 
     /// Silicon area of the module at its design node.
     pub fn area(&self) -> Area {
-        self.area
-    }
-
-    /// The identity key used for NRE sharing: `(name, node)`.
-    pub fn design_key(&self) -> (String, NodeId) {
-        (self.name.clone(), self.node.clone())
+        self.0.area
     }
 
     /// Re-targets the module to another node, rescaling its area by the
@@ -72,19 +74,25 @@ impl Module {
     ///
     /// Returns [`ArchError::Tech`] if either node is not in the library.
     pub fn ported_to(&self, target: &ProcessNode, lib: &TechLibrary) -> Result<Module, ArchError> {
-        let source = lib.node(self.node.as_str())?;
-        let area = target.port_area_from(self.area, source)?;
-        Ok(Module {
-            name: self.name.clone(),
-            node: target.id().clone(),
-            area,
-        })
+        let source = lib.node(self.node())?;
+        let area = target.port_area_from(self.area(), source)?;
+        Ok(Module::new(self.name(), target.id().clone(), area))
+    }
+}
+
+impl fmt::Debug for Module {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Module")
+            .field("name", &self.0.name)
+            .field("node", &self.0.node)
+            .field("area", &self.0.area)
+            .finish()
     }
 }
 
 impl fmt::Display for Module {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} [{} @ {}]", self.name, self.area, self.node)
+        write!(f, "{} [{} @ {}]", self.name(), self.area(), self.node())
     }
 }
 
@@ -102,19 +110,6 @@ mod tests {
         assert_eq!(m.name(), "io-hub");
         assert_eq!(m.node().as_str(), "14nm");
         assert_eq!(m.area().mm2(), 120.0);
-    }
-
-    #[test]
-    fn design_key_distinguishes_nodes() {
-        let a = Module::new("x", "7nm", area(10.0));
-        let b = Module::new("x", "14nm", area(10.0));
-        assert_ne!(a.design_key(), b.design_key());
-        let c = Module::new("x", "7nm", area(20.0));
-        assert_eq!(
-            a.design_key(),
-            c.design_key(),
-            "area does not affect identity"
-        );
     }
 
     #[test]

@@ -2,12 +2,13 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use actuary_model::{
-    chip_level_nre, d2d_nre, module_design_cost, package_nre_for_silicon, AssemblyFlow,
-    NreBreakdown, ReCostBreakdown,
+    chip_level_nre, d2d_nre, module_design_cost, package_nre_for_silicon, re_cost_sized,
+    AssemblyFlow, DiePlacement, NreBreakdown, ReCostBreakdown,
 };
-use actuary_tech::TechLibrary;
+use actuary_tech::{IntegrationKind, ProcessNode, TechError, TechLibrary};
 use actuary_units::{Area, Money, Quantity};
 
+use crate::chip::Chip;
 use crate::error::ArchError;
 use crate::system::System;
 
@@ -230,6 +231,142 @@ impl EntityDraft {
     }
 }
 
+/// The NRE drafts of a core under construction, looked up by kind and
+/// identity string (`name@node`, `d2d@node`, a chip or package design
+/// name, `pkg:system`) through one reused key buffer.
+#[derive(Default)]
+struct DraftTable {
+    list: Vec<EntityDraft>,
+    /// Per kind, the draft index of each identity string.
+    index: [BTreeMap<String, u32>; 4],
+    key: String,
+}
+
+impl DraftTable {
+    /// The key buffer, cleared for the next identity string.
+    fn key(&mut self) -> &mut String {
+        self.key.clear();
+        &mut self.key
+    }
+
+    /// The `kind` draft named by the key buffer, created at `cost` on
+    /// first sight. A later definition must agree on the cost (geometry).
+    fn resolve(&mut self, kind: NreEntityKind, cost: Money) -> Result<u32, ArchError> {
+        let index = &mut self.index[kind as usize];
+        if let Some(&d) = index.get(self.key.as_str()) {
+            if (self.list[d as usize].cost.usd() - cost.usd()).abs() > 1e-6 {
+                return Err(ArchError::InvalidArchitecture {
+                    reason: format!(
+                        "{kind} design {:?} is defined with conflicting geometry across systems",
+                        self.key
+                    ),
+                });
+            }
+            return Ok(d);
+        }
+        let d = self.list.len() as u32;
+        index.insert(self.key.clone(), d);
+        self.list.push(EntityDraft {
+            kind,
+            name: String::new(),
+            cost,
+            uses: Vec::new(),
+        });
+        Ok(d)
+    }
+
+    /// Records `uses` of draft `d` by `system`. Systems are added one at a
+    /// time, so a system that already uses the draft is its last user:
+    /// repeated uses (a module placed twice) add up in place.
+    fn add_use(&mut self, d: u32, system: u32, uses: f64) {
+        let users = &mut self.list[d as usize].uses;
+        match users.last_mut() {
+            Some((last, total)) if *last == system => *total += uses,
+            _ => users.push((system, uses)),
+        }
+    }
+
+    /// The drafts in creation order, each named by its identity string.
+    fn finish(mut self) -> Vec<EntityDraft> {
+        for (name, d) in self.index.into_iter().flatten() {
+            self.list[d as usize].name = name;
+        }
+        self.list
+    }
+}
+
+/// The distinct chip designs of one core, in first-use order.
+#[derive(Default)]
+struct ChipDesigns<'a> {
+    list: Vec<ChipDesign<'a>>,
+    /// The first design of each chip name.
+    by_name: BTreeMap<&'a str, u32>,
+}
+
+/// One distinct chip design and the lookups every use of it shares.
+struct ChipDesign<'a> {
+    chip: &'a Chip,
+    node: Result<&'a ProcessNode, TechError>,
+    die_area: Result<Area, ArchError>,
+}
+
+impl<'a> ChipDesigns<'a> {
+    /// The design `chip` is a use of, added on first sight.
+    fn intern(&mut self, chip: &'a Chip, lib: &'a TechLibrary) -> u32 {
+        let d = self.list.len() as u32;
+        match self.by_name.get(chip.name()) {
+            Some(&first) if self.list[first as usize].chip.same_design(chip) => return first,
+            // A name shared by chips of other geometry, which is rare: any
+            // earlier design may be the one.
+            Some(_) => {
+                if let Some(at) = self.list.iter().position(|x| x.chip.same_design(chip)) {
+                    return at as u32;
+                }
+            }
+            None => {
+                self.by_name.insert(chip.name(), d);
+            }
+        }
+        self.list.push(ChipDesign {
+            chip,
+            node: lib.node(chip.node()),
+            die_area: chip.die_area(lib),
+        });
+        d
+    }
+}
+
+impl<'a> ChipDesign<'a> {
+    /// The node and die area of every placement of the design, failing as
+    /// [`System::re_cost`] does: node lookup first, then the die area.
+    fn resolved(&self) -> Result<(&'a ProcessNode, Area), ArchError> {
+        Ok((self.node.clone()?, self.die_area.clone()?))
+    }
+
+    /// Resolves the design's chip, module and D2D drafts, in that order,
+    /// appending their indices to `out`.
+    fn resolve_drafts(&self, drafts: &mut DraftTable, out: &mut Vec<u32>) -> Result<(), ArchError> {
+        let (node, die_area) = self.resolved()?;
+        let chip = self.chip;
+        drafts.key().push_str(chip.name());
+        out.push(drafts.resolve(NreEntityKind::Chip, chip_level_nre(node, die_area))?);
+        for m in chip.modules() {
+            let key = drafts.key();
+            key.push_str(m.name());
+            key.push('@');
+            key.push_str(m.node().as_str());
+            out.push(drafts.resolve(NreEntityKind::Module, module_design_cost(node, m.area()))?);
+        }
+        if chip.is_chiplet() {
+            let key = drafts.key();
+            key.push_str("d2d@");
+            key.push_str(chip.node().as_str());
+            out.push(drafts.resolve(NreEntityKind::D2d, d2d_nre(node))?);
+        }
+        Ok(())
+    }
+}
+
 /// The `kind` component of an NRE breakdown.
 fn component(nre: &mut NreBreakdown, kind: NreEntityKind) -> &mut Money {
     match kind {
@@ -244,11 +381,14 @@ fn component(nre: &mut NreBreakdown, kind: NreEntityKind) -> &mut Money {
 /// per-system RE breakdowns plus every shared NRE artifact's total cost and
 /// usage weights.
 ///
-/// Computing the core is the expensive step (yield models, wafer gridding,
-/// package sizing); spreading it over production quantities is cheap
-/// arithmetic. Exploration engines therefore cache cores keyed on geometry
-/// and re-amortize one core per quantity (and per reuse scheme), which is
-/// where the quantity axis of a grid stops costing anything.
+/// Computing the core is the expensive step; spreading it over production
+/// quantities is cheap arithmetic. The die math inside it (yield, dies per
+/// wafer) is tens of nanoseconds per die: a core's cost is mostly
+/// resolving its designs and recording who uses which NRE artifact, which
+/// [`Portfolio::core`] does once per distinct chip design. Exploration
+/// engines cache cores keyed on geometry and re-amortize one core per
+/// quantity (and per reuse scheme), which is where the quantity axis of a
+/// grid stops costing anything.
 ///
 /// The core is compiled into an index-based amortization plan: every
 /// artifact lists its `(system, uses)` pairs and every system lists its
@@ -460,186 +600,165 @@ impl Portfolio {
     /// everything of [`Portfolio::cost`] except the amortization over
     /// production quantities.
     ///
+    /// Each distinct chip design is resolved once per core, at its first
+    /// use in portfolio order: its node, die area, chip, module and D2D
+    /// NRE costs and the drafts they land in. A later chip that is a clone
+    /// of it (recognised by pointer) or equal to it only records its
+    /// `(system, uses)`. A chip that shares a name but not the geometry is
+    /// a separate design, so the conflicting-geometry check still sees it.
+    /// The result, and the error a portfolio fails with first, are those
+    /// of resolving every chip occurrence on its own.
+    ///
     /// # Errors
     ///
     /// Same conditions as [`Portfolio::cost`].
     pub fn core(&self, lib: &TechLibrary, flow: AssemblyFlow) -> Result<PortfolioCore, ArchError> {
-        if self.systems.is_empty() {
+        let systems = &self.systems;
+        if systems.is_empty() {
             return Err(ArchError::InvalidArchitecture {
                 reason: "portfolio has no systems".to_string(),
             });
         }
-        // --- Uniqueness of system names. ---------------------------------
-        {
-            let mut seen = BTreeMap::new();
-            for s in &self.systems {
-                if seen.insert(s.name().to_string(), ()).is_some() {
-                    return Err(ArchError::InvalidArchitecture {
-                        reason: format!("duplicate system name {:?}", s.name()),
-                    });
-                }
-            }
+        // --- Unique system names, and the systems in name order. ----------
+        let name = |j: u32| systems[j as usize].name();
+        let mut by_name: Vec<u32> = (0..systems.len() as u32).collect();
+        by_name.sort_unstable_by(|&a, &b| name(a).cmp(name(b)).then(a.cmp(&b)));
+        // The first system, in portfolio order, whose name an earlier
+        // system already has.
+        let repeat = by_name
+            .windows(2)
+            .filter(|w| name(w[0]) == name(w[1]))
+            .map(|w| w[1])
+            .min();
+        if let Some(j) = repeat {
+            return Err(ArchError::InvalidArchitecture {
+                reason: format!("duplicate system name {:?}", name(j)),
+            });
         }
 
-        // --- Shared package designs: group, validate, size. ---------------
-        let mut design_silicon: BTreeMap<String, Area> = BTreeMap::new();
-        let mut design_kind: BTreeMap<String, actuary_tech::IntegrationKind> = BTreeMap::new();
-        for s in &self.systems {
-            if let Some(design) = s.package_design() {
-                let silicon = s.total_silicon(lib)?;
-                let entry = design_silicon
-                    .entry(design.to_string())
-                    .or_insert(Area::ZERO);
-                *entry = entry.max(silicon);
-                match design_kind.get(design) {
-                    None => {
-                        design_kind.insert(design.to_string(), s.integration());
-                    }
-                    Some(kind) if *kind != s.integration() => {
-                        return Err(ArchError::InvalidArchitecture {
-                            reason: format!(
-                                "package design {design:?} is shared across different \
-                                 integration kinds ({kind} and {})",
-                                s.integration()
-                            ),
-                        });
-                    }
-                    Some(_) => {}
-                }
+        // --- Distinct chip designs: each system's groups as (design, count). --
+        let mut designs = ChipDesigns::default();
+        let mut groups: Vec<(u32, u32)> = Vec::new();
+        let mut bounds = Vec::with_capacity(systems.len() + 1);
+        bounds.push(0);
+        for s in systems {
+            for (chip, count) in s.chips() {
+                groups.push((designs.intern(chip, lib), *count));
             }
+            bounds.push(groups.len());
         }
-
-        // --- Per-system RE. -------------------------------------------------
-        let mut re_by_system: Vec<ReCostBreakdown> = Vec::with_capacity(self.systems.len());
-        for s in &self.systems {
-            let over = s
-                .package_design()
-                .map(|d| design_silicon[d])
-                .filter(|a| !a.is_zero());
-            re_by_system.push(s.re_cost(lib, flow, over)?);
-        }
-
-        // --- NRE entities with usage-weighted allocation. -------------------
-        // Each artifact collects (system index, uses); weight = uses × quantity.
-        let names: Vec<String> = self.systems.iter().map(|s| s.name().to_string()).collect();
-        let mut drafts: Vec<EntityDraft> = Vec::new();
-        let mut index: BTreeMap<(NreEntityKind, String), usize> = BTreeMap::new();
-
-        let add_use = |drafts: &mut Vec<EntityDraft>,
-                       index: &mut BTreeMap<(NreEntityKind, String), usize>,
-                       kind: NreEntityKind,
-                       name: String,
-                       cost: Money,
-                       system: u32,
-                       uses: f64|
-         -> Result<(), ArchError> {
-            let key = (kind, name.clone());
-            let idx = match index.get(&key) {
-                Some(&i) => {
-                    // Same design must have consistent cost (geometry).
-                    if (drafts[i].cost.usd() - cost.usd()).abs() > 1e-6 {
-                        return Err(ArchError::InvalidArchitecture {
-                            reason: format!(
-                                "{kind} design {name:?} is defined with conflicting \
-                                 geometry across systems"
-                            ),
-                        });
-                    }
-                    i
-                }
-                None => {
-                    drafts.push(EntityDraft {
-                        kind,
-                        name: name.clone(),
-                        cost,
-                        uses: Vec::new(),
-                    });
-                    index.insert(key, drafts.len() - 1);
-                    drafts.len() - 1
-                }
-            };
-            // Systems are added in order, so a system that already uses
-            // the artifact is its last user: repeated uses (a module placed
-            // twice) add up in place.
-            let users = &mut drafts[idx].uses;
-            match users.last_mut() {
-                Some((last, total)) if *last == system => *total += uses,
-                _ => users.push((system, uses)),
+        let groups_of = |j: usize| &groups[bounds[j]..bounds[j + 1]];
+        // `System::total_silicon`, from the resolved die areas.
+        let silicon = |j: usize| -> Result<Area, ArchError> {
+            let mut total = Area::ZERO;
+            for &(d, count) in groups_of(j) {
+                total += designs.list[d as usize].die_area.clone()? * count as f64;
             }
-            Ok(())
+            Ok(total)
         };
 
-        for (system, s) in (0u32..).zip(&self.systems) {
-            // Module and chip designs.
-            for (chip, count) in s.chips() {
-                let node = lib.node(chip.node().as_str())?;
-                let die_area = chip.die_area(lib)?;
-                add_use(
-                    &mut drafts,
-                    &mut index,
-                    NreEntityKind::Chip,
-                    chip.name().to_string(),
-                    chip_level_nre(node, die_area),
-                    system,
-                    *count as f64,
-                )?;
-                for m in chip.modules() {
-                    add_use(
-                        &mut drafts,
-                        &mut index,
-                        NreEntityKind::Module,
-                        format!("{}@{}", m.name(), m.node()),
-                        module_design_cost(node, m.area()),
-                        system,
-                        *count as f64,
-                    )?;
-                }
-                // D2D interface design, once per node.
-                if chip.is_chiplet() {
-                    add_use(
-                        &mut drafts,
-                        &mut index,
-                        NreEntityKind::D2d,
-                        format!("d2d@{}", chip.node()),
-                        d2d_nre(node),
-                        system,
-                        *count as f64,
-                    )?;
+        // --- Shared package designs: group, validate, size. ---------------
+        let mut design_silicon: BTreeMap<&str, (Area, IntegrationKind)> = BTreeMap::new();
+        for (j, s) in systems.iter().enumerate() {
+            if let Some(design) = s.package_design() {
+                let silicon = silicon(j)?;
+                let (max, kind) = design_silicon
+                    .entry(design)
+                    .or_insert((Area::ZERO, s.integration()));
+                *max = max.max(silicon);
+                if *kind != s.integration() {
+                    return Err(ArchError::InvalidArchitecture {
+                        reason: format!(
+                            "package design {design:?} is shared across different \
+                             integration kinds ({kind} and {})",
+                            s.integration()
+                        ),
+                    });
                 }
             }
-            // Package design.
-            let packaging = lib.packaging(s.integration())?;
-            let (pkg_name, silicon_basis) = match s.package_design() {
-                Some(design) => (design.to_string(), design_silicon[design]),
-                None => (format!("pkg:{}", s.name()), s.total_silicon(lib)?),
-            };
-            add_use(
-                &mut drafts,
-                &mut index,
-                NreEntityKind::Package,
-                pkg_name,
-                package_nre_for_silicon(packaging, silicon_basis)?,
-                system,
-                1.0,
-            )?;
         }
 
-        // Compile the plan: each artifact's users in system-name order,
-        // then each system's artifacts in draft order.
-        let mut members = vec![Vec::new(); names.len()];
-        for (d, draft) in (0u32..).zip(&mut drafts) {
-            draft
-                .uses
-                .sort_unstable_by(|a, b| names[a.0 as usize].cmp(&names[b.0 as usize]));
+        // --- Per-system RE: `System::re_cost` from the resolved designs. ---
+        let mut re = Vec::with_capacity(systems.len());
+        let mut placements = Vec::new();
+        for (j, s) in systems.iter().enumerate() {
+            let packaging = lib.packaging(s.integration())?;
+            placements.clear();
+            for &(d, count) in groups_of(j) {
+                let (node, die_area) = designs.list[d as usize].resolved()?;
+                placements.push(DiePlacement::new(node, die_area, count));
+            }
+            let over = s
+                .package_design()
+                .map(|d| design_silicon[d].0)
+                .filter(|a| !a.is_zero());
+            re.push(re_cost_sized(&placements, packaging, flow, over)?);
+        }
+
+        // --- NRE drafts with usage-weighted allocation. -------------------
+        // Each artifact collects (system index, uses); weight = uses × quantity.
+        // First every draft is resolved in first-use order, the order the
+        // drafts are listed in and the order a conflict is found in: each
+        // chip design's chip, module and D2D drafts (one run of
+        // `design_drafts` per design) and each system's package.
+        let mut drafts = DraftTable::default();
+        let mut design_drafts: Vec<u32> = Vec::new();
+        let mut runs: Vec<Option<(usize, usize)>> = vec![None; designs.list.len()];
+        let mut package_draft = Vec::with_capacity(systems.len());
+        for (j, s) in systems.iter().enumerate() {
+            for &(d, _) in groups_of(j) {
+                if runs[d as usize].is_none() {
+                    let start = design_drafts.len();
+                    designs.list[d as usize].resolve_drafts(&mut drafts, &mut design_drafts)?;
+                    runs[d as usize] = Some((start, design_drafts.len()));
+                }
+            }
+            let packaging = lib.packaging(s.integration())?;
+            let silicon_basis = match s.package_design() {
+                Some(design) => {
+                    drafts.key().push_str(design);
+                    design_silicon[design].0
+                }
+                None => {
+                    let key = drafts.key();
+                    key.push_str("pkg:");
+                    key.push_str(s.name());
+                    silicon(j)?
+                }
+            };
+            let cost = package_nre_for_silicon(packaging, silicon_basis)?;
+            package_draft.push(drafts.resolve(NreEntityKind::Package, cost)?);
+        }
+        // Then the uses, system by system in name order, so every artifact
+        // lists its users in name order: the order its allocation weight is
+        // summed in.
+        for &j in &by_name {
+            for &(d, count) in groups_of(j as usize) {
+                let (start, end) = runs[d as usize].expect("every design was resolved");
+                for &draft in &design_drafts[start..end] {
+                    drafts.add_use(draft, j, count as f64);
+                }
+            }
+            drafts.add_use(package_draft[j as usize], j, 1.0);
+        }
+
+        // Compile the plan: each system's artifacts in draft order.
+        let drafts = drafts.finish();
+        let mut used = vec![0; systems.len()];
+        for &(system, _) in drafts.iter().flat_map(|draft| &draft.uses) {
+            used[system as usize] += 1;
+        }
+        let mut members: Vec<Vec<(u32, f64)>> = used.into_iter().map(Vec::with_capacity).collect();
+        for (d, draft) in (0u32..).zip(&drafts) {
             for &(system, uses) in &draft.uses {
                 members[system as usize].push((d, uses));
             }
         }
 
         Ok(PortfolioCore {
-            names,
-            quantities: self.systems.iter().map(System::quantity).collect(),
-            re: re_by_system,
+            names: systems.iter().map(|s| s.name().to_string()).collect(),
+            quantities: systems.iter().map(System::quantity).collect(),
+            re,
             drafts,
             members,
         })
@@ -658,7 +777,8 @@ mod tests {
     use crate::chip::Chip;
     use crate::module::Module;
     use crate::reuse::{FsmcSpec, OcmeSpec, ScmsSpec};
-    use actuary_tech::{IntegrationKind, NodeId};
+    use crate::system::SystemBuilder;
+    use actuary_tech::NodeId;
     use proptest::prelude::*;
 
     fn area(mm2: f64) -> Area {
@@ -1183,6 +1303,628 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// The string-keyed [`Portfolio::core`] from before design interning,
+    /// kept as the differential oracle for the interned one: every chip
+    /// occurrence looks up its node and die area again, and every artifact
+    /// use formats and allocates its key.
+    fn oracle_core(
+        portfolio: &Portfolio,
+        lib: &TechLibrary,
+        flow: AssemblyFlow,
+    ) -> Result<PortfolioCore, ArchError> {
+        if portfolio.systems.is_empty() {
+            return Err(ArchError::InvalidArchitecture {
+                reason: "portfolio has no systems".to_string(),
+            });
+        }
+        // --- Uniqueness of system names. ---------------------------------
+        {
+            let mut seen = BTreeMap::new();
+            for s in &portfolio.systems {
+                if seen.insert(s.name().to_string(), ()).is_some() {
+                    return Err(ArchError::InvalidArchitecture {
+                        reason: format!("duplicate system name {:?}", s.name()),
+                    });
+                }
+            }
+        }
+
+        // --- Shared package designs: group, validate, size. ---------------
+        let mut design_silicon: BTreeMap<String, Area> = BTreeMap::new();
+        let mut design_kind: BTreeMap<String, actuary_tech::IntegrationKind> = BTreeMap::new();
+        for s in &portfolio.systems {
+            if let Some(design) = s.package_design() {
+                let silicon = s.total_silicon(lib)?;
+                let entry = design_silicon
+                    .entry(design.to_string())
+                    .or_insert(Area::ZERO);
+                *entry = entry.max(silicon);
+                match design_kind.get(design) {
+                    None => {
+                        design_kind.insert(design.to_string(), s.integration());
+                    }
+                    Some(kind) if *kind != s.integration() => {
+                        return Err(ArchError::InvalidArchitecture {
+                            reason: format!(
+                                "package design {design:?} is shared across different \
+                                 integration kinds ({kind} and {})",
+                                s.integration()
+                            ),
+                        });
+                    }
+                    Some(_) => {}
+                }
+            }
+        }
+
+        // --- Per-system RE. -------------------------------------------------
+        let mut re_by_system: Vec<ReCostBreakdown> = Vec::with_capacity(portfolio.systems.len());
+        for s in &portfolio.systems {
+            let over = s
+                .package_design()
+                .map(|d| design_silicon[d])
+                .filter(|a| !a.is_zero());
+            re_by_system.push(s.re_cost(lib, flow, over)?);
+        }
+
+        // --- NRE entities with usage-weighted allocation. -------------------
+        // Each artifact collects (system index, uses); weight = uses × quantity.
+        let names: Vec<String> = portfolio
+            .systems
+            .iter()
+            .map(|s| s.name().to_string())
+            .collect();
+        let mut drafts: Vec<EntityDraft> = Vec::new();
+        let mut index: BTreeMap<(NreEntityKind, String), usize> = BTreeMap::new();
+
+        let add_use = |drafts: &mut Vec<EntityDraft>,
+                       index: &mut BTreeMap<(NreEntityKind, String), usize>,
+                       kind: NreEntityKind,
+                       name: String,
+                       cost: Money,
+                       system: u32,
+                       uses: f64|
+         -> Result<(), ArchError> {
+            let key = (kind, name.clone());
+            let idx = match index.get(&key) {
+                Some(&i) => {
+                    // Same design must have consistent cost (geometry).
+                    if (drafts[i].cost.usd() - cost.usd()).abs() > 1e-6 {
+                        return Err(ArchError::InvalidArchitecture {
+                            reason: format!(
+                                "{kind} design {name:?} is defined with conflicting \
+                                 geometry across systems"
+                            ),
+                        });
+                    }
+                    i
+                }
+                None => {
+                    drafts.push(EntityDraft {
+                        kind,
+                        name: name.clone(),
+                        cost,
+                        uses: Vec::new(),
+                    });
+                    index.insert(key, drafts.len() - 1);
+                    drafts.len() - 1
+                }
+            };
+            // Systems are added in order, so a system that already uses
+            // the artifact is its last user: repeated uses (a module placed
+            // twice) add up in place.
+            let users = &mut drafts[idx].uses;
+            match users.last_mut() {
+                Some((last, total)) if *last == system => *total += uses,
+                _ => users.push((system, uses)),
+            }
+            Ok(())
+        };
+
+        for (system, s) in (0u32..).zip(&portfolio.systems) {
+            // Module and chip designs.
+            for (chip, count) in s.chips() {
+                let node = lib.node(chip.node().as_str())?;
+                let die_area = chip.die_area(lib)?;
+                add_use(
+                    &mut drafts,
+                    &mut index,
+                    NreEntityKind::Chip,
+                    chip.name().to_string(),
+                    chip_level_nre(node, die_area),
+                    system,
+                    *count as f64,
+                )?;
+                for m in chip.modules() {
+                    add_use(
+                        &mut drafts,
+                        &mut index,
+                        NreEntityKind::Module,
+                        format!("{}@{}", m.name(), m.node()),
+                        module_design_cost(node, m.area()),
+                        system,
+                        *count as f64,
+                    )?;
+                }
+                // D2D interface design, once per node.
+                if chip.is_chiplet() {
+                    add_use(
+                        &mut drafts,
+                        &mut index,
+                        NreEntityKind::D2d,
+                        format!("d2d@{}", chip.node()),
+                        d2d_nre(node),
+                        system,
+                        *count as f64,
+                    )?;
+                }
+            }
+            // Package design.
+            let packaging = lib.packaging(s.integration())?;
+            let (pkg_name, silicon_basis) = match s.package_design() {
+                Some(design) => (design.to_string(), design_silicon[design]),
+                None => (format!("pkg:{}", s.name()), s.total_silicon(lib)?),
+            };
+            add_use(
+                &mut drafts,
+                &mut index,
+                NreEntityKind::Package,
+                pkg_name,
+                package_nre_for_silicon(packaging, silicon_basis)?,
+                system,
+                1.0,
+            )?;
+        }
+
+        // Compile the plan: each artifact's users in system-name order,
+        // then each system's artifacts in draft order.
+        let mut members = vec![Vec::new(); names.len()];
+        for (d, draft) in (0u32..).zip(&mut drafts) {
+            draft
+                .uses
+                .sort_unstable_by(|a, b| names[a.0 as usize].cmp(&names[b.0 as usize]));
+            for &(system, uses) in &draft.uses {
+                members[system as usize].push((d, uses));
+            }
+        }
+
+        Ok(PortfolioCore {
+            names,
+            quantities: portfolio.systems.iter().map(System::quantity).collect(),
+            re: re_by_system,
+            drafts,
+            members,
+        })
+    }
+    /// Every number and identity of a core as labelled lines, with `f64`s
+    /// as raw bits: names, quantities, RE components, members, and every
+    /// draft's kind, name, cost and uses.
+    fn core_lines(core: &PortfolioCore) -> Vec<String> {
+        let mut out = Vec::new();
+        for (j, name) in core.names.iter().enumerate() {
+            let q = core.quantities[j].as_f64().to_bits();
+            out.push(format!("system {j} {name:?} quantity {q:#x}"));
+            for (label, value) in core.re[j].components() {
+                out.push(format!(
+                    "system {j} re {label} {:#x}",
+                    value.usd().to_bits()
+                ));
+            }
+            for &(d, uses) in &core.members[j] {
+                out.push(format!("system {j} member {d} {:#x}", uses.to_bits()));
+            }
+        }
+        for (d, draft) in core.drafts.iter().enumerate() {
+            let cost = draft.cost.usd().to_bits();
+            out.push(format!(
+                "draft {d} {} {:?} {cost:#x}",
+                draft.kind, draft.name
+            ));
+            for &(j, uses) in &draft.uses {
+                out.push(format!("draft {d} use {j} {:#x}", uses.to_bits()));
+            }
+        }
+        out
+    }
+
+    /// The interned core equals the oracle line for line on success, and
+    /// fails with the identical error (value and text) otherwise.
+    fn same_as_oracle(portfolio: &Portfolio, flow: AssemblyFlow) -> TestCaseResult {
+        let lib = lib();
+        match (
+            portfolio.core(&lib, flow),
+            oracle_core(portfolio, &lib, flow),
+        ) {
+            (Ok(core), Ok(oracle)) => {
+                let (core, oracle) = (core_lines(&core), core_lines(&oracle));
+                prop_assert_eq!(core.len(), oracle.len());
+                for (core, oracle) in core.iter().zip(&oracle) {
+                    prop_assert_eq!(core, oracle);
+                }
+            }
+            (Err(err), Err(oracle)) => {
+                prop_assert_eq!(err.to_string(), oracle.to_string());
+                prop_assert_eq!(err, oracle);
+            }
+            (core, oracle) => prop_assert!(
+                false,
+                "core {:?} but oracle {:?}",
+                core.map(|c| c.len()),
+                oracle.map(|c| c.len())
+            ),
+        }
+        Ok(())
+    }
+
+    /// A chip recipe: (name, node, kind, modules as (name, node, area)),
+    /// each a selector into the menus below. Kind 0 is a monolithic die,
+    /// any other a chiplet.
+    type ChipRecipe = (usize, usize, usize, Vec<(usize, usize, usize)>);
+
+    /// Selector 0 is a node the library lacks.
+    fn recipe_node(sel: usize) -> &'static str {
+        if sel == 0 {
+            "9nm"
+        } else {
+            ["7nm", "14nm", "5nm"][sel % 3]
+        }
+    }
+
+    /// Selector 0 makes a die too large for the wafer.
+    fn recipe_area(sel: usize) -> Area {
+        area(if sel == 0 {
+            12_000.0
+        } else {
+            [40.0, 80.0, 120.0, 150.0, 300.0][sel % 5]
+        })
+    }
+
+    /// Chip `i` of the pool: names `c` and `d` recur across recipes (same
+    /// name, maybe other geometry), any other name is the recipe's own.
+    /// Modules named `m` recur too; module node selector 0 puts a module
+    /// on another node than its chip.
+    fn build_chip(i: usize, (name, node, kind, modules): &ChipRecipe) -> Chip {
+        let name = match name {
+            0 => "c".to_string(),
+            1 => "d".to_string(),
+            _ => format!("c{i}"),
+        };
+        let node = recipe_node(*node);
+        let modules = modules
+            .iter()
+            .enumerate()
+            .map(|(k, &(m, node_sel, a))| {
+                let m_name = if m == 0 {
+                    "m".to_string()
+                } else {
+                    format!("m{i}.{k}")
+                };
+                let m_node = match (node_sel, node) {
+                    (0, "7nm") => "14nm",
+                    (0, _) => "7nm",
+                    _ => node,
+                };
+                Module::new(m_name, m_node, recipe_area(a))
+            })
+            .collect();
+        if *kind != 0 {
+            Chip::chiplet(name, node, modules)
+        } else {
+            Chip::monolithic(name, node, modules)
+        }
+    }
+
+    /// A system recipe: (name selector, integration, package design,
+    /// quantity, groups as (chip recipe, shared by clone?, count)).
+    type SystemRecipe = (usize, usize, usize, u64, Vec<(usize, bool, u32)>);
+
+    /// Builds a portfolio from recipes: a group either clones the pool's
+    /// chip (one shared design) or rebuilds it from its recipe (an equal,
+    /// separate chip). Systems the builder rejects (a monolithic die in a
+    /// multi-chip package) are left out.
+    fn build_portfolio(pool: &[ChipRecipe], systems: &[SystemRecipe]) -> Portfolio {
+        let chips: Vec<Chip> = pool
+            .iter()
+            .enumerate()
+            .map(|(i, r)| build_chip(i, r))
+            .collect();
+        let packages = [
+            None,
+            None,
+            None,
+            None,
+            Some("pkg-a"),
+            Some("pkg-b"),
+            Some("pkg:s0"),
+        ];
+        let mut out = Vec::new();
+        for (j, (name_sel, integration, package, quantity, groups)) in systems.iter().enumerate() {
+            // Names out of sorted order, and now and then a duplicate.
+            let name = if *name_sel == 0 {
+                "s0".to_string()
+            } else {
+                format!("s{}", (j * 7) % 10)
+            };
+            let integration = IntegrationKind::ALL[*integration];
+            let mut builder = System::builder(name, integration).quantity(Quantity::new(*quantity));
+            // A SoC package carries exactly one die.
+            let groups = if integration.is_multi_chip() {
+                &groups[..]
+            } else {
+                &groups[..1]
+            };
+            for &(recipe, shared, count) in groups {
+                let count = if integration.is_multi_chip() {
+                    count
+                } else {
+                    1
+                };
+                let recipe = recipe % pool.len();
+                let chip = if shared {
+                    chips[recipe].clone()
+                } else {
+                    build_chip(recipe, &pool[recipe])
+                };
+                builder = builder.chip(chip, count);
+            }
+            if let Some(design) = packages[*package] {
+                builder = builder.package_design(design);
+            }
+            if let Ok(system) = builder.build() {
+                out.push(system);
+            }
+        }
+        Portfolio::new(out)
+    }
+
+    #[test]
+    fn interned_core_matches_the_oracle_on_each_hand_built_case() {
+        let lib = lib();
+        let m7 = Module::new("m", "7nm", area(100.0));
+        let shared = Chip::chiplet("c", "7nm", vec![m7.clone()]);
+        let mcm = |name: &str, chips: Vec<(Chip, u32)>| {
+            let mut b = System::builder(name, IntegrationKind::Mcm).quantity(Quantity::new(1000));
+            for (chip, n) in chips {
+                b = b.chip(chip, n);
+            }
+            b
+        };
+        let build = |systems: Vec<SystemBuilder>| {
+            Portfolio::new(systems.into_iter().map(|b| b.build().unwrap()).collect())
+        };
+        let cases: Vec<(&str, Portfolio)> = vec![
+            (
+                "shared by clone, and equal chips rebuilt separately",
+                build(vec![
+                    mcm("b", vec![(shared.clone(), 2)]),
+                    mcm(
+                        "a",
+                        vec![(shared.clone(), 1), (chiplet("c", "m", 100.0), 3)],
+                    ),
+                ]),
+            ),
+            (
+                "same name, different geometry",
+                build(vec![
+                    mcm("a", vec![(shared.clone(), 1)]),
+                    mcm("b", vec![(chiplet("c", "m", 200.0), 1)]),
+                ]),
+            ),
+            (
+                "same name and die area, other module",
+                build(vec![
+                    mcm("a", vec![(shared.clone(), 1)]),
+                    mcm("b", vec![(chiplet("c", "m2", 100.0), 2)]),
+                ]),
+            ),
+            (
+                "one module name at two nodes",
+                build(vec![
+                    mcm("a", vec![(shared.clone(), 1)]),
+                    mcm(
+                        "b",
+                        vec![(
+                            Chip::chiplet(
+                                "c14",
+                                "14nm",
+                                vec![Module::new("m", "14nm", area(100.0))],
+                            ),
+                            1,
+                        )],
+                    ),
+                ]),
+            ),
+            (
+                "one module name and node, other area",
+                build(vec![
+                    mcm("a", vec![(shared.clone(), 1)]),
+                    mcm("b", vec![(chiplet("c2", "m", 120.0), 1)]),
+                ]),
+            ),
+            (
+                "package designs",
+                build(vec![
+                    mcm("1x", vec![(shared.clone(), 1)]).package_design("pkg"),
+                    mcm("4x", vec![(shared.clone(), 4)]).package_design("pkg"),
+                    mcm("solo", vec![(shared.clone(), 2)]),
+                ]),
+            ),
+            (
+                "mixed-integration package design",
+                build(vec![
+                    mcm("a", vec![(shared.clone(), 1)]).package_design("pkg"),
+                    System::builder("b", IntegrationKind::TwoPointFiveD)
+                        .chip(shared.clone(), 2)
+                        .package_design("pkg"),
+                ]),
+            ),
+            (
+                "duplicate system names",
+                build(vec![
+                    mcm("b", vec![(shared.clone(), 1)]),
+                    mcm("a", vec![(shared.clone(), 2)]),
+                    mcm("a", vec![(shared.clone(), 3)]),
+                    mcm("b", vec![(shared.clone(), 4)]),
+                ]),
+            ),
+            (
+                "unknown node",
+                build(vec![mcm(
+                    "a",
+                    vec![(
+                        Chip::chiplet("x", "9nm", vec![Module::new("m", "9nm", area(50.0))]),
+                        1,
+                    )],
+                )]),
+            ),
+            (
+                "module/chip node mismatch",
+                build(vec![mcm(
+                    "a",
+                    vec![(Chip::chiplet("x", "5nm", vec![m7.clone()]), 1)],
+                )]),
+            ),
+            (
+                "die over the wafer limit",
+                build(vec![mcm("a", vec![(chiplet("big", "m", 12_000.0), 1)])]),
+            ),
+        ];
+        for (label, portfolio) in &cases {
+            for flow in [AssemblyFlow::ChipLast, AssemblyFlow::ChipFirst] {
+                if let Err(e) = same_as_oracle(portfolio, flow) {
+                    panic!("{label} ({flow}): {e}");
+                }
+            }
+        }
+        let core = |label: &str| {
+            let (_, p) = cases.iter().find(|(l, _)| *l == label).unwrap();
+            p.core(&lib, AssemblyFlow::ChipLast)
+        };
+        let err = |label: &str| core(label).unwrap_err().to_string();
+        // A clone and an equal rebuilt chip are one chip design.
+        let both = core("shared by clone, and equal chips rebuilt separately").unwrap();
+        let kinds: Vec<_> = both
+            .drafts
+            .iter()
+            .map(|d| (d.kind, d.name.as_str()))
+            .collect();
+        assert_eq!(
+            kinds,
+            [
+                (NreEntityKind::Chip, "c"),
+                (NreEntityKind::Module, "m@7nm"),
+                (NreEntityKind::D2d, "d2d@7nm"),
+                (NreEntityKind::Package, "pkg:b"),
+                (NreEntityKind::Package, "pkg:a"),
+            ]
+        );
+        assert_eq!(both.drafts[0].uses, [(1, 4.0), (0, 2.0)]);
+        assert!(err("same name, different geometry").contains("chip design \"c\""));
+        // Same chip cost, so one chip draft, but each design keeps its module.
+        let other = core("same name and die area, other module").unwrap();
+        let names: Vec<_> = other.drafts.iter().map(|d| d.name.as_str()).collect();
+        assert_eq!(names, ["c", "m@7nm", "d2d@7nm", "pkg:a", "m2@7nm", "pkg:b"]);
+        // The same module name at two nodes is two designs, each with the
+        // NRE of its own node.
+        let two = core("one module name at two nodes").unwrap();
+        for node in ["7nm", "14nm"] {
+            let draft = two
+                .drafts
+                .iter()
+                .find(|d| d.name == format!("m@{node}"))
+                .unwrap();
+            assert_eq!(draft.kind, NreEntityKind::Module);
+            assert_eq!(
+                draft.cost,
+                module_design_cost(lib.node(node).unwrap(), area(100.0))
+            );
+        }
+        // Area is not part of a module's identity: the same name and node
+        // with another area is a conflicting definition.
+        let conflict = err("one module name and node, other area");
+        assert!(conflict.contains("module design \"m@7nm\""), "{conflict}");
+        // A package design shared by two systems is one artifact.
+        let packaged = core("package designs").unwrap();
+        let packages: Vec<_> = packaged
+            .drafts
+            .iter()
+            .filter(|d| d.kind == NreEntityKind::Package)
+            .map(|d| (d.name.as_str(), d.uses.len()))
+            .collect();
+        assert_eq!(packages, [("pkg", 2), ("pkg:solo", 1)]);
+        assert!(err("mixed-integration package design").contains("integration kinds"));
+        assert!(err("duplicate system names").contains("duplicate system name \"a\""));
+        assert!(err("unknown node").contains("9nm"));
+        assert!(err("module/chip node mismatch").contains("designed at 7nm"));
+        let too_large = err("die over the wafer limit");
+        assert!(too_large.contains("13333.33"), "{too_large}");
+        assert!(too_large.contains("exceeds the 10783."), "{too_large}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The interned core is line-for-line the string-keyed oracle on
+        /// generated SCMS, OCME and FSMC families and their SoC baselines,
+        /// at both flows; oversized 2.5D families fail with the same error.
+        #[test]
+        fn interned_core_matches_the_oracle_on_generated_families(
+            family in (0u32..3, proptest::bool::ANY, 10.0f64..400.0, 0usize..3, 0usize..3),
+            reuse in (
+                proptest::collection::vec(1u32..13, 1..6),
+                proptest::bool::ANY,
+                proptest::bool::ANY,
+            ),
+            fsmc in (1u32..=4, 1u32..=6),
+            variant in (proptest::bool::ANY, 0u32..4),
+        ) {
+            let (chip_first, oversized) = variant;
+            // One case in four scales the area up to 4,800 mm²: SoC dies
+            // and 2.5D interposers then outgrow the wafer.
+            let (scheme, soc, area_mm2, node, integration) = family;
+            let area_mm2 = if oversized == 0 { area_mm2 * 12.0 } else { area_mm2 };
+            let family = (scheme, soc, area_mm2, node, integration);
+            let portfolio = generated_family(family, &reuse, fsmc)
+                .map_err(|e| TestCaseError::fail(e.to_string()))?;
+            let flow = if chip_first { AssemblyFlow::ChipFirst } else { AssemblyFlow::ChipLast };
+            same_as_oracle(&portfolio, flow)?;
+        }
+
+        /// The same on random hand-built portfolios: chips shared by clone
+        /// and equal chips rebuilt, same-name chips of other geometry, one
+        /// module name at two nodes, package designs (some shared across
+        /// integrations, one named like a system's own package), duplicate
+        /// system names, an unknown node, module/chip node mismatches and
+        /// dies over the wafer limit.
+        #[test]
+        fn interned_core_matches_the_oracle_on_random_portfolios(
+            pool in proptest::collection::vec(
+                (
+                    0usize..5,
+                    0usize..20,
+                    0usize..6,
+                    proptest::collection::vec((0usize..4, 0usize..32, 0usize..24), 1..4),
+                ),
+                1..6,
+            ),
+            systems in proptest::collection::vec(
+                (
+                    0usize..16,
+                    0usize..4,
+                    0usize..7,
+                    1u64..2_000_000,
+                    proptest::collection::vec((0usize..6, proptest::bool::ANY, 1u32..4), 1..4),
+                ),
+                1..7,
+            ),
+            chip_first in proptest::bool::ANY,
+        ) {
+            let portfolio = build_portfolio(&pool, &systems);
+            let flow = if chip_first { AssemblyFlow::ChipFirst } else { AssemblyFlow::ChipLast };
+            same_as_oracle(&portfolio, flow)?;
         }
     }
 }

@@ -13,6 +13,8 @@
 //!   Figure 10): `n` chiplet types in a `k`-socket package build every
 //!   multiset collocation.
 
+use std::fmt::{self, Write};
+
 use actuary_tech::{IntegrationKind, NodeId};
 use actuary_units::{Area, Quantity};
 
@@ -201,11 +203,10 @@ impl ScmsSpec {
                 reason: "SCMS needs at least one system multiplicity".to_string(),
             });
         }
+        let module = Module::new("scms-module", self.node.clone(), self.chiplet_module_area);
         let mut systems = Vec::with_capacity(self.multiplicities.len());
         for &m in &self.multiplicities {
-            let modules = (0..m)
-                .map(|_| Module::new("scms-module", self.node.clone(), self.chiplet_module_area))
-                .collect();
+            let modules = vec![module.clone(); m as usize];
             let die = Chip::monolithic(format!("scms-soc-{m}x"), self.node.clone(), modules);
             systems.push(
                 System::builder(format!("{m}X-soc"), IntegrationKind::Soc)
@@ -334,27 +335,17 @@ impl OcmeSpec {
             ("C+1X+1Y", 1, 1),
             ("C+2X+2Y", 2, 2),
         ];
+        let module = |name: &str| Module::new(name, self.node.clone(), self.socket_module_area);
+        let (center, x, y) = (
+            module("ocme-center-m"),
+            module("ocme-ext-X-m"),
+            module("ocme-ext-Y-m"),
+        );
         let mut systems = Vec::with_capacity(configs.len());
         for (name, nx, ny) in configs {
-            let mut modules = vec![Module::new(
-                "ocme-center-m",
-                self.node.clone(),
-                self.socket_module_area,
-            )];
-            for _ in 0..nx {
-                modules.push(Module::new(
-                    "ocme-ext-X-m",
-                    self.node.clone(),
-                    self.socket_module_area,
-                ));
-            }
-            for _ in 0..ny {
-                modules.push(Module::new(
-                    "ocme-ext-Y-m",
-                    self.node.clone(),
-                    self.socket_module_area,
-                ));
-            }
+            let mut modules = vec![center.clone()];
+            modules.extend(std::iter::repeat_n(&x, nx as usize).cloned());
+            modules.extend(std::iter::repeat_n(&y, ny as usize).cloned());
             let die = Chip::monolithic(format!("ocme-soc-{name}"), self.node.clone(), modules);
             systems.push(
                 System::builder(format!("{name}-soc"), IntegrationKind::Soc)
@@ -418,7 +409,7 @@ impl FsmcSpec {
 
     /// The chiplet design for type `t` (0-based; labelled `A`, `B`, …).
     pub fn chiplet(&self, t: u32) -> Chip {
-        let label = type_label(t);
+        let label = TypeLabel(t);
         Chip::chiplet(
             format!("fsmc-chip-{label}"),
             self.node.clone(),
@@ -441,8 +432,7 @@ impl FsmcSpec {
         let mut systems = Vec::new();
         for size in 1..=self.sockets {
             for counts in multisets(self.chiplet_types, size) {
-                let name = collocation_name(&counts);
-                let mut builder = System::builder(&name, self.integration)
+                let mut builder = System::builder(collocation_name(&counts), self.integration)
                     .quantity(self.quantity_each)
                     .package_design("fsmc-pkg");
                 for (t, &count) in counts.iter().enumerate() {
@@ -463,19 +453,22 @@ impl FsmcSpec {
     ///
     /// Propagates system-construction errors.
     pub fn soc_portfolio(&self) -> Result<Portfolio, ArchError> {
+        let types: Vec<Module> = (0..self.chiplet_types)
+            .map(|t| {
+                Module::new(
+                    format!("fsmc-mod-{}", TypeLabel(t)),
+                    self.node.clone(),
+                    self.socket_module_area,
+                )
+            })
+            .collect();
         let mut systems = Vec::new();
         for size in 1..=self.sockets {
             for counts in multisets(self.chiplet_types, size) {
                 let name = collocation_name(&counts);
-                let mut modules = Vec::new();
-                for (t, &count) in counts.iter().enumerate() {
-                    for _ in 0..count {
-                        modules.push(Module::new(
-                            format!("fsmc-mod-{}", type_label(t as u32)),
-                            self.node.clone(),
-                            self.socket_module_area,
-                        ));
-                    }
+                let mut modules = Vec::with_capacity(size as usize);
+                for (module, &count) in types.iter().zip(&counts) {
+                    modules.extend(std::iter::repeat_n(module, count as usize).cloned());
                 }
                 let die = Chip::monolithic(format!("fsmc-soc-{name}"), self.node.clone(), modules);
                 systems.push(
@@ -491,24 +484,28 @@ impl FsmcSpec {
 }
 
 /// Letter label for a chiplet type index: `A`, `B`, …, `Z`, `T26`, ….
-fn type_label(t: u32) -> String {
-    if t < 26 {
-        char::from(b'A' + t as u8).to_string()
-    } else {
-        format!("T{t}")
+struct TypeLabel(u32);
+
+impl fmt::Display for TypeLabel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            t @ 0..26 => write!(f, "{}", char::from(b'A' + t as u8)),
+            t => write!(f, "T{t}"),
+        }
     }
 }
 
 /// Human-readable collocation name for a count vector, e.g. `[2,0,1]` →
 /// `"2A+1C"`.
 fn collocation_name(counts: &[u32]) -> String {
-    let parts: Vec<String> = counts
-        .iter()
-        .enumerate()
-        .filter(|(_, &c)| c > 0)
-        .map(|(t, &c)| format!("{c}{}", type_label(t as u32)))
-        .collect();
-    parts.join("+")
+    let mut name = String::new();
+    for (t, &c) in (0u32..).zip(counts).filter(|&(_, &c)| c > 0) {
+        if !name.is_empty() {
+            name.push('+');
+        }
+        write!(name, "{c}{}", TypeLabel(t)).expect("writing to a String cannot fail");
+    }
+    name
 }
 
 #[cfg(test)]
@@ -745,11 +742,14 @@ mod tests {
 
     #[test]
     fn labels() {
-        assert_eq!(type_label(0), "A");
-        assert_eq!(type_label(25), "Z");
-        assert_eq!(type_label(26), "T26");
+        assert_eq!(TypeLabel(0).to_string(), "A");
+        assert_eq!(TypeLabel(25).to_string(), "Z");
+        assert_eq!(TypeLabel(26).to_string(), "T26");
         assert_eq!(collocation_name(&[2, 0, 1]), "2A+1C");
         assert_eq!(collocation_name(&[0, 1]), "1B");
+        let mut wide = vec![0; 28];
+        (wide[0], wide[27]) = (1, 2);
+        assert_eq!(collocation_name(&wide), "1A+2T27");
     }
 
     #[test]

@@ -110,8 +110,9 @@ impl fmt::Display for Recommendation {
 /// breakdown and NRE entity totals of the configured system, computed once
 /// and re-amortizable over any production quantity.
 ///
-/// This is the expensive half of [`evaluate_candidate`] (yield models,
-/// wafer gridding); [`CandidateCore::at_quantity`] is the cheap half.
+/// This is the expensive half of [`evaluate_candidate`] (building the
+/// system, resolving its chip designs, RE and NRE artifacts);
+/// [`CandidateCore::at_quantity`] is the cheap half.
 /// Exploration grids cache cores keyed on geometry, which removes the
 /// quantity axis from the evaluation cost entirely.
 #[derive(Debug, Clone)]

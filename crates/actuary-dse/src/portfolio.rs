@@ -55,16 +55,22 @@
 //!
 //! # The cached RE core
 //!
-//! The expensive half of a cell (RE: yield models, wafer gridding; NRE
-//! entity totals) depends only on (scheme, node, per-socket area,
-//! integration, flow) — not on quantity, and not on which family member
-//! the cell reads out. The engine therefore evaluates one
-//! [`actuary_arch::PortfolioCore`] per distinct key and re-amortizes it
-//! per quantity, which removes the quantity axis (and the member axis of
-//! the reuse families) from the evaluation cost: on the default grid this
-//! is ~3× fewer full evaluations, with byte-identical output because
+//! The expensive half of a cell (per-system RE and the NRE entity totals)
+//! depends only on (scheme, node, per-socket area, integration, flow) —
+//! not on quantity, and not on which family member the cell reads out.
+//! The engine therefore evaluates one [`actuary_arch::PortfolioCore`] per
+//! distinct key and re-amortizes it per quantity, which removes the
+//! quantity axis (and the member axis of the reuse families) from the
+//! evaluation cost: on the default grid this is ~3× fewer full
+//! evaluations, with byte-identical output because
 //! [`actuary_arch::Portfolio::cost`] itself is core + amortize.
 //! [`CorePolicy::Uncached`] keeps the reference path alive for tests.
+//!
+//! Inside one core the cost is design bookkeeping, not die math (a die's
+//! yield and raw cost take tens of nanoseconds). A reuse family's members
+//! share a few chip designs — FSMC 4x4 builds 69 systems from 4 chiplets
+//! — and [`actuary_arch::Portfolio::core`] resolves each distinct design
+//! once per core: node, die area, NRE costs and artifact indices.
 //!
 //! The amortization pass is structured struct-of-arrays over the cells
 //! sharing one core: every core walks its own cell list contiguously and

@@ -72,10 +72,10 @@ impl TechLibrary {
     ///
     /// Returns [`TechError::UnknownNode`] if the id is not registered.
     pub fn node(&self, id: impl AsRef<str>) -> Result<&ProcessNode, TechError> {
-        let key = NodeId::new(id.as_ref());
-        self.nodes.get(&key).ok_or_else(|| TechError::UnknownNode {
-            id: key.to_string(),
-        })
+        let id = id.as_ref();
+        self.nodes
+            .get(id)
+            .ok_or_else(|| TechError::UnknownNode { id: id.to_string() })
     }
 
     /// Looks up a packaging technology.

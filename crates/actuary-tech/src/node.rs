@@ -1,3 +1,4 @@
+use std::borrow::Borrow;
 use std::fmt;
 
 use actuary_units::{Area, Money, Prob};
@@ -52,6 +53,14 @@ impl From<String> for NodeId {
 
 impl AsRef<str> for NodeId {
     fn as_ref(&self) -> &str {
+        &self.0
+    }
+}
+
+/// A `NodeId` orders, compares and hashes exactly as its string, so maps
+/// keyed on ids can be searched with a borrowed `&str`.
+impl Borrow<str> for NodeId {
+    fn borrow(&self) -> &str {
         &self.0
     }
 }

@@ -164,7 +164,7 @@ impl WaferSpec {
         if (2.0 * s_eff).sqrt() > d {
             return Err(YieldError::DieTooLarge {
                 die_mm2: die.mm2(),
-                limit_mm2: self.usable_area().mm2(),
+                limit_mm2: self.largest_die_mm2(),
             });
         }
         let gross = std::f64::consts::PI * (d / 2.0) * (d / 2.0) / s_eff;
@@ -201,10 +201,19 @@ impl WaferSpec {
         if dpw <= 0.0 {
             return Err(YieldError::DieTooLarge {
                 die_mm2: die.mm2(),
-                limit_mm2: self.usable_area().mm2(),
+                limit_mm2: self.largest_die_mm2(),
             });
         }
         Ok(wafer_price / dpw)
+    }
+
+    /// The largest die area, in mm², with a positive analytic
+    /// dies-per-wafer: `π·d²/(4·S) > π·d/√(2·S)` holds exactly while
+    /// `S_eff < d²/8`, i.e. while the die side plus the scribe lane stays
+    /// under `d/√8`. Both `DieTooLarge` errors report this bound.
+    fn largest_die_mm2(self) -> f64 {
+        let side = (self.usable_diameter_mm() / 8f64.sqrt() - self.scribe_lane_mm).max(0.0);
+        side * side
     }
 }
 
@@ -280,6 +289,27 @@ mod tests {
             Err(YieldError::DieTooLarge { .. })
         ));
         assert!(w.dies_per_wafer(Area::ZERO).is_err());
+    }
+
+    #[test]
+    fn die_too_large_names_the_largest_die_the_formula_prices() {
+        let w = WaferSpec::mm300().unwrap();
+        let price = Money::from_usd(9_346.0).unwrap();
+        let limit = w.largest_die_mm2();
+        assert!((limit - (294.0 / 8f64.sqrt() - 0.1).powi(2)).abs() < 1e-9);
+        assert!(limit > 10_700.0 && limit < 10_800.0, "{limit}");
+        assert!(w.raw_die_cost(price, area(limit - 0.01)).is_ok());
+        for die in [limit + 0.01, 12_000.0, 80_000.0] {
+            let err = w.raw_die_cost(price, area(die)).unwrap_err();
+            assert_eq!(
+                err,
+                YieldError::DieTooLarge {
+                    die_mm2: die,
+                    limit_mm2: limit,
+                }
+            );
+            assert!(err.to_string().contains(&format!("the {limit} mm² limit")));
+        }
     }
 
     #[test]
