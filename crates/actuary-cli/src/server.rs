@@ -71,6 +71,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
+use actuary_dse::cache::{CacheStats, Lru};
 use actuary_dse::portfolio::SharedCoreCache;
 use actuary_dse::refine::ExploreMode;
 use actuary_obs::clock::{self, Stopwatch, Tick};
@@ -337,10 +338,6 @@ impl ServerState {
     }
 }
 
-/// A counter family entry: metric name, help text, and the reader
-/// plucking that counter out of a cache's stats struct.
-type CounterSpec<S> = (&'static str, &'static str, fn(&S) -> u64);
-
 /// Joins both cache layers to the registry via collector callbacks: the
 /// caches keep owning their counters, and every snapshot (so both
 /// `/statz` and `/metricsz`) polls the live values.
@@ -349,60 +346,57 @@ fn register_cache_metrics(
     results: &Arc<ResultCache>,
     cores: &Arc<SharedCoreCache>,
 ) {
-    let result_counters: [CounterSpec<CacheCounters>; 3] = [
-        (
-            "actuary_result_cache_hits_total",
-            "Result-cache hits.",
-            |s| s.hits,
-        ),
-        (
-            "actuary_result_cache_misses_total",
-            "Result-cache misses.",
-            |s| s.misses,
-        ),
-        (
-            "actuary_result_cache_evictions_total",
-            "Result-cache LRU evictions.",
-            |s| s.evictions,
-        ),
-    ];
-    for (name, help, read) in result_counters {
-        let cache = Arc::clone(results);
-        registry.counter_fn(name, help, &[], move || read(&cache.stats()));
-    }
-    let entries = Arc::clone(results);
-    registry.gauge_fn(
-        "actuary_result_cache_entries",
-        "Cached runs resident in the result cache.",
-        &[],
-        move || entries.stats().entries as f64,
+    let results = Arc::clone(results);
+    register_cache_layer(
+        registry,
+        [
+            ("actuary_result_cache_hits_total", "Result-cache hits."),
+            ("actuary_result_cache_misses_total", "Result-cache misses."),
+            (
+                "actuary_result_cache_evictions_total",
+                "Result-cache LRU evictions.",
+            ),
+            (
+                "actuary_result_cache_entries",
+                "Cached runs resident in the result cache.",
+            ),
+        ],
+        move || results.stats(),
     );
-    let core_counters: [CounterSpec<actuary_dse::portfolio::CoreCacheStats>; 3] = [
-        ("actuary_core_cache_hits_total", "Core-cache hits.", |s| {
-            s.hits
-        }),
-        (
-            "actuary_core_cache_misses_total",
-            "Core-cache misses.",
-            |s| s.misses,
-        ),
-        (
-            "actuary_core_cache_evictions_total",
-            "Core-cache LRU evictions.",
-            |s| s.evictions,
-        ),
-    ];
-    for (name, help, read) in core_counters {
-        let cache = Arc::clone(cores);
-        registry.counter_fn(name, help, &[], move || read(&cache.stats()));
-    }
-    let entries = Arc::clone(cores);
-    registry.gauge_fn(
-        "actuary_core_cache_entries",
-        "Core evaluations resident in the shared core cache.",
-        &[],
-        move || entries.stats().entries as f64,
+    let cores = Arc::clone(cores);
+    register_cache_layer(
+        registry,
+        [
+            ("actuary_core_cache_hits_total", "Core-cache hits."),
+            ("actuary_core_cache_misses_total", "Core-cache misses."),
+            (
+                "actuary_core_cache_evictions_total",
+                "Core-cache LRU evictions.",
+            ),
+            (
+                "actuary_core_cache_entries",
+                "Core evaluations resident in the shared core cache.",
+            ),
+        ],
+        move || cores.stats(),
     );
+}
+
+/// Registers one cache layer: the name and help text of its hit, miss
+/// and eviction counters and of its occupancy gauge, in that order, all
+/// read from `stats`.
+fn register_cache_layer(
+    registry: &Registry,
+    [hits, misses, evictions, entries]: [(&str, &str); 4],
+    stats: impl Fn() -> CacheStats + Clone + Send + Sync + 'static,
+) {
+    let read = stats.clone();
+    registry.counter_fn(hits.0, hits.1, &[], move || read().hits);
+    let read = stats.clone();
+    registry.counter_fn(misses.0, misses.1, &[], move || read().misses);
+    let read = stats.clone();
+    registry.counter_fn(evictions.0, evictions.1, &[], move || read().evictions);
+    registry.gauge_fn(entries.0, entries.1, &[], move || stats().entries as f64);
 }
 
 /// Locks a mutex, surviving poisoning: every guarded structure here is
@@ -420,96 +414,7 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// LRU cache of successful runs, keyed by the canonical digest of the
 /// parsed scenario document. One cached run serves both encodings — the
 /// renderers run per response, only the model work is skipped.
-struct ResultCache {
-    capacity: usize,
-    inner: Mutex<ResultCacheInner>,
-}
-
-struct ResultCacheInner {
-    map: BTreeMap<[u8; 32], (u64, Arc<ScenarioRun>)>,
-    tick: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
-/// One cache layer's `GET /statz` row.
-#[derive(Debug, Clone, Copy)]
-struct CacheCounters {
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    entries: usize,
-}
-
-impl ResultCache {
-    fn new(capacity: usize) -> Self {
-        ResultCache {
-            capacity,
-            inner: Mutex::new(ResultCacheInner {
-                map: BTreeMap::new(),
-                tick: 0,
-                hits: 0,
-                misses: 0,
-                evictions: 0,
-            }),
-        }
-    }
-
-    fn get(&self, key: [u8; 32]) -> Option<Arc<ScenarioRun>> {
-        let mut inner = lock(&self.inner);
-        inner.tick += 1;
-        let tick = inner.tick;
-        let hit = inner.map.get_mut(&key).map(|(last_used, run)| {
-            *last_used = tick;
-            Arc::clone(run)
-        });
-        match hit {
-            Some(run) => {
-                inner.hits += 1;
-                Some(run)
-            }
-            None => {
-                inner.misses += 1;
-                None
-            }
-        }
-    }
-
-    fn put(&self, key: [u8; 32], run: Arc<ScenarioRun>) {
-        if self.capacity == 0 {
-            return;
-        }
-        let mut inner = lock(&self.inner);
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner.map.insert(key, (tick, run));
-        while inner.map.len() > self.capacity {
-            let oldest = inner
-                .map
-                .iter()
-                .min_by_key(|(_, (last_used, _))| *last_used)
-                .map(|(key, _)| *key);
-            match oldest {
-                Some(key) => {
-                    inner.map.remove(&key);
-                    inner.evictions += 1;
-                }
-                None => break,
-            }
-        }
-    }
-
-    fn stats(&self) -> CacheCounters {
-        let inner = lock(&self.inner);
-        CacheCounters {
-            hits: inner.hits,
-            misses: inner.misses,
-            evictions: inner.evictions,
-            entries: inner.map.len(),
-        }
-    }
-}
+type ResultCache = Lru<[u8; 32], Arc<ScenarioRun>>;
 
 // --- Admission control ----------------------------------------------------
 
@@ -1176,7 +1081,7 @@ fn respond_run<S: Write>(
     // completed run for later batch requests.
     let digest = digest_document(&doc);
     if !streamed {
-        if let Some(run) = state.results.get(digest.bytes()) {
+        if let Some(run) = state.results.get(&digest.bytes()) {
             return Reply::new(
                 200,
                 stream_artifacts(stream, &run, request.accept_json, keep),
@@ -1231,7 +1136,7 @@ fn respond_run<S: Write>(
             );
         }
     };
-    state.results.put(digest.bytes(), Arc::clone(&run));
+    state.results.insert(digest.bytes(), Arc::clone(&run));
     Reply::new(
         200,
         stream_artifacts(stream, &run, request.accept_json, keep),
@@ -1276,7 +1181,7 @@ fn respond_run_streamed<S: Write>(
     };
     match scenario.run_streamed_shared(state.engine_threads, &state.cores, tag, &mut sink) {
         Ok(run) => {
-            state.results.put(digest, Arc::new(run));
+            state.results.insert(digest, Arc::new(run));
             Reply::new(200, sink.chunked.finish().is_ok())
         }
         Err(_) => Reply::new(200, false),

@@ -65,13 +65,29 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    if items.is_empty() {
-        return Vec::new();
-    }
+    let out = run_chunked_into(items, threads, |i, item, out| out.push(eval(i, item)));
+    debug_assert_eq!(out.len(), items.len());
+    out
+}
+
+/// Like [`run_chunked`], but `eval(index, item, out)` appends any number
+/// of results to `out`: one worker appends straight into the returned
+/// list, and several fill one list per queued range, concatenated in item
+/// order.
+pub(crate) fn run_chunked_into<T, R, F>(items: &[T], threads: usize, eval: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(usize, &T, &mut Vec<R>) + Sync,
+{
     let threads = threads.min(items.len()).max(1);
     if threads == 1 {
         // No scheduler to pay for: one worker, ascending order.
-        return items.iter().enumerate().map(|(i, x)| eval(i, x)).collect();
+        let mut out = Vec::new();
+        for (i, item) in items.iter().enumerate() {
+            eval(i, item, &mut out);
+        }
+        return out;
     }
     let chunk = chunk_for(items.len(), threads);
     let ranges: Vec<(usize, usize)> = (0..items.len())
@@ -86,7 +102,8 @@ where
         .map(|run| Mutex::new(run.iter().copied().collect()))
         .collect();
     let steals = AtomicU64::new(0);
-    let collected: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(items.len()));
+    // Each processed range's first item index and its results.
+    let collected: Mutex<Vec<(usize, Vec<R>)>> = Mutex::new(Vec::with_capacity(ranges.len()));
     std::thread::scope(|scope| {
         for w in 0..queues.len() {
             let (queues, steals, collected, eval) = (&queues, &steals, &collected, &eval);
@@ -95,9 +112,11 @@ where
                 let mut local_steals = 0u64;
                 'work: loop {
                     if let Some((start, end)) = lock_queue(&queues[w]).pop_front() {
+                        let mut out = Vec::new();
                         for (i, item) in items.iter().enumerate().take(end).skip(start) {
-                            local.push((i, eval(i, item)));
+                            eval(i, item, &mut out);
                         }
+                        local.push((start, out));
                         continue;
                     }
                     // Own queue dry: scan the other workers and steal the
@@ -142,12 +161,15 @@ where
             &[],
         )
         .add(stolen);
-    let mut out = collected
+    let mut parts = collected
         .into_inner()
         .expect("a worker panicked while holding the result lock");
-    out.sort_unstable_by_key(|(i, _)| *i);
-    debug_assert_eq!(out.len(), items.len());
-    out.into_iter().map(|(_, r)| r).collect()
+    parts.sort_unstable_by_key(|(start, _)| *start);
+    let mut out = Vec::with_capacity(parts.iter().map(|(_, part)| part.len()).sum());
+    for (_, part) in parts {
+        out.extend(part);
+    }
+    out
 }
 
 #[cfg(test)]
@@ -163,6 +185,24 @@ mod tests {
                 x * 2
             });
             assert_eq!(out, (0..1000).map(|x| x * 2).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn appended_results_concatenate_in_item_order() {
+        // Items append 0 to 3 results each, so range boundaries fall
+        // between, inside and around empty outputs.
+        let items: Vec<usize> = (0..1000).collect();
+        let expected: Vec<usize> = items
+            .iter()
+            .flat_map(|&x| std::iter::repeat_n(x, x % 4))
+            .collect();
+        for threads in [1, 2, 7] {
+            let out = run_chunked_into(&items, threads, |i, &x, out| {
+                assert_eq!(i, x);
+                out.extend(std::iter::repeat_n(x, x % 4));
+            });
+            assert_eq!(out, expected);
         }
     }
 

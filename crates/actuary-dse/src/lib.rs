@@ -41,7 +41,8 @@
 //! [`portfolio::SharedCoreCache`] is the piece built for long-running
 //! callers: it memoizes quantity-independent core evaluations across
 //! *separate* engine invocations, which is how the HTTP server reuses
-//! work between overlapping requests.
+//! work between overlapping requests. Its bounded map, [`cache::Lru`],
+//! also holds the server's finished runs.
 //!
 //! # Examples
 //!
@@ -68,6 +69,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod cache;
 pub mod crossover;
 mod engine;
 pub mod explore;

@@ -43,7 +43,8 @@
 //! # Sparse grid storage
 //!
 //! The result stores only the cells that evaluation actually produced
-//! (feasible and infeasible ones) as a sorted `(index, outcome)` list;
+//! (feasible and infeasible ones) as an `(index, outcome)` list that
+//! every producer writes once, in grid order;
 //! everything else — incompatible cells, and cells a [`crate::refine`] run
 //! pruned — is re-derived from its grid coordinates on read through the
 //! internal `classify` pass. A family-scheme grid with a wide chiplet-count axis is
@@ -72,18 +73,22 @@
 //! — and [`actuary_arch::Portfolio::core`] resolves each distinct design
 //! once per core: node, die area, NRE costs and artifact indices.
 //!
-//! The amortization pass is structured struct-of-arrays over the cells
-//! sharing one core: every core walks its own cell list contiguously and
-//! reads each cell's `(per-unit, RE)` pair straight from the core's
-//! compiled amortization plan ([`actuary_arch::PortfolioCore::member_at`]),
-//! resolving a family member's index once per core. No cell allocates or
-//! materializes a whole-family [`actuary_arch::PortfolioCost`].
+//! Each priced (node, area) point keeps its list of `(block offset,
+//! core)` pairs, and the amortization work item is one (point, quantity)
+//! block: that list walked at one quantity. Each cell reads its
+//! `(per-unit, RE)` pair straight from the core's compiled amortization
+//! plan ([`actuary_arch::PortfolioCore::member_at`]), and a family
+//! configuration resolves its member index once per point. No cell
+//! allocates or materializes a whole-family
+//! [`actuary_arch::PortfolioCost`].
 //!
 //! Both passes run on the shared work-stealing engine: chunk ranges are
 //! dealt to per-worker deques, an idle worker steals the back half of a
-//! busy one's queue, and results are reassembled in grid order (node →
-//! area → quantity → integration → chiplet count → flow → scheme) — one
-//! thread and N threads emit byte-identical CSV.
+//! busy one's queue, and results are reassembled in work-list order. A
+//! block is one contiguous stretch of the grid (node → area → quantity →
+//! integration → chiplet count → flow → scheme) and blocks follow each
+//! other in it, so their cells are appended straight to the sparse
+//! store — one thread and N threads emit byte-identical CSV.
 //!
 //! # Examples
 //!
@@ -111,7 +116,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 use actuary_arch::reuse::{FsmcSpec, OcmeSpec, ScmsSpec};
 use actuary_arch::{ArchError, PortfolioCore};
@@ -119,7 +124,8 @@ use actuary_model::AssemblyFlow;
 use actuary_tech::{IntegrationKind, NodeId, TechLibrary};
 use actuary_units::{Area, Artifact, Quantity};
 
-use crate::engine::{resolve_threads, run_chunked};
+use crate::cache::{CacheStats, Lru};
+use crate::engine::{resolve_threads, run_chunked, run_chunked_into};
 use crate::explore::{CellOutcome, IncompatibleReason, ScmsFamily};
 use crate::optimizer::{candidate_core, Candidate, CandidateCore};
 use crate::pareto::pareto_min_indices;
@@ -468,20 +474,6 @@ pub enum CorePolicy {
     Uncached,
 }
 
-/// Counters and occupancy of a [`SharedCoreCache`], read without blocking
-/// evaluations (the server surfaces them on `GET /statz`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CoreCacheStats {
-    /// Core lookups answered from the cache.
-    pub hits: u64,
-    /// Core lookups that required a fresh evaluation.
-    pub misses: u64,
-    /// Entries discarded to respect the capacity bound.
-    pub evictions: u64,
-    /// Entries currently resident.
-    pub entries: usize,
-}
-
 /// A cross-call core cache: evaluated cores keyed by *everything an
 /// evaluation reads* — the caller-supplied library tag, the core spec
 /// (scheme, node, area, integration, chiplet key, flow, scheme
@@ -490,135 +482,32 @@ pub struct CoreCacheStats {
 /// share the expensive RE/NRE evaluations even when their spaces differ on
 /// axes a core never reads (quantities, extra nodes, other schemes).
 ///
-/// The cache is LRU-bounded at `capacity` entries and safe to share across
-/// threads; recoverable per-cell infeasibilities are cached (they are
-/// results too), hard engine errors are not. Results are byte-identical to
-/// the uncached path because amortization always reruns per request —
-/// only the quantity-independent core is reused.
+/// The cache is an [`Lru`] bounded at `capacity` entries and safe to share
+/// across threads; recoverable per-cell infeasibilities are cached (they
+/// are results too), hard engine errors are not. Results are
+/// byte-identical to the uncached path because amortization always reruns
+/// per request — only the quantity-independent core is reused.
+#[derive(Debug)]
 pub struct SharedCoreCache {
-    capacity: usize,
-    inner: Mutex<SharedCacheInner>,
+    lru: Lru<SharedCoreKey, SharedCore>,
 }
 
-struct SharedCacheInner {
-    map: BTreeMap<SharedCoreKey, SharedCoreEntry>,
-    tick: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
-struct SharedCoreEntry {
-    last_used: u64,
-    value: Arc<Result<CoreValue, String>>,
-}
+/// An evaluated core (or its per-cell infeasibility), shared by every
+/// cell that reads it and by the cross-call cache.
+type SharedCore = Arc<Result<CoreValue, String>>;
 
 impl SharedCoreCache {
     /// An empty cache holding at most `capacity` cores. A capacity of `0`
     /// disables storage: every lookup misses and nothing is retained.
     pub fn new(capacity: usize) -> Self {
         SharedCoreCache {
-            capacity,
-            inner: Mutex::new(SharedCacheInner {
-                map: BTreeMap::new(),
-                tick: 0,
-                hits: 0,
-                misses: 0,
-                evictions: 0,
-            }),
+            lru: Lru::new(capacity),
         }
     }
 
     /// Lifetime hit/miss/eviction counters and current occupancy.
-    pub fn stats(&self) -> CoreCacheStats {
-        let inner = self.lock();
-        CoreCacheStats {
-            hits: inner.hits,
-            misses: inner.misses,
-            evictions: inner.evictions,
-            entries: inner.map.len(),
-        }
-    }
-
-    /// The cache never holds the lock across an evaluation, so a panicking
-    /// evaluator cannot poison it; if a panic ever unwinds through a
-    /// counter update anyway, the plain-data state is still coherent.
-    fn lock(&self) -> MutexGuard<'_, SharedCacheInner> {
-        match self.inner.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// Looks up every key, refreshing recency on hits. One call is one
-    /// recency tick: all cores of one request age together.
-    fn fetch(&self, keys: &[SharedCoreKey]) -> Vec<Option<Arc<Result<CoreValue, String>>>> {
-        let mut inner = self.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        let mut out = Vec::with_capacity(keys.len());
-        for key in keys {
-            if let Some(entry) = inner.map.get_mut(key) {
-                entry.last_used = tick;
-                hits += 1;
-                out.push(Some(Arc::clone(&entry.value)));
-            } else {
-                misses += 1;
-                out.push(None);
-            }
-        }
-        inner.hits += hits;
-        inner.misses += misses;
-        out
-    }
-
-    /// Inserts freshly evaluated cores, then evicts least-recently-used
-    /// entries until the capacity bound holds again.
-    fn store(&self, fresh: Vec<(SharedCoreKey, Arc<Result<CoreValue, String>>)>) {
-        if self.capacity == 0 {
-            return;
-        }
-        let mut inner = self.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        for (key, value) in fresh {
-            inner.map.insert(
-                key,
-                SharedCoreEntry {
-                    last_used: tick,
-                    value,
-                },
-            );
-        }
-        let mut evicted = 0u64;
-        while inner.map.len() > self.capacity {
-            // O(n) scan, deterministic tie-break (first minimum in key
-            // order). n is the capacity bound (small); no clock involved.
-            let oldest = inner
-                .map
-                .iter()
-                .min_by_key(|(_, entry)| entry.last_used)
-                .map(|(key, _)| key.clone());
-            match oldest {
-                Some(key) => {
-                    inner.map.remove(&key);
-                    evicted += 1;
-                }
-                None => break,
-            }
-        }
-        inner.evictions += evicted;
-    }
-}
-
-impl fmt::Debug for SharedCoreCache {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SharedCoreCache")
-            .field("capacity", &self.capacity)
-            .field("stats", &self.stats())
-            .finish()
+    pub fn stats(&self) -> CacheStats {
+        self.lru.stats()
     }
 }
 
@@ -904,20 +793,22 @@ pub struct PortfolioResult {
 }
 
 impl PortfolioResult {
-    /// Assembles a result from the sparse list of evaluated cells
-    /// (duplicates keep the first entry; order is normalized here).
+    /// Assembles a result from the sparse list of evaluated cells, which
+    /// every producer writes in strictly ascending grid order.
     pub(crate) fn from_parts(
         space: &PortfolioSpace,
         threads: usize,
         core_evaluations: usize,
-        mut stored: Vec<(usize, CellOutcome)>,
+        stored: Vec<(usize, CellOutcome)>,
     ) -> Self {
-        stored.sort_by_key(|entry| entry.0);
-        stored.dedup_by_key(|entry| entry.0);
+        let len = space.len();
+        debug_assert!(
+            stored.windows(2).all(|pair| pair[0].0 < pair[1].0),
+            "the sparse store must be in strictly ascending grid order"
+        );
+        debug_assert!(stored.last().is_none_or(|entry| entry.0 < len));
         let variants = space.scheme_variants();
         let params_labels = variants.iter().map(SchemeVariant::params_label).collect();
-        let len = space.len();
-        debug_assert!(stored.last().is_none_or(|entry| entry.0 < len));
         PortfolioResult {
             space: space.clone(),
             variants,
@@ -938,14 +829,8 @@ impl PortfolioResult {
         GridShape::of(&self.space, self.variants.len())
     }
 
-    /// The sparse store: evaluated cells as `(flat index, outcome)`,
-    /// sorted by index. Refinement reads each wave's cells through this.
-    pub(crate) fn stored_entries(&self) -> &[(usize, CellOutcome)] {
-        &self.stored
-    }
-
     /// Consumes the result into its sparse store, so refinement can move
-    /// a wave's cells into its own store instead of cloning them.
+    /// a wave's cells into its own points instead of cloning them.
     pub(crate) fn into_stored(self) -> Vec<(usize, CellOutcome)> {
         self.stored
     }
@@ -1093,64 +978,47 @@ impl PortfolioResult {
     pub fn winners(&self, scheme: ReuseScheme) -> Vec<SchemeWinner> {
         let shape = self.shape();
         let block = shape.block();
+        // Per block offset: whether the configuration is of this scheme.
+        let in_scheme: Vec<bool> = (0..block)
+            .map(|off| self.variants[shape.coords(off).variant].scheme == scheme)
+            .collect();
         let ops = shape.nodes * shape.areas * shape.quantities;
         let mut out = Vec::with_capacity(ops);
-        let mut s = 0usize;
+        let mut rest = self.stored.as_slice();
         for op in 0..ops {
-            let start = s;
-            while s < self.stored.len() && self.stored[s].0 < (op + 1) * block {
-                s += 1;
-            }
-            let entries = &self.stored[start..s];
-            // Decode a block-local offset into the configuration axes.
-            let local_variant = |local: usize| local % shape.variants;
-            let local_flow = |local: usize| (local / shape.variants) % shape.flows;
-            let local_chiplets =
-                |local: usize| (local / (shape.variants * shape.flows)) % shape.chiplets;
-            let local_integration =
-                |local: usize| local / (shape.variants * shape.flows * shape.chiplets);
+            let start = op * block;
+            let (entries, tail) = rest.split_at(rest.partition_point(|(i, _)| *i < start + block));
+            rest = tail;
+            // The operating point's cells of this scheme, by block offset
+            // (which decodes like the first operating point's flat index).
+            let cells = entries
+                .iter()
+                .map(|(i, outcome)| (i - start, outcome))
+                .filter(|(off, _)| in_scheme[*off]);
             // First strict minimum in grid order, matching `min_by`'s
             // first-among-equals tie rule on the dense path.
             let mut best: Option<(usize, &Candidate)> = None;
-            for (i, outcome) in entries {
-                let local = i - op * block;
-                if self.variants[local_variant(local)].scheme != scheme {
-                    continue;
-                }
+            for (off, outcome) in cells.clone() {
                 if let CellOutcome::Feasible(c) = outcome {
-                    let better = match &best {
-                        None => true,
-                        Some((_, b)) => c.per_unit < b.per_unit,
-                    };
-                    if better {
-                        best = Some((local, c));
+                    if best.is_none_or(|(_, b)| c.per_unit < b.per_unit) {
+                        best = Some((off, c));
                     }
                 }
             }
-            let best = best.map(|(local, c)| {
-                (
-                    c.clone(),
-                    self.space.flows[local_flow(local)],
-                    self.space.chiplet_counts[local_chiplets(local)],
-                    local_variant(local),
-                )
-            });
-            let saving_vs_soc_frac = best.as_ref().and_then(|(bc, bflow, bchiplets, bvariant)| {
+            let best = best.map(|(off, c)| (shape.coords(off), c));
+            let saving_vs_soc_frac = best.and_then(|(b, bc)| {
                 let baseline_chiplets = match scheme {
                     ReuseScheme::None => 1,
-                    _ => *bchiplets,
+                    _ => self.space.chiplet_counts[b.chiplets],
                 };
-                let soc = entries
-                    .iter()
-                    .find(|(i, _)| {
-                        let local = i - op * block;
-                        let v = local_variant(local);
-                        self.variants[v].scheme == scheme
-                            && self.space.integrations[local_integration(local)]
-                                == IntegrationKind::Soc
-                            && self.space.chiplet_counts[local_chiplets(local)] == baseline_chiplets
-                            && self.space.flows[local_flow(local)] == *bflow
-                            && self.params_labels[v] == self.params_labels[*bvariant]
+                let soc = cells
+                    .clone()
+                    .find(|(off, _)| {
+                        let idx = shape.coords(*off);
+                        self.space.integrations[idx.integration] == IntegrationKind::Soc
+                            && self.space.chiplet_counts[idx.chiplets] == baseline_chiplets
+                            && self.space.flows[idx.flow] == self.space.flows[b.flow]
+                            && self.params_labels[idx.variant] == self.params_labels[b.variant]
                     })
                     .and_then(|(_, outcome)| outcome.candidate());
                 match soc {
@@ -1160,15 +1028,13 @@ impl PortfolioResult {
                     _ => None,
                 }
             });
-            let q_i = op % shape.quantities;
-            let a_i = (op / shape.quantities) % shape.areas;
-            let n_i = op / (shape.quantities * shape.areas);
+            let at = shape.coords(start);
             out.push(SchemeWinner {
                 scheme,
-                node: self.space.nodes[n_i].clone(),
-                area_mm2: self.space.areas_mm2[a_i],
-                quantity: self.space.quantities[q_i],
-                best: best.map(|(c, flow, _, _)| (c, flow)),
+                node: self.space.nodes[at.node].clone(),
+                area_mm2: self.space.areas_mm2[at.area],
+                quantity: self.space.quantities[at.quantity],
+                best: best.map(|(b, c)| (c.clone(), self.space.flows[b.flow])),
                 saving_vs_soc_frac,
             });
         }
@@ -1307,27 +1173,16 @@ impl PortfolioResult {
         })
     }
 
-    /// The grid rows of exactly the given flat cell indices, with the
-    /// same name, columns and row encoding as
+    /// The grid rows of every cell in the sparse store, in grid order, with
+    /// the same name, columns and row encoding as
     /// [`PortfolioResult::grid_artifact`] — the segment emitter behind
-    /// streamed refinement. Indices should be ascending (each segment is
-    /// then internally in grid order); indices absent from the sparse
-    /// store are emitted with their derived (pruned or incompatible)
-    /// outcome.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an index is out of the grid's bounds.
-    pub fn grid_rows_artifact(&self, indices: Vec<usize>) -> Artifact<'_> {
+    /// streamed refinement: each wave's own result renders the cells that
+    /// wave priced.
+    pub fn grid_stored_artifact(&self) -> Artifact<'_> {
         Artifact::new("grid", "grid", &Self::GRID_COLUMNS, move |emit| {
             let shape = self.shape();
-            for i in indices {
-                assert!(i < self.len, "grid row index {i} out of bounds");
-                let outcome = match self.stored.binary_search_by_key(&i, |(k, _)| *k) {
-                    Ok(s) => self.stored[s].1.clone(),
-                    Err(_) => self.unstored_outcome(shape.coords(i)),
-                };
-                let cell = self.cell_at(shape.coords(i), outcome);
+            for (i, outcome) in &self.stored {
+                let cell = self.cell_at(shape.coords(*i), outcome.clone());
                 emit(&Self::grid_row(&cell))?;
             }
             Ok(())
@@ -1336,7 +1191,8 @@ impl PortfolioResult {
 
     /// The grid rows of every cell *absent* from the sparse store — the
     /// pruned and incompatible remainder, in grid order. A streamed
-    /// refinement emits this after the per-wave segments: the segments
+    /// refinement emits this after the per-wave
+    /// [`PortfolioResult::grid_stored_artifact`] segments: the segments
     /// plus this artifact's rows cover every grid row exactly once.
     pub fn grid_unstored_artifact(&self) -> Artifact<'_> {
         Artifact::new("grid", "grid", &Self::GRID_COLUMNS, move |emit| {
@@ -1546,12 +1402,20 @@ enum CoreValue {
     Family(PortfolioCore),
 }
 
-/// How one compatible configuration maps to its core under the active
-/// [`CorePolicy`]: a shared, already-registered spec, or a template spec
-/// pushed fresh for every cell that uses it.
-enum Planned<'a> {
-    Shared(usize),
-    PerCell(CoreSpec<'a>),
+/// One priced (node, area) point. Its cells are every quantity crossed
+/// with its configurations, and they occupy one contiguous stretch of
+/// the grid; each quantity's block of them is one amortization work item.
+struct PointPlan {
+    /// Flat index of the point's first cell (first quantity, block
+    /// offset 0).
+    base: usize,
+    /// `(block offset, core index, family member index)` of every
+    /// configuration the point prices, in ascending offset order. Under
+    /// [`CorePolicy::Uncached`] the core index is the configuration's
+    /// first-quantity core, and its other quantities' cores follow it.
+    /// The member index is resolved once the cores exist (0 for a
+    /// single-system core).
+    configs: Vec<(usize, usize, usize)>,
 }
 
 fn integration_rank(kind: IntegrationKind) -> u8 {
@@ -1708,19 +1572,17 @@ pub(crate) fn explore_portfolio_impl(
 
     // --- Phase A: classify configurations, dedup core keys. --------------
     // Compatibility and geometry depend only on (node, area, integration,
-    // chiplets, flow, variant) — never on quantity — so each (node, area)
-    // builds its configuration template once and stamps it across the
-    // quantity axis, instead of walking all seven loops per cell.
+    // chiplets, flow, variant) — never on quantity — so each priced
+    // (node, area) point lists its configurations once, and amortization
+    // later walks that list per quantity.
     let mut classify_span = actuary_obs::span!("dse.classify");
     let variants = space.scheme_variants();
     let shape = GridShape::of(space, variants.len());
     let block = shape.block();
     let mut specs: Vec<CoreSpec<'_>> = Vec::new();
     let mut key_index: BTreeMap<CoreKey, usize> = BTreeMap::new();
-    // (flat cell index, spec index) for every evaluable cell, in grid order.
-    let mut evaluable: Vec<(usize, usize)> = Vec::new();
-    // (block offset, plan) of every configuration the (node, area) prices.
-    let mut template: Vec<(usize, Planned<'_>)> = Vec::with_capacity(block);
+    let mut points: Vec<PointPlan> = Vec::new();
+    let mut cells = 0usize;
     for (n_i, node) in space.nodes.iter().enumerate() {
         for (a_i, &area_mm2) in space.areas_mm2.iter().enumerate() {
             let mask = match selection.map(|s| s.get(&(n_i, a_i))) {
@@ -1728,7 +1590,7 @@ pub(crate) fn explore_portfolio_impl(
                 Some(None) => continue,
                 Some(Some(mask)) => Some(mask),
             };
-            template.clear();
+            let mut configs = Vec::new();
             let mut next_off = 0usize;
             for &integration in &space.integrations {
                 for &chiplets in &space.chiplet_counts {
@@ -1754,8 +1616,13 @@ pub(crate) fn explore_portfolio_impl(
                                 fsmc: variant.fsmc,
                                 center_node: variant.center_node.as_deref(),
                             };
-                            let planned = match policy {
-                                CorePolicy::Uncached => Planned::PerCell(spec),
+                            let core = match policy {
+                                // The reference path evaluates every cell
+                                // from scratch, including per quantity.
+                                CorePolicy::Uncached => {
+                                    specs.extend(std::iter::repeat_n(spec, shape.quantities));
+                                    specs.len() - shape.quantities
+                                }
                                 CorePolicy::Cached => {
                                     let key = CoreKey {
                                         variant: v_i,
@@ -1765,164 +1632,120 @@ pub(crate) fn explore_portfolio_impl(
                                         chiplets: key_chiplets,
                                         flow: flow_rank(flow),
                                     };
-                                    Planned::Shared(*key_index.entry(key).or_insert_with(|| {
+                                    *key_index.entry(key).or_insert_with(|| {
                                         specs.push(spec);
                                         specs.len() - 1
-                                    }))
+                                    })
                                 }
                             };
-                            template.push((off, planned));
+                            configs.push((off, core, 0));
                         }
                     }
                 }
             }
-            for q_i in 0..shape.quantities {
-                let base = ((n_i * shape.areas + a_i) * shape.quantities + q_i) * block;
-                for (off, planned) in &template {
-                    match planned {
-                        Planned::Shared(spec) => evaluable.push((base + off, *spec)),
-                        Planned::PerCell(spec) => {
-                            // The uncached reference path evaluates every
-                            // cell from scratch, including per quantity.
-                            specs.push(*spec);
-                            evaluable.push((base + off, specs.len() - 1));
-                        }
-                    }
-                }
-            }
+            cells += configs.len() * shape.quantities;
+            points.push(PointPlan {
+                base: (n_i * shape.areas + a_i) * shape.quantities * block,
+                configs,
+            });
         }
     }
 
     classify_span.record("distinct_cores", specs.len() as u64);
-    classify_span.record("cells", evaluable.len() as u64);
+    classify_span.record("cells", cells as u64);
     drop(classify_span);
 
     let threads = resolve_threads(threads, shape.len());
 
     // --- Phase B: evaluate each distinct core once, in parallel. With a
     // shared cache, first serve whatever an earlier call (same library tag)
-    // already evaluated, and run only the misses. `core_evaluations`
-    // reports fresh work either way.
+    // already evaluated; either way only the misses run, and
+    // `core_evaluations` reports that fresh work.
     let mut evaluate_span = actuary_obs::span!("dse.evaluate");
-    type SharedCore = Arc<Result<CoreValue, String>>;
-    let (cores, core_evaluations): (Vec<SharedCore>, usize) = match shared {
-        None => {
-            let core_results = run_chunked(&specs, threads, |_, spec| eval_core(lib, space, spec));
-            let mut cores = Vec::with_capacity(core_results.len());
-            for result in core_results {
-                cores.push(Arc::new(soften(result)?));
-            }
-            let evaluated = cores.len();
-            (cores, evaluated)
-        }
-        Some((cache, tag)) => {
-            let keys: Vec<SharedCoreKey> = specs
-                .iter()
-                .map(|spec| shared_core_key(&tag, space, spec))
-                .collect();
-            let mut cores = cache.fetch(&keys);
-            let miss_indices: Vec<usize> = cores
-                .iter()
-                .enumerate()
-                .filter_map(|(i, cached)| cached.is_none().then_some(i))
-                .collect();
-            let miss_specs: Vec<CoreSpec<'_>> = miss_indices.iter().map(|&i| specs[i]).collect();
-            let miss_results =
-                run_chunked(&miss_specs, threads, |_, spec| eval_core(lib, space, spec));
-            let mut fresh = Vec::with_capacity(miss_indices.len());
-            for (&i, result) in miss_indices.iter().zip(miss_results) {
-                // A hard error aborts here, before `store` — it is never
-                // cached.
-                let value = Arc::new(soften(result)?);
-                cores[i] = Some(Arc::clone(&value));
-                fresh.push((keys[i].clone(), value));
-            }
-            let evaluated = fresh.len();
-            cache.store(fresh);
-            let cores = cores
-                .into_iter()
-                .map(|core| core.expect("every core is fetched or freshly evaluated"))
-                .collect();
-            (cores, evaluated)
-        }
+    let cached: Option<(&SharedCoreCache, Vec<SharedCoreKey>)> = shared.map(|(cache, tag)| {
+        let keys = specs
+            .iter()
+            .map(|spec| shared_core_key(&tag, space, spec))
+            .collect();
+        (cache, keys)
+    });
+    let mut cores: Vec<Option<SharedCore>> = match &cached {
+        Some((cache, keys)) => cache.lru.get_all(keys),
+        None => vec![None; specs.len()],
     };
-
+    let misses: Vec<usize> = (0..specs.len()).filter(|&i| cores[i].is_none()).collect();
+    let results = run_chunked(&misses, threads, |_, &i| eval_core(lib, space, &specs[i]));
+    let mut fresh = Vec::new();
+    for (&i, result) in misses.iter().zip(results) {
+        // A hard error aborts here, before the cache stores anything — it
+        // is never cached.
+        let value = Arc::new(soften(result)?);
+        if let Some((_, keys)) = &cached {
+            fresh.push((keys[i].clone(), Arc::clone(&value)));
+        }
+        cores[i] = Some(value);
+    }
+    if let Some((cache, _)) = cached {
+        cache.lru.insert_all(fresh);
+    }
+    let cores: Vec<SharedCore> = cores
+        .into_iter()
+        .map(|core| core.expect("every core is fetched or freshly evaluated"))
+        .collect();
+    let core_evaluations = misses.len();
     evaluate_span.record("core_evaluations", core_evaluations as u64);
     drop(evaluate_span);
 
-    // --- Phase C: struct-of-arrays amortization, one contiguous pass per -
-    // core. Every core owns the list of cells that read it; a worker walks
-    // that list once and reads each cell's `(per-unit, RE)` straight out of
-    // the core's compiled amortization plan. A family core resolves each
-    // chiplet count's member index once; no cell allocates.
+    // --- Phase C: amortization, one (point, quantity) block per work
+    // item. A block is one contiguous stretch of the grid, so cells come
+    // out in grid order and are appended straight to the store, each
+    // reading its `(per-unit, RE)` pair out of the core's compiled
+    // amortization plan. A family configuration resolves its member
+    // index once per point, before any block runs; no cell allocates.
     let mut amortize_span = actuary_obs::span!("dse.amortize");
-    amortize_span.record("cells", evaluable.len() as u64);
-    let mut by_core: Vec<Vec<usize>> = vec![Vec::new(); specs.len()];
-    for (j, &(_, spec)) in evaluable.iter().enumerate() {
-        by_core[spec].push(j);
-    }
-    let outcome_groups: Vec<Vec<(usize, CellOutcome)>> =
-        run_chunked(&by_core, threads, |core_idx, core_cells| {
-            let mut out = Vec::with_capacity(core_cells.len());
-            match &*cores[core_idx] {
-                Err(reason) => {
-                    for &j in core_cells {
-                        out.push((j, CellOutcome::Infeasible(reason.clone())));
-                    }
-                }
-                Ok(CoreValue::Single(core)) => {
-                    for &j in core_cells {
-                        let idx = shape.coords(evaluable[j].0);
-                        let quantity = Quantity::new(space.quantities[idx.quantity]);
-                        out.push((j, CellOutcome::Feasible(core.at_quantity(quantity))));
-                    }
-                }
-                Ok(CoreValue::Family(core)) => {
-                    // Member index per chiplet-count axis position; the
-                    // core fixes the scheme and the integration.
-                    let mut member_of: Vec<Option<usize>> = vec![None; shape.chiplets];
-                    for &j in core_cells {
-                        let idx = shape.coords(evaluable[j].0);
-                        let quantity = Quantity::new(space.quantities[idx.quantity]);
-                        let integration = space.integrations[idx.integration];
-                        let chiplets = space.chiplet_counts[idx.chiplets];
-                        let member = *member_of[idx.chiplets].get_or_insert_with(|| {
-                            let soc = integration == IntegrationKind::Soc;
-                            let name = member_name(variants[idx.variant].scheme, chiplets, soc);
-                            core.system_names()
-                                .iter()
-                                .position(|n| *n == name)
-                                .expect("the family contains every planned member")
-                        });
-                        let (per_unit, re_per_unit) = core.member_at(member, quantity);
-                        out.push((
-                            j,
-                            CellOutcome::Feasible(Candidate {
-                                integration,
-                                chiplets,
-                                per_unit,
-                                re_per_unit,
-                            }),
-                        ));
-                    }
-                }
+    amortize_span.record("cells", cells as u64);
+    for point in &mut points {
+        for (off, core, member) in &mut point.configs {
+            if let Ok(CoreValue::Family(family)) = &*cores[*core] {
+                // A block offset decodes like the first operating point's
+                // flat index.
+                let idx = shape.coords(*off);
+                let soc = space.integrations[idx.integration] == IntegrationKind::Soc;
+                let chiplets = space.chiplet_counts[idx.chiplets];
+                let name = member_name(variants[idx.variant].scheme, chiplets, soc);
+                *member = family
+                    .system_names()
+                    .iter()
+                    .position(|n| *n == name)
+                    .expect("the family contains every planned member");
             }
-            out
-        });
-
-    // Scatter the per-core groups back into evaluable order, pairing each
-    // outcome with its flat grid index — the sparse store.
-    let mut slots: Vec<Option<CellOutcome>> = vec![None; evaluable.len()];
-    for group in outcome_groups {
-        for (j, outcome) in group {
-            slots[j] = Some(outcome);
         }
     }
-    let stored: Vec<(usize, CellOutcome)> = evaluable
+    let stride = usize::from(policy == CorePolicy::Uncached);
+    let blocks: Vec<(&PointPlan, usize)> = points
         .iter()
-        .zip(slots)
-        .map(|(&(cell, _), outcome)| (cell, outcome.expect("every evaluable cell was amortized")))
+        .flat_map(|point| (0..shape.quantities).map(move |q_i| (point, q_i)))
         .collect();
+    let stored = run_chunked_into(&blocks, threads, |_, &(point, q_i), out| {
+        let quantity = Quantity::new(space.quantities[q_i]);
+        for &(off, core, member) in &point.configs {
+            let outcome = match &*cores[core + q_i * stride] {
+                Err(reason) => CellOutcome::Infeasible(reason.clone()),
+                Ok(CoreValue::Single(core)) => CellOutcome::Feasible(core.at_quantity(quantity)),
+                Ok(CoreValue::Family(core)) => {
+                    let idx = shape.coords(off);
+                    let (per_unit, re_per_unit) = core.member_at(member, quantity);
+                    CellOutcome::Feasible(Candidate {
+                        integration: space.integrations[idx.integration],
+                        chiplets: space.chiplet_counts[idx.chiplets],
+                        per_unit,
+                        re_per_unit,
+                    })
+                }
+            };
+            out.push((point.base + q_i * block + off, outcome));
+        }
+    });
 
     Ok(PortfolioResult::from_parts(
         space,
@@ -2275,9 +2098,9 @@ mod tests {
         // SCMS members are {1, 2, 4}: 47 of 50 counts are incompatible.
         assert_eq!(result.incompatible_count(), 47);
         assert!(
-            result.stored_entries().len() <= 3,
+            result.evaluated_cells() <= 3,
             "only evaluated cells may be stored, got {}",
-            result.stored_entries().len()
+            result.evaluated_cells()
         );
         let cells = result.cells();
         assert_eq!(cells.len(), 50);

@@ -58,9 +58,12 @@
 //!
 //! [`explore_portfolio_refined`] is the plain entry point;
 //! [`explore_portfolio_refined_observed`] adds a cross-call core cache and
-//! a wave observer that receives each wave's own result together with the
-//! cells it priced — `actuary serve` uses it to stream a refined grid
-//! while the run converges (see `docs/http-api.md`).
+//! a wave observer that receives each wave's own result, whose sparse
+//! store is exactly the cells that wave priced — `actuary serve` renders
+//! it with [`PortfolioResult::grid_stored_artifact`] to stream a refined
+//! grid while the run converges (see `docs/http-api.md`). Each priced
+//! (node, area) point keeps its wave's cells, and the final store is the
+//! points joined in (node, area) order: grid order without a sort.
 //!
 //! # Examples
 //!
@@ -152,11 +155,12 @@ impl std::str::FromStr for ExploreMode {
 }
 
 /// A wave callback for [`explore_portfolio_refined_observed`]: receives
-/// each wave's own result (the cells that wave priced; every other cell
-/// reads as pruned or incompatible) and the grid indices of those cells,
-/// ascending. Returning `false` aborts the run — the streaming server
-/// uses this when a client hangs up mid-response.
-pub type RefineObserver<'o> = dyn FnMut(&PortfolioResult, &[usize]) -> bool + 'o;
+/// each wave's own result, whose sparse store holds exactly the cells
+/// that wave priced (every other cell reads as pruned or incompatible;
+/// [`PortfolioResult::grid_stored_artifact`] renders the priced rows).
+/// Returning `false` aborts the run — the streaming server uses this when
+/// a client hangs up mid-response.
+pub type RefineObserver<'o> = dyn FnMut(&PortfolioResult) -> bool + 'o;
 
 /// A priced column: the configuration's per-unit cost at every quantity,
 /// or `None` when it is infeasible at that (node, area).
@@ -164,6 +168,8 @@ type Column = Option<Vec<f64>>;
 
 /// What refinement keeps of one priced (node, area) point.
 struct Point {
+    /// The cells its wave priced, in grid order.
+    cells: Vec<(usize, CellOutcome)>,
     /// The priced configurations' columns, by block offset.
     columns: Vec<(usize, Column)>,
     /// Per scheme (position in `space.schemes`): the cheapest priced cost
@@ -237,18 +243,19 @@ impl Refiner {
             .collect()
     }
 
-    /// Records the columns `wave` priced at each point of `selection`.
-    fn absorb(&mut self, selection: &Selection, wave: &PortfolioResult) {
+    /// Moves the cells `wave` priced at each point of `selection` into
+    /// that point, with their columns and each scheme's best cost.
+    fn absorb(&mut self, selection: &Selection, wave: PortfolioResult) {
         let (quantities, block) = (self.shape.quantities, self.shape.block());
-        let mut rest = wave.stored_entries();
+        let mut rest = wave.into_stored().into_iter().peekable();
         // Selection keys ascend in the node → area order of flat indices.
         for &(n, a) in selection.keys() {
             let end = (n * self.shape.areas + a + 1) * quantities * block;
-            let (here, tail) = rest.split_at(rest.partition_point(|(i, _)| *i < end));
-            rest = tail;
+            let cells: Vec<(usize, CellOutcome)> =
+                std::iter::from_fn(|| rest.next_if(|(i, _)| *i < end)).collect();
             let mut slot = vec![usize::MAX; block];
             let mut columns: Vec<(usize, Column)> = Vec::new();
-            for (i, outcome) in here {
+            for (i, outcome) in &cells {
                 let (q, off) = ((i / block) % quantities, i % block);
                 if slot[off] == usize::MAX {
                     slot[off] = columns.len();
@@ -266,7 +273,11 @@ impl Refiner {
                     }
                 }
             }
-            self.points[n][a] = Some(Point { columns, best });
+            self.points[n][a] = Some(Point {
+                cells,
+                columns,
+                best,
+            });
         }
     }
 
@@ -367,7 +378,6 @@ pub fn explore_portfolio_refined_observed(
         });
     }
     let mut refiner = Refiner::new(space);
-    let mut store: Vec<(usize, CellOutcome)> = Vec::new();
     let mut core_evaluations = 0;
     let mut waves = 0u64;
     let mut phase = "refine.coarse";
@@ -384,7 +394,6 @@ pub fn explore_portfolio_refined_observed(
             shared,
             Some(&selection),
         )?;
-        refiner.absorb(&selection, &wave);
         span.record("points", selection.len() as u64);
         span.record("cells", wave.evaluated_cells() as u64);
         span.record("core_evaluations", wave.core_evaluations() as u64);
@@ -392,37 +401,38 @@ pub fn explore_portfolio_refined_observed(
         core_evaluations += wave.core_evaluations();
         waves += 1;
         if let Some(observe) = observer.as_mut() {
-            let fresh: Vec<usize> = wave.stored_entries().iter().map(|(i, _)| *i).collect();
-            if !observe(&wave, &fresh) {
+            if !observe(&wave) {
                 return Err(ArchError::InvalidArchitecture {
                     reason: "refinement aborted: the wave observer declined to continue"
                         .to_string(),
                 });
             }
         }
-        store.extend(wave.into_stored());
+        refiner.absorb(&selection, wave);
         phase = "refine.bisect";
         selection = refiner.next_wave();
     }
 
+    // Every point's cells are in grid order and points cover disjoint
+    // stretches of it, so joining them in (node, area) order is the store.
+    let points: Vec<Point> = refiner.points.into_iter().flatten().flatten().collect();
+    let cells: usize = points.iter().map(|point| point.cells.len()).sum();
     if actuary_obs::log::enabled(actuary_obs::log::Level::Debug) {
-        let columns: usize = refiner
-            .points
-            .iter()
-            .flatten()
-            .flatten()
-            .map(|point| point.columns.len())
-            .sum();
+        let columns: usize = points.iter().map(|point| point.columns.len()).sum();
         actuary_obs::log::event(
             actuary_obs::log::Level::Debug,
             "refine.summary",
             &[
                 ("waves", waves.into()),
                 ("columns", columns.into()),
-                ("cells", store.len().into()),
+                ("cells", cells.into()),
                 ("core_evaluations", core_evaluations.into()),
             ],
         );
+    }
+    let mut store = Vec::with_capacity(cells);
+    for point in points {
+        store.extend(point.cells);
     }
     Ok(PortfolioResult::from_parts(
         space,
@@ -583,19 +593,39 @@ mod tests {
         assert_eq!(refined.pruned_count(), 0);
     }
 
+    /// The flat indices of the cells a result priced (its sparse store).
+    fn priced(result: &PortfolioResult) -> Vec<usize> {
+        result
+            .iter_cells()
+            .enumerate()
+            .filter(|(_, cell)| {
+                !matches!(
+                    cell.outcome,
+                    CellOutcome::Pruned | CellOutcome::Incompatible(_)
+                )
+            })
+            .map(|(i, _)| i)
+            .collect()
+    }
+
     #[test]
     fn observer_sees_every_stored_cell_in_phase_order() {
         let lib = lib();
         let space = quantity_ramp_space();
         let mut waves = 0;
         let mut streamed: BTreeSet<usize> = BTreeSet::new();
-        let mut observer = |wave: &PortfolioResult, fresh: &[usize]| {
+        let mut observer = |wave: &PortfolioResult| {
             waves += 1;
-            assert!(fresh.windows(2).all(|w| w[0] < w[1]), "fresh cells sorted");
-            // A wave's result holds exactly the cells the wave priced.
-            assert_eq!(fresh.len(), wave.evaluated_cells());
             assert_eq!(wave.len(), space.len());
-            for &i in fresh {
+            // A wave's result holds exactly the cells the wave priced, and
+            // its stored-rows segment renders each of them once.
+            let fresh = priced(wave);
+            assert_eq!(fresh.len(), wave.evaluated_cells());
+            assert_eq!(
+                wave.grid_stored_artifact().csv().lines().count(),
+                fresh.len() + 1
+            );
+            for i in fresh {
                 assert!(streamed.insert(i), "cell {i} streamed twice");
             }
             true
@@ -604,7 +634,7 @@ mod tests {
             explore_portfolio_refined_observed(&lib, &space, 2, None, Some(&mut observer)).unwrap();
         // Eight areas: {0, 7}, then 3, then {1, 5}, then {2, 4, 6}.
         assert_eq!(waves, 4);
-        let stored: BTreeSet<usize> = result.stored_entries().iter().map(|(i, _)| *i).collect();
+        let stored: BTreeSet<usize> = priced(&result).into_iter().collect();
         assert_eq!(
             streamed, stored,
             "the streamed waves union to exactly the stored cells"
@@ -615,7 +645,7 @@ mod tests {
     fn observer_abort_stops_the_run() {
         let lib = lib();
         let space = quantity_ramp_space();
-        let mut observer = |_: &PortfolioResult, _: &[usize]| false;
+        let mut observer = |_: &PortfolioResult| false;
         let err = explore_portfolio_refined_observed(&lib, &space, 1, None, Some(&mut observer))
             .unwrap_err();
         assert!(

@@ -139,6 +139,19 @@ impl ExploreOutput {
             ExploreOutput::ParetoProgram => "pareto_program",
         }
     }
+
+    /// This surface of explore job `job`'s `result`, named
+    /// `<job>-<label>` — the one mapping batch runs and streamed runs
+    /// both emit through.
+    pub fn artifact<'r>(self, job: &str, result: &'r PortfolioResult) -> Artifact<'r> {
+        let artifact = match self {
+            ExploreOutput::Grid => result.grid_artifact(),
+            ExploreOutput::Winners => result.winners_artifact(),
+            ExploreOutput::Pareto => result.pareto_artifact(),
+            ExploreOutput::ParetoProgram => result.pareto_program_artifact(),
+        };
+        artifact.named(format!("{job}-{}", self.label()))
+    }
 }
 
 impl fmt::Display for ExploreOutput {
@@ -314,13 +327,7 @@ impl ScenarioRun {
         }
         for explore in &self.explores {
             for output in &explore.outputs {
-                let artifact = match output {
-                    ExploreOutput::Grid => explore.result.grid_artifact(),
-                    ExploreOutput::Winners => explore.result.winners_artifact(),
-                    ExploreOutput::Pareto => explore.result.pareto_artifact(),
-                    ExploreOutput::ParetoProgram => explore.result.pareto_program_artifact(),
-                };
-                out.push(artifact.named(format!("{}-{}", explore.name, output.label())));
+                out.push(output.artifact(&explore.name, &explore.result));
             }
         }
         for s in &self.sweeps {
@@ -658,10 +665,8 @@ impl Scenario {
             let grid_name = format!("{}-grid", j.name);
             let mut first = true;
             let mut delivered = true;
-            let mut observer = |wave: &PortfolioResult, fresh: &[usize]| {
-                let segment = wave
-                    .grid_rows_artifact(fresh.to_vec())
-                    .named(grid_name.clone());
+            let mut observer = |wave: &PortfolioResult| {
+                let segment = wave.grid_stored_artifact().named(grid_name.clone());
                 delivered = sink.segment(segment, !first);
                 first = false;
                 delivered
@@ -681,20 +686,11 @@ impl Scenario {
             run_explore_job(&self.library, threads, shared, j, None)
                 .map_err(|e| engine_error(&j.name, &e))?
         };
-        for output in &j.outputs {
-            if streams_grid && *output == ExploreOutput::Grid {
+        for &output in &j.outputs {
+            if streams_grid && output == ExploreOutput::Grid {
                 continue;
             }
-            let artifact = match output {
-                ExploreOutput::Grid => result.grid_artifact(),
-                ExploreOutput::Winners => result.winners_artifact(),
-                ExploreOutput::Pareto => result.pareto_artifact(),
-                ExploreOutput::ParetoProgram => result.pareto_program_artifact(),
-            };
-            if !sink.segment(
-                artifact.named(format!("{}-{}", j.name, output.label())),
-                false,
-            ) {
+            if !sink.segment(output.artifact(&j.name, &result), false) {
                 return Err(sink_declined(&j.name));
             }
         }

@@ -8,15 +8,19 @@
 //! must find the same MCM-under-SoC crossover quantity that exhaustion
 //! finds.
 
+use std::collections::HashMap;
+
 use chiplet_actuary::dse::explore::CellOutcome;
 use chiplet_actuary::dse::portfolio::{
-    explore_portfolio, PortfolioResult, PortfolioSpace, ReuseScheme, SharedCoreCache,
+    explore_portfolio, explore_portfolio_with, CorePolicy, PortfolioResult, PortfolioSpace,
+    ReuseScheme, SharedCoreCache,
 };
 use chiplet_actuary::dse::refine::{
     explore_portfolio_refined, explore_portfolio_refined_observed, ExploreMode,
 };
 use chiplet_actuary::prelude::*;
-use chiplet_actuary::scenario::{Job, Scenario, SweepAxis};
+use chiplet_actuary::report::Artifact;
+use chiplet_actuary::scenario::{Job, Scenario, StreamSink, SweepAxis};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -375,9 +379,68 @@ fn random_scenario(seed: u64) -> String {
     doc
 }
 
+/// Records every streamed segment's CSV text: header-bearing for an
+/// opening segment, rows only for a continuation.
+struct Segments(Vec<String>);
+
+impl StreamSink for Segments {
+    fn segment(&mut self, artifact: Artifact<'_>, continuation: bool) -> bool {
+        let mut text = String::new();
+        if continuation {
+            artifact.write_csv_rows_to(&mut text).unwrap();
+        } else {
+            artifact.write_csv_to(&mut text).unwrap();
+        }
+        self.0.push(text);
+        true
+    }
+}
+
+/// Streams `scenario` (one refine-mode job emitting its grid) and checks
+/// the streamed ≡ batch contract: the returned run renders the `batch`
+/// artifacts byte for byte, and the segments carry each row of the batch
+/// `grid` exactly once, in grid order within a segment, so re-sorting
+/// them reproduces that grid.
+fn check_streamed(scenario: &Scenario, batch: &[String], grid: &str, context: &str) {
+    let mut sink = Segments(Vec::new());
+    let streamed = scenario.run_streamed(2, &mut sink).unwrap();
+    let rendered: Vec<String> = streamed.artifacts().into_iter().map(|a| a.csv()).collect();
+    assert_eq!(rendered, batch, "{context}: streamed run");
+
+    let mut lines = grid.lines();
+    let header = lines.next().expect("the grid has a header");
+    let position: HashMap<&str, usize> = lines.enumerate().map(|(i, row)| (row, i)).collect();
+    let mut rows: Vec<(usize, &str)> = Vec::with_capacity(position.len());
+    for (k, text) in sink.0.iter().enumerate() {
+        let mut lines = text.lines();
+        if k == 0 {
+            assert_eq!(lines.next(), Some(header), "{context}: opening segment");
+        }
+        let first = rows.len();
+        for row in lines {
+            let at = *position
+                .get(row)
+                .unwrap_or_else(|| panic!("{context}: streamed a row the batch grid lacks: {row}"));
+            rows.push((at, row));
+        }
+        assert!(
+            rows[first..].windows(2).all(|pair| pair[0].0 < pair[1].0),
+            "{context}: segment {k} must be in grid order"
+        );
+    }
+    rows.sort_unstable();
+    let mut reassembled = format!("{header}\n");
+    for (_, row) in rows {
+        reassembled.push_str(row);
+        reassembled.push('\n');
+    }
+    assert_eq!(reassembled, grid, "{context}: re-sorted segments");
+}
+
 /// Checks refinement against exhaustion on one seeded random scenario:
-/// winners and both fronts, every priced grid row, 1 vs 4 threads, and a
-/// warm core-cache rerun.
+/// winners and both fronts, every priced grid row, 1 vs 4 threads, a
+/// warm core-cache rerun, the uncached reference engine, and streamed ≡
+/// batch delivery.
 fn check_seed(seed: u64) {
     let text = random_scenario(seed);
     let scenario =
@@ -420,6 +483,18 @@ fn check_seed(seed: u64) {
     let warm = shared();
     assert_eq!(warm.grid_artifact().csv(), grid, "{context}: warm cache");
     assert_eq!(warm.core_evaluations(), 0, "{context}: warm cache");
+
+    let uncached = explore_portfolio_with(lib, space, 2, CorePolicy::Uncached).unwrap();
+    assert_eq!(
+        uncached.grid_artifact().csv(),
+        reference,
+        "{context}: uncached exhaustion"
+    );
+
+    let batch: Vec<String> = (job.outputs.iter())
+        .map(|output| output.artifact(&job.name, &refined).csv())
+        .collect();
+    check_streamed(&scenario, &batch, &grid, &context);
 }
 
 #[test]
