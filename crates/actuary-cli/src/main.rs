@@ -142,13 +142,7 @@ fn parse_flags(args: &[String]) -> Result<BTreeMap<String, String>, String> {
 }
 
 fn parse_integration(s: &str) -> Result<IntegrationKind, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "soc" => Ok(IntegrationKind::Soc),
-        "mcm" => Ok(IntegrationKind::Mcm),
-        "info" => Ok(IntegrationKind::Info),
-        "2.5d" | "25d" | "interposer" => Ok(IntegrationKind::TwoPointFiveD),
-        other => Err(format!("unknown integration {other:?} (soc|mcm|info|2.5d)")),
-    }
+    s.parse()
 }
 
 fn parse_flow(s: &str) -> Result<AssemblyFlow, String> {

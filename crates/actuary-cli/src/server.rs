@@ -1338,6 +1338,9 @@ impl<W: Write> Write for ChunkedWriter<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use std::net::Ipv4Addr;
 
     /// An in-memory duplex stream: reads deliver the queued segments one
@@ -2007,5 +2010,274 @@ mod tests {
         let message = refused.unwrap_err();
         assert!(message.contains("capped at 100000000 cells"), "{message}");
         assert!(message.contains("refine"), "{message}");
+    }
+
+    /// A refine-mode explore job that prices in milliseconds, so a fuzzed
+    /// `?stream=refine` request streams real waves.
+    const TINY_REFINE: &str = concat!(
+        "name = \"f\"\n",
+        "[explore]\n",
+        "nodes = [\"7nm\"]\n",
+        "areas_mm2 = [100, 300, 500]\n",
+        "quantities = [1000000]\n",
+        "integrations = [\"soc\", \"mcm\"]\n",
+        "chiplets = [1, 2]\n",
+        "mode = \"refine\"\n",
+    );
+
+    fn pick<'a>(rng: &mut StdRng, items: &[&'a str]) -> &'a str {
+        items[(rng.gen::<u64>() % items.len() as u64) as usize]
+    }
+
+    fn below(rng: &mut StdRng, bound: usize) -> usize {
+        (rng.gen::<u64>() % bound as u64) as usize
+    }
+
+    /// One random request. A well-formed one is a `GET` of a status
+    /// endpoint or a `POST /run` (batch or `?stream=refine`) whose body is
+    /// a tiny valid scenario, random bytes or nothing; a hostile one draws
+    /// its method, path, version and `Content-Length` (valid, too long,
+    /// over the cap, negative or not a number) freely and may be mutated
+    /// byte by byte.
+    fn fuzz_request(rng: &mut StdRng) -> Vec<u8> {
+        let hostile = rng.gen_bool(0.3);
+        let (method, path, version) = if hostile {
+            (
+                pick(rng, &["POST", "GET", "PUT", "HEAD", "post", ""]),
+                pick(
+                    rng,
+                    &["/run", "/run?stream=everything", "/run?", "/nope", "*"],
+                ),
+                pick(rng, &["HTTP/1.1", "HTTP/1.0", "HTTP/2", ""]),
+            )
+        } else if rng.gen_bool(0.7) {
+            (
+                "POST",
+                pick(rng, &["/run", "/run?stream=refine"]),
+                "HTTP/1.1",
+            )
+        } else {
+            (
+                "GET",
+                pick(rng, &["/healthz", "/statz", "/metricsz"]),
+                "HTTP/1.1",
+            )
+        };
+        let body: Vec<u8> = if method == "GET" && !hostile {
+            Vec::new()
+        } else {
+            match below(rng, 5) {
+                0 | 1 => TINY_SCENARIO.into(),
+                2 => TINY_REFINE.into(),
+                3 => (0..below(rng, 64))
+                    .map(|_| rng.gen::<u32>() as u8)
+                    .collect(),
+                _ => Vec::new(),
+            }
+        };
+        let mut head = format!("{method} {path} {version}\r\n");
+        if !hostile && method == "POST" {
+            head += &format!("Content-Length: {}\r\n", body.len());
+        } else if hostile && rng.gen_bool(0.8) {
+            let length = match below(rng, 5) {
+                0 => body.len().to_string(),
+                // Longer than the body: the next request is read as body.
+                1 => (body.len() + 1 + below(rng, 40)).to_string(),
+                // Over the body cap, or past what `usize` holds.
+                2 if rng.gen_bool(0.5) => (MAX_BODY_BYTES + 1).to_string(),
+                2 => "99999999999999999999999".to_string(),
+                3 => "-5".to_string(),
+                _ => "ten".to_string(),
+            };
+            head += &format!("Content-Length: {length}\r\n");
+        }
+        if rng.gen_bool(if hostile { 0.5 } else { 0.1 }) {
+            head += pick(
+                rng,
+                &[
+                    "Connection: close\r\n",
+                    "Connection: keep-alive\r\n",
+                    "Connection: upgrade\r\n",
+                ],
+            );
+        }
+        if rng.gen_bool(0.2) {
+            head += "Expect: 100-continue\r\n";
+        }
+        if rng.gen_bool(0.3) {
+            head += pick(
+                rng,
+                &["Accept: application/json\r\n", "Accept: text/csv\r\n"],
+            );
+        }
+        head += "\r\n";
+        let mut bytes = head.into_bytes();
+        if hostile && rng.gen_bool(0.5) {
+            for _ in 0..1 + below(rng, 3) {
+                let at = below(rng, bytes.len());
+                let byte = rng.gen::<u32>() as u8;
+                match below(rng, 3) {
+                    0 => bytes[at] = byte,
+                    1 => bytes.insert(at, byte),
+                    _ => {
+                        bytes.remove(at);
+                    }
+                }
+            }
+        }
+        bytes.extend(body);
+        bytes
+    }
+
+    /// Splits a chunked body off the front of `rest`: its payload, and
+    /// whether the terminal chunk arrived before the output ended.
+    fn take_chunked(rest: &mut &[u8]) -> Result<(Vec<u8>, bool), String> {
+        let mut body = Vec::new();
+        loop {
+            let Some(line_end) = find_subslice(rest, b"\r\n") else {
+                *rest = &[];
+                return Ok((body, false));
+            };
+            let size = std::str::from_utf8(&rest[..line_end])
+                .ok()
+                .and_then(|size| usize::from_str_radix(size, 16).ok())
+                .ok_or_else(|| {
+                    let line = String::from_utf8_lossy(&rest[..line_end]);
+                    format!("malformed chunk size {line:?}")
+                })?;
+            let chunk = &rest[line_end + 2..];
+            if chunk.len() < size + 2 {
+                *rest = &[];
+                return Ok((body, false));
+            }
+            if &chunk[size..size + 2] != b"\r\n" {
+                return Err("a chunk without its CRLF".to_string());
+            }
+            body.extend_from_slice(&chunk[..size]);
+            *rest = &chunk[size + 2..];
+            if size == 0 {
+                return Ok((body, true));
+            }
+        }
+    }
+
+    /// Checks one connection's output: every response has a well-formed
+    /// status line and framing, every 4xx names its reason in a non-empty
+    /// `text/plain` body, every `200` chunked body ends in its terminal
+    /// chunk unless it is the last thing the server wrote, and nothing
+    /// follows a `Connection: close` response.
+    fn check_framing(output: &[u8]) -> Result<(), String> {
+        let mut rest = output;
+        while !rest.is_empty() {
+            let head_end =
+                find_subslice(rest, b"\r\n\r\n").ok_or("a response head without its end")?;
+            let head = std::str::from_utf8(&rest[..head_end])
+                .map_err(|_| "a response head that is not UTF-8".to_string())?;
+            rest = &rest[head_end + 4..];
+            let mut lines = head.split("\r\n");
+            let status_line = lines.next().unwrap_or_default();
+            let status = status_line
+                .strip_prefix("HTTP/1.1 ")
+                .and_then(|s| s.split_once(' '))
+                .filter(|(code, reason)| code.len() == 3 && !reason.is_empty())
+                .and_then(|(code, _)| code.parse::<u16>().ok())
+                .ok_or_else(|| format!("malformed status line {status_line:?}"))?;
+            if status == 100 {
+                continue;
+            }
+            let headers: Vec<(&str, &str)> = lines.filter_map(|l| l.split_once(": ")).collect();
+            let header = |name: &str| {
+                headers
+                    .iter()
+                    .find(|(n, _)| n.eq_ignore_ascii_case(name))
+                    .map(|(_, v)| *v)
+            };
+            let (body, terminated) = if header("Transfer-Encoding") == Some("chunked") {
+                take_chunked(&mut rest)?
+            } else {
+                let length: usize = header("Content-Length")
+                    .and_then(|v| v.parse().ok())
+                    .ok_or_else(|| format!("a {status} response without framing"))?;
+                if rest.len() < length {
+                    return Err(format!("a {status} body shorter than its Content-Length"));
+                }
+                let (body, tail) = rest.split_at(length);
+                rest = tail;
+                (body.to_vec(), true)
+            };
+            if (400..500).contains(&status) {
+                if !header("Content-Type").is_some_and(|t| t.starts_with("text/plain")) {
+                    return Err(format!("a {status} response that is not text/plain"));
+                }
+                if body.iter().all(u8::is_ascii_whitespace) {
+                    return Err(format!("a {status} response without a reason"));
+                }
+            }
+            if status == 200 && !terminated && !rest.is_empty() {
+                return Err("an unterminated chunked body before more output".to_string());
+            }
+            if header("Connection") == Some("close") && !rest.is_empty() {
+                return Err(format!("bytes after a {status} Connection: close response"));
+            }
+        }
+        Ok(())
+    }
+
+    /// Serves one seeded random connection (one to six pipelined requests
+    /// cut into random read segments) and checks what it wrote back.
+    fn fuzz_connection(seed: u64) -> Result<(), String> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut input = Vec::new();
+        for _ in 0..1 + below(&mut rng, 6) {
+            input.extend(fuzz_request(&mut rng));
+        }
+        let mut segments: Vec<&[u8]> = Vec::new();
+        let mut rest = input.as_slice();
+        while !rest.is_empty() {
+            let cap = if rng.gen_bool(0.5) { 8 } else { rest.len() };
+            let (segment, tail) = rest.split_at(1 + below(&mut rng, cap.min(rest.len())));
+            segments.push(segment);
+            rest = tail;
+        }
+        let mut fake = Fake::segmented(&segments);
+        let state = state();
+        let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            serve_connection(&mut fake, None, &state);
+        }));
+        let outcome = match served {
+            Ok(()) => check_framing(&fake.output),
+            Err(_) => Err("the server panicked".to_string()),
+        };
+        outcome.map_err(|e| {
+            format!(
+                "seed {seed}: {e}\ninput: {:?}\noutput: {:?}",
+                String::from_utf8_lossy(&input),
+                String::from_utf8_lossy(&fake.output)
+            )
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Byte-level fuzz of the connection loop: random pipelined
+        /// requests in random read segments never panic the server and
+        /// always get well-framed answers.
+        #[test]
+        fn fuzz_pipelined_requests_get_well_framed_answers(seed in 0u64..u64::MAX) {
+            fuzz_connection(seed).map_err(TestCaseError::fail)?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(50_000))]
+
+        /// The long soak of the same fuzz; CI runs it in release mode
+        /// (`cargo test --release -p actuary-cli fuzz -- --ignored`).
+        #[test]
+        #[ignore = "soak: 50,000 connections, run in release mode"]
+        fn fuzz_soak_pipelined_requests_get_well_framed_answers(seed in 0u64..u64::MAX) {
+            fuzz_connection(seed).map_err(TestCaseError::fail)?;
+        }
     }
 }

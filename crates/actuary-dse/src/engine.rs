@@ -1,32 +1,24 @@
-//! Work-stealing parallel work distribution shared by the exploration
-//! engines.
+//! Parallel work distribution shared by the exploration engines.
 //!
-//! Workers own *deques of chunk ranges* over the pre-expanded work list
-//! instead of racing one atomic index: the list is pre-split into
-//! [`chunk_for`]-sized ranges dealt contiguously across workers, each
-//! worker drains its own queue front-to-back, and a worker that runs dry
-//! steals the back half of a victim's queue. Uniform workloads never
-//! steal (the deal is already balanced and contention-free); skewed
-//! workloads — a refinement wave can concentrate every expensive cell in
-//! one stretch of the list — rebalance instead of serializing on the
-//! tail. Results are reassembled in work-list order, so the output
-//! stays independent of both the thread count and the steal schedule.
-//!
-//! Steal events are counted into the global
-//! `actuary_engine_steals_total` counter (see `docs/observability.md`).
+//! The work list is cut into [`chunk_for`]-sized ranges, and workers claim
+//! them in order from one shared atomic cursor: a worker that finishes a
+//! range takes the next unclaimed one, so a stretch of expensive items
+//! (a refinement wave can concentrate every costly cell in one part of
+//! the list) spreads over whichever workers are free instead of
+//! serializing behind one. Results are kept per range and concatenated by
+//! range start, so the output is independent of both the thread count
+//! and the claim order.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
-/// How many work items one queued range covers, scaled to the work list:
-/// small lists keep a fine 16-item grain (a grid of a few hundred cells
-/// still load-balances across threads), while huge refine-mode lists take
+/// How many work items one range covers, scaled to the work list: small
+/// lists keep a fine 16-item grain (a grid of a few hundred cells still
+/// load-balances across threads), while huge refine-mode lists take
 /// ranges of up to 2,048 items so per-range bookkeeping stays off the
-/// profile. Targets ~64 ranges per worker — finer than the pre-stealing
-/// ~16, because a range is the unit of theft: one oversized range pinning
-/// every expensive cell to a single worker is exactly the skew stealing
-/// exists to fix.
+/// profile. Targets ~64 ranges per worker: a range is the unit of
+/// balance, and one oversized range pinning every expensive cell to a
+/// single worker is exactly the skew the shared cursor exists to avoid.
 pub(crate) fn chunk_for(items: usize, threads: usize) -> usize {
     (items / (threads.max(1) * 64)).clamp(16, 2048)
 }
@@ -44,21 +36,9 @@ pub(crate) fn resolve_threads(requested: usize, work_items: usize) -> usize {
     threads.min(work_items).max(1)
 }
 
-/// A worker's queue of `(start, end)` item ranges, lowest indices at the
-/// front. Owners pop the front (preserving cache-friendly ascending
-/// order); thieves take from the back, furthest from where the owner is
-/// working.
-type RangeQueue = Mutex<VecDeque<(usize, usize)>>;
-
-fn lock_queue(queue: &RangeQueue) -> MutexGuard<'_, VecDeque<(usize, usize)>> {
-    queue
-        .lock()
-        .expect("a worker panicked while holding a range queue")
-}
-
 /// Evaluates `eval(index, item)` for every item on `threads` scoped worker
-/// threads under the work-stealing scheduler; returns the results in item
-/// order regardless of which worker ran what.
+/// threads; returns the results in item order regardless of which worker
+/// ran what.
 pub(crate) fn run_chunked<T, R, F>(items: &[T], threads: usize, eval: F) -> Vec<R>
 where
     T: Sync,
@@ -72,8 +52,8 @@ where
 
 /// Like [`run_chunked`], but `eval(index, item, out)` appends any number
 /// of results to `out`: one worker appends straight into the returned
-/// list, and several fill one list per queued range, concatenated in item
-/// order.
+/// list, and several fill one list per claimed range, concatenated in
+/// item order.
 pub(crate) fn run_chunked_into<T, R, F>(items: &[T], threads: usize, eval: F) -> Vec<R>
 where
     T: Sync,
@@ -90,58 +70,29 @@ where
         return out;
     }
     let chunk = chunk_for(items.len(), threads);
-    let ranges: Vec<(usize, usize)> = (0..items.len())
-        .step_by(chunk)
-        .map(|start| (start, (start + chunk).min(items.len())))
-        .collect();
-    // Deal contiguous runs of ranges so neighbours stay on one worker and
-    // an even workload finishes with zero steals.
-    let per_worker = ranges.len().div_ceil(threads);
-    let queues: Vec<RangeQueue> = ranges
-        .chunks(per_worker)
-        .map(|run| Mutex::new(run.iter().copied().collect()))
-        .collect();
-    let steals = AtomicU64::new(0);
+    // The start of the next unclaimed range. `Relaxed` suffices: the
+    // cursor publishes no data (the items are shared read-only, and the
+    // results travel through the lock and the scope's join).
+    let cursor = AtomicUsize::new(0);
     // Each processed range's first item index and its results.
-    let collected: Mutex<Vec<(usize, Vec<R>)>> = Mutex::new(Vec::with_capacity(ranges.len()));
+    let collected: Mutex<Vec<(usize, Vec<R>)>> =
+        Mutex::new(Vec::with_capacity(items.len().div_ceil(chunk)));
     std::thread::scope(|scope| {
-        for w in 0..queues.len() {
-            let (queues, steals, collected, eval) = (&queues, &steals, &collected, &eval);
+        for _ in 0..threads {
+            let (cursor, collected, eval) = (&cursor, &collected, &eval);
             scope.spawn(move || {
                 let mut local = Vec::new();
-                let mut local_steals = 0u64;
-                'work: loop {
-                    if let Some((start, end)) = lock_queue(&queues[w]).pop_front() {
-                        let mut out = Vec::new();
-                        for (i, item) in items.iter().enumerate().take(end).skip(start) {
-                            eval(i, item, &mut out);
-                        }
-                        local.push((start, out));
-                        continue;
+                loop {
+                    let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+                    if start >= items.len() {
+                        break;
                     }
-                    // Own queue dry: scan the other workers and steal the
-                    // back half of the first non-empty queue found.
-                    for off in 1..queues.len() {
-                        let victim = (w + off) % queues.len();
-                        let stolen: Vec<(usize, usize)> = {
-                            let mut queue = lock_queue(&queues[victim]);
-                            let len = queue.len();
-                            if len == 0 {
-                                continue;
-                            }
-                            queue.drain(len - len.div_ceil(2)..).collect()
-                        };
-                        local_steals += 1;
-                        lock_queue(&queues[w]).extend(stolen);
-                        continue 'work;
+                    let end = (start + chunk).min(items.len());
+                    let mut out = Vec::new();
+                    for (i, item) in items.iter().enumerate().take(end).skip(start) {
+                        eval(i, item, &mut out);
                     }
-                    // Every queue momentarily empty: any range not yet in a
-                    // queue is already claimed by the worker processing it,
-                    // so there is nothing left to take.
-                    break;
-                }
-                if local_steals > 0 {
-                    steals.fetch_add(local_steals, Ordering::Relaxed);
+                    local.push((start, out));
                 }
                 collected
                     .lock()
@@ -150,17 +101,6 @@ where
             });
         }
     });
-    // Registered even when zero so a uniform workload reads 0 on
-    // /metricsz rather than omitting the family.
-    let stolen = steals.into_inner();
-    actuary_obs::Registry::global()
-        .counter(
-            "actuary_engine_steals_total",
-            "Work-stealing events in the chunked evaluation engine \
-             (one per successful theft of queued chunk ranges).",
-            &[],
-        )
-        .add(stolen);
     let mut parts = collected
         .into_inner()
         .expect("a worker panicked while holding the result lock");
@@ -179,7 +119,8 @@ mod tests {
     #[test]
     fn results_come_back_in_item_order() {
         let items: Vec<usize> = (0..1000).collect();
-        for threads in [1, 2, 7] {
+        // 3 workers over 16-item ranges leave a short last range.
+        for threads in [1, 2, 3, 7] {
             let out = run_chunked(&items, threads, |i, &x| {
                 assert_eq!(i, x);
                 x * 2
@@ -217,12 +158,12 @@ mod tests {
 
     #[test]
     fn chunk_size_scales_with_the_work_list() {
-        // Small grids keep a fine steal-friendly grain.
+        // Small grids keep a fine load-balancing grain.
         assert_eq!(chunk_for(1_620, 8), 16);
         assert_eq!(chunk_for(100, 1), 16);
         // Large grids take proportionally bigger bites...
         assert_eq!(chunk_for(1_000_000, 8), 1_953);
-        // ...up to a theft-preserving ceiling.
+        // ...up to a balance-preserving ceiling.
         assert_eq!(chunk_for(100_000_000, 4), 2_048);
         assert_eq!(chunk_for(0, 0), 16);
     }
@@ -245,12 +186,11 @@ mod tests {
         acc
     }
 
-    /// The regression test behind the work-stealing swap: a pathologically
-    /// skewed cost distribution — 5% of items carry ~95% of the work —
-    /// must cost about the same wall-clock whether the expensive items are
-    /// clustered at the tail of the list (where the old single-atomic
-    /// claim left them all to whichever workers claimed last) or spread
-    /// uniformly. The tolerance is generous: the point is "no tail
+    /// A pathologically skewed cost distribution — 5% of items carry ~95%
+    /// of the work — must cost about the same wall-clock whether the
+    /// expensive items are clustered at the tail of the list or spread
+    /// uniformly: fine ranges claimed from one cursor spread the tail over
+    /// every free worker. The tolerance is generous: the point is "no tail
     /// serialization", not a micro-benchmark.
     #[test]
     fn skewed_cost_distributions_keep_wall_clock_parity_across_orderings() {

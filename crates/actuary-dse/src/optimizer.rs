@@ -152,18 +152,30 @@ pub fn candidate_core(
     chiplets: u32,
     flow: AssemblyFlow,
 ) -> Result<CandidateCore, ArchError> {
+    Ok(CandidateCore {
+        integration,
+        chiplets,
+        core: single_system_core(lib, node_id, module_area, integration, chiplets, flow)?,
+    })
+}
+
+/// The one-member [`PortfolioCore`] behind [`candidate_core`]: the single
+/// system split into `chiplets` equal chiplets, its one member at index
+/// 0. The exploration grid prices its `none`-scheme cells from it.
+pub(crate) fn single_system_core(
+    lib: &TechLibrary,
+    node_id: &str,
+    module_area: Area,
+    integration: IntegrationKind,
+    chiplets: u32,
+    flow: AssemblyFlow,
+) -> Result<PortfolioCore, ArchError> {
     let chips = equal_chiplets("opt", node_id, module_area, chiplets)?;
     let mut builder = System::builder("opt-sys", integration);
     for chip in chips {
         builder = builder.chip(chip, 1);
     }
-    let system = builder.build()?;
-    let core = Portfolio::new(vec![system]).core(lib, flow)?;
-    Ok(CandidateCore {
-        integration,
-        chiplets,
-        core,
-    })
+    Portfolio::new(vec![builder.build()?]).core(lib, flow)
 }
 
 /// Evaluates one (integration, chiplet count) configuration of a single

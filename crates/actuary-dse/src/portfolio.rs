@@ -57,12 +57,13 @@
 //! # The cached RE core
 //!
 //! The expensive half of a cell (per-system RE and the NRE entity totals)
-//! depends only on (scheme, node, per-socket area, integration, flow) —
-//! not on quantity, and not on which family member the cell reads out.
-//! The engine therefore evaluates one [`actuary_arch::PortfolioCore`] per
-//! distinct key and re-amortizes it per quantity, which removes the
-//! quantity axis (and the member axis of the reuse families) from the
-//! evaluation cost: on the default grid this is ~3× fewer full
+//! depends only on (scheme, node, per-socket area, integration, flow and
+//! the scheme's own parameters) — not on quantity, and not on which
+//! family member the cell reads out. The engine therefore evaluates one
+//! [`actuary_arch::PortfolioCore`] per distinct key (a standalone system's
+//! core is a one-member portfolio) and re-amortizes it per quantity, which
+//! removes the quantity axis (and the member axis of the reuse families)
+//! from the evaluation cost: on the default grid this is ~3× fewer full
 //! evaluations, with byte-identical output because
 //! [`actuary_arch::Portfolio::cost`] itself is core + amortize.
 //! [`CorePolicy::Uncached`] keeps the reference path alive for tests.
@@ -82,13 +83,13 @@
 //! allocates or materializes a whole-family
 //! [`actuary_arch::PortfolioCost`].
 //!
-//! Both passes run on the shared work-stealing engine: chunk ranges are
-//! dealt to per-worker deques, an idle worker steals the back half of a
-//! busy one's queue, and results are reassembled in work-list order. A
-//! block is one contiguous stretch of the grid (node → area → quantity →
-//! integration → chiplet count → flow → scheme) and blocks follow each
-//! other in it, so their cells are appended straight to the sparse
-//! store — one thread and N threads emit byte-identical CSV.
+//! Both passes run on the shared chunked engine: workers claim ranges of
+//! the work list from one shared cursor, and results are reassembled in
+//! work-list order. A block is one contiguous stretch of the grid (node →
+//! area → quantity → integration → chiplet count → flow → scheme) and
+//! blocks follow each other in it, so their cells are appended straight
+//! to the sparse store — one thread and N threads emit byte-identical
+//! CSV.
 //!
 //! # Examples
 //!
@@ -114,6 +115,7 @@
 //! # }
 //! ```
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -127,7 +129,7 @@ use actuary_units::{Area, Artifact, Quantity};
 use crate::cache::{CacheStats, Lru};
 use crate::engine::{resolve_threads, run_chunked, run_chunked_into};
 use crate::explore::{CellOutcome, IncompatibleReason, ScmsFamily};
-use crate::optimizer::{candidate_core, Candidate, CandidateCore};
+use crate::optimizer::{single_system_core, Candidate};
 use crate::pareto::pareto_min_indices;
 
 /// How a grid cell's NRE is shared across derivative systems.
@@ -474,13 +476,13 @@ pub enum CorePolicy {
     Uncached,
 }
 
-/// A cross-call core cache: evaluated cores keyed by *everything an
-/// evaluation reads* — the caller-supplied library tag, the core spec
-/// (scheme, node, area, integration, chiplet key, flow, scheme
-/// parameters), and the space-level knobs the scheme actually consumes
-/// (SCMS multiplicities, package reuse). Two requests whose grids overlap
-/// share the expensive RE/NRE evaluations even when their spaces differ on
-/// axes a core never reads (quantities, extra nodes, other schemes).
+/// A cross-call core cache: evaluated cores keyed by the caller-supplied
+/// library tag plus *everything an evaluation reads* (scheme, node, area,
+/// integration, chiplet key, flow, and the scheme parameters the scheme
+/// actually consumes: FSMC situation, OCME centre, SCMS multiplicities,
+/// package reuse). Two requests whose grids overlap share the expensive
+/// RE/NRE evaluations even when their spaces differ on axes a core never
+/// reads (quantities, extra nodes, other schemes).
 ///
 /// The cache is an [`Lru`] bounded at `capacity` entries and safe to share
 /// across threads; recoverable per-cell infeasibilities are cached (they
@@ -489,12 +491,16 @@ pub enum CorePolicy {
 /// per request — only the quantity-independent core is reused.
 #[derive(Debug)]
 pub struct SharedCoreCache {
-    lru: Lru<SharedCoreKey, SharedCore>,
+    lru: Lru<CacheKey, SharedCore>,
 }
 
+/// A [`SharedCoreCache`] key: the library tag, then the owned core spec.
+type CacheKey = ([u8; 32], CoreSpec<'static>);
+
 /// An evaluated core (or its per-cell infeasibility), shared by every
-/// cell that reads it and by the cross-call cache.
-type SharedCore = Arc<Result<CoreValue, String>>;
+/// cell that reads it and by the cross-call cache. A standalone system's
+/// core is a one-member portfolio.
+type SharedCore = Arc<Result<PortfolioCore, String>>;
 
 impl SharedCoreCache {
     /// An empty cache holding at most `capacity` cores. A capacity of `0`
@@ -508,55 +514,6 @@ impl SharedCoreCache {
     /// Lifetime hit/miss/eviction counters and current occupancy.
     pub fn stats(&self) -> CacheStats {
         self.lru.stats()
-    }
-}
-
-/// Everything a core evaluation reads, flattened into an `Ord` key. Fields
-/// a scheme never consumes are normalized away (`fsmc` only matters to
-/// FSMC, the center node only to OCME, multiplicities only to SCMS,
-/// package reuse only to SCMS/OCME) so overlapping spaces hit as often as
-/// correctness allows — and never more.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord)]
-struct SharedCoreKey {
-    tag: [u8; 32],
-    scheme: ReuseScheme,
-    node: String,
-    area_bits: u64,
-    integration: u8,
-    chiplets: u32,
-    flow: u8,
-    fsmc: Option<(u32, u32)>,
-    center_node: Option<String>,
-    scms_multiplicities: Vec<u32>,
-    package_reuse: bool,
-}
-
-fn shared_core_key(tag: &[u8; 32], space: &PortfolioSpace, spec: &CoreSpec<'_>) -> SharedCoreKey {
-    let (scms_multiplicities, package_reuse) = match spec.scheme {
-        ReuseScheme::Scms => (space.scms_multiplicities.clone(), space.package_reuse),
-        ReuseScheme::Ocme => (Vec::new(), space.package_reuse),
-        ReuseScheme::None | ReuseScheme::Fsmc => (Vec::new(), false),
-    };
-    SharedCoreKey {
-        tag: *tag,
-        scheme: spec.scheme,
-        node: spec.node.to_string(),
-        area_bits: spec.area.mm2().to_bits(),
-        integration: integration_rank(spec.integration),
-        chiplets: spec.chiplets,
-        flow: flow_rank(spec.flow),
-        fsmc: if spec.scheme == ReuseScheme::Fsmc {
-            spec.fsmc
-        } else {
-            None
-        },
-        center_node: if spec.scheme == ReuseScheme::Ocme {
-            spec.center_node.map(str::to_string)
-        } else {
-            None
-        },
-        scms_multiplicities,
-        package_reuse,
     }
 }
 
@@ -1365,41 +1322,87 @@ impl fmt::Display for PortfolioResult {
     }
 }
 
-/// The deduplication key of one core evaluation. `area_bits` carries the
-/// exact f64 bits of the per-system (scheme `none`) or per-socket (reuse
-/// families) module area, so cells share a core only on *identical*
-/// geometry; `variant` is the index into the expanded scheme axis, so
-/// different family parameters (FSMC situations, OCME centres) never share
-/// a core.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct CoreKey {
-    variant: usize,
-    node: usize,
-    area_bits: u64,
-    integration: u8,
-    chiplets: u32,
-    flow: u8,
-}
-
-/// Everything phase B needs to build and evaluate one core.
-#[derive(Clone, Copy)]
+/// Everything one core evaluation reads, and nothing else: the dedup key
+/// of a run and, owned and paired with the library tag, the key of the
+/// [`SharedCoreCache`]. `area_bits` carries the exact f64 bits of the
+/// per-system (scheme `none`) or per-socket (reuse families) module area,
+/// so cells share a core only on *identical* geometry; `chiplets` is the
+/// system's chiplet count for `none` and 0 for the families, whose cores
+/// cover every member count at once. Parameters a scheme never reads are
+/// normalized away (the FSMC situation matters only to FSMC, the centre
+/// node only to OCME, multiplicities only to SCMS, package reuse only to
+/// SCMS and OCME), so overlapping spaces share cores as often as
+/// correctness allows, and never more. The field order is the cache's
+/// key order, which its eviction breaks ties by.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 struct CoreSpec<'a> {
     scheme: ReuseScheme,
-    node: &'a str,
-    area: Area,
+    node: Cow<'a, str>,
+    area_bits: u64,
     integration: IntegrationKind,
     chiplets: u32,
     flow: AssemblyFlow,
-    /// FSMC `(sockets, chiplet types)` of the cell's variant.
     fsmc: Option<(u32, u32)>,
-    /// OCME centre node of the cell's variant.
-    center_node: Option<&'a str>,
+    center_node: Option<Cow<'a, str>>,
+    scms_multiplicities: Cow<'a, [u32]>,
+    package_reuse: bool,
 }
 
-/// A computed core: a standalone candidate or a whole reuse family.
-enum CoreValue {
-    Single(CandidateCore),
-    Family(PortfolioCore),
+impl<'a> CoreSpec<'a> {
+    /// The core a compatible configuration reads. A standalone system's
+    /// core is designed at its total area; a family's at the per-socket
+    /// area `area / chiplets`.
+    fn of(
+        space: &'a PortfolioSpace,
+        variant: &'a SchemeVariant,
+        node: &'a str,
+        area_mm2: f64,
+        integration: IntegrationKind,
+        chiplets: u32,
+        flow: AssemblyFlow,
+    ) -> Result<Self, ArchError> {
+        let (core_area_mm2, chiplets) = match variant.scheme {
+            ReuseScheme::None => (area_mm2, chiplets),
+            ReuseScheme::Scms | ReuseScheme::Ocme | ReuseScheme::Fsmc => {
+                (area_mm2 / f64::from(chiplets), 0)
+            }
+        };
+        let (scms_multiplicities, package_reuse): (&[u32], bool) = match variant.scheme {
+            ReuseScheme::Scms => (&space.scms_multiplicities, space.package_reuse),
+            ReuseScheme::Ocme => (&[], space.package_reuse),
+            ReuseScheme::None | ReuseScheme::Fsmc => (&[], false),
+        };
+        Ok(CoreSpec {
+            scheme: variant.scheme,
+            node: Cow::Borrowed(node),
+            area_bits: Area::from_mm2(core_area_mm2)?.mm2().to_bits(),
+            integration,
+            chiplets,
+            flow,
+            // A variant carries its FSMC situation and OCME centre only
+            // under the scheme that reads them.
+            fsmc: variant.fsmc,
+            center_node: variant.center_node.as_deref().map(Cow::Borrowed),
+            scms_multiplicities: Cow::Borrowed(scms_multiplicities),
+            package_reuse,
+        })
+    }
+
+    /// The same spec owning its data, as the cross-call cache keeps it.
+    fn into_owned(self) -> CoreSpec<'static> {
+        CoreSpec {
+            scheme: self.scheme,
+            node: Cow::Owned(self.node.into_owned()),
+            area_bits: self.area_bits,
+            integration: self.integration,
+            chiplets: self.chiplets,
+            flow: self.flow,
+            fsmc: self.fsmc,
+            center_node: self.center_node.map(|c| Cow::Owned(c.into_owned())),
+            scms_multiplicities: Cow::Owned(self.scms_multiplicities.into_owned()),
+            package_reuse: self.package_reuse,
+        }
+    }
 }
 
 /// One priced (node, area) point. Its cells are every quantity crossed
@@ -1414,48 +1417,20 @@ struct PointPlan {
     /// [`CorePolicy::Uncached`] the core index is the configuration's
     /// first-quantity core, and its other quantities' cores follow it.
     /// The member index is resolved once the cores exist (0 for a
-    /// single-system core).
+    /// standalone system's one-member core).
     configs: Vec<(usize, usize, usize)>,
-}
-
-fn integration_rank(kind: IntegrationKind) -> u8 {
-    match kind {
-        IntegrationKind::Soc => 0,
-        IntegrationKind::Mcm => 1,
-        IntegrationKind::Info => 2,
-        IntegrationKind::TwoPointFiveD => 3,
-    }
-}
-
-fn flow_rank(flow: AssemblyFlow) -> u8 {
-    match flow {
-        AssemblyFlow::ChipFirst => 0,
-        AssemblyFlow::ChipLast => 1,
-    }
 }
 
 /// The OCME family's chip counts and member names, in portfolio order.
 const OCME_MEMBERS: [(u32, &str); 4] = [(1, "C"), (2, "C+1X"), (3, "C+1X+1Y"), (5, "C+2X+2Y")];
 
-/// The core geometry of a compatible configuration: the area the core is
-/// designed at (total for a standalone system, per-socket for the reuse
-/// families) and the chiplet count that enters the dedup key (0 for
-/// families, whose cores cover every member count at once).
-fn core_geometry(scheme: ReuseScheme, area_mm2: f64, chiplets: u32) -> (f64, u32) {
-    match scheme {
-        ReuseScheme::None => (area_mm2, chiplets),
-        ReuseScheme::Scms | ReuseScheme::Ocme | ReuseScheme::Fsmc => {
-            (area_mm2 / f64::from(chiplets), 0)
-        }
-    }
-}
-
 /// The name of the family member a compatible cell reads out of its
-/// [`PortfolioCore`]. Only called for family schemes (`none` cells read
-/// their single core directly).
-fn member_name(scheme: ReuseScheme, chiplets: u32, soc: bool) -> String {
+/// [`PortfolioCore`], or `None` for a standalone system, whose one-member
+/// core is read at member 0.
+fn member_name(scheme: ReuseScheme, chiplets: u32, soc: bool) -> Option<String> {
     let suffix = if soc { "-soc" } else { "" };
-    match scheme {
+    Some(match scheme {
+        ReuseScheme::None => return None,
         ReuseScheme::Scms => format!("{chiplets}X{suffix}"),
         ReuseScheme::Ocme => {
             let (_, name) = OCME_MEMBERS
@@ -1468,8 +1443,7 @@ fn member_name(scheme: ReuseScheme, chiplets: u32, soc: bool) -> String {
         // same (symmetric usage weights); `sA` is the canonical read-out
         // member.
         ReuseScheme::Fsmc => format!("{chiplets}A{suffix}"),
-        ReuseScheme::None => unreachable!("single-system cells have no family member"),
-    }
+    })
 }
 
 /// Evaluates every cell of `space` on `threads` worker threads (`0` = the
@@ -1536,7 +1510,9 @@ pub fn explore_portfolio_shared(
 
 /// Maps recoverable per-cell failures (infeasible geometry, yield-model
 /// domain) into the per-cell `Err` channel and propagates everything else.
-fn soften(result: Result<CoreValue, ArchError>) -> Result<Result<CoreValue, String>, ArchError> {
+fn soften(
+    result: Result<PortfolioCore, ArchError>,
+) -> Result<Result<PortfolioCore, String>, ArchError> {
     match result {
         Ok(value) => Ok(Ok(value)),
         Err(ArchError::Model(e)) => Ok(Err(e.to_string())),
@@ -1580,7 +1556,7 @@ pub(crate) fn explore_portfolio_impl(
     let shape = GridShape::of(space, variants.len());
     let block = shape.block();
     let mut specs: Vec<CoreSpec<'_>> = Vec::new();
-    let mut key_index: BTreeMap<CoreKey, usize> = BTreeMap::new();
+    let mut key_index: BTreeMap<CoreSpec<'_>, usize> = BTreeMap::new();
     let mut points: Vec<PointPlan> = Vec::new();
     let mut cells = 0usize;
     for (n_i, node) in space.nodes.iter().enumerate() {
@@ -1595,7 +1571,7 @@ pub(crate) fn explore_portfolio_impl(
             for &integration in &space.integrations {
                 for &chiplets in &space.chiplet_counts {
                     for &flow in &space.flows {
-                        for (v_i, variant) in variants.iter().enumerate() {
+                        for variant in &variants {
                             let off = next_off;
                             next_off += 1;
                             if mask.is_some_and(|m| !m[off])
@@ -1603,19 +1579,15 @@ pub(crate) fn explore_portfolio_impl(
                             {
                                 continue;
                             }
-                            let (core_area_mm2, key_chiplets) =
-                                core_geometry(variant.scheme, area_mm2, chiplets);
-                            let area = Area::from_mm2(core_area_mm2)?;
-                            let spec = CoreSpec {
-                                scheme: variant.scheme,
+                            let spec = CoreSpec::of(
+                                space,
+                                variant,
                                 node,
-                                area,
+                                area_mm2,
                                 integration,
-                                chiplets: key_chiplets,
+                                chiplets,
                                 flow,
-                                fsmc: variant.fsmc,
-                                center_node: variant.center_node.as_deref(),
-                            };
+                            )?;
                             let core = match policy {
                                 // The reference path evaluates every cell
                                 // from scratch, including per quantity.
@@ -1624,15 +1596,7 @@ pub(crate) fn explore_portfolio_impl(
                                     specs.len() - shape.quantities
                                 }
                                 CorePolicy::Cached => {
-                                    let key = CoreKey {
-                                        variant: v_i,
-                                        node: n_i,
-                                        area_bits: area.mm2().to_bits(),
-                                        integration: integration_rank(integration),
-                                        chiplets: key_chiplets,
-                                        flow: flow_rank(flow),
-                                    };
-                                    *key_index.entry(key).or_insert_with(|| {
+                                    *key_index.entry(spec.clone()).or_insert_with(|| {
                                         specs.push(spec);
                                         specs.len() - 1
                                     })
@@ -1662,10 +1626,10 @@ pub(crate) fn explore_portfolio_impl(
     // already evaluated; either way only the misses run, and
     // `core_evaluations` reports that fresh work.
     let mut evaluate_span = actuary_obs::span!("dse.evaluate");
-    let cached: Option<(&SharedCoreCache, Vec<SharedCoreKey>)> = shared.map(|(cache, tag)| {
+    let cached: Option<(&SharedCoreCache, Vec<CacheKey>)> = shared.map(|(cache, tag)| {
         let keys = specs
             .iter()
-            .map(|spec| shared_core_key(&tag, space, spec))
+            .map(|spec| (tag, spec.clone().into_owned()))
             .collect();
         (cache, keys)
     });
@@ -1674,7 +1638,7 @@ pub(crate) fn explore_portfolio_impl(
         None => vec![None; specs.len()],
     };
     let misses: Vec<usize> = (0..specs.len()).filter(|&i| cores[i].is_none()).collect();
-    let results = run_chunked(&misses, threads, |_, &i| eval_core(lib, space, &specs[i]));
+    let results = run_chunked(&misses, threads, |_, &i| eval_core(lib, &specs[i]));
     let mut fresh = Vec::new();
     for (&i, result) in misses.iter().zip(results) {
         // A hard error aborts here, before the cache stores anything — it
@@ -1701,18 +1665,19 @@ pub(crate) fn explore_portfolio_impl(
     // out in grid order and are appended straight to the store, each
     // reading its `(per-unit, RE)` pair out of the core's compiled
     // amortization plan. A family configuration resolves its member
-    // index once per point, before any block runs; no cell allocates.
+    // index once per point, before any block runs (a standalone system
+    // reads member 0); no cell allocates.
     let mut amortize_span = actuary_obs::span!("dse.amortize");
     amortize_span.record("cells", cells as u64);
     for point in &mut points {
         for (off, core, member) in &mut point.configs {
-            if let Ok(CoreValue::Family(family)) = &*cores[*core] {
-                // A block offset decodes like the first operating point's
-                // flat index.
-                let idx = shape.coords(*off);
-                let soc = space.integrations[idx.integration] == IntegrationKind::Soc;
-                let chiplets = space.chiplet_counts[idx.chiplets];
-                let name = member_name(variants[idx.variant].scheme, chiplets, soc);
+            // A block offset decodes like the first operating point's flat
+            // index.
+            let idx = shape.coords(*off);
+            let soc = space.integrations[idx.integration] == IntegrationKind::Soc;
+            let chiplets = space.chiplet_counts[idx.chiplets];
+            let name = member_name(variants[idx.variant].scheme, chiplets, soc);
+            if let (Ok(family), Some(name)) = (&*cores[*core], name) {
                 *member = family
                     .system_names()
                     .iter()
@@ -1731,8 +1696,7 @@ pub(crate) fn explore_portfolio_impl(
         for &(off, core, member) in &point.configs {
             let outcome = match &*cores[core + q_i * stride] {
                 Err(reason) => CellOutcome::Infeasible(reason.clone()),
-                Ok(CoreValue::Single(core)) => CellOutcome::Feasible(core.at_quantity(quantity)),
-                Ok(CoreValue::Family(core)) => {
+                Ok(core) => {
                     let idx = shape.coords(off);
                     let (per_unit, re_per_unit) = core.member_at(member, quantity);
                     CellOutcome::Feasible(Candidate {
@@ -1755,73 +1719,72 @@ pub(crate) fn explore_portfolio_impl(
     ))
 }
 
-/// Evaluates one core: the standalone candidate or the whole reuse family,
-/// at a placeholder quantity of 1 (quantity only enters at amortization).
-fn eval_core(
-    lib: &TechLibrary,
-    space: &PortfolioSpace,
-    spec: &CoreSpec<'_>,
-) -> Result<CoreValue, ArchError> {
+/// Evaluates one core (a standalone system's one-member portfolio or a
+/// whole reuse family) at a placeholder quantity of 1: quantity only
+/// enters at amortization.
+fn eval_core(lib: &TechLibrary, spec: &CoreSpec<'_>) -> Result<PortfolioCore, ArchError> {
+    let area = Area::from_mm2(f64::from_bits(spec.area_bits))?;
+    let node = NodeId::new(&*spec.node);
     let soc = spec.integration == IntegrationKind::Soc;
-    match spec.scheme {
-        ReuseScheme::None => Ok(CoreValue::Single(candidate_core(
-            lib,
-            spec.node,
-            spec.area,
-            spec.integration,
-            spec.chiplets,
-            spec.flow,
-        )?)),
+    let portfolio = match spec.scheme {
+        ReuseScheme::None => {
+            return single_system_core(
+                lib,
+                &spec.node,
+                area,
+                spec.integration,
+                spec.chiplets,
+                spec.flow,
+            );
+        }
         ReuseScheme::Scms => {
             let scms = ScmsSpec {
-                chiplet_module_area: spec.area,
-                node: NodeId::new(spec.node),
-                multiplicities: space.scms_multiplicities.clone(),
+                chiplet_module_area: area,
+                node,
+                multiplicities: spec.scms_multiplicities.to_vec(),
                 integration: spec.integration,
                 quantity_each: Quantity::new(1),
-                package_reuse: space.package_reuse,
+                package_reuse: spec.package_reuse,
             };
-            let portfolio = if soc {
+            if soc {
                 scms.soc_portfolio()?
             } else {
                 scms.portfolio()?
-            };
-            Ok(CoreValue::Family(portfolio.core(lib, spec.flow)?))
+            }
         }
         ReuseScheme::Ocme => {
             let ocme = OcmeSpec {
-                socket_module_area: spec.area,
-                node: NodeId::new(spec.node),
-                center_node: spec.center_node.map(NodeId::new),
+                socket_module_area: area,
+                node,
+                center_node: spec.center_node.as_deref().map(NodeId::new),
                 integration: spec.integration,
                 quantity_each: Quantity::new(1),
-                package_reuse: space.package_reuse,
+                package_reuse: spec.package_reuse,
             };
-            let portfolio = if soc {
+            if soc {
                 ocme.soc_portfolio()?
             } else {
                 ocme.portfolio()?
-            };
-            Ok(CoreValue::Family(portfolio.core(lib, spec.flow)?))
+            }
         }
         ReuseScheme::Fsmc => {
             let (sockets, chiplet_types) = spec.fsmc.expect("FSMC specs carry a situation");
             let fsmc = FsmcSpec {
                 sockets,
                 chiplet_types,
-                socket_module_area: spec.area,
-                node: NodeId::new(spec.node),
+                socket_module_area: area,
+                node,
                 integration: spec.integration,
                 quantity_each: Quantity::new(1),
             };
-            let portfolio = if soc {
+            if soc {
                 fsmc.soc_portfolio()?
             } else {
                 fsmc.portfolio()?
-            };
-            Ok(CoreValue::Family(portfolio.core(lib, spec.flow)?))
+            }
         }
-    }
+    };
+    portfolio.core(lib, spec.flow)
 }
 
 #[cfg(test)]
@@ -2434,6 +2397,49 @@ mod tests {
             overlapping.core_evaluations() > 0,
             "the 400 mm² cores are new"
         );
+    }
+
+    #[test]
+    fn repeated_axis_values_share_their_cores() {
+        // A core is named by what it reads, not by its axis position: a
+        // node or scheme listed twice prices its cores once.
+        let lib = lib();
+        let once = explore_portfolio(&lib, &small_space(), 1).unwrap();
+        let twice = PortfolioSpace {
+            nodes: vec!["7nm".to_string(), "7nm".to_string()],
+            schemes: [ReuseScheme::ALL, ReuseScheme::ALL].concat(),
+            ..small_space()
+        };
+        let result = explore_portfolio(&lib, &twice, 1).unwrap();
+        assert_eq!(result.core_evaluations(), once.core_evaluations());
+        assert_eq!(result.feasible_count(), 4 * once.feasible_count());
+    }
+
+    #[test]
+    fn shared_cache_ignores_parameters_a_scheme_never_reads() {
+        let lib = lib();
+        let cache = SharedCoreCache::new(1024);
+        let base = PortfolioSpace {
+            schemes: vec![ReuseScheme::None, ReuseScheme::Fsmc],
+            ..small_space()
+        };
+        explore_portfolio_shared(&lib, &base, 1, &cache, [0; 32]).unwrap();
+        // Neither `none` nor FSMC reads SCMS multiplicities or package
+        // reuse: a space that changes only those hits every core.
+        let unread = PortfolioSpace {
+            scms_multiplicities: vec![1, 3],
+            package_reuse: true,
+            ..base.clone()
+        };
+        let warm = explore_portfolio_shared(&lib, &unread, 1, &cache, [0; 32]).unwrap();
+        assert_eq!(warm.core_evaluations(), 0);
+        // Another FSMC situation is another family.
+        let other = PortfolioSpace {
+            fsmc_situations: vec![(2, 2)],
+            ..base
+        };
+        let fresh = explore_portfolio_shared(&lib, &other, 1, &cache, [0; 32]).unwrap();
+        assert!(fresh.core_evaluations() > 0);
     }
 
     #[test]

@@ -12,9 +12,8 @@
 //! * **NRE (non-recurring engineering) cost** — the primitives of Eq. (6):
 //!   [`module_design_cost`], [`chip_level_nre`], [`package_nre`] and
 //!   [`d2d_nre`], from which portfolio-level NRE (Eq. (7)/(8)) is assembled
-//!   by the `actuary-arch` crate.
-//! * **Total cost** — [`TotalCost`] pairs RE with amortized NRE over a
-//!   production [`Quantity`](actuary_units::Quantity) (§2.3).
+//!   by the `actuary-arch` crate, which also amortizes NRE over the
+//!   production quantity into a system's total cost (§2.3).
 //!
 //! # Examples
 //!
@@ -54,13 +53,11 @@ mod breakdown;
 mod error;
 mod nre;
 mod re;
-mod total;
 
 pub use breakdown::{NreBreakdown, ReCostBreakdown};
 pub use error::ModelError;
 pub use nre::{chip_level_nre, d2d_nre, module_design_cost, package_nre, package_nre_for_silicon};
 pub use re::{overall_soc_yield, re_cost, re_cost_sized, AssemblyFlow, DiePlacement};
-pub use total::TotalCost;
 
 /// Convenience result alias for this crate.
 pub type Result<T> = std::result::Result<T, ModelError>;

@@ -63,7 +63,7 @@ impl<'a> DiePlacement<'a> {
 /// bonding steps. The paper concludes chip-last "is the priority selection
 /// for multi-chip systems" and uses it for all experiments — as does every
 /// default in this repository.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum AssemblyFlow {
     /// Dies first, packaging after (cheap flow, wasteful on KGDs).
     ChipFirst,

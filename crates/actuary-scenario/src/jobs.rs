@@ -22,7 +22,7 @@ use actuary_units::{Area, Artifact, Quantity};
 
 use crate::error::ScenarioError;
 use crate::schema::{elem_f64, elem_str, elem_u32, elem_u64, Spanned, View};
-use crate::tech::{library_to_scenario, lower_library, parse_kind};
+use crate::tech::{lower_library, parse_kind};
 use crate::toml::{parse, Pos, Table};
 
 /// A fully lowered scenario: a technology library plus the jobs to run.
@@ -471,12 +471,6 @@ impl Scenario {
             library,
             jobs,
         })
-    }
-
-    /// Serializes a library to scenario form; see
-    /// [`library_to_scenario`].
-    pub fn library_toml(name: &str, lib: &TechLibrary) -> String {
-        library_to_scenario(name, lib)
     }
 
     /// Executes every job. `threads = 0` lets explore jobs use all
@@ -1365,6 +1359,39 @@ fn lower_explore_job(table: &Table, lib: &TechLibrary) -> Result<ExploreJob, Sce
     }
     if let Some(b) = view.opt_bool("package_reuse")? {
         space.package_reuse = b.value;
+    }
+    // A scheme parameter only acts on its scheme's cells: given for a
+    // scheme the job does not run, it would be silently ignored.
+    let runs = |scheme| space.schemes.contains(&scheme);
+    let unread = [
+        (
+            "scms_multiplicities",
+            !runs(ReuseScheme::Scms),
+            "grids the scms scheme; add \"scms\" to `schemes`",
+        ),
+        (
+            "fsmc_situations",
+            !runs(ReuseScheme::Fsmc),
+            "grids the fsmc scheme; add \"fsmc\" to `schemes`",
+        ),
+        (
+            "ocme_center_nodes",
+            !runs(ReuseScheme::Ocme),
+            "grids the ocme scheme; add \"ocme\" to `schemes`",
+        ),
+        (
+            "package_reuse",
+            space.package_reuse && !runs(ReuseScheme::Scms) && !runs(ReuseScheme::Ocme),
+            "affects only the scms and ocme families; add \"scms\" or \"ocme\" to `schemes`",
+        ),
+    ];
+    for (key, ignored, advice) in unread {
+        if let Some(entry) = table.get(key).filter(|_| ignored) {
+            return Err(ScenarioError::schema(
+                entry.key_pos,
+                format!("`{key}` {advice}"),
+            ));
+        }
     }
     let mode = match view.opt_str("mode")? {
         None => ExploreMode::Exhaustive,

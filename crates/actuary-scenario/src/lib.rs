@@ -287,6 +287,52 @@ mod tests {
         assert!(result.feasible_count() > 0);
     }
 
+    /// Lowers an `[explore]` job with `schemes` on line 3 and one scheme
+    /// parameter `key_line` on line 4.
+    fn explore_with(schemes: &str, key_line: &str) -> Result<Scenario, ScenarioError> {
+        Scenario::from_toml(&minimal(&format!(
+            "[explore]\nschemes = [{schemes}]\n{key_line}\nnodes = [\"7nm\"]\n"
+        )))
+    }
+
+    /// Asserts a schema error at the scheme parameter's key naming the
+    /// scheme it needs.
+    fn assert_needs_scheme(result: Result<Scenario, ScenarioError>, scheme: &str) {
+        let message = result.expect_err("the parameter is unread").to_string();
+        assert!(message.starts_with("line 4, column 1: "), "{message}");
+        assert!(message.contains(&format!("\"{scheme}\"")), "{message}");
+    }
+
+    #[test]
+    fn scms_multiplicities_without_the_scms_scheme_are_rejected() {
+        let key = "scms_multiplicities = [1, 3]";
+        assert_needs_scheme(explore_with("\"none\"", key), "scms");
+        assert!(explore_with("\"none\", \"scms\"", key).is_ok());
+    }
+
+    #[test]
+    fn fsmc_situations_without_the_fsmc_scheme_are_rejected() {
+        let key = "fsmc_situations = [\"2x2\"]";
+        assert_needs_scheme(explore_with("\"scms\"", key), "fsmc");
+        assert!(explore_with("\"scms\", \"fsmc\"", key).is_ok());
+    }
+
+    #[test]
+    fn ocme_center_nodes_without_the_ocme_scheme_are_rejected() {
+        let key = "ocme_center_nodes = [\"14nm\"]";
+        assert_needs_scheme(explore_with("\"scms\"", key), "ocme");
+        assert!(explore_with("\"ocme\"", key).is_ok());
+    }
+
+    #[test]
+    fn package_reuse_without_an_scms_or_ocme_scheme_is_rejected() {
+        let key = "package_reuse = true";
+        assert_needs_scheme(explore_with("\"none\", \"fsmc\"", key), "scms");
+        assert!(explore_with("\"none\", \"ocme\"", key).is_ok());
+        // Turning package reuse off asks for nothing.
+        assert!(explore_with("\"none\"", "package_reuse = false").is_ok());
+    }
+
     #[test]
     fn sweep_job_runs_the_figure4_workload() {
         let s = Scenario::from_toml(&minimal(concat!(

@@ -187,18 +187,11 @@ fn lower_node(
         .map_err(|e| ScenarioError::schema(table_pos, e.to_string()))
 }
 
-/// Parses a packaging kind key (`soc`, `mcm`, `info`, `2.5d`).
+/// Parses a packaging kind key (`soc`, `mcm`, `info`, `2.5d`). The
+/// grammar is owned by actuary-tech's `FromStr`, shared with the CLI.
 pub(crate) fn parse_kind(s: &str, pos: Pos) -> Result<IntegrationKind, ScenarioError> {
-    match s.to_ascii_lowercase().as_str() {
-        "soc" => Ok(IntegrationKind::Soc),
-        "mcm" => Ok(IntegrationKind::Mcm),
-        "info" => Ok(IntegrationKind::Info),
-        "2.5d" | "25d" | "interposer" => Ok(IntegrationKind::TwoPointFiveD),
-        other => Err(ScenarioError::schema(
-            pos,
-            format!("unknown integration {other:?} (soc|mcm|info|2.5d)"),
-        )),
-    }
+    s.parse()
+        .map_err(|message| ScenarioError::schema(pos, message))
 }
 
 /// Lowers one `[packaging.<kind>]` table, overlaying `base` when present.

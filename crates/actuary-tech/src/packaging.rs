@@ -70,6 +70,23 @@ impl fmt::Display for IntegrationKind {
     }
 }
 
+impl std::str::FromStr for IntegrationKind {
+    type Err = String;
+
+    /// Parses the user-facing integration grammar (`soc`, `mcm`, `info`,
+    /// `2.5d`/`25d`/`interposer`, case-insensitive) — the single
+    /// definition the CLI flags and the scenario schema both use.
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s.to_ascii_lowercase().as_str() {
+            "soc" => Ok(IntegrationKind::Soc),
+            "mcm" => Ok(IntegrationKind::Mcm),
+            "info" => Ok(IntegrationKind::Info),
+            "2.5d" | "25d" | "interposer" => Ok(IntegrationKind::TwoPointFiveD),
+            other => Err(format!("unknown integration {other:?} (soc|mcm|info|2.5d)")),
+        }
+    }
+}
+
 /// The wafer-level interposer process of an advanced packaging technology:
 /// a fan-out RDL (InFO) or a silicon interposer (2.5D).
 ///
@@ -507,6 +524,24 @@ mod tests {
         assert_eq!(IntegrationKind::ALL.len(), 4);
         assert_eq!(IntegrationKind::MULTI_CHIP.len(), 3);
         assert_eq!(IntegrationKind::TwoPointFiveD.to_string(), "2.5D");
+    }
+
+    #[test]
+    fn kinds_parse_from_the_shared_grammar() {
+        for (text, kind) in [
+            ("soc", IntegrationKind::Soc),
+            ("MCM", IntegrationKind::Mcm),
+            ("InFO", IntegrationKind::Info),
+            ("2.5d", IntegrationKind::TwoPointFiveD),
+            ("25D", IntegrationKind::TwoPointFiveD),
+            ("interposer", IntegrationKind::TwoPointFiveD),
+        ] {
+            assert_eq!(text.parse::<IntegrationKind>(), Ok(kind), "{text}");
+        }
+        assert_eq!(
+            "Cowos".parse::<IntegrationKind>(),
+            Err("unknown integration \"cowos\" (soc|mcm|info|2.5d)".to_string())
+        );
     }
 
     #[test]

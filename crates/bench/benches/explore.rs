@@ -4,7 +4,7 @@
 //!
 //! On a multi-core machine the `threads=N` row should run close to N×
 //! faster than `threads=1` (the per-cell work is independent, and the
-//! engine's only shared state is the per-worker work-stealing deques);
+//! engine's only shared state is the cursor workers claim ranges from);
 //! on a single-core container the two rows time alike, which is itself the
 //! correctness signal that the threading adds no overhead.
 

@@ -33,8 +33,6 @@ const SECTIONS: [(&str, &[&str]); 9] = [
         "refine_large_grid",
         &["cells_per_sec_exhaustive", "cells_per_sec_refine"],
     ),
-    // Throughput only: steal counts vary with scheduling and are
-    // reported for observability, not gated.
     (
         "refine_quantity_grid",
         &["cells_per_sec_exhaustive", "cells_per_sec_refine"],

@@ -200,12 +200,10 @@ fn main() {
         q_refined.core_evaluations(),
     );
 
-    // Work-stealing scheduler: a chiplet-heavy grid whose per-cell cost
-    // climbs steeply with chiplet count, so the chunked work list is
-    // cost-skewed — the shape the stealing engine exists for. The
-    // throughput key is gate-tracked; the steal counter (fed by every
-    // chunked run in this process) varies run to run and is recorded for
-    // visibility only.
+    // Scheduler: a chiplet-heavy grid whose per-cell cost climbs steeply
+    // with chiplet count, so the chunked work list is cost-skewed — the
+    // shape fine ranges claimed from one shared cursor exist for. The
+    // throughput key is gate-tracked.
     let steal_space = PortfolioSpace {
         nodes: vec!["7nm".to_string()],
         areas_mm2: (1..=30).map(|i| f64::from(i) * 25.0).collect(),
@@ -220,10 +218,6 @@ fn main() {
     let steal_secs = median_secs(RUNS, || {
         explore_portfolio(&lib, &steal_space, threads).expect("steal grid");
     });
-    let steals_total = actuary_obs::Registry::global()
-        .snapshot()
-        .counter("actuary_engine_steals_total")
-        .unwrap_or(0);
 
     println!("{{");
     println!("  \"schema\": 1,");
@@ -298,7 +292,7 @@ fn main() {
     println!(
         "  \"engine_steal\": {{\n    \"cells\": {steal_cells},\n    \
          \"threads\": {threads},\n    \"secs\": {steal_secs:.6},\n    \
-         \"cells_per_sec\": {:.1},\n    \"steals_total\": {steals_total}\n  }}",
+         \"cells_per_sec\": {:.1}\n  }}",
         steal_cells as f64 / steal_secs,
     );
     println!("}}");

@@ -108,7 +108,6 @@ pub mod prelude {
     };
     pub use actuary_model::{
         re_cost, re_cost_sized, AssemblyFlow, DiePlacement, NreBreakdown, ReCostBreakdown,
-        TotalCost,
     };
     pub use actuary_tech::{
         D2dSpec, IntegrationKind, NodeId, PackagingTech, ProcessNode, TechLibrary,
