@@ -762,7 +762,9 @@ impl HttpError {
 }
 
 /// Reads and parses one HTTP/1.1 request (head, then a `Content-Length`
-/// body for POST, honoring `Expect: 100-continue` the way curl sends it).
+/// body on any method, honoring `Expect: 100-continue` the way curl sends
+/// it). A `POST` without a length, conflicting lengths and any
+/// `Transfer-Encoding` are errors, so a body's end is never guessed.
 ///
 /// `buf` persists across calls on one connection: bytes past the parsed
 /// request (the next pipelined request) stay buffered for the next call.
@@ -836,9 +838,27 @@ fn read_request<S: Read + Write>(
         let name = name.trim();
         let value = value.trim();
         if name.eq_ignore_ascii_case("content-length") {
-            content_length = Some(value.parse().map_err(|_| {
+            let length = value.parse().map_err(|_| {
                 HttpError::bad_request(format!("invalid Content-Length {value:?}\n"))
-            })?);
+            })?;
+            // Two different lengths leave the body's end ambiguous
+            // (RFC 9112 §6.3): either reading could smuggle a request.
+            if content_length.is_some_and(|first| first != length) {
+                return Err(HttpError::bad_request(
+                    "conflicting Content-Length headers\n",
+                ));
+            }
+            content_length = Some(length);
+        } else if name.eq_ignore_ascii_case("transfer-encoding") {
+            // No transfer coding is decoded here, so the body's end is
+            // unknowable (RFC 9112 §6.1).
+            return Err(HttpError {
+                status: 501,
+                reason: "Not Implemented",
+                message: "Transfer-Encoding request bodies are not supported; \
+                          send a Content-Length body\n"
+                    .to_string(),
+            });
         } else if name.eq_ignore_ascii_case("expect") && value.eq_ignore_ascii_case("100-continue")
         {
             expect_continue = true;
@@ -858,18 +878,23 @@ fn read_request<S: Read + Write>(
     // next request).
     let after_head = buf.split_off(head_end + 4);
     *buf = after_head;
-    let mut body = Vec::new();
-    if method == "POST" {
-        let length = content_length.ok_or(HttpError {
+    if method == "POST" && content_length.is_none() {
+        return Err(HttpError {
             status: 411,
             reason: "Length Required",
             message: "POST needs a Content-Length\n".to_string(),
-        })?;
+        });
+    }
+    // A body is framed by its Content-Length whatever the method: a GET's
+    // body is read (and ignored by its handler), never parsed as the next
+    // request.
+    let mut body = Vec::new();
+    if let Some(length) = content_length {
         if length > MAX_BODY_BYTES {
             return Err(HttpError {
                 status: 413,
                 reason: "Content Too Large",
-                message: format!("scenario documents are capped at {MAX_BODY_BYTES} bytes\n"),
+                message: format!("request bodies are capped at {MAX_BODY_BYTES} bytes\n"),
             });
         }
         if expect_continue && buf.len() < length {
@@ -1517,6 +1542,17 @@ mod tests {
         );
         let err = read_request(&mut fake, &mut Vec::new()).unwrap_err();
         assert_eq!(err.status, 413);
+
+        // The cap holds whatever the method.
+        let mut fake = Fake::new(
+            format!(
+                "GET /healthz HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+                MAX_BODY_BYTES + 1
+            )
+            .as_bytes(),
+        );
+        let err = read_request(&mut fake, &mut Vec::new()).unwrap_err();
+        assert_eq!(err.status, 413);
     }
 
     #[test]
@@ -1534,6 +1570,80 @@ mod tests {
     fn clean_eof_between_requests_is_not_an_error() {
         let mut fake = Fake::new(b"");
         assert!(read_request(&mut fake, &mut Vec::new()).unwrap().is_none());
+    }
+
+    /// Serves `input` as one connection: how many final answers came
+    /// back (their framing checked) and the raw output.
+    fn serve_bytes(input: &[u8]) -> (usize, String) {
+        let mut fake = Fake::new(input);
+        serve_connection(&mut fake, None, &state());
+        let output = String::from_utf8_lossy(&fake.output).into_owned();
+        let answers = check_framing(&fake.output).unwrap_or_else(|e| panic!("{e}: {output}"));
+        (answers, output)
+    }
+
+    #[test]
+    fn a_get_body_is_read_not_answered_as_a_second_request() {
+        // A GET whose body is itself a request head: one answer, the
+        // GET's, and the body is never parsed.
+        let smuggled = "DELETE /x HTTP/1.1\r\nX: 1\r\n\r\n";
+        let get = format!(
+            "GET /healthz HTTP/1.1\r\nContent-Length: {}\r\n\r\n{smuggled}",
+            smuggled.len()
+        );
+        let (answers, output) = serve_bytes(get.as_bytes());
+        assert_eq!(answers, 1, "{output}");
+        assert!(output.starts_with("HTTP/1.1 200 OK"), "{output}");
+
+        // The connection stays framed: a request after the body is the
+        // second one answered.
+        let (answers, output) = serve_bytes(format!("{get}GET /statz HTTP/1.1\r\n\r\n").as_bytes());
+        assert_eq!(answers, 2, "{output}");
+        assert_eq!(output.matches("HTTP/1.1 200 OK").count(), 2, "{output}");
+        assert!(output.contains("requests_total"), "{output}");
+
+        let parsed = parse_one(&mut Fake::new(get.as_bytes()));
+        assert_eq!(parsed.method, "GET");
+        assert_eq!(parsed.body, smuggled.as_bytes());
+    }
+
+    #[test]
+    fn conflicting_content_lengths_get_one_400_and_close() {
+        // A later `Content-Length: 0` overriding the first used to turn
+        // this body into two more requests (answered 404, 405, 200).
+        let smuggled = "DELETE /x HTTP/1.1\r\n\r\nGET /healthz HTTP/1.1\r\n\r\n";
+        let overridden = format!(
+            "POST /nope HTTP/1.1\r\nContent-Length: {}\r\nContent-Length: 0\r\n\r\n{smuggled}",
+            smuggled.len()
+        );
+        let (answers, output) = serve_bytes(overridden.as_bytes());
+        assert_eq!(answers, 1, "{output}");
+        assert!(output.starts_with("HTTP/1.1 400 Bad Request"), "{output}");
+        assert!(output.contains("Connection: close"), "{output}");
+        assert!(output.contains("conflicting Content-Length"), "{output}");
+
+        // Repeating the same length is unambiguous and accepted.
+        let twice = post(
+            TINY_SCENARIO,
+            &format!("Content-Length: {}\r\n", TINY_SCENARIO.len()),
+        );
+        let (answers, output) = serve_bytes(&twice);
+        assert_eq!(answers, 1, "{output}");
+        assert!(output.starts_with("HTTP/1.1 200 OK"), "{output}");
+    }
+
+    #[test]
+    fn transfer_encoded_requests_get_one_501_and_close() {
+        let (answers, output) = serve_bytes(
+            b"POST /run HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n\
+              5\r\nhello\r\n0\r\n\r\nGET /healthz HTTP/1.1\r\n\r\n",
+        );
+        assert_eq!(answers, 1, "{output}");
+        assert!(
+            output.starts_with("HTTP/1.1 501 Not Implemented"),
+            "{output}"
+        );
+        assert!(output.contains("Connection: close"), "{output}");
     }
 
     #[test]
@@ -2033,13 +2143,16 @@ mod tests {
         (rng.gen::<u64>() % bound as u64) as usize
     }
 
-    /// One random request. A well-formed one is a `GET` of a status
-    /// endpoint or a `POST /run` (batch or `?stream=refine`) whose body is
-    /// a tiny valid scenario, random bytes or nothing; a hostile one draws
-    /// its method, path, version and `Content-Length` (valid, too long,
-    /// over the cap, negative or not a number) freely and may be mutated
-    /// byte by byte.
-    fn fuzz_request(rng: &mut StdRng) -> Vec<u8> {
+    /// One random request, and whether it is well-formed. A well-formed
+    /// one is a `GET` of a status endpoint (now and then carrying a body
+    /// it frames with `Content-Length`) or a `POST /run` (batch or
+    /// `?stream=refine`) whose body is a tiny valid scenario, random bytes
+    /// or nothing, its `Content-Length` sometimes repeated with the same
+    /// value. A hostile one draws its method, path, version and
+    /// `Content-Length` (valid, too long, over the cap, negative, not a
+    /// number, or repeated with a different value) freely, may carry
+    /// `Transfer-Encoding`, and may be mutated byte by byte.
+    fn fuzz_request(rng: &mut StdRng) -> (Vec<u8>, bool) {
         let hostile = rng.gen_bool(0.3);
         let (method, path, version) = if hostile {
             (
@@ -2063,7 +2176,7 @@ mod tests {
                 "HTTP/1.1",
             )
         };
-        let body: Vec<u8> = if method == "GET" && !hostile {
+        let body: Vec<u8> = if method == "GET" && !hostile && rng.gen_bool(0.8) {
             Vec::new()
         } else {
             match below(rng, 5) {
@@ -2076,8 +2189,12 @@ mod tests {
             }
         };
         let mut head = format!("{method} {path} {version}\r\n");
-        if !hostile && method == "POST" {
-            head += &format!("Content-Length: {}\r\n", body.len());
+        if !hostile && (method == "POST" || !body.is_empty()) {
+            let length = format!("Content-Length: {}\r\n", body.len());
+            head += &length;
+            if rng.gen_bool(0.1) {
+                head += &length;
+            }
         } else if hostile && rng.gen_bool(0.8) {
             let length = match below(rng, 5) {
                 0 => body.len().to_string(),
@@ -2090,6 +2207,19 @@ mod tests {
                 _ => "ten".to_string(),
             };
             head += &format!("Content-Length: {length}\r\n");
+            if rng.gen_bool(0.2) {
+                // A second, differing length: the body's end is ambiguous.
+                head += &format!("Content-Length: {}\r\n", below(rng, 64));
+            }
+        }
+        if hostile && rng.gen_bool(0.1) {
+            head += pick(
+                rng,
+                &[
+                    "Transfer-Encoding: chunked\r\n",
+                    "Transfer-Encoding: gzip, chunked\r\n",
+                ],
+            );
         }
         if rng.gen_bool(if hostile { 0.5 } else { 0.1 }) {
             head += pick(
@@ -2126,7 +2256,7 @@ mod tests {
             }
         }
         bytes.extend(body);
-        bytes
+        (bytes, !hostile)
     }
 
     /// Splits a chunked body off the front of `rest`: its payload, and
@@ -2161,13 +2291,15 @@ mod tests {
         }
     }
 
-    /// Checks one connection's output: every response has a well-formed
-    /// status line and framing, every 4xx names its reason in a non-empty
+    /// Checks one connection's output and counts its final (non-`100`)
+    /// responses: every response has a well-formed status line and
+    /// framing, every 4xx or 5xx names its reason in a non-empty
     /// `text/plain` body, every `200` chunked body ends in its terminal
     /// chunk unless it is the last thing the server wrote, and nothing
     /// follows a `Connection: close` response.
-    fn check_framing(output: &[u8]) -> Result<(), String> {
+    fn check_framing(output: &[u8]) -> Result<usize, String> {
         let mut rest = output;
+        let mut answers = 0;
         while !rest.is_empty() {
             let head_end =
                 find_subslice(rest, b"\r\n\r\n").ok_or("a response head without its end")?;
@@ -2185,6 +2317,7 @@ mod tests {
             if status == 100 {
                 continue;
             }
+            answers += 1;
             let headers: Vec<(&str, &str)> = lines.filter_map(|l| l.split_once(": ")).collect();
             let header = |name: &str| {
                 headers
@@ -2205,7 +2338,7 @@ mod tests {
                 rest = tail;
                 (body.to_vec(), true)
             };
-            if (400..500).contains(&status) {
+            if (400..600).contains(&status) {
                 if !header("Content-Type").is_some_and(|t| t.starts_with("text/plain")) {
                     return Err(format!("a {status} response that is not text/plain"));
                 }
@@ -2220,17 +2353,32 @@ mod tests {
                 return Err(format!("bytes after a {status} Connection: close response"));
             }
         }
-        Ok(())
+        Ok(answers)
     }
 
     /// Serves one seeded random connection (one to six pipelined requests
-    /// cut into random read segments) and checks what it wrote back.
+    /// cut into random read segments) and checks what it wrote back. When
+    /// every request is well-formed, each gets exactly one answer up to
+    /// the first that asks for `Connection: close`.
     fn fuzz_connection(seed: u64) -> Result<(), String> {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut input = Vec::new();
+        // Per request: whether it is well-formed and asks to close.
+        let mut requests = Vec::new();
         for _ in 0..1 + below(&mut rng, 6) {
-            input.extend(fuzz_request(&mut rng));
+            let (request, well_formed) = fuzz_request(&mut rng);
+            let closes = find_subslice(&request, b"Connection: close").is_some();
+            requests.push((well_formed, closes));
+            input.extend(request);
         }
+        let expected = requests
+            .iter()
+            .all(|&(well_formed, _)| well_formed)
+            .then(|| {
+                (requests.iter())
+                    .position(|&(_, closes)| closes)
+                    .map_or(requests.len(), |at| at + 1)
+            });
         let mut segments: Vec<&[u8]> = Vec::new();
         let mut rest = input.as_slice();
         while !rest.is_empty() {
@@ -2245,7 +2393,12 @@ mod tests {
             serve_connection(&mut fake, None, &state);
         }));
         let outcome = match served {
-            Ok(()) => check_framing(&fake.output),
+            Ok(()) => check_framing(&fake.output).and_then(|answers| match expected {
+                Some(expected) if answers != expected => Err(format!(
+                    "{answers} answers to {expected} well-formed requests"
+                )),
+                _ => Ok(()),
+            }),
             Err(_) => Err("the server panicked".to_string()),
         };
         outcome.map_err(|e| {

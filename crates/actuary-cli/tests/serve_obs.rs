@@ -226,3 +226,29 @@ fn debug_json_logging_does_not_perturb_artifact_bytes() {
     assert!(stderr.contains("\"event\":\"span.close\""), "{stderr}");
     assert!(stderr.contains("\"phase\":\"dse.classify\""), "{stderr}");
 }
+
+#[test]
+fn pareto_outputs_show_the_fronts_span_on_metricsz_and_in_debug_logs() {
+    let scenario = format!("{EXPLORE_SCENARIO}outputs = [\"pareto\", \"pareto_program\"]\n");
+    let server = Server::start_with(&["--log-level", "debug", "--log-format", "json"]);
+    let (status, _, _) = server.post_run(&scenario);
+    assert_eq!(status, "HTTP/1.1 200 OK");
+
+    // One span per front: the one scheme's `pareto` and `pareto_program`.
+    let (_, _, body) = server.get("/metricsz");
+    let text = String::from_utf8_lossy(&body).into_owned();
+    assert!(
+        text.contains("actuary_engine_phase_seconds_bucket{phase=\"dse.fronts\",le=\"+Inf\"} 2"),
+        "{text}"
+    );
+    let stderr = server.stop_and_read_stderr();
+    let fronts: Vec<&str> = (stderr.lines())
+        .filter(|line| line.contains("\"phase\":\"dse.fronts\""))
+        .collect();
+    assert_eq!(fronts.len(), 2, "{stderr}");
+    for line in fronts {
+        for field in ["\"cells\":", "\"candidates\":", "\"front\":"] {
+            assert!(line.contains(field), "{line}");
+        }
+    }
+}

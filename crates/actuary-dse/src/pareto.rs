@@ -1,5 +1,17 @@
 //! Pareto-frontier extraction for two-objective sweeps (e.g. per-unit cost
 //! vs chiplet count, or RE vs NRE).
+//!
+//! [`pareto_min_indices`] sorts its input, so a large sweep should hand it
+//! candidates rather than every point. A point that another input point
+//! weakly dominates and that sorts after it (the sort is stable, so equal
+//! points keep input order) is never kept, and dropping it never changes
+//! the scan. The grid fronts
+//! ([`crate::portfolio::PortfolioResult::pareto_front`] and
+//! [`crate::portfolio::PortfolioResult::pareto_program`]) use this per
+//! group: the cells of one chiplet-count (or quantity) axis index share
+//! that coordinate, so the group's first cheapest cell in grid order
+//! weakly dominates and precedes the rest, and the front over one such
+//! representative per axis index is the front over every cell.
 
 /// Returns the indices of the non-dominated points when *minimizing both*
 /// objectives, sorted by the first objective ascending.

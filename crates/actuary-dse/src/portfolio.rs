@@ -1008,43 +1008,24 @@ impl PortfolioResult {
             .collect()
     }
 
-    /// The feasible cells of one scheme as `(flat index, candidate)`, in
-    /// grid order.
-    fn feasible_of(&self, scheme: ReuseScheme) -> Vec<(usize, &Candidate)> {
-        let variants = self.variants.len();
-        self.stored
-            .iter()
-            .filter_map(|(i, outcome)| match outcome {
-                CellOutcome::Feasible(c) if self.variants[i % variants].scheme == scheme => {
-                    Some((*i, c))
-                }
-                _ => None,
-            })
-            .collect()
-    }
-
     /// The Pareto front of one scheme over (per-unit cost, chiplet count),
     /// minimizing both; ascending per-unit-cost order.
+    ///
+    /// Computed from one representative per chiplet-axis index: the first
+    /// feasible cell, in grid order, with the strictly smallest per-unit
+    /// cost. Every other cell of that index has the same chiplet count and
+    /// is no cheaper, so it is weakly dominated by the representative and
+    /// sorts after it; the front over the representatives is the front
+    /// over every feasible cell, cell for cell.
     pub fn pareto_front(&self, scheme: ReuseScheme) -> Vec<PortfolioCell> {
         let shape = self.shape();
-        let feasible = self.feasible_of(scheme);
-        let points: Vec<(f64, f64)> = feasible
-            .iter()
-            .map(|&(i, c)| {
-                let idx = shape.coords(i);
-                (
-                    c.per_unit.usd(),
-                    f64::from(self.space.chiplet_counts[idx.chiplets]),
-                )
-            })
-            .collect();
-        pareto_min_indices(&points)
-            .into_iter()
-            .map(|k| {
-                let (i, c) = feasible[k];
-                self.cell_at(shape.coords(i), CellOutcome::Feasible(c.clone()))
-            })
-            .collect()
+        let stride = shape.variants * shape.flows;
+        self.front_of_group_minima(
+            scheme,
+            shape.chiplets,
+            |i| i / stride % shape.chiplets,
+            |idx, per_unit| (per_unit, f64::from(self.space.chiplet_counts[idx.chiplets])),
+        )
     }
 
     /// The Pareto front of one scheme over (program total, per-unit
@@ -1053,27 +1034,75 @@ impl PortfolioResult {
     /// per-unit × units), the ROADMAP's decision-relevant portfolio
     /// trade-off — how much cheaper a unit each extra program dollar
     /// buys. Returned in ascending program-total order.
+    ///
+    /// Computed from one representative per quantity-axis index: the
+    /// first feasible cell, in grid order, with the strictly smallest
+    /// per-unit cost. Every other cell of that index has the same quantity
+    /// and no lower per-unit cost, hence (`x ↦ x·q` being monotone in
+    /// IEEE arithmetic) no lower program total; it is weakly dominated by
+    /// the representative and sorts after it, so the front is unchanged.
     pub fn pareto_program(&self, scheme: ReuseScheme) -> Vec<PortfolioCell> {
         let shape = self.shape();
-        let feasible = self.feasible_of(scheme);
-        let points: Vec<(f64, f64)> = feasible
-            .iter()
-            .map(|&(i, c)| {
-                let idx = shape.coords(i);
-                let per_unit = c.per_unit.usd();
+        let block = shape.block();
+        self.front_of_group_minima(
+            scheme,
+            shape.quantities,
+            |i| i / block % shape.quantities,
+            |idx, per_unit| {
                 (
                     per_unit * self.space.quantities[idx.quantity] as f64,
                     per_unit,
                 )
-            })
+            },
+        )
+    }
+
+    /// One pass over the sparse store keeps, for each of `groups` axis
+    /// indices (`group_of` maps a flat index to one), the first feasible
+    /// cell of `scheme` in grid order with the strictly smallest per-unit
+    /// cost. [`pareto_min_indices`] then runs on those representatives in
+    /// grid order, with `objectives` mapping a representative's
+    /// coordinates and per-unit cost to its two minimized objectives.
+    fn front_of_group_minima(
+        &self,
+        scheme: ReuseScheme,
+        groups: usize,
+        group_of: impl Fn(usize) -> usize,
+        objectives: impl Fn(CellIdx, f64) -> (f64, f64),
+    ) -> Vec<PortfolioCell> {
+        let mut span = actuary_obs::span!("dse.fronts");
+        let shape = self.shape();
+        let in_scheme: Vec<bool> = self.variants.iter().map(|v| v.scheme == scheme).collect();
+        let mut minima: Vec<Option<(usize, &Candidate)>> = vec![None; groups];
+        for (i, outcome) in &self.stored {
+            let CellOutcome::Feasible(c) = outcome else {
+                continue;
+            };
+            if !in_scheme[i % shape.variants] {
+                continue;
+            }
+            let min = &mut minima[group_of(*i)];
+            if min.is_none_or(|(_, m)| c.per_unit < m.per_unit) {
+                *min = Some((*i, c));
+            }
+        }
+        let mut candidates: Vec<(usize, &Candidate)> = minima.into_iter().flatten().collect();
+        candidates.sort_unstable_by_key(|&(i, _)| i);
+        let points: Vec<(f64, f64)> = candidates
+            .iter()
+            .map(|&(i, c)| objectives(shape.coords(i), c.per_unit.usd()))
             .collect();
-        pareto_min_indices(&points)
+        let front: Vec<PortfolioCell> = pareto_min_indices(&points)
             .into_iter()
             .map(|k| {
-                let (i, c) = feasible[k];
+                let (i, c) = candidates[k];
                 self.cell_at(shape.coords(i), CellOutcome::Feasible(c.clone()))
             })
-            .collect()
+            .collect();
+        span.record("cells", self.stored.len() as u64);
+        span.record("candidates", candidates.len() as u64);
+        span.record("front", front.len() as u64);
+        front
     }
 
     /// The column set every grid-shaped artifact shares.
@@ -1791,6 +1820,8 @@ fn eval_core(lib: &TechLibrary, spec: &CoreSpec<'_>) -> Result<PortfolioCore, Ar
 mod tests {
     use super::*;
     use actuary_model::AssemblyFlow;
+    use actuary_units::Money;
+    use proptest::prelude::*;
 
     fn lib() -> TechLibrary {
         TechLibrary::paper_defaults().unwrap()
@@ -2323,6 +2354,155 @@ mod tests {
             "scheme,scheme_params,node,area_mm2,quantity,integration,chiplets,flow,\
              program_total_usd,per_unit_usd"
         );
+    }
+
+    /// The fronts' reference body: every feasible cell of the scheme,
+    /// sorted by [`pareto_min_indices`], with no per-group reduction.
+    fn front_oracle(
+        result: &PortfolioResult,
+        scheme: ReuseScheme,
+        objectives: impl Fn(CellIdx, &Candidate) -> (f64, f64),
+    ) -> Vec<PortfolioCell> {
+        let shape = result.shape();
+        let variants = result.variants.len();
+        let feasible: Vec<(usize, &Candidate)> = result
+            .stored
+            .iter()
+            .filter_map(|(i, outcome)| match outcome {
+                CellOutcome::Feasible(c) if result.variants[i % variants].scheme == scheme => {
+                    Some((*i, c))
+                }
+                _ => None,
+            })
+            .collect();
+        let points: Vec<(f64, f64)> = feasible
+            .iter()
+            .map(|&(i, c)| objectives(shape.coords(i), c))
+            .collect();
+        pareto_min_indices(&points)
+            .into_iter()
+            .map(|k| {
+                let (i, c) = feasible[k];
+                result.cell_at(shape.coords(i), CellOutcome::Feasible(c.clone()))
+            })
+            .collect()
+    }
+
+    fn pareto_front_oracle(result: &PortfolioResult, scheme: ReuseScheme) -> Vec<PortfolioCell> {
+        front_oracle(result, scheme, |idx, c| {
+            (
+                c.per_unit.usd(),
+                f64::from(result.space.chiplet_counts[idx.chiplets]),
+            )
+        })
+    }
+
+    fn pareto_program_oracle(result: &PortfolioResult, scheme: ReuseScheme) -> Vec<PortfolioCell> {
+        front_oracle(result, scheme, |idx, c| {
+            let per_unit = c.per_unit.usd();
+            (
+                per_unit * result.space.quantities[idx.quantity] as f64,
+                per_unit,
+            )
+        })
+    }
+
+    /// A sparse store over a 1,024-cell space with three schemes, two
+    /// FSMC variants, and a repeated value on both the chiplet and the
+    /// quantity axis. A compatible cell is stored when its roll is below
+    /// `density`, then infeasible (draw 0) or feasible at one of five
+    /// per-unit costs, chosen so that exact ties fall within groups and,
+    /// through per-unit × quantity, across them (15 × 2,000 = 10 × 3,000
+    /// = 30 × 1,000). Each feasible cell's RE is its flat index, so cells
+    /// that look alike stay distinguishable.
+    fn random_store(density: usize, draws: &[(usize, usize)]) -> PortfolioResult {
+        const PER_UNIT: [f64; 5] = [10.0, 15.0, 20.0, 30.0, 45.0];
+        let space = PortfolioSpace {
+            nodes: vec!["7nm".to_string(), "5nm".to_string()],
+            areas_mm2: vec![200.0, 400.0],
+            quantities: vec![1_000, 2_000, 3_000, 2_000],
+            integrations: vec![IntegrationKind::Soc, IntegrationKind::Mcm],
+            chiplet_counts: vec![1, 2, 2, 3],
+            flows: vec![AssemblyFlow::ChipLast, AssemblyFlow::ChipFirst],
+            schemes: vec![ReuseScheme::None, ReuseScheme::Scms, ReuseScheme::Fsmc],
+            scms_multiplicities: vec![1, 2, 3],
+            fsmc_situations: vec![(2, 2), (3, 3)],
+            ..PortfolioSpace::default()
+        };
+        let variants = space.scheme_variants();
+        let shape = GridShape::of(&space, variants.len());
+        assert_eq!(draws.len(), shape.len());
+        let mut stored = Vec::new();
+        for (i, &(roll, draw)) in draws.iter().enumerate() {
+            let idx = shape.coords(i);
+            let integration = space.integrations[idx.integration];
+            let chiplets = space.chiplet_counts[idx.chiplets];
+            if roll >= density
+                || classify(&space, &variants[idx.variant], integration, chiplets).is_some()
+            {
+                continue;
+            }
+            let outcome = match draw {
+                0 => CellOutcome::Infeasible("die exceeds the wafer".to_string()),
+                _ => CellOutcome::Feasible(Candidate {
+                    integration,
+                    chiplets,
+                    per_unit: Money::from_usd(PER_UNIT[draw - 1]).unwrap(),
+                    re_per_unit: Money::from_usd(i as f64).unwrap(),
+                }),
+            };
+            stored.push((i, outcome));
+        }
+        PortfolioResult::from_parts(&space, 1, 0, stored)
+    }
+
+    /// A front's cells, coordinates and costs compared bit for bit.
+    fn front_bits(front: &[PortfolioCell]) -> Vec<(String, u64, u64, u64)> {
+        front
+            .iter()
+            .map(|cell| {
+                let c = cell.outcome.candidate().expect("front cells are feasible");
+                (
+                    format!(
+                        "{} {} {} {} {} {} {}",
+                        cell.node,
+                        cell.quantity,
+                        cell.integration,
+                        cell.chiplets,
+                        cell.flow,
+                        cell.scheme,
+                        cell.scheme_params
+                    ),
+                    cell.area_mm2.to_bits(),
+                    c.per_unit.usd().to_bits(),
+                    c.re_per_unit.usd().to_bits(),
+                )
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The per-group fronts equal the sort over every feasible cell,
+        /// cell for cell, on random sparse stores.
+        #[test]
+        fn group_minima_fronts_match_the_full_sort(
+            density in 1usize..100,
+            draws in proptest::collection::vec((0usize..100, 0usize..6), 1024..1025),
+        ) {
+            let result = random_store(density, &draws);
+            for &scheme in &result.space.schemes {
+                prop_assert_eq!(
+                    front_bits(&result.pareto_front(scheme)),
+                    front_bits(&pareto_front_oracle(&result, scheme))
+                );
+                prop_assert_eq!(
+                    front_bits(&result.pareto_program(scheme)),
+                    front_bits(&pareto_program_oracle(&result, scheme))
+                );
+            }
+        }
     }
 
     #[test]
