@@ -13,16 +13,19 @@
 //! | `GET`  | `/statz`   | —             | `200`, one JSON object of serving counters |
 //! | `GET`  | `/metricsz`| —             | `200`, Prometheus text exposition of the same registry |
 //!
-//! A served scenario goes through exactly the same `Scenario::run` +
+//! A served scenario goes through exactly the same runner
+//! (`Scenario::run_with`) and
 //! [`ScenarioRun::artifacts`](actuary_scenario::ScenarioRun::artifacts)
-//! path as `actuary run`, so the streamed CSV body is byte-identical to
+//! renderers as `actuary run`, so the streamed CSV body is byte-identical to
 //! `actuary run FILE --csv` — zero new model code. The JSON-lines
 //! encoding is the [`Artifact`] layer's second
 //! *sink* over the same row source, not a second serializer. Malformed
 //! TOML answers `400` with the parser's line:column diagnostic in the
 //! body; a scenario that parses but fails in the engine answers `422`;
-//! oversized bodies answer `413`. All model work happens *before* the
-//! `200` header is written, so a success status never precedes a failure.
+//! oversized bodies answer `413`. A batch run does all model work
+//! *before* the `200` header is written, so a success status never
+//! precedes a failure (`?stream=refine` trades that for immediacy; see
+//! `respond_run`).
 //!
 //! # Content-addressed result cache
 //!
@@ -308,7 +311,7 @@ impl ServerState {
         let metrics = Metrics {
             requests: registry.counter(
                 "actuary_http_requests_total",
-                "Requests parsed and routed, across all endpoints.",
+                "Requests answered, across all endpoints and statuses.",
                 &[],
             ),
             rate_limited: registry.counter(
@@ -530,7 +533,8 @@ fn handle_connection(stream: TcpStream, state: &ServerState) {
 
 /// Serves one connection: a keep-alive loop over pipelined requests.
 /// Generic over the stream so the unit tests drive it with an in-memory
-/// duplex.
+/// duplex. Every answer, a read-level error's included, is counted,
+/// observed and logged.
 fn serve_connection<S: Read + Write>(stream: &mut S, peer: Option<IpAddr>, state: &ServerState) {
     // Count response bytes at the stream boundary so every handler's
     // output (heads, chunk framing, bodies) lands in one histogram.
@@ -541,74 +545,85 @@ fn serve_connection<S: Read + Write>(stream: &mut S, peer: Option<IpAddr>, state
     // Bytes read past the previous request (pipelining) wait here.
     let mut buf: Vec<u8> = Vec::new();
     for served in 1..=MAX_KEEPALIVE_REQUESTS {
-        let request = match read_request(&mut stream, &mut buf) {
-            Ok(Some(request)) => request,
-            // Clean close or idle timeout between requests.
-            Ok(None) => return,
-            Err(e) => {
-                // After a read-level error the stream position is
-                // unknowable (an unread body would parse as the next
-                // head), so the connection always closes.
-                respond_plain(&mut stream, e.status, e.reason, &e.message, false);
-                return;
-            }
+        // `None` is a clean close or an idle timeout between requests.
+        let Some(read) = read_request(&mut stream, &mut buf).transpose() else {
+            return;
         };
         // The stopwatch starts after the request is fully read: idle
         // keep-alive time between requests is the client's, not ours.
         let stopwatch = Stopwatch::start();
         let written_before = stream.written;
         state.metrics.requests.inc();
-        let keep = request.keep_alive
-            && served < MAX_KEEPALIVE_REQUESTS
-            && !state.shutdown.load(Ordering::SeqCst);
-        // The query string selects response *delivery* (`?stream=refine`),
-        // not the resource; routing happens on the bare path.
-        let (path, query) = match request.path.split_once('?') {
-            Some((path, query)) => (path, Some(query)),
-            None => (request.path.as_str(), None),
-        };
-        let reply = match (request.method.as_str(), path) {
-            ("GET", "/healthz") => {
-                Reply::new(200, respond_plain(&mut stream, 200, "OK", "ok\n", keep))
+        let (method, route, keep, answer) = match read {
+            // After a read-level error the stream position is unknowable
+            // (an unread body would parse as the next head), so the
+            // connection always closes. The request was never routed, so
+            // its method and route are labelled `other`.
+            Err(e) => (
+                "other",
+                "other",
+                false,
+                reply(&mut stream, e.status, &e.message, false),
+            ),
+            Ok(request) => {
+                let keep = request.keep_alive
+                    && served < MAX_KEEPALIVE_REQUESTS
+                    && !state.shutdown.load(Ordering::SeqCst);
+                // The query string selects response *delivery*
+                // (`?stream=refine`), not the resource; routing happens on
+                // the bare path.
+                let (path, query) = match request.path.split_once('?') {
+                    Some((path, query)) => (path, Some(query)),
+                    None => (request.path.as_str(), None),
+                };
+                let answer = match (request.method.as_str(), path) {
+                    ("GET", "/healthz") => reply(&mut stream, 200, "ok\n", keep),
+                    ("GET", "/statz") => respond_statz(&mut stream, state, keep),
+                    ("GET", "/metricsz") => respond_metricsz(&mut stream, state, keep),
+                    ("POST", "/run") => match state.governor.admit(peer) {
+                        Ok(_admission) => respond_run(&mut stream, &request, query, state, keep),
+                        Err(retry_after) => {
+                            state.metrics.rate_limited.inc();
+                            respond(
+                                &mut stream,
+                                429,
+                                PLAIN_TEXT,
+                                &format!("Retry-After: {retry_after}\r\n"),
+                                &format!("rate limit exceeded; retry in {retry_after}s\n"),
+                                keep,
+                            )
+                        }
+                    },
+                    ("GET" | "POST", _) => reply(
+                        &mut stream,
+                        404,
+                        "no such endpoint (POST /run, GET /healthz, GET /statz, GET /metricsz)\n",
+                        keep,
+                    ),
+                    _ => reply(
+                        &mut stream,
+                        405,
+                        "only POST /run, GET /healthz, GET /statz and GET /metricsz are served\n",
+                        keep,
+                    ),
+                };
+                (
+                    method_label(&request.method),
+                    route_label(path),
+                    keep,
+                    answer,
+                )
             }
-            ("GET", "/statz") => Reply::new(200, respond_statz(&mut stream, state, keep)),
-            ("GET", "/metricsz") => Reply::new(200, respond_metricsz(&mut stream, state, keep)),
-            ("POST", "/run") => match state.governor.admit(peer) {
-                Ok(_admission) => respond_run(&mut stream, &request, query, state, keep),
-                Err(retry_after) => {
-                    state.metrics.rate_limited.inc();
-                    Reply::new(429, respond_rate_limited(&mut stream, retry_after, keep))
-                }
-            },
-            ("GET" | "POST", _) => Reply::new(
-                404,
-                respond_plain(
-                    &mut stream,
-                    404,
-                    "Not Found",
-                    "no such endpoint (POST /run, GET /healthz, GET /statz, GET /metricsz)\n",
-                    keep,
-                ),
-            ),
-            _ => Reply::new(
-                405,
-                respond_plain(
-                    &mut stream,
-                    405,
-                    "Method Not Allowed",
-                    "only POST /run, GET /healthz, GET /statz and GET /metricsz are served\n",
-                    keep,
-                ),
-            ),
         };
         record_request(
             state,
-            &request,
-            reply.status,
+            method,
+            route,
+            answer.status,
             stopwatch.elapsed_seconds(),
             stream.written - written_before,
         );
-        if !keep || !reply.usable {
+        if !keep || !answer.usable {
             return;
         }
     }
@@ -620,12 +635,6 @@ fn serve_connection<S: Read + Write>(stream: &mut S, peer: Option<IpAddr>, state
 struct Reply {
     status: u16,
     usable: bool,
-}
-
-impl Reply {
-    fn new(status: u16, usable: bool) -> Reply {
-        Reply { status, usable }
-    }
 }
 
 /// Counts bytes written through to the inner stream; reads delegate.
@@ -655,7 +664,6 @@ impl<S: Write> Write for Metered<'_, S> {
 /// Bounded label values: anything a client can vary freely (paths,
 /// methods) collapses to `other` so metric cardinality stays fixed.
 fn route_label(path: &str) -> &'static str {
-    let path = path.split_once('?').map_or(path, |(bare, _)| bare);
     match path {
         "/run" => "/run",
         "/healthz" => "/healthz",
@@ -673,26 +681,36 @@ fn method_label(method: &str) -> &'static str {
     }
 }
 
-fn status_label(status: u16) -> &'static str {
+/// The `status` metric label and the reason phrase of every status the
+/// server answers: the one table that status lines and metric labels
+/// are both read from. (`100 Continue` is an interim response, not an
+/// answer.)
+fn status_text(status: u16) -> (&'static str, &'static str) {
     match status {
-        200 => "200",
-        400 => "400",
-        404 => "404",
-        405 => "405",
-        411 => "411",
-        413 => "413",
-        422 => "422",
-        429 => "429",
-        431 => "431",
-        _ => "other",
+        200 => ("200", "OK"),
+        400 => ("400", "Bad Request"),
+        404 => ("404", "Not Found"),
+        405 => ("405", "Method Not Allowed"),
+        411 => ("411", "Length Required"),
+        413 => ("413", "Content Too Large"),
+        422 => ("422", "Unprocessable Content"),
+        429 => ("429", "Too Many Requests"),
+        431 => ("431", "Request Header Fields Too Large"),
+        501 => ("501", "Not Implemented"),
+        _ => ("other", "Unknown"),
     }
 }
 
-/// Records one served request into the latency and size histograms and
-/// emits its access-log event.
-fn record_request(state: &ServerState, request: &Request, status: u16, seconds: f64, bytes: u64) {
-    let method = method_label(&request.method);
-    let route = route_label(&request.path);
+/// Records one answered request into the latency and size histograms
+/// and emits its access-log event.
+fn record_request(
+    state: &ServerState,
+    method: &'static str,
+    route: &'static str,
+    status: u16,
+    seconds: f64,
+    bytes: u64,
+) {
     state
         .registry
         .histogram(
@@ -701,7 +719,7 @@ fn record_request(state: &ServerState, request: &Request, status: u16, seconds: 
             &[
                 ("method", method),
                 ("route", route),
-                ("status", status_label(status)),
+                ("status", status_text(status).0),
             ],
             LATENCY_SECONDS,
         )
@@ -743,19 +761,18 @@ struct Request {
     accept_json: bool,
 }
 
-/// An error that maps onto an HTTP status response.
+/// A read-level error: the status it answers and the plain-text body
+/// naming the problem.
 #[derive(Debug)]
 struct HttpError {
     status: u16,
-    reason: &'static str,
     message: String,
 }
 
 impl HttpError {
-    fn bad_request(message: impl Into<String>) -> Self {
+    fn new(status: u16, message: impl Into<String>) -> Self {
         HttpError {
-            status: 400,
-            reason: "Bad Request",
+            status,
             message: message.into(),
         }
     }
@@ -763,8 +780,9 @@ impl HttpError {
 
 /// Reads and parses one HTTP/1.1 request (head, then a `Content-Length`
 /// body on any method, honoring `Expect: 100-continue` the way curl sends
-/// it). A `POST` without a length, conflicting lengths and any
-/// `Transfer-Encoding` are errors, so a body's end is never guessed.
+/// it). A `POST` without a length, conflicting lengths, a header line
+/// that could be read two ways and any `Transfer-Encoding` are errors, so
+/// a body's end is never guessed.
 ///
 /// `buf` persists across calls on one connection: bytes past the parsed
 /// request (the next pipelined request) stay buffered for the next call.
@@ -775,7 +793,7 @@ fn read_request<S: Read + Write>(
     stream: &mut S,
     buf: &mut Vec<u8>,
 ) -> Result<Option<Request>, HttpError> {
-    let io_err = |e: io::Error| HttpError::bad_request(format!("request read failed: {e}\n"));
+    let io_err = |e: io::Error| HttpError::new(400, format!("request read failed: {e}\n"));
     let is_timeout = |e: &io::Error| {
         matches!(
             e.kind(),
@@ -788,25 +806,24 @@ fn read_request<S: Read + Write>(
             break pos;
         }
         if buf.len() > MAX_HEAD_BYTES {
-            return Err(HttpError {
-                status: 431,
-                reason: "Request Header Fields Too Large",
-                message: format!("request heads are capped at {MAX_HEAD_BYTES} bytes\n"),
-            });
+            return Err(HttpError::new(
+                431,
+                format!("request heads are capped at {MAX_HEAD_BYTES} bytes\n"),
+            ));
         }
         match stream.read(&mut tmp) {
             Ok(0) => {
                 if buf.is_empty() {
                     return Ok(None);
                 }
-                return Err(HttpError::bad_request("truncated request head\n"));
+                return Err(HttpError::new(400, "truncated request head\n"));
             }
             Ok(n) => buf.extend_from_slice(&tmp[..n]),
             Err(e) if is_timeout(&e) => {
                 if buf.is_empty() {
                     return Ok(None);
                 }
-                return Err(HttpError::bad_request("timed out mid-request head\n"));
+                return Err(HttpError::new(400, "timed out mid-request head\n"));
             }
             Err(e) => return Err(io_err(e)),
         }
@@ -818,47 +835,56 @@ fn read_request<S: Read + Write>(
     let mut parts = request_line.split_whitespace();
     let (Some(method), Some(path), Some(version)) = (parts.next(), parts.next(), parts.next())
     else {
-        return Err(HttpError::bad_request(format!(
-            "malformed request line {request_line:?}\n"
-        )));
+        return Err(HttpError::new(
+            400,
+            format!("malformed request line {request_line:?}\n"),
+        ));
     };
     if !version.starts_with("HTTP/1.") {
-        return Err(HttpError::bad_request(format!(
-            "unsupported protocol {version:?}\n"
-        )));
+        return Err(HttpError::new(
+            400,
+            format!("unsupported protocol {version:?}\n"),
+        ));
     }
     let mut content_length: Option<usize> = None;
     let mut expect_continue = false;
     let mut connection: Option<String> = None;
     let mut accept_json = false;
     for line in lines {
-        let Some((name, value)) = line.split_once(':') else {
-            continue;
+        // A field line is `name: value` with a token for a name (RFC 9110
+        // §5.1). A line without a colon, whitespace before the colon and
+        // an obs-folded line (one opening with whitespace) are rejected,
+        // not skipped or trimmed (RFC 9112 §5.1–5.2): a proxy that read
+        // one of them otherwise would find the body's end elsewhere.
+        let Some((name, value)) = line.split_once(':').filter(|(name, _)| is_token(name)) else {
+            return Err(HttpError::new(
+                400,
+                format!("malformed header line {line:?}\n"),
+            ));
         };
-        let name = name.trim();
         let value = value.trim();
         if name.eq_ignore_ascii_case("content-length") {
-            let length = value.parse().map_err(|_| {
-                HttpError::bad_request(format!("invalid Content-Length {value:?}\n"))
-            })?;
+            // `Content-Length = 1*DIGIT` (RFC 9110 §8.6): no sign.
+            let length = Some(value)
+                .filter(|v| v.bytes().all(|b| b.is_ascii_digit()))
+                .and_then(|v| v.parse().ok())
+                .ok_or_else(|| {
+                    HttpError::new(400, format!("invalid Content-Length {value:?}\n"))
+                })?;
             // Two different lengths leave the body's end ambiguous
             // (RFC 9112 §6.3): either reading could smuggle a request.
             if content_length.is_some_and(|first| first != length) {
-                return Err(HttpError::bad_request(
-                    "conflicting Content-Length headers\n",
-                ));
+                return Err(HttpError::new(400, "conflicting Content-Length headers\n"));
             }
             content_length = Some(length);
         } else if name.eq_ignore_ascii_case("transfer-encoding") {
             // No transfer coding is decoded here, so the body's end is
             // unknowable (RFC 9112 §6.1).
-            return Err(HttpError {
-                status: 501,
-                reason: "Not Implemented",
-                message: "Transfer-Encoding request bodies are not supported; \
-                          send a Content-Length body\n"
-                    .to_string(),
-            });
+            return Err(HttpError::new(
+                501,
+                "Transfer-Encoding request bodies are not supported; send a Content-Length \
+                 body\n",
+            ));
         } else if name.eq_ignore_ascii_case("expect") && value.eq_ignore_ascii_case("100-continue")
         {
             expect_continue = true;
@@ -879,11 +905,7 @@ fn read_request<S: Read + Write>(
     let after_head = buf.split_off(head_end + 4);
     *buf = after_head;
     if method == "POST" && content_length.is_none() {
-        return Err(HttpError {
-            status: 411,
-            reason: "Length Required",
-            message: "POST needs a Content-Length\n".to_string(),
-        });
+        return Err(HttpError::new(411, "POST needs a Content-Length\n"));
     }
     // A body is framed by its Content-Length whatever the method: a GET's
     // body is read (and ignored by its handler), never parsed as the next
@@ -891,11 +913,10 @@ fn read_request<S: Read + Write>(
     let mut body = Vec::new();
     if let Some(length) = content_length {
         if length > MAX_BODY_BYTES {
-            return Err(HttpError {
-                status: 413,
-                reason: "Content Too Large",
-                message: format!("request bodies are capped at {MAX_BODY_BYTES} bytes\n"),
-            });
+            return Err(HttpError::new(
+                413,
+                format!("request bodies are capped at {MAX_BODY_BYTES} bytes\n"),
+            ));
         }
         if expect_continue && buf.len() < length {
             // curl holds bodies over ~1 KiB until the interim response.
@@ -906,10 +927,10 @@ fn read_request<S: Read + Write>(
         }
         while buf.len() < length {
             match stream.read(&mut tmp) {
-                Ok(0) => return Err(HttpError::bad_request("truncated request body\n")),
+                Ok(0) => return Err(HttpError::new(400, "truncated request body\n")),
                 Ok(n) => buf.extend_from_slice(&tmp[..n]),
                 Err(e) if is_timeout(&e) => {
-                    return Err(HttpError::bad_request("timed out mid-request body\n"));
+                    return Err(HttpError::new(400, "timed out mid-request body\n"));
                 }
                 Err(e) => return Err(io_err(e)),
             }
@@ -926,6 +947,15 @@ fn read_request<S: Read + Write>(
     }))
 }
 
+/// Whether `name` is a token (RFC 9110 §5.6.2), the grammar of a field
+/// name: visible ASCII characters other than delimiters, at least one.
+fn is_token(name: &str) -> bool {
+    !name.is_empty()
+        && name
+            .bytes()
+            .all(|b| b.is_ascii_alphanumeric() || b"!#$%&'*+-.^_`|~".contains(&b))
+}
+
 /// First index of `needle` in `haystack`.
 fn find_subslice(haystack: &[u8], needle: &[u8]) -> Option<usize> {
     haystack.windows(needle.len()).position(|w| w == needle)
@@ -933,64 +963,48 @@ fn find_subslice(haystack: &[u8], needle: &[u8]) -> Option<usize> {
 
 // --- Responses ------------------------------------------------------------
 
-/// Writes a complete fixed-length response. Returns whether the
-/// connection is still usable (all bytes written).
-fn respond_head_body<S: Write>(
+/// The content type of every plain-text answer, errors included.
+const PLAIN_TEXT: &str = "text/plain; charset=utf-8";
+
+/// A response head: the status line with its reason phrase from
+/// [`status_text`], `Content-Type`, the `framing` header lines, then
+/// `Connection`.
+fn head(status: u16, content_type: &str, framing: &str, keep: bool) -> String {
+    let reason = status_text(status).1;
+    let connection = if keep { "keep-alive" } else { "close" };
+    format!(
+        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\n\
+         {framing}Connection: {connection}\r\n\r\n"
+    )
+}
+
+/// Writes a complete fixed-length response, `extra_headers` after its
+/// `Content-Length`. The connection stays usable if every byte went out.
+fn respond<S: Write>(
     stream: &mut S,
     status: u16,
-    reason: &str,
     content_type: &str,
     extra_headers: &str,
     body: &str,
     keep: bool,
-) -> bool {
-    let connection = if keep { "keep-alive" } else { "close" };
-    let head = format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\n\
-         Content-Length: {}\r\n{extra_headers}Connection: {connection}\r\n\r\n",
-        body.len()
-    );
-    stream.write_all(head.as_bytes()).is_ok()
+) -> Reply {
+    let framing = format!("Content-Length: {}\r\n{extra_headers}", body.len());
+    let head = head(status, content_type, &framing, keep);
+    let usable = stream.write_all(head.as_bytes()).is_ok()
         && stream.write_all(body.as_bytes()).is_ok()
-        && stream.flush().is_ok()
+        && stream.flush().is_ok();
+    Reply { status, usable }
 }
 
-/// Writes a complete fixed-length plain-text response.
-fn respond_plain<S: Write>(
-    stream: &mut S,
-    status: u16,
-    reason: &str,
-    body: &str,
-    keep: bool,
-) -> bool {
-    respond_head_body(
-        stream,
-        status,
-        reason,
-        "text/plain; charset=utf-8",
-        "",
-        body,
-        keep,
-    )
-}
-
-/// `429` with the mandated `Retry-After` header.
-fn respond_rate_limited<S: Write>(stream: &mut S, retry_after: u64, keep: bool) -> bool {
-    respond_head_body(
-        stream,
-        429,
-        "Too Many Requests",
-        "text/plain; charset=utf-8",
-        &format!("Retry-After: {retry_after}\r\n"),
-        &format!("rate limit exceeded; retry in {retry_after}s\n"),
-        keep,
-    )
+/// Answers `status` with a plain-text `body`.
+fn reply<S: Write>(stream: &mut S, status: u16, body: &str, keep: bool) -> Reply {
+    respond(stream, status, PLAIN_TEXT, "", body, keep)
 }
 
 /// `GET /statz`: the serving counters as one JSON object — a JSON view
 /// over the same registry snapshot `/metricsz` renders, so the two
 /// endpoints cannot disagree about a value.
-fn respond_statz<S: Write>(stream: &mut S, state: &ServerState, keep: bool) -> bool {
+fn respond_statz<S: Write>(stream: &mut S, state: &ServerState, keep: bool) -> Reply {
     let snapshot = state.registry.snapshot();
     let counter = |name: &str| snapshot.counter(name).unwrap_or(0);
     let entries = |name: &str| snapshot.gauge(name).unwrap_or(0.0) as u64;
@@ -1012,10 +1026,9 @@ fn respond_statz<S: Write>(stream: &mut S, state: &ServerState, keep: bool) -> b
         counter("actuary_core_cache_evictions_total"),
         entries("actuary_core_cache_entries"),
     );
-    respond_head_body(
+    respond(
         stream,
         200,
-        "OK",
         "application/json; charset=utf-8",
         "",
         &body,
@@ -1025,15 +1038,14 @@ fn respond_statz<S: Write>(stream: &mut S, state: &ServerState, keep: bool) -> b
 
 /// `GET /metricsz`: the per-server registry merged with the process
 /// registry (engine phase spans), in Prometheus text exposition format.
-fn respond_metricsz<S: Write>(stream: &mut S, state: &ServerState, keep: bool) -> bool {
+fn respond_metricsz<S: Write>(stream: &mut S, state: &ServerState, keep: bool) -> Reply {
     let snapshot = state
         .registry
         .snapshot()
         .merged(Registry::global().snapshot());
-    respond_head_body(
+    respond(
         stream,
         200,
-        "OK",
         expo::CONTENT_TYPE,
         "",
         &expo::render(&snapshot),
@@ -1042,10 +1054,19 @@ fn respond_metricsz<S: Write>(stream: &mut S, state: &ServerState, keep: bool) -
 }
 
 /// Parses, runs (or replays from cache) and chunk-streams one scenario
-/// document. Reports the answered status and whether the connection is
-/// still usable. `query` selects delivery: `stream=refine` switches to
-/// incremental delivery through [`respond_run_streamed`]; any other
+/// document. `query` selects delivery: `stream=refine` delivers every
+/// artifact segment the moment the runner hands it over; any other
 /// non-empty query is rejected, not ignored.
+///
+/// A batch run does all model work before the `200` head is written, so
+/// a success status never precedes a failure. A streamed run writes the
+/// head *before* the engine runs, so a refine-mode grid's coarse segment
+/// reaches the client while bisection is still running. The price of
+/// that immediacy is the error contract: an engine failure after the
+/// head cannot change the status, so it truncates the chunked body (no
+/// terminal `0\r\n\r\n` chunk) and drops the connection. Schema-level
+/// rejections (parse errors, grid bounds, an unknown query) answer 4xx
+/// in both modes, because they are checked before the head.
 fn respond_run<S: Write>(
     stream: &mut S,
     request: &Request,
@@ -1057,173 +1078,110 @@ fn respond_run<S: Write>(
         None | Some("") => false,
         Some("stream=refine") => true,
         Some(other) => {
-            return Reply::new(
-                400,
-                respond_plain(
-                    stream,
-                    400,
-                    "Bad Request",
-                    &format!(
-                        "unknown query {other:?} (the only supported query is ?stream=refine)\n"
-                    ),
-                    keep,
-                ),
-            );
+            let message =
+                format!("unknown query {other:?} (the only supported query is ?stream=refine)\n");
+            return reply(stream, 400, &message, keep);
         }
     };
     let Ok(text) = std::str::from_utf8(&request.body) else {
-        return Reply::new(
-            400,
-            respond_plain(
-                stream,
-                400,
-                "Bad Request",
-                "scenario documents must be UTF-8\n",
-                keep,
-            ),
-        );
+        return reply(stream, 400, "scenario documents must be UTF-8\n", keep);
     };
     let doc = match parse_toml(text) {
         Ok(doc) => doc,
-        Err(e) => {
-            // The diagnostic names the offending line and column.
-            return Reply::new(
-                400,
-                respond_plain(
-                    stream,
-                    400,
-                    "Bad Request",
-                    &format!("scenario error: {e}\n"),
-                    keep,
-                ),
-            );
-        }
+        // The diagnostic names the offending line and column.
+        Err(e) => return reply(stream, 400, &format!("scenario error: {e}\n"), keep),
     };
     // Content addressing happens on the *parsed* document: formatting,
     // comments and key order hit the cache; semantic changes miss it.
     // Streamed delivery bypasses the cache *read* — replaying a finished
     // run cannot deliver waves incrementally — but still stores its
     // completed run for later batch requests.
-    let digest = digest_document(&doc);
+    let digest = digest_document(&doc).bytes();
+    let json = request.accept_json;
+    // A batch answer, cached or fresh, renders its finished run.
+    let replay = |stream: &mut S, run: &ScenarioRun| {
+        respond_chunked(stream, json, false, keep, |sink| {
+            run.artifacts()
+                .into_iter()
+                .all(|artifact| sink.segment(artifact, false))
+        })
+    };
     if !streamed {
-        if let Some(run) = state.results.get(&digest.bytes()) {
-            return Reply::new(
-                200,
-                stream_artifacts(stream, &run, request.accept_json, keep),
-            );
+        if let Some(run) = state.results.get(&digest) {
+            return replay(stream, &run);
         }
     }
     let scenario = match Scenario::from_doc(&doc) {
         Ok(scenario) => scenario,
-        Err(e) => {
-            return Reply::new(
-                400,
-                respond_plain(
-                    stream,
-                    400,
-                    "Bad Request",
-                    &format!("scenario error: {e}\n"),
-                    keep,
-                ),
-            );
-        }
+        Err(e) => return reply(stream, 400, &format!("scenario error: {e}\n"), keep),
     };
     if let Err(message) = check_served_grid_bound(&scenario) {
-        return Reply::new(
-            422,
-            respond_plain(stream, 422, "Unprocessable Content", &message, keep),
-        );
+        return reply(stream, 422, &message, keep);
     }
-    let tag = library_digest(&doc).bytes();
+    let shared = Some((&*state.cores, library_digest(&doc).bytes()));
     if streamed {
-        return respond_run_streamed(
-            stream,
-            &scenario,
-            digest.bytes(),
-            tag,
-            state,
-            request.accept_json,
-            keep,
-        );
+        return respond_chunked(stream, json, true, keep, |sink| {
+            let Ok(run) = scenario.run_with(state.engine_threads, shared, sink) else {
+                return false;
+            };
+            state.results.insert(digest, Arc::new(run));
+            true
+        });
     }
-    let run = match scenario.run_shared(state.engine_threads, &state.cores, tag) {
+    let run = match scenario.run_with(state.engine_threads, shared, &mut ()) {
         Ok(run) => Arc::new(run),
-        Err(e) => {
-            return Reply::new(
-                422,
-                respond_plain(
-                    stream,
-                    422,
-                    "Unprocessable Content",
-                    &format!("scenario error: {e}\n"),
-                    keep,
-                ),
-            );
-        }
+        Err(e) => return reply(stream, 422, &format!("scenario error: {e}\n"), keep),
     };
-    state.results.insert(digest.bytes(), Arc::clone(&run));
-    Reply::new(
-        200,
-        stream_artifacts(stream, &run, request.accept_json, keep),
-    )
+    state.results.insert(digest, Arc::clone(&run));
+    replay(stream, &run)
 }
 
-/// Answers `?stream=refine`: the `200` head goes out *before* the engine
-/// runs, and every artifact segment is flushed as its own chunk batch the
-/// moment the runner delivers it — a refine-mode grid's coarse segment
-/// reaches the client while bisection is still running. The price of
-/// immediacy is the error contract: an engine failure after the head
-/// cannot change the status, so it truncates the chunked body instead
-/// (no terminal `0\r\n\r\n` chunk) and drops the connection. All
-/// *schema-level* rejections (parse errors, grid bounds, unknown query)
-/// still answer 4xx because they are checked before the head.
-#[allow(clippy::too_many_arguments)]
-fn respond_run_streamed<S: Write>(
+/// Answers `200` with a chunked body in the requested encoding: the
+/// head, then whatever `body` hands the [`ChunkSink`], then — only when
+/// `body` reports success — the terminal chunk. After the head the
+/// status can no longer change, so a failed body truncates the response
+/// (the missing terminal chunk marks it incomplete) and the connection
+/// closes. The one writer behind cache replays, batch runs and streamed
+/// runs.
+fn respond_chunked<S: Write>(
     stream: &mut S,
-    scenario: &Scenario,
-    digest: [u8; 32],
-    tag: [u8; 32],
-    state: &ServerState,
     json: bool,
+    eager: bool,
     keep: bool,
+    body: impl FnOnce(&mut ChunkSink<&mut S>) -> bool,
 ) -> Reply {
     let content_type = if json {
         "application/jsonl; charset=utf-8"
     } else {
         "text/csv; charset=utf-8"
     };
-    let connection = if keep { "keep-alive" } else { "close" };
-    let head = format!(
-        "HTTP/1.1 200 OK\r\nContent-Type: {content_type}\r\n\
-         Transfer-Encoding: chunked\r\nConnection: {connection}\r\n\r\n"
-    );
-    if stream.write_all(head.as_bytes()).is_err() {
-        return Reply::new(200, false);
-    }
-    let mut sink = HttpStreamSink {
-        chunked: ChunkedWriter::new(stream),
-        json,
+    let head = head(200, content_type, "Transfer-Encoding: chunked\r\n", keep);
+    let usable = stream.write_all(head.as_bytes()).is_ok() && {
+        let mut sink = ChunkSink {
+            chunked: ChunkedWriter::new(stream),
+            json,
+            eager,
+        };
+        body(&mut sink) && sink.chunked.finish().is_ok()
     };
-    match scenario.run_streamed_shared(state.engine_threads, &state.cores, tag, &mut sink) {
-        Ok(run) => {
-            state.results.insert(digest, Arc::new(run));
-            Reply::new(200, sink.chunked.finish().is_ok())
-        }
-        Err(_) => Reply::new(200, false),
+    Reply {
+        status: 200,
+        usable,
     }
 }
 
-/// Adapts the HTTP chunk stream to the scenario runner's [`StreamSink`]:
-/// opening segments carry the header (or JSON-lines metadata object),
-/// continuations are rows-only, and every segment is flushed through the
-/// chunked framing immediately so waves arrive as they complete rather
-/// than when the buffer fills.
-struct HttpStreamSink<'a, S: Write> {
-    chunked: ChunkedWriter<&'a mut S>,
+/// Renders artifact segments into a response's chunked framing, in its
+/// encoding: an opening segment carries the header (or JSON-lines meta
+/// line), a continuation only rows. An `eager` sink flushes every
+/// segment to the wire, so a streamed run's waves arrive as they
+/// complete; otherwise the framing coalesces [`CHUNK_BYTES`] chunks.
+struct ChunkSink<W: Write> {
+    chunked: ChunkedWriter<W>,
     json: bool,
+    eager: bool,
 }
 
-impl<S: Write> StreamSink for HttpStreamSink<'_, S> {
+impl<W: Write> StreamSink for ChunkSink<W> {
     fn segment(&mut self, artifact: Artifact<'_>, continuation: bool) -> bool {
         let mut sink = IoSink::new(&mut self.chunked);
         let written = match (self.json, continuation) {
@@ -1232,45 +1190,8 @@ impl<S: Write> StreamSink for HttpStreamSink<'_, S> {
             (true, false) => artifact.write_jsonl_to(&mut sink),
             (true, true) => artifact.write_jsonl_rows_to(&mut sink),
         };
-        written.is_ok() && self.chunked.flush().is_ok()
+        written.is_ok() && (!self.eager || self.chunked.flush().is_ok())
     }
-}
-
-/// Chunk-streams every artifact of a run in the chosen encoding. Returns
-/// whether the connection is still usable — a mid-stream write failure
-/// breaks the chunked framing, so the caller must close.
-fn stream_artifacts<S: Write>(stream: &mut S, run: &ScenarioRun, json: bool, keep: bool) -> bool {
-    let content_type = if json {
-        "application/jsonl; charset=utf-8"
-    } else {
-        "text/csv; charset=utf-8"
-    };
-    let connection = if keep { "keep-alive" } else { "close" };
-    // All model work is done; from here on only serialization can fail,
-    // and a dropped client simply truncates the chunk stream (the missing
-    // terminal chunk marks the body incomplete).
-    let head = format!(
-        "HTTP/1.1 200 OK\r\nContent-Type: {content_type}\r\n\
-         Transfer-Encoding: chunked\r\nConnection: {connection}\r\n\r\n"
-    );
-    if stream.write_all(head.as_bytes()).is_err() {
-        return false;
-    }
-    let mut chunked = ChunkedWriter::new(stream);
-    {
-        let mut sink = IoSink::new(&mut chunked);
-        for artifact in run.artifacts() {
-            let written = if json {
-                artifact.write_jsonl_to(&mut sink)
-            } else {
-                artifact.write_csv_to(&mut sink)
-            };
-            if written.is_err() {
-                return false;
-            }
-        }
-    }
-    chunked.finish().is_ok()
 }
 
 /// Rejects explore jobs whose grid exceeds [`MAX_SERVED_CELLS`]
@@ -1644,6 +1565,57 @@ mod tests {
             "{output}"
         );
         assert!(output.contains("Connection: close"), "{output}");
+    }
+
+    #[test]
+    fn ambiguous_header_lines_get_one_400_and_close() {
+        // The body is itself a complete request: a server that reads
+        // these lengths as 25 answers one `200`, while a proxy that reads
+        // them otherwise sees a second request in the body. A line
+        // without a colon is no more skippable.
+        let body = "GET /healthz HTTP/1.1\r\n\r\n";
+        assert_eq!(body.len(), 25);
+        for (fields, body) in [
+            ("Content-Length: +25\r\n", body),
+            ("Content-Length : 25\r\n", body),
+            ("X-A: b\r\n Content-Length: 25\r\n", body),
+            ("bogus line\r\n", ""),
+        ] {
+            let request = format!("GET /healthz HTTP/1.1\r\n{fields}\r\n{body}");
+            let (answers, output) = serve_bytes(request.as_bytes());
+            assert_eq!(answers, 1, "{fields:?}: {output}");
+            assert!(output.starts_with("HTTP/1.1 400 Bad Request"), "{output}");
+            assert!(output.contains("Connection: close"), "{output}");
+        }
+    }
+
+    #[test]
+    fn read_level_errors_are_counted_and_observed() {
+        let state = state();
+        for (request, status) in [
+            (
+                &b"POST /run HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"[..],
+                "501",
+            ),
+            (b"POST /run HTTP/1.1\r\n\r\n", "411"),
+        ] {
+            let before = state.metrics.requests.get();
+            let mut fake = Fake::new(request);
+            serve_connection(&mut fake, None, &state);
+            let output = String::from_utf8_lossy(&fake.output);
+            assert!(
+                output.starts_with(&format!("HTTP/1.1 {status} ")),
+                "{output}"
+            );
+            assert_eq!(state.metrics.requests.get(), before + 1, "{status}");
+            // Never routed, so the method and route read `other`.
+            let sample = format!(
+                "actuary_http_request_seconds_count{{method=\"other\",route=\"other\",\
+                 status=\"{status}\"}} 1\n"
+            );
+            let metrics = expo::render(&state.registry.snapshot());
+            assert!(metrics.contains(&sample), "{sample} in:\n{metrics}");
+        }
     }
 
     #[test]
@@ -2149,9 +2121,11 @@ mod tests {
     /// `?stream=refine`) whose body is a tiny valid scenario, random bytes
     /// or nothing, its `Content-Length` sometimes repeated with the same
     /// value. A hostile one draws its method, path, version and
-    /// `Content-Length` (valid, too long, over the cap, negative, not a
-    /// number, or repeated with a different value) freely, may carry
-    /// `Transfer-Encoding`, and may be mutated byte by byte.
+    /// `Content-Length` (valid, too long, over the cap, negative, signed,
+    /// not a number, or repeated with a different value) and its field
+    /// line (plain, with whitespace before the colon, or obs-folded)
+    /// freely, may carry a line without a colon or `Transfer-Encoding`,
+    /// and may be mutated byte by byte.
     fn fuzz_request(rng: &mut StdRng) -> (Vec<u8>, bool) {
         let hostile = rng.gen_bool(0.3);
         let (method, path, version) = if hostile {
@@ -2196,7 +2170,7 @@ mod tests {
                 head += &length;
             }
         } else if hostile && rng.gen_bool(0.8) {
-            let length = match below(rng, 5) {
+            let length = match below(rng, 6) {
                 0 => body.len().to_string(),
                 // Longer than the body: the next request is read as body.
                 1 => (body.len() + 1 + below(rng, 40)).to_string(),
@@ -2204,13 +2178,24 @@ mod tests {
                 2 if rng.gen_bool(0.5) => (MAX_BODY_BYTES + 1).to_string(),
                 2 => "99999999999999999999999".to_string(),
                 3 => "-5".to_string(),
+                // A sign, which `usize::from_str` accepts.
+                4 => format!("+{}", body.len()),
                 _ => "ten".to_string(),
             };
-            head += &format!("Content-Length: {length}\r\n");
+            // Plain, with whitespace before the colon, or obs-folded onto
+            // the line before.
+            head += &match below(rng, 4) {
+                0 => format!("Content-Length : {length}\r\n"),
+                1 => format!("X-A: b\r\n Content-Length: {length}\r\n"),
+                _ => format!("Content-Length: {length}\r\n"),
+            };
             if rng.gen_bool(0.2) {
                 // A second, differing length: the body's end is ambiguous.
                 head += &format!("Content-Length: {}\r\n", below(rng, 64));
             }
+        }
+        if hostile && rng.gen_bool(0.1) {
+            head += "bogus line\r\n";
         }
         if hostile && rng.gen_bool(0.1) {
             head += pick(

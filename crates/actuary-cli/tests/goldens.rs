@@ -1,11 +1,16 @@
 //! The committed goldens, pinned: every bundled scenario run through the
 //! real `actuary run --out-dir` must write exactly the files of
-//! `examples/scenarios/golden/`, byte for byte, and fig8's JSON-lines
-//! rendering (what `actuary serve` streams for `Accept: application/json`)
-//! must equal `golden-jsonl/fig8.jsonl`.
+//! `examples/scenarios/golden/`, byte for byte, the segments
+//! `Scenario::run_with` hands a stream sink must be those same files in
+//! artifact order, and fig8's JSON-lines rendering (what `actuary serve`
+//! streams for `Accept: application/json`) must equal
+//! `golden-jsonl/fig8.jsonl`.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
+
+use actuary_report::Artifact;
+use actuary_scenario::{Scenario, StreamSink};
 
 fn scenarios_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/scenarios")
@@ -69,7 +74,7 @@ fn every_scenario_reproduces_the_committed_goldens() {
 fn fig8_jsonl_rendering_matches_its_golden() {
     let scenarios = scenarios_dir();
     let toml = std::fs::read_to_string(scenarios.join("fig8.toml")).unwrap();
-    let run = actuary_scenario::Scenario::from_toml(&toml)
+    let run = Scenario::from_toml(&toml)
         .expect("fig8 parses")
         .run(1)
         .expect("fig8 runs");
@@ -81,5 +86,65 @@ fn fig8_jsonl_rendering_matches_its_golden() {
     assert!(
         jsonl == pinned,
         "fig8's JSON-lines rendering differs from golden-jsonl/fig8.jsonl"
+    );
+}
+
+/// Records every delivered segment as (artifact name, continuation, CSV
+/// text), the header included on an opening segment.
+struct Recording(Vec<(String, bool, String)>);
+
+impl StreamSink for Recording {
+    fn segment(&mut self, artifact: Artifact<'_>, continuation: bool) -> bool {
+        let name = artifact.name().to_string();
+        let mut text = String::new();
+        let written = if continuation {
+            artifact.write_csv_rows_to(&mut text)
+        } else {
+            artifact.write_csv_to(&mut text)
+        };
+        written.expect("rendering into a String cannot fail");
+        self.0.push((name, continuation, text));
+        true
+    }
+}
+
+#[test]
+fn every_scenario_delivers_the_committed_goldens_to_a_stream_sink() {
+    let scenarios = scenarios_dir();
+    let golden = scenarios.join("golden");
+    let mut delivered = Vec::new();
+    for toml in files(&scenarios, "toml") {
+        let text = std::fs::read_to_string(scenarios.join(&toml)).unwrap();
+        let scenario = Scenario::from_toml(&text).unwrap_or_else(|e| panic!("{toml}: {e}"));
+        let mut sink = Recording(Vec::new());
+        let run = scenario
+            .run_with(1, None, &mut sink)
+            .unwrap_or_else(|e| panic!("{toml}: {e}"));
+        // No bundled scenario streams a refine grid, so every segment is
+        // one whole artifact, delivered in the batch order.
+        let order: Vec<String> = run
+            .artifacts()
+            .iter()
+            .map(|a| a.name().to_string())
+            .collect();
+        let names: Vec<String> = sink.0.iter().map(|(name, ..)| name.clone()).collect();
+        assert_eq!(names, order, "{toml}: delivery order");
+        for (name, continuation, text) in sink.0 {
+            assert!(!continuation, "{toml}: {name} was delivered in segments");
+            let file = format!("{}-{name}.csv", scenario.name);
+            let pinned = std::fs::read_to_string(golden.join(&file))
+                .unwrap_or_else(|e| panic!("{toml}: no golden {file}: {e}"));
+            assert!(
+                text == pinned,
+                "{toml}: the delivered {name} differs from examples/scenarios/golden/{file}"
+            );
+            delivered.push(file);
+        }
+    }
+    delivered.sort();
+    assert_eq!(
+        delivered,
+        files(&golden, "csv"),
+        "the sinks must receive exactly the golden files"
     );
 }

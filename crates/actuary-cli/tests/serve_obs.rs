@@ -1,8 +1,9 @@
 //! Integration tests of the observability surface against the real
 //! binary over real TCP: `/metricsz` must serve valid Prometheus text
 //! exposition including the engine phase histogram, `/statz` must agree
-//! with it (same registry), and turning logging all the way up must not
-//! perturb a single artifact byte.
+//! with it (same registry), turning logging all the way up must not
+//! perturb a single artifact byte, and a request rejected while it is
+//! read reaches the access log like every other answer.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -250,5 +251,32 @@ fn pareto_outputs_show_the_fronts_span_on_metricsz_and_in_debug_logs() {
         for field in ["\"cells\":", "\"candidates\":", "\"front\":"] {
             assert!(line.contains(field), "{line}");
         }
+    }
+}
+
+#[test]
+fn read_level_errors_reach_the_access_log() {
+    // The server unit tests pin the counter and the histogram; this pins
+    // the one `http.request` line each answer logs.
+    let server = Server::start_with(&["--log-format", "json"]);
+    let (status, _, _) = server.request(b"POST /run HTTP/1.1\r\nHost: x\r\n\r\n");
+    assert_eq!(status, "HTTP/1.1 411 Length Required");
+    let (status, _, _) =
+        server.request(b"POST /run HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n");
+    assert_eq!(status, "HTTP/1.1 501 Not Implemented");
+
+    let stderr = server.stop_and_read_stderr();
+    for status in ["411", "501"] {
+        let lines = (stderr.lines())
+            .filter(|line| line.contains("\"event\":\"http.request\""))
+            .filter(|line| line.contains(&format!("\"status\":{status},")))
+            .collect::<Vec<_>>();
+        assert_eq!(lines.len(), 1, "{stderr}");
+        // Never routed, so the method and route read `other`.
+        assert!(
+            lines[0].contains("\"method\":\"other\",\"route\":\"other\""),
+            "{}",
+            lines[0]
+        );
     }
 }

@@ -474,93 +474,51 @@ impl Scenario {
     }
 
     /// Executes every job. `threads = 0` lets explore jobs use all
-    /// hardware threads.
+    /// hardware threads. This is [`Scenario::run_with`] without a shared
+    /// core cache, delivering to `()`, the sink that discards.
     ///
     /// # Errors
     ///
     /// Returns [`ScenarioError::Engine`] naming the failing job.
     pub fn run(&self, threads: usize) -> Result<ScenarioRun, ScenarioError> {
-        self.run_jobs(threads, None, None)
+        self.run_with(threads, None, &mut ())
     }
 
-    /// [`Scenario::run`] with explore-job cores reused *across runs*
-    /// through `cache`. `tag` must fingerprint the technology library this
+    /// Executes every job and hands each artifact to `sink` as soon as it
+    /// is complete. A refine-mode explore job that emits the grid delivers
+    /// it *segment by segment* as refinement waves finish — the coarse
+    /// segment goes out while bisection is still running.
+    ///
+    /// The cost, yield and sweep jobs run first, then the explore jobs, so
+    /// the cost and yield tables are delivered before the first
+    /// long-running grid starts. Delivery order: the cost table, the
+    /// yield table, then each explore job (a streamed grid's segments
+    /// first, then the job's remaining surfaces in selected order), then
+    /// the sweeps. Without a streamed grid that is the order of
+    /// [`ScenarioRun::artifacts`]. Within a streamed grid every segment is
+    /// internally grid-ordered and every cell appears in exactly one
+    /// segment, so re-sorting the concatenated rows by grid coordinates
+    /// reproduces the batch grid byte for byte.
+    ///
+    /// With `shared`, explore-job cores are reused *across runs* through
+    /// the cache. Its tag must fingerprint the technology library this
     /// scenario lowered — use [`crate::canon::library_digest`] over the
-    /// same document — so scenarios with different library overrides never
-    /// share cores. Output is byte-identical to [`Scenario::run`].
+    /// same document — so scenarios with different library overrides
+    /// never share cores. The output is byte-identical with or without
+    /// it.
+    ///
+    /// The full [`ScenarioRun`] is returned, so callers can cache or
+    /// re-render it.
     ///
     /// # Errors
     ///
-    /// See [`Scenario::run`].
-    pub fn run_shared(
-        &self,
-        threads: usize,
-        cache: &SharedCoreCache,
-        tag: [u8; 32],
-    ) -> Result<ScenarioRun, ScenarioError> {
-        self.run_jobs(threads, Some((cache, tag)), None)
-    }
-
-    /// [`Scenario::run`] with incremental delivery: every artifact is
-    /// handed to `sink` as soon as it is complete, and refine-mode explore
-    /// jobs that emit the grid stream it *segment by segment* as
-    /// refinement waves finish — the coarse segment goes out while
-    /// bisection is still running — instead of holding the table back
-    /// until the whole scenario returns.
-    ///
-    /// Delivery order: the cost table, the yield table, then each explore
-    /// job (a streamed grid's segments first, then the job's remaining
-    /// surfaces in selected order), then the sweeps. Within a streamed
-    /// grid every segment is internally grid-ordered and every cell
-    /// appears in exactly one segment, so re-sorting the concatenated
-    /// rows by grid coordinates reproduces the batch grid byte for byte.
-    ///
-    /// The full [`ScenarioRun`] is still returned, so callers can cache
-    /// or re-render it.
-    ///
-    /// # Errors
-    ///
-    /// See [`Scenario::run`]; additionally returns
-    /// [`ScenarioError::Engine`] naming the job whose delivery the sink
-    /// declined.
-    pub fn run_streamed(
-        &self,
-        threads: usize,
-        sink: &mut dyn StreamSink,
-    ) -> Result<ScenarioRun, ScenarioError> {
-        self.run_jobs(threads, None, Some(sink))
-    }
-
-    /// [`Scenario::run_streamed`] with explore-job cores reused across
-    /// runs through `cache`; see [`Scenario::run_shared`] for the `tag`
-    /// contract.
-    ///
-    /// # Errors
-    ///
-    /// See [`Scenario::run_streamed`].
-    pub fn run_streamed_shared(
-        &self,
-        threads: usize,
-        cache: &SharedCoreCache,
-        tag: [u8; 32],
-        sink: &mut dyn StreamSink,
-    ) -> Result<ScenarioRun, ScenarioError> {
-        self.run_jobs(threads, Some((cache, tag)), Some(sink))
-    }
-
-    /// The one run loop behind [`Scenario::run`] and
-    /// [`Scenario::run_streamed`] (and their shared-cache forms): the
-    /// cost, yield and sweep jobs first, then the explore jobs — the order
-    /// the lowering already groups them in, so the cost and yield tables
-    /// are complete (and, with a `sink`, on the wire) before the first
-    /// long-running grid starts. With a `sink`, every artifact is also
-    /// delivered as it completes, in the order [`Scenario::run_streamed`]
-    /// documents.
-    fn run_jobs(
+    /// Returns [`ScenarioError::Engine`] naming the failing job, or the
+    /// job whose delivery the sink declined.
+    pub fn run_with(
         &self,
         threads: usize,
         shared: Option<(&SharedCoreCache, [u8; 32])>,
-        mut sink: Option<&mut dyn StreamSink>,
+        sink: &mut dyn StreamSink,
     ) -> Result<ScenarioRun, ScenarioError> {
         let mut run = ScenarioRun {
             name: self.name.clone(),
@@ -610,85 +568,28 @@ impl Scenario {
                 Job::Explore(_) => {}
             }
         }
-        if let Some(sink) = sink.as_deref_mut() {
-            if !run.cost_rows.is_empty() && !sink.segment(run.costs_artifact(), false) {
-                return Err(sink_declined("costs"));
-            }
-            if !run.yield_rows.is_empty() && !sink.segment(run.yields_artifact(), false) {
-                return Err(sink_declined("yields"));
-            }
+        if !run.cost_rows.is_empty() && !sink.segment(run.costs_artifact(), false) {
+            return Err(sink_declined("costs"));
+        }
+        if !run.yield_rows.is_empty() && !sink.segment(run.yields_artifact(), false) {
+            return Err(sink_declined("yields"));
         }
         for job in &self.jobs {
             let Job::Explore(j) = job else {
                 continue;
             };
-            let result = match sink.as_deref_mut() {
-                None => run_explore_job(&self.library, threads, shared, j, None)
-                    .map_err(|e| engine_error(&j.name, &e))?,
-                Some(sink) => self.stream_explore_job(threads, shared, j, sink)?,
-            };
             run.explores.push(ExploreRun {
                 name: j.name.clone(),
                 outputs: j.outputs.clone(),
-                result,
+                result: run_explore_job(&self.library, threads, shared, j, sink)?,
             });
         }
-        if let Some(sink) = sink {
-            for s in &run.sweeps {
-                if !sink.segment(s.sweep.artifact(format!("{}-sweep", s.name)), false) {
-                    return Err(sink_declined(&s.name));
-                }
+        for s in &run.sweeps {
+            if !sink.segment(s.sweep.artifact(format!("{}-sweep", s.name)), false) {
+                return Err(sink_declined(&s.name));
             }
         }
         Ok(run)
-    }
-
-    /// Runs one explore job and delivers its selected surfaces to `sink`:
-    /// a refine-mode grid segment by segment as the waves finish, then
-    /// the remaining surfaces in selected order.
-    fn stream_explore_job(
-        &self,
-        threads: usize,
-        shared: Option<(&SharedCoreCache, [u8; 32])>,
-        j: &ExploreJob,
-        sink: &mut dyn StreamSink,
-    ) -> Result<PortfolioResult, ScenarioError> {
-        let streams_grid =
-            j.mode == ExploreMode::Refine && j.outputs.contains(&ExploreOutput::Grid);
-        let result = if streams_grid {
-            let grid_name = format!("{}-grid", j.name);
-            let mut first = true;
-            let mut delivered = true;
-            let mut observer = |wave: &PortfolioResult| {
-                let segment = wave.grid_stored_artifact().named(grid_name.clone());
-                delivered = sink.segment(segment, !first);
-                first = false;
-                delivered
-            };
-            let result = run_explore_job(&self.library, threads, shared, j, Some(&mut observer));
-            if !delivered {
-                return Err(sink_declined(&j.name));
-            }
-            let result = result.map_err(|e| engine_error(&j.name, &e))?;
-            // The evaluated cells all went out with the waves above;
-            // the pruned/incompatible residual completes the table.
-            if !sink.segment(result.grid_unstored_artifact().named(grid_name), true) {
-                return Err(sink_declined(&j.name));
-            }
-            result
-        } else {
-            run_explore_job(&self.library, threads, shared, j, None)
-                .map_err(|e| engine_error(&j.name, &e))?
-        };
-        for &output in &j.outputs {
-            if streams_grid && output == ExploreOutput::Grid {
-                continue;
-            }
-            if !sink.segment(output.artifact(&j.name, &result), false) {
-                return Err(sink_declined(&j.name));
-            }
-        }
-        Ok(result)
     }
 }
 
@@ -702,38 +603,63 @@ fn engine_error(job: &str, e: &dyn fmt::Display) -> ScenarioError {
 
 /// The [`ScenarioError::Engine`] of a delivery the stream sink declined.
 fn sink_declined(job: &str) -> ScenarioError {
-    ScenarioError::Engine {
-        context: job.to_string(),
-        message: "the stream sink declined to continue".to_string(),
-    }
+    engine_error(job, &"the stream sink declined to continue")
 }
 
-/// Runs one explore job through the engine the job's mode selects,
-/// threading the optional shared core cache and (for refine mode) the
-/// optional wave observer — the single dispatch [`Scenario::run`] and
-/// [`Scenario::run_streamed`] both go through.
+/// Runs one explore job through the engine its mode selects, threading
+/// the optional shared core cache, and hands its selected surfaces to
+/// `sink`: a refine-mode grid segment by segment as the waves finish,
+/// then the remaining surfaces in selected order.
 fn run_explore_job(
     library: &TechLibrary,
     threads: usize,
     shared: Option<(&SharedCoreCache, [u8; 32])>,
     j: &ExploreJob,
-    observer: Option<&mut RefineObserver<'_>>,
-) -> Result<PortfolioResult, ArchError> {
+    sink: &mut dyn StreamSink,
+) -> Result<PortfolioResult, ScenarioError> {
+    let streams_grid = j.mode == ExploreMode::Refine && j.outputs.contains(&ExploreOutput::Grid);
+    let grid_name = format!("{}-grid", j.name);
+    let mut opened = false;
+    let mut observer = |wave: &PortfolioResult| {
+        let continuation = std::mem::replace(&mut opened, true);
+        sink.segment(
+            wave.grid_stored_artifact().named(grid_name.clone()),
+            continuation,
+        )
+    };
     let mut span = actuary_obs::span!("scenario.explore");
     span.record("cells", j.space.len() as u64);
-    match j.mode {
+    let result = match j.mode {
         ExploreMode::Exhaustive => match shared {
             None => explore_portfolio(library, &j.space, threads),
             Some((cache, tag)) => explore_portfolio_shared(library, &j.space, threads, cache, tag),
         },
         ExploreMode::Refine => {
+            let observer: Option<&mut RefineObserver<'_>> = streams_grid.then_some(&mut observer);
             explore_portfolio_refined_observed(library, &j.space, threads, shared, observer)
         }
+    };
+    drop(span);
+    // A declined wave aborts the engine, so its error names the job too.
+    let result = result.map_err(|e| engine_error(&j.name, &e))?;
+    if streams_grid {
+        // The evaluated cells all went out with the waves above; the
+        // pruned/incompatible residual completes the table.
+        if !sink.segment(result.grid_unstored_artifact().named(grid_name), true) {
+            return Err(sink_declined(&j.name));
+        }
     }
+    for &output in &j.outputs {
+        let streamed = streams_grid && output == ExploreOutput::Grid;
+        if !streamed && !sink.segment(output.artifact(&j.name, &result), false) {
+            return Err(sink_declined(&j.name));
+        }
+    }
+    Ok(result)
 }
 
-/// The incremental consumer [`Scenario::run_streamed`] delivers to: one
-/// call per artifact segment, in emission order. A segment with
+/// The incremental consumer [`Scenario::run_with`] delivers to: one call
+/// per artifact segment, in emission order. A segment with
 /// `continuation = false` opens a new artifact (its serialization carries
 /// the header or metadata line); `continuation = true` extends the
 /// previously opened artifact of the same name with more rows (serialize
@@ -743,6 +669,14 @@ pub trait StreamSink {
     /// Receives one artifact segment; see the trait docs for the
     /// continuation contract.
     fn segment(&mut self, artifact: Artifact<'_>, continuation: bool) -> bool;
+}
+
+/// The sink that discards every segment: [`Scenario::run`] delivers to
+/// it and keeps only the returned [`ScenarioRun`].
+impl StreamSink for () {
+    fn segment(&mut self, _: Artifact<'_>, _: bool) -> bool {
+        true
+    }
 }
 
 /// Validates a scenario or job name. Names become output file names

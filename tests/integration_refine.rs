@@ -403,7 +403,7 @@ impl StreamSink for Segments {
 /// them reproduces that grid.
 fn check_streamed(scenario: &Scenario, batch: &[String], grid: &str, context: &str) {
     let mut sink = Segments(Vec::new());
-    let streamed = scenario.run_streamed(2, &mut sink).unwrap();
+    let streamed = scenario.run_with(2, None, &mut sink).unwrap();
     let rendered: Vec<String> = streamed.artifacts().into_iter().map(|a| a.csv()).collect();
     assert_eq!(rendered, batch, "{context}: streamed run");
 

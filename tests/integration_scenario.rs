@@ -368,7 +368,7 @@ fn serialized_library_round_trips_to_byte_identical_exploration_csv() {
 }
 
 #[test]
-fn run_shared_is_byte_identical_and_reuses_cores_across_runs() {
+fn run_with_a_shared_cache_is_byte_identical_and_reuses_cores_across_runs() {
     use chiplet_actuary::dse::portfolio::SharedCoreCache;
     use chiplet_actuary::scenario::canon::library_digest;
     use chiplet_actuary::scenario::toml::parse;
@@ -384,8 +384,8 @@ fn run_shared_is_byte_identical_and_reuses_cores_across_runs() {
 
     let reference = scenario.run(2).unwrap();
     let cache = SharedCoreCache::new(4096);
-    let cold = scenario.run_shared(2, &cache, tag).unwrap();
-    let warm = scenario.run_shared(2, &cache, tag).unwrap();
+    let cold = scenario.run_with(2, Some((&cache, tag)), &mut ()).unwrap();
+    let warm = scenario.run_with(2, Some((&cache, tag)), &mut ()).unwrap();
 
     // Every artifact of every run renders byte-identically: the cache only
     // short-circuits the quantity-independent core evaluations.
@@ -402,7 +402,9 @@ fn run_shared_is_byte_identical_and_reuses_cores_across_runs() {
     }
 
     // A different library tag is invisible to the warm cores.
-    let other = scenario.run_shared(2, &cache, [0xAB; 32]).unwrap();
+    let other = scenario
+        .run_with(2, Some((&cache, [0xAB; 32])), &mut ())
+        .unwrap();
     for (c, o) in cold.explores.iter().zip(&other.explores) {
         assert_eq!(o.result.core_evaluations(), c.result.core_evaluations());
     }
@@ -454,13 +456,13 @@ impl chiplet_actuary::scenario::StreamSink for Collect {
 }
 
 #[test]
-fn run_streamed_segments_reassemble_to_the_batch_run_byte_for_byte() {
+fn run_with_segments_reassemble_to_the_batch_run_byte_for_byte() {
     let scenario = Scenario::from_toml(STREAMED_SCENARIO).unwrap();
     let batch = scenario.run(2).unwrap();
     let mut sink = Collect {
         segments: Vec::new(),
     };
-    let streamed = scenario.run_streamed(2, &mut sink).unwrap();
+    let streamed = scenario.run_with(2, None, &mut sink).unwrap();
 
     // The returned run is the same run: every artifact renders
     // byte-identically to the batch path.
@@ -559,7 +561,7 @@ fn a_declining_stream_sink_aborts_the_run() {
     // surface as an engine error naming the job, not a silent success.
     for budget in [0, 2] {
         let err = scenario
-            .run_streamed(2, &mut Stop { budget })
+            .run_with(2, None, &mut Stop { budget })
             .expect_err("a declined delivery must abort the run");
         let text = err.to_string();
         assert!(
