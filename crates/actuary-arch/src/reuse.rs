@@ -243,6 +243,24 @@ pub struct OcmeSpec {
 }
 
 impl OcmeSpec {
+    /// The family's members in portfolio order, as `(name, #X, #Y)`: the
+    /// center plus `#X` and `#Y` extensions, `1 + #X + #Y` chips in all.
+    pub const MEMBERS: [(&'static str, u32, u32); 4] = [
+        ("C", 0, 0),
+        ("C+1X", 1, 0),
+        ("C+1X+1Y", 1, 1),
+        ("C+2X+2Y", 2, 2),
+    ];
+
+    /// The index of the member that carries `chips` chips, in the order of
+    /// both [`OcmeSpec::portfolio`] and [`OcmeSpec::soc_portfolio`], or
+    /// `None` when no member does.
+    pub fn member(chips: u32) -> Option<usize> {
+        Self::MEMBERS
+            .iter()
+            .position(|&(_, nx, ny)| 1 + nx + ny == chips)
+    }
+
     /// The paper's Figure 9 configuration: 7 nm, 160 mm² sockets, MCM,
     /// 500 k units each, no package reuse, homogeneous center.
     ///
@@ -286,7 +304,8 @@ impl OcmeSpec {
         )
     }
 
-    /// Builds the paper's four systems: `C`, `C+1X`, `C+1X+1Y`, `C+2X+2Y`.
+    /// Builds the paper's four systems, [`OcmeSpec::MEMBERS`]: `C`,
+    /// `C+1X`, `C+1X+1Y`, `C+2X+2Y`.
     ///
     /// # Errors
     ///
@@ -295,15 +314,8 @@ impl OcmeSpec {
         let center = self.center_chip();
         let x = self.extension_chip("X");
         let y = self.extension_chip("Y");
-        // (name, #X, #Y)
-        let configs: [(&str, u32, u32); 4] = [
-            ("C", 0, 0),
-            ("C+1X", 1, 0),
-            ("C+1X+1Y", 1, 1),
-            ("C+2X+2Y", 2, 2),
-        ];
-        let mut systems = Vec::with_capacity(configs.len());
-        for (name, nx, ny) in configs {
+        let mut systems = Vec::with_capacity(Self::MEMBERS.len());
+        for (name, nx, ny) in Self::MEMBERS {
             let mut builder = System::builder(name, self.integration)
                 .chip(center.clone(), 1)
                 .quantity(self.quantity_each);
@@ -329,20 +341,14 @@ impl OcmeSpec {
     ///
     /// Propagates system-construction errors.
     pub fn soc_portfolio(&self) -> Result<Portfolio, ArchError> {
-        let configs: [(&str, u32, u32); 4] = [
-            ("C", 0, 0),
-            ("C+1X", 1, 0),
-            ("C+1X+1Y", 1, 1),
-            ("C+2X+2Y", 2, 2),
-        ];
         let module = |name: &str| Module::new(name, self.node.clone(), self.socket_module_area);
         let (center, x, y) = (
             module("ocme-center-m"),
             module("ocme-ext-X-m"),
             module("ocme-ext-Y-m"),
         );
-        let mut systems = Vec::with_capacity(configs.len());
-        for (name, nx, ny) in configs {
+        let mut systems = Vec::with_capacity(Self::MEMBERS.len());
+        for (name, nx, ny) in Self::MEMBERS {
             let mut modules = vec![center.clone()];
             modules.extend(std::iter::repeat_n(&x, nx as usize).cloned());
             modules.extend(std::iter::repeat_n(&y, ny as usize).cloned());
@@ -405,6 +411,16 @@ impl FsmcSpec {
     /// Number of distinct systems the scheme can build (`Σᵢ C(n+i−1, i)`).
     pub fn system_count(&self) -> u64 {
         fsmc_system_count(self.chiplet_types, self.sockets)
+    }
+
+    /// The index of the `sA` collocation (`size ≥ 1` chiplets, all of
+    /// type `A`) among `types` chiplet types, in the order of both
+    /// [`FsmcSpec::portfolio`] and [`FsmcSpec::soc_portfolio`]. The
+    /// collocations run by size, each size's in lexicographic count order,
+    /// which ends with `sA`, so its index is
+    /// `fsmc_system_count(types, size) − 1`.
+    pub fn member(types: u32, size: u32) -> usize {
+        (fsmc_system_count(types, size) - 1) as usize
     }
 
     /// The chiplet design for type `t` (0-based; labelled `A`, `B`, …).

@@ -36,7 +36,7 @@ use actuary_dse::portfolio::{
 };
 use actuary_dse::refine::explore_portfolio_refined;
 use actuary_mc::{simulate_system, DefectProcess, McConfig};
-use actuary_model::{re_cost, AssemblyFlow, DiePlacement};
+use actuary_model::{equal_split_re_cost, AssemblyFlow};
 use actuary_tech::{IntegrationKind, TechLibrary};
 use actuary_units::{Area, Quantity};
 
@@ -402,11 +402,26 @@ fn cmd_sweep(lib: &TechLibrary, flags: &BTreeMap<String, String>) -> Result<(), 
         Some(s) => parse_integration(s)?,
         None => IntegrationKind::Mcm,
     };
+    // The table sets a multi-chip split against the monolithic SoC, so it
+    // takes what a `[[sweep]]` multi-chip series takes.
+    if !integration.is_multi_chip() {
+        return Err(format!(
+            "--integration must be a multi-chip kind (mcm|info|2.5d), got {integration}: the \
+             table already compares against the SoC"
+        ));
+    }
+    if chiplets < 2 {
+        return Err(format!(
+            "--chiplets must be at least 2, got {chiplets} (a single die has no D2D interface)"
+        ));
+    }
     let node = lib.node(node_id).map_err(|e| e.to_string())?;
-    let packaging = lib.packaging(integration).map_err(|e| e.to_string())?;
-    let soc_packaging = lib
-        .packaging(IntegrationKind::Soc)
-        .map_err(|e| e.to_string())?;
+    let re = |kind: IntegrationKind, area: Area| -> Result<actuary_units::Money, String> {
+        let packaging = lib.packaging(kind).map_err(|e| e.to_string())?;
+        equal_split_re_cost(node, packaging, area, chiplets, AssemblyFlow::ChipLast)
+            .map(|b| b.total())
+            .map_err(|e| e.to_string())
+    };
 
     let mut table = actuary_report::Table::new(vec![
         "area_mm2",
@@ -416,27 +431,13 @@ fn cmd_sweep(lib: &TechLibrary, flags: &BTreeMap<String, String>) -> Result<(), 
     ]);
     for area_mm2 in (100..=900).step_by(100) {
         let area = Area::from_mm2(area_mm2 as f64).map_err(|e| e.to_string())?;
-        let soc = re_cost(
-            &[DiePlacement::new(node, area, 1)],
-            soc_packaging,
-            AssemblyFlow::ChipLast,
-        )
-        .map_err(|e| e.to_string())?;
-        let die = node
-            .d2d()
-            .inflate_module_area(area / chiplets as f64)
-            .map_err(|e| e.to_string())?;
-        let multi = re_cost(
-            &[DiePlacement::new(node, die, chiplets)],
-            packaging,
-            AssemblyFlow::ChipLast,
-        )
-        .map_err(|e| e.to_string())?;
-        let saving = 1.0 - multi.total().usd() / soc.total().usd();
+        let soc = re(IntegrationKind::Soc, area)?;
+        let multi = re(integration, area)?;
+        let saving = 1.0 - multi.usd() / soc.usd();
         table.push_row(vec![
             area_mm2.to_string(),
-            soc.total().to_string(),
-            multi.total().to_string(),
+            soc.to_string(),
+            multi.to_string(),
             format!("{:+.1}%", saving * 100.0),
         ]);
     }
@@ -993,84 +994,26 @@ fn cmd_repro(lib: &TechLibrary, flags: &BTreeMap<String, String>) -> Result<(), 
         .get("figure")
         .ok_or("missing required flag --figure")?;
     let csv = flags.contains_key("csv");
-    let all = figure == "all";
-    let mut any = false;
-    let mut all_checks = Vec::new();
-
-    if all || figure == "2" {
-        let fig = actuary_figures::fig2::compute(lib).map_err(|e| e.to_string())?;
-        emit(csv, &fig.to_table(), || fig.render());
-        all_checks.extend(fig.checks());
-        any = true;
-    }
-    if all || figure == "4" {
-        let fig = actuary_figures::fig4::compute(lib).map_err(|e| e.to_string())?;
-        emit(csv, &fig.to_table(), || fig.render());
-        all_checks.extend(fig.checks());
-        any = true;
-    }
-    if all || figure == "5" {
-        let fig = actuary_figures::fig5::compute(lib).map_err(|e| e.to_string())?;
-        emit(csv, &fig.to_table(), || fig.render());
-        all_checks.extend(fig.checks());
-        any = true;
-    }
-    if all || figure == "6" {
-        let fig = actuary_figures::fig6::compute(lib).map_err(|e| e.to_string())?;
-        emit(csv, &fig.to_table(), || fig.render());
-        all_checks.extend(fig.checks());
-        any = true;
-    }
-    if all || figure == "8" {
-        let fig = actuary_figures::fig8::compute(lib).map_err(|e| e.to_string())?;
-        emit(csv, &fig.to_table(), || fig.render());
-        all_checks.extend(fig.checks());
-        any = true;
-    }
-    if all || figure == "9" {
-        let fig = actuary_figures::fig9::compute(lib).map_err(|e| e.to_string())?;
-        emit(csv, &fig.to_table(), || fig.render());
-        all_checks.extend(fig.checks());
-        any = true;
-    }
-    if all || figure == "10" {
-        let fig = actuary_figures::fig10::compute(lib).map_err(|e| e.to_string())?;
-        emit(csv, &fig.to_table(), || fig.render());
-        all_checks.extend(fig.checks());
-        any = true;
-    }
-    if all || figure == "ext" {
-        let maturity = actuary_figures::ext::maturity_study(lib).map_err(|e| e.to_string())?;
-        emit(csv, &maturity.to_table(), || {
-            format!(
-                "Extension: process-maturity study\n{}",
-                maturity.to_table().render()
-            )
-        });
-        all_checks.extend(maturity.checks());
-        let harvest = actuary_figures::ext::harvest_study(lib).map_err(|e| e.to_string())?;
-        emit(csv, &harvest.to_table(), || {
-            format!(
-                "Extension: die-harvest (binning) study\n{}",
-                harvest.to_table().render()
-            )
-        });
-        all_checks.extend(harvest.checks());
-        let ablation =
-            actuary_figures::ext::yield_model_ablation(lib).map_err(|e| e.to_string())?;
-        emit(csv, &ablation.to_table(), || {
-            format!(
-                "Extension: yield-model ablation\n{}",
-                ablation.to_table().render()
-            )
-        });
-        all_checks.extend(ablation.checks());
-        any = true;
-    }
-    if !any {
+    let selected: Vec<&Study> = (STUDIES.iter())
+        .filter(|study| figure == "all" || study.key == figure)
+        .collect();
+    if selected.is_empty() {
+        let mut keys: Vec<&str> = STUDIES.iter().map(|study| study.key).collect();
+        keys.dedup();
         return Err(format!(
-            "unknown figure {figure:?} (2|4|5|6|8|9|10|ext|all)"
+            "unknown figure {figure:?} ({}|all)",
+            keys.join("|")
         ));
+    }
+    let mut all_checks = Vec::new();
+    for study in selected {
+        let (table, text, checks) = (study.compute)(lib).map_err(|e| e.to_string())?;
+        if csv {
+            print!("{}", table.to_csv());
+        } else {
+            println!("{text}");
+        }
+        all_checks.extend(checks);
     }
     if !csv {
         println!("shape claims vs the paper:");
@@ -1088,14 +1031,6 @@ fn cmd_repro(lib: &TechLibrary, flags: &BTreeMap<String, String>) -> Result<(), 
         );
     }
     Ok(())
-}
-
-fn emit<F: FnOnce() -> String>(csv: bool, table: &actuary_report::Table, render: F) {
-    if csv {
-        print!("{}", table.to_csv());
-    } else {
-        println!("{}", render());
-    }
 }
 
 /// Prints cost elasticities d(ln cost)/d(ln param) for the key model
@@ -1119,30 +1054,16 @@ fn cmd_sensitivity(lib: &TechLibrary, flags: &BTreeMap<String, String>) -> Resul
         let node = library.node(&node_id)?;
         let packaging = library.packaging(integration)?;
         let area = Area::from_mm2(area_mm2)?;
-        let placements = if chiplets > 1 {
-            let die = node.d2d().inflate_module_area(area / chiplets as f64)?;
-            vec![DiePlacement::new(node, die, chiplets)]
-        } else {
-            vec![DiePlacement::new(node, area, 1)]
-        };
-        Ok(re_cost(&placements, packaging, AssemblyFlow::ChipLast)?
-            .total()
-            .usd())
+        let re = equal_split_re_cost(node, packaging, area, chiplets, AssemblyFlow::ChipLast)?;
+        Ok(re.total().usd())
     };
 
     let rebuild = |defect: f64, wafer_usd: f64| -> Result<TechLibrary, String> {
         lib.with_modified_node(&node_id, |n| {
-            actuary_tech::ProcessNode::builder(n.id().clone())
+            let wafer_price = actuary_units::Money::from_usd(wafer_usd)?;
+            n.to_builder()
                 .defect_density(defect)
-                .cluster(n.cluster())
-                .wafer_price(actuary_units::Money::from_usd(wafer_usd)?)
-                .wafer(n.wafer())
-                .k_module(n.nre().k_module)
-                .k_chip(n.nre().k_chip)
-                .mask_set(n.nre().mask_set)
-                .ip_license(n.nre().ip_license)
-                .relative_density(n.relative_density())
-                .d2d(*n.d2d())
+                .wafer_price(wafer_price)
                 .build()
         })
         .map_err(|e| e.to_string())
@@ -1185,100 +1106,17 @@ fn cmd_sensitivity(lib: &TechLibrary, flags: &BTreeMap<String, String>) -> Resul
 }
 
 /// Emits the paper-vs-measured Markdown record behind `EXPERIMENTS.md`:
-/// for every figure, every qualitative claim of the paper's prose with the
+/// for every study, every qualitative claim of the paper's prose with the
 /// value this reproduction measures.
 fn cmd_experiments(lib: &TechLibrary) -> Result<(), String> {
-    let sections: Vec<(&str, &str, Vec<actuary_figures::ShapeCheck>)> = vec![
-        (
-            "Figure 2",
-            "Yield / normalized cost-per-area vs die area for six technologies",
-            actuary_figures::fig2::compute(lib)
-                .map_err(|e| e.to_string())?
-                .checks(),
-        ),
-        (
-            "Figure 4",
-            "Normalized RE cost breakdown: SoC/MCM/InFO/2.5D × {2,3,5} chiplets × \
-             {14,7,5}nm × 100-900mm²",
-            actuary_figures::fig4::compute(lib)
-                .map_err(|e| e.to_string())?
-                .checks(),
-        ),
-        (
-            "Figure 5",
-            "AMD validation: 7nm CCD + 12nm IOD MCM vs hypothetical monolithic 7nm, \
-             16-64 cores",
-            actuary_figures::fig5::compute(lib)
-                .map_err(|e| e.to_string())?
-                .checks(),
-        ),
-        (
-            "Figure 6",
-            "Total cost structure of a single 800mm² system at 14/5nm over \
-             500k/2M/10M units",
-            actuary_figures::fig6::compute(lib)
-                .map_err(|e| e.to_string())?
-                .checks(),
-        ),
-        (
-            "Figure 8",
-            "SCMS reuse: one 7nm 200mm² chiplet builds 1X/2X/4X on MCM/2.5D, \
-             package reuse on/off",
-            actuary_figures::fig8::compute(lib)
-                .map_err(|e| e.to_string())?
-                .checks(),
-        ),
-        (
-            "Figure 9",
-            "OCME reuse: center + extensions, package reuse, heterogeneous \
-             14nm center",
-            actuary_figures::fig9::compute(lib)
-                .map_err(|e| e.to_string())?
-                .checks(),
-        ),
-        (
-            "Figure 10",
-            "FSMC reuse: all collocations of n chiplet types in a k-socket package, \
-             five (k,n) situations",
-            actuary_figures::fig10::compute(lib)
-                .map_err(|e| e.to_string())?
-                .checks(),
-        ),
-        (
-            "Extension: process maturity",
-            "defect-density learning curve (0.13 → 0.05, τ=12mo) vs the chiplet \
-             advantage at 7nm/600mm² — §4.1's 'as yield improves the advantage \
-             is smaller'",
-            actuary_figures::ext::maturity_study(lib)
-                .map_err(|e| e.to_string())?
-                .checks(),
-        ),
-        (
-            "Extension: die harvesting",
-            "partial-good salvage (binning) on an 8-core CCD vs a 64-core \
-             monolithic die at early 7nm — the industry practice behind the \
-             paper's EPYC reference",
-            actuary_figures::ext::harvest_study(lib)
-                .map_err(|e| e.to_string())?
-                .checks(),
-        ),
-        (
-            "Extension: yield-model ablation",
-            "Poisson vs negative-binomial cluster parameter: how the model \
-             choice of §2.2 moves the multi-chip turning point",
-            actuary_figures::ext::yield_model_ablation(lib)
-                .map_err(|e| e.to_string())?
-                .checks(),
-        ),
-    ];
-
     let mut total = 0usize;
     let mut passed = 0usize;
-    for (figure, description, checks) in &sections {
-        println!("## {figure} — {description}\n");
+    for study in &STUDIES {
+        let (_, _, checks) = (study.compute)(lib).map_err(|e| e.to_string())?;
+        println!("## {} — {}\n", study.heading, study.description);
         println!("| paper claim | paper value | measured | verdict |");
         println!("|---|---|---|---|");
-        for c in checks {
+        for c in &checks {
             println!(
                 "| {} | {} | {} | {} |",
                 c.claim,
@@ -1296,3 +1134,132 @@ fn cmd_experiments(lib: &TechLibrary) -> Result<(), String> {
     println!("**{passed} / {total} claims hold.**");
     Ok(())
 }
+
+/// What reproducing one study yields: its table (the `--csv` output), its
+/// human-readable rendering and its shape claims.
+type StudyOutput = (
+    actuary_report::Table,
+    String,
+    Vec<actuary_figures::ShapeCheck>,
+);
+
+/// One study `repro` and `experiments` reproduce: the `--figure` key that
+/// selects it, its `experiments` heading and description, and its
+/// computation.
+struct Study {
+    key: &'static str,
+    heading: &'static str,
+    description: &'static str,
+    compute: fn(&TechLibrary) -> actuary_figures::Result<StudyOutput>,
+}
+
+/// Every reproduced study, in output order.
+const STUDIES: [Study; 10] = [
+    Study {
+        key: "2",
+        heading: "Figure 2",
+        description: "Yield / normalized cost-per-area vs die area for six technologies",
+        compute: |lib| {
+            let fig = actuary_figures::fig2::compute(lib)?;
+            Ok((fig.to_table(), fig.render(), fig.checks()))
+        },
+    },
+    Study {
+        key: "4",
+        heading: "Figure 4",
+        description: "Normalized RE cost breakdown: SoC/MCM/InFO/2.5D × {2,3,5} chiplets × \
+             {14,7,5}nm × 100-900mm²",
+        compute: |lib| {
+            let fig = actuary_figures::fig4::compute(lib)?;
+            Ok((fig.to_table(), fig.render(), fig.checks()))
+        },
+    },
+    Study {
+        key: "5",
+        heading: "Figure 5",
+        description: "AMD validation: 7nm CCD + 12nm IOD MCM vs hypothetical monolithic 7nm, \
+             16-64 cores",
+        compute: |lib| {
+            let fig = actuary_figures::fig5::compute(lib)?;
+            Ok((fig.to_table(), fig.render(), fig.checks()))
+        },
+    },
+    Study {
+        key: "6",
+        heading: "Figure 6",
+        description: "Total cost structure of a single 800mm² system at 14/5nm over \
+             500k/2M/10M units",
+        compute: |lib| {
+            let fig = actuary_figures::fig6::compute(lib)?;
+            Ok((fig.to_table(), fig.render(), fig.checks()))
+        },
+    },
+    Study {
+        key: "8",
+        heading: "Figure 8",
+        description: "SCMS reuse: one 7nm 200mm² chiplet builds 1X/2X/4X on MCM/2.5D, \
+             package reuse on/off",
+        compute: |lib| {
+            let fig = actuary_figures::fig8::compute(lib)?;
+            Ok((fig.to_table(), fig.render(), fig.checks()))
+        },
+    },
+    Study {
+        key: "9",
+        heading: "Figure 9",
+        description: "OCME reuse: center + extensions, package reuse, heterogeneous \
+             14nm center",
+        compute: |lib| {
+            let fig = actuary_figures::fig9::compute(lib)?;
+            Ok((fig.to_table(), fig.render(), fig.checks()))
+        },
+    },
+    Study {
+        key: "10",
+        heading: "Figure 10",
+        description: "FSMC reuse: all collocations of n chiplet types in a k-socket package, \
+             five (k,n) situations",
+        compute: |lib| {
+            let fig = actuary_figures::fig10::compute(lib)?;
+            Ok((fig.to_table(), fig.render(), fig.checks()))
+        },
+    },
+    Study {
+        key: "ext",
+        heading: "Extension: process maturity",
+        description: "defect-density learning curve (0.13 → 0.05, τ=12mo) vs the chiplet \
+             advantage at 7nm/600mm² — §4.1's 'as yield improves the advantage \
+             is smaller'",
+        compute: |lib| {
+            let study = actuary_figures::ext::maturity_study(lib)?;
+            let table = study.to_table();
+            let text = format!("Extension: process-maturity study\n{}", table.render());
+            Ok((table, text, study.checks()))
+        },
+    },
+    Study {
+        key: "ext",
+        heading: "Extension: die harvesting",
+        description: "partial-good salvage (binning) on an 8-core CCD vs a 64-core \
+             monolithic die at early 7nm — the industry practice behind the \
+             paper's EPYC reference",
+        compute: |lib| {
+            let study = actuary_figures::ext::harvest_study(lib)?;
+            let table = study.to_table();
+            let text = format!("Extension: die-harvest (binning) study\n{}", table.render());
+            Ok((table, text, study.checks()))
+        },
+    },
+    Study {
+        key: "ext",
+        heading: "Extension: yield-model ablation",
+        description: "Poisson vs negative-binomial cluster parameter: how the model \
+             choice of §2.2 moves the multi-chip turning point",
+        compute: |lib| {
+            let study = actuary_figures::ext::yield_model_ablation(lib)?;
+            let table = study.to_table();
+            let text = format!("Extension: yield-model ablation\n{}", table.render());
+            Ok((table, text, study.checks()))
+        },
+    },
+];

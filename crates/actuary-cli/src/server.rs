@@ -830,17 +830,40 @@ fn read_request<S: Read + Write>(
     };
 
     let head = String::from_utf8_lossy(&buf[..head_end]).into_owned();
-    let mut lines = head.split("\r\n");
-    let request_line = lines.next().unwrap_or("");
-    let mut parts = request_line.split_whitespace();
-    let (Some(method), Some(path), Some(version)) = (parts.next(), parts.next(), parts.next())
-    else {
+    // Lines end at CRLF only. A bare CR or LF inside a line is a line
+    // break to some recipients and data to others, so it is rejected,
+    // not kept in a value (RFC 9112 §2.2).
+    if let Some(line) = head.split("\r\n").find(|line| line.contains(['\r', '\n'])) {
         return Err(HttpError::new(
             400,
-            format!("malformed request line {request_line:?}\n"),
+            format!("bare CR or LF in the request head line {line:?}\n"),
         ));
+    }
+    let mut lines = head.split("\r\n");
+    let request_line = lines.next().unwrap_or("");
+    // `method SP request-target SP HTTP-version` (RFC 9112 §3): a token
+    // method, single spaces, a target of visible characters and nothing
+    // after the version.
+    let mut parts = request_line.split(' ');
+    let (method, path, version) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
+        (Some(method), Some(path), Some(version), None)
+            if is_token(method)
+                && !path.is_empty()
+                && path.bytes().all(|b| b.is_ascii_graphic()) =>
+        {
+            (method, path, version)
+        }
+        _ => {
+            return Err(HttpError::new(
+                400,
+                format!("malformed request line {request_line:?}\n"),
+            ))
+        }
     };
-    if !version.starts_with("HTTP/1.") {
+    if !version
+        .strip_prefix("HTTP/1.")
+        .is_some_and(|minor| matches!(minor.as_bytes(), [digit] if digit.is_ascii_digit()))
+    {
         return Err(HttpError::new(
             400,
             format!("unsupported protocol {version:?}\n"),
@@ -1572,18 +1595,28 @@ mod tests {
         // The body is itself a complete request: a server that reads
         // these lengths as 25 answers one `200`, while a proxy that reads
         // them otherwise sees a second request in the body. A line
-        // without a colon is no more skippable.
+        // without a colon is no more skippable, a bare CR or LF hides a
+        // length from a reader that keeps it in the value, and a request
+        // line off its grammar (tabs, doubled spaces, extra tokens, a
+        // version like `HTTP/1.1x`) gets no lenient reading.
         let body = "GET /healthz HTTP/1.1\r\n\r\n";
         assert_eq!(body.len(), 25);
-        for (fields, body) in [
-            ("Content-Length: +25\r\n", body),
-            ("Content-Length : 25\r\n", body),
-            ("X-A: b\r\n Content-Length: 25\r\n", body),
-            ("bogus line\r\n", ""),
+        let get = "GET /healthz HTTP/1.1";
+        for (request_line, fields, body) in [
+            (get, "Content-Length: +25\r\n", body),
+            (get, "Content-Length : 25\r\n", body),
+            (get, "X-A: b\r\n Content-Length: 25\r\n", body),
+            (get, "bogus line\r\n", ""),
+            (get, "X: a\rContent-Length: 25\r\n", body),
+            (get, "X: a\nContent-Length: 25\r\n", body),
+            ("GET /healthz HTTP/1.1 extra tokens", "", body),
+            ("GET\t/healthz\tHTTP/1.1", "", body),
+            ("GET /healthz HTTP/1.1x", "", body),
+            ("GET  /healthz  HTTP/1.1", "", body),
         ] {
-            let request = format!("GET /healthz HTTP/1.1\r\n{fields}\r\n{body}");
+            let request = format!("{request_line}\r\n{fields}\r\n{body}");
             let (answers, output) = serve_bytes(request.as_bytes());
-            assert_eq!(answers, 1, "{fields:?}: {output}");
+            assert_eq!(answers, 1, "{request_line:?} {fields:?}: {output}");
             assert!(output.starts_with("HTTP/1.1 400 Bad Request"), "{output}");
             assert!(output.contains("Connection: close"), "{output}");
         }
@@ -2120,12 +2153,14 @@ mod tests {
     /// it frames with `Content-Length`) or a `POST /run` (batch or
     /// `?stream=refine`) whose body is a tiny valid scenario, random bytes
     /// or nothing, its `Content-Length` sometimes repeated with the same
-    /// value. A hostile one draws its method, path, version and
-    /// `Content-Length` (valid, too long, over the cap, negative, signed,
-    /// not a number, or repeated with a different value) and its field
-    /// line (plain, with whitespace before the colon, or obs-folded)
-    /// freely, may carry a line without a colon or `Transfer-Encoding`,
-    /// and may be mutated byte by byte.
+    /// value. A hostile one draws its method, path, version, the spacing
+    /// of its request line (single spaces, tabs, doubled spaces or extra
+    /// tokens) and `Content-Length` (valid, too long, over the cap,
+    /// negative, signed, not a number, or repeated with a different
+    /// value) and its field line (plain, with whitespace before the
+    /// colon, or obs-folded) freely, may carry a line without a colon, a
+    /// bare CR or LF inside a field line or `Transfer-Encoding`, and may
+    /// be mutated byte by byte.
     fn fuzz_request(rng: &mut StdRng) -> (Vec<u8>, bool) {
         let hostile = rng.gen_bool(0.3);
         let (method, path, version) = if hostile {
@@ -2135,7 +2170,7 @@ mod tests {
                     rng,
                     &["/run", "/run?stream=everything", "/run?", "/nope", "*"],
                 ),
-                pick(rng, &["HTTP/1.1", "HTTP/1.0", "HTTP/2", ""]),
+                pick(rng, &["HTTP/1.1", "HTTP/1.0", "HTTP/2", "HTTP/1.1x", ""]),
             )
         } else if rng.gen_bool(0.7) {
             (
@@ -2162,7 +2197,15 @@ mod tests {
                 _ => Vec::new(),
             }
         };
-        let mut head = format!("{method} {path} {version}\r\n");
+        let mut head = if hostile && rng.gen_bool(0.2) {
+            match below(rng, 3) {
+                0 => format!("{method}\t{path}\t{version}\r\n"),
+                1 => format!("{method}  {path}  {version}\r\n"),
+                _ => format!("{method} {path} {version} extra tokens\r\n"),
+            }
+        } else {
+            format!("{method} {path} {version}\r\n")
+        };
         if !hostile && (method == "POST" || !body.is_empty()) {
             let length = format!("Content-Length: {}\r\n", body.len());
             head += &length;
@@ -2196,6 +2239,14 @@ mod tests {
         }
         if hostile && rng.gen_bool(0.1) {
             head += "bogus line\r\n";
+        }
+        if hostile && rng.gen_bool(0.1) {
+            // A length only a reader that breaks lines at a bare CR or LF
+            // sees.
+            head += pick(
+                rng,
+                &["X: a\rContent-Length: 5\r\n", "X: a\nContent-Length: 5\r\n"],
+            );
         }
         if hostile && rng.gen_bool(0.1) {
             head += pick(

@@ -128,6 +128,33 @@ fn sweep_covers_the_area_grid() {
 }
 
 #[test]
+fn sweep_rejects_what_a_sweep_job_rejects() {
+    // The table prices the SoC against a multi-chip split, so the split
+    // must be multi-chip and carry at least two chiplets.
+    for (flags, message) in [
+        (
+            &["--chiplets", "2", "--integration", "soc"][..],
+            "--integration must be a multi-chip kind",
+        ),
+        (
+            &["--chiplets", "1", "--integration", "soc"],
+            "--integration must be a multi-chip kind",
+        ),
+        (
+            &["--chiplets", "1", "--integration", "mcm"],
+            "--chiplets must be at least 2, got 1",
+        ),
+        (&["--chiplets", "0"], "--chiplets must be at least 2, got 0"),
+    ] {
+        let args = [&["sweep", "--node", "5nm"][..], flags].concat();
+        let out = actuary(&args);
+        assert!(!out.status.success(), "{args:?} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn partition_recommends() {
     let text = stdout(&[
         "partition",

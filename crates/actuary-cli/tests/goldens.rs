@@ -4,7 +4,9 @@
 //! `Scenario::run_with` hands a stream sink must be those same files in
 //! artifact order, and fig8's JSON-lines rendering (what `actuary serve`
 //! streams for `Accept: application/json`) must equal
-//! `golden-jsonl/fig8.jsonl`.
+//! `golden-jsonl/fig8.jsonl`. The reproduced studies are pinned the same
+//! way: `actuary repro --figure all --csv` and `actuary experiments` must
+//! print the files of `examples/studies/`.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -68,6 +70,36 @@ fn every_scenario_reproduces_the_committed_goldens() {
         );
     }
     std::fs::remove_dir_all(&out).unwrap();
+}
+
+/// Runs the built `actuary` with `args` and checks its standard output
+/// against `examples/studies/<golden>`, byte for byte.
+fn assert_prints_study_golden(args: &[&str], golden: &str) {
+    let out = Command::new(env!("CARGO_BIN_EXE_actuary"))
+        .args(args)
+        .output()
+        .expect("the actuary binary must spawn");
+    assert!(
+        out.status.success(),
+        "actuary {args:?} failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/studies");
+    let pinned = std::fs::read(path.join(golden)).unwrap();
+    assert!(
+        out.stdout == pinned,
+        "actuary {args:?} differs from examples/studies/{golden}"
+    );
+}
+
+#[test]
+fn repro_all_csv_matches_its_golden() {
+    assert_prints_study_golden(&["repro", "--figure", "all", "--csv"], "repro-all.csv");
+}
+
+#[test]
+fn experiments_record_matches_its_golden() {
+    assert_prints_study_golden(&["experiments"], "experiments.md");
 }
 
 #[test]

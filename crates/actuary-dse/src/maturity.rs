@@ -9,7 +9,7 @@
 //! study against a library snapshot at process age `t`.
 
 use actuary_arch::ArchError;
-use actuary_tech::{ProcessNode, TechLibrary};
+use actuary_tech::TechLibrary;
 use actuary_yield::DefectDensity;
 
 /// An exponential defect-density learning curve.
@@ -108,25 +108,14 @@ pub fn library_at_age(
 ) -> Result<TechLibrary, ArchError> {
     let d = ramp.density_at(t)?;
     Ok(lib.with_modified_node(node_id, |n| {
-        ProcessNode::builder(n.id().clone())
-            .defect_density(d.value())
-            .cluster(n.cluster())
-            .wafer_price(n.wafer_price())
-            .wafer(n.wafer())
-            .k_module(n.nre().k_module)
-            .k_chip(n.nre().k_chip)
-            .mask_set(n.nre().mask_set)
-            .ip_license(n.nre().ip_license)
-            .relative_density(n.relative_density())
-            .d2d(*n.d2d())
-            .build()
+        n.to_builder().defect_density(d.value()).build()
     })?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use actuary_model::{re_cost, AssemblyFlow, DiePlacement};
+    use actuary_model::{equal_split_re_cost, AssemblyFlow};
     use actuary_tech::IntegrationKind;
     use actuary_units::Area;
 
@@ -170,25 +159,16 @@ mod tests {
         let saving_at = |t: f64| -> f64 {
             let snapshot = library_at_age(&lib, "7nm", &ramp, t).unwrap();
             let node = snapshot.node("7nm").unwrap();
-            let soc = re_cost(
-                &[DiePlacement::new(node, Area::from_mm2(600.0).unwrap(), 1)],
-                snapshot.packaging(IntegrationKind::Soc).unwrap(),
-                AssemblyFlow::ChipLast,
-            )
-            .unwrap()
-            .total();
-            let die = node
-                .d2d()
-                .inflate_module_area(Area::from_mm2(300.0).unwrap())
-                .unwrap();
-            let mcm = re_cost(
-                &[DiePlacement::new(node, die, 2)],
-                snapshot.packaging(IntegrationKind::Mcm).unwrap(),
-                AssemblyFlow::ChipLast,
-            )
-            .unwrap()
-            .total();
-            (soc.usd() - mcm.usd()) / soc.usd()
+            let re = |kind| {
+                let packaging = snapshot.packaging(kind).unwrap();
+                let area = Area::from_mm2(600.0).unwrap();
+                equal_split_re_cost(node, packaging, area, 2, AssemblyFlow::ChipLast)
+                    .unwrap()
+                    .total()
+                    .usd()
+            };
+            let (soc, mcm) = (re(IntegrationKind::Soc), re(IntegrationKind::Mcm));
+            (soc - mcm) / soc
         };
         let early = saving_at(0.0);
         let late = saving_at(36.0);

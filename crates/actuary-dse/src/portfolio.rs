@@ -75,13 +75,15 @@
 //! once per core: node, die area, NRE costs and artifact indices.
 //!
 //! Each priced (node, area) point keeps its list of `(block offset,
-//! core)` pairs, and the amortization work item is one (point, quantity)
-//! block: that list walked at one quantity. Each cell reads its
-//! `(per-unit, RE)` pair straight from the core's compiled amortization
-//! plan ([`actuary_arch::PortfolioCore::member_at`]), and a family
-//! configuration resolves its member index once per point. No cell
-//! allocates or materializes a whole-family
-//! [`actuary_arch::PortfolioCost`].
+//! core, member)` triples, and the amortization work item is one (point,
+//! quantity) block: that list walked at one quantity. A configuration's
+//! family member index is planned with the configuration, from the
+//! scheme's own member tables ([`actuary_arch::reuse::OcmeSpec::member`],
+//! [`actuary_arch::reuse::FsmcSpec::member`], the SCMS multiplicities).
+//! Each cell reads its `(per-unit, RE)` pair straight from the core's
+//! compiled amortization plan
+//! ([`actuary_arch::PortfolioCore::member_at`]). No cell allocates or
+//! materializes a whole-family [`actuary_arch::PortfolioCost`].
 //!
 //! Both passes run on the shared chunked engine: workers claim ranges of
 //! the work list from one shared cursor, and results are reassembled in
@@ -718,7 +720,7 @@ pub(crate) fn classify(
             None
         }
         ReuseScheme::Ocme => {
-            if !OCME_MEMBERS.iter().any(|(n, _)| *n == chiplets) {
+            if OcmeSpec::member(chiplets).is_none() {
                 return Some(IncompatibleReason::OcmeNonMember { chiplets });
             }
             None
@@ -1445,34 +1447,28 @@ struct PointPlan {
     /// configuration the point prices, in ascending offset order. Under
     /// [`CorePolicy::Uncached`] the core index is the configuration's
     /// first-quantity core, and its other quantities' cores follow it.
-    /// The member index is resolved once the cores exist (0 for a
-    /// standalone system's one-member core).
     configs: Vec<(usize, usize, usize)>,
 }
 
-/// The OCME family's chip counts and member names, in portfolio order.
-const OCME_MEMBERS: [(u32, &str); 4] = [(1, "C"), (2, "C+1X"), (3, "C+1X+1Y"), (5, "C+2X+2Y")];
-
-/// The name of the family member a compatible cell reads out of its
-/// [`PortfolioCore`], or `None` for a standalone system, whose one-member
-/// core is read at member 0.
-fn member_name(scheme: ReuseScheme, chiplets: u32, soc: bool) -> Option<String> {
-    let suffix = if soc { "-soc" } else { "" };
-    Some(match scheme {
-        ReuseScheme::None => return None,
-        ReuseScheme::Scms => format!("{chiplets}X{suffix}"),
-        ReuseScheme::Ocme => {
-            let (_, name) = OCME_MEMBERS
-                .iter()
-                .find(|(n, _)| *n == chiplets)
-                .expect("classified OCME cells are members");
-            format!("{name}{suffix}")
+/// The family member a compatible configuration reads out of its
+/// [`PortfolioCore`], at the same index in the family's chiplet portfolio
+/// and in its SoC baseline: the position of its chiplet count in the SCMS
+/// multiplicities, the OCME member that carries that many chips, or the
+/// FSMC `sA` collocation (every size-`s` collocation of identical-footprint
+/// types costs the same). A standalone system's one-member core is read
+/// at member 0.
+fn member_index(space: &PortfolioSpace, variant: &SchemeVariant, chiplets: u32) -> usize {
+    match variant.scheme {
+        ReuseScheme::None => 0,
+        ReuseScheme::Scms => (space.scms_multiplicities.iter())
+            .position(|&m| m == chiplets)
+            .expect("classified SCMS cells are members"),
+        ReuseScheme::Ocme => OcmeSpec::member(chiplets).expect("classified OCME cells are members"),
+        ReuseScheme::Fsmc => {
+            let (_, types) = variant.fsmc.expect("FSMC variants carry a situation");
+            FsmcSpec::member(types, chiplets)
         }
-        // Every size-s collocation of identical-footprint types costs the
-        // same (symmetric usage weights); `sA` is the canonical read-out
-        // member.
-        ReuseScheme::Fsmc => format!("{chiplets}A{suffix}"),
-    })
+    }
 }
 
 /// Evaluates every cell of `space` on `threads` worker threads (`0` = the
@@ -1631,7 +1627,7 @@ pub(crate) fn explore_portfolio_impl(
                                     })
                                 }
                             };
-                            configs.push((off, core, 0));
+                            configs.push((off, core, member_index(space, variant, chiplets)));
                         }
                     }
                 }
@@ -1692,29 +1688,10 @@ pub(crate) fn explore_portfolio_impl(
     // --- Phase C: amortization, one (point, quantity) block per work
     // item. A block is one contiguous stretch of the grid, so cells come
     // out in grid order and are appended straight to the store, each
-    // reading its `(per-unit, RE)` pair out of the core's compiled
-    // amortization plan. A family configuration resolves its member
-    // index once per point, before any block runs (a standalone system
-    // reads member 0); no cell allocates.
+    // reading its `(per-unit, RE)` pair at its planned member out of the
+    // core's compiled amortization plan; no cell allocates.
     let mut amortize_span = actuary_obs::span!("dse.amortize");
     amortize_span.record("cells", cells as u64);
-    for point in &mut points {
-        for (off, core, member) in &mut point.configs {
-            // A block offset decodes like the first operating point's flat
-            // index.
-            let idx = shape.coords(*off);
-            let soc = space.integrations[idx.integration] == IntegrationKind::Soc;
-            let chiplets = space.chiplet_counts[idx.chiplets];
-            let name = member_name(variants[idx.variant].scheme, chiplets, soc);
-            if let (Ok(family), Some(name)) = (&*cores[*core], name) {
-                *member = family
-                    .system_names()
-                    .iter()
-                    .position(|n| *n == name)
-                    .expect("the family contains every planned member");
-            }
-        }
-    }
     let stride = usize::from(policy == CorePolicy::Uncached);
     let blocks: Vec<(&PointPlan, usize)> = points
         .iter()
@@ -1838,6 +1815,73 @@ mod tests {
             schemes: ReuseScheme::ALL.to_vec(),
             ..PortfolioSpace::default()
         }
+    }
+
+    #[test]
+    fn planned_member_indices_name_the_systems_cells_read_out() {
+        // Per scheme, the member name each compatible cell reads: `{m}X`,
+        // the OCME member carrying `m` chips, `{m}A`; `-soc` in the SoC
+        // baseline. Multiplicities out of order, the paper's five FSMC
+        // situations and a single-type family.
+        let lib = lib();
+        let space = PortfolioSpace {
+            nodes: vec!["7nm".to_string()],
+            areas_mm2: vec![400.0],
+            quantities: vec![500_000],
+            integrations: vec![IntegrationKind::Soc, IntegrationKind::Mcm],
+            chiplet_counts: (1..=6).collect(),
+            schemes: ReuseScheme::ALL.to_vec(),
+            scms_multiplicities: vec![4, 1, 2],
+            fsmc_situations: [&PortfolioSpace::FSMC_PAPER_SITUATIONS[..], &[(3, 1)]].concat(),
+            ..PortfolioSpace::default()
+        };
+        let mut checked = 0;
+        for variant in &space.scheme_variants() {
+            for &integration in &space.integrations {
+                for &chiplets in &space.chiplet_counts {
+                    if classify(&space, variant, integration, chiplets).is_some() {
+                        continue;
+                    }
+                    let flow = AssemblyFlow::ChipLast;
+                    let spec =
+                        CoreSpec::of(&space, variant, "7nm", 400.0, integration, chiplets, flow)
+                            .unwrap();
+                    let core = eval_core(&lib, &spec).unwrap();
+                    let member = member_index(&space, variant, chiplets);
+                    let suffix = if integration == IntegrationKind::Soc {
+                        "-soc"
+                    } else {
+                        ""
+                    };
+                    let expected = match variant.scheme {
+                        ReuseScheme::None => {
+                            assert_eq!((member, core.system_names().len()), (0, 1));
+                            continue;
+                        }
+                        ReuseScheme::Scms => format!("{chiplets}X{suffix}"),
+                        ReuseScheme::Ocme => {
+                            let name = match chiplets {
+                                1 => "C",
+                                2 => "C+1X",
+                                3 => "C+1X+1Y",
+                                5 => "C+2X+2Y",
+                                other => panic!("no OCME member carries {other} chips"),
+                            };
+                            format!("{name}{suffix}")
+                        }
+                        ReuseScheme::Fsmc => format!("{chiplets}A{suffix}"),
+                    };
+                    assert_eq!(
+                        core.system_names()[member],
+                        expected,
+                        "{variant:?} on {integration}"
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        // SCMS 3 + OCME 4 + FSMC (2+2+3+4+4+3), each on SoC and MCM.
+        assert_eq!(checked, 2 * (3 + 4 + 18));
     }
 
     #[test]

@@ -104,7 +104,7 @@ where
 mod tests {
     use super::*;
     use actuary_model::{re_cost, AssemblyFlow, DiePlacement};
-    use actuary_tech::{IntegrationKind, ProcessNode, TechLibrary};
+    use actuary_tech::{IntegrationKind, TechLibrary};
     use actuary_units::Area;
 
     #[test]
@@ -135,19 +135,8 @@ mod tests {
     fn defect_density_elasticity_grows_with_area() {
         let lib = TechLibrary::paper_defaults().unwrap();
         let cost_at = |area_mm2: f64, d: f64| -> Result<f64, ArchError> {
-            let modified = lib.with_modified_node("5nm", |n| {
-                ProcessNode::builder(n.id().clone())
-                    .defect_density(d)
-                    .cluster(n.cluster())
-                    .wafer_price(n.wafer_price())
-                    .k_module(n.nre().k_module)
-                    .k_chip(n.nre().k_chip)
-                    .mask_set(n.nre().mask_set)
-                    .ip_license(n.nre().ip_license)
-                    .relative_density(n.relative_density())
-                    .d2d(*n.d2d())
-                    .build()
-            })?;
+            let modified =
+                lib.with_modified_node("5nm", |n| n.to_builder().defect_density(d).build())?;
             let node = modified.node("5nm")?;
             let b = re_cost(
                 &[DiePlacement::new(node, Area::from_mm2(area_mm2)?, 1)],

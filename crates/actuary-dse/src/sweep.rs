@@ -1,8 +1,10 @@
-//! Generic parameter sweeps: area and quantity grids evaluated against any
-//! cost function, with CSV-ready results.
+//! The result type of a parameter sweep: one swept axis (area or
+//! quantity), one named series per curve, one sampled point per axis
+//! value. The scenario layer's `[[sweep]]` job samples the points and
+//! builds the [`Sweep`]; this module reads it back (crossovers, series,
+//! the CSV [`Artifact`]).
 
-use actuary_arch::ArchError;
-use actuary_units::{Area, Artifact, Quantity};
+use actuary_units::Artifact;
 
 /// One sampled point of a sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,6 +25,29 @@ pub struct Sweep {
 }
 
 impl Sweep {
+    /// A sweep over the axis named `x_label`, with one value per series
+    /// at every point, in series order.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use actuary_dse::sweep::{Sweep, SweepPoint};
+    ///
+    /// let points = [100.0, 200.0, 300.0]
+    ///     .map(|x| SweepPoint { x, values: vec![x, x * x] })
+    ///     .to_vec();
+    /// let sweep = Sweep::new("area_mm2", vec!["linear".into(), "quadratic".into()], points);
+    /// assert_eq!(sweep.series_values("quadratic").unwrap()[1], (200.0, 40_000.0));
+    /// ```
+    pub fn new(x_label: impl Into<String>, series: Vec<String>, points: Vec<SweepPoint>) -> Self {
+        debug_assert!(points.iter().all(|p| p.values.len() == series.len()));
+        Sweep {
+            series,
+            points,
+            x_label: x_label.into(),
+        }
+    }
+
     /// The series names.
     pub fn series(&self) -> &[String] {
         &self.series
@@ -102,111 +127,29 @@ impl Sweep {
     }
 }
 
-/// Sweeps die/module area over `areas_mm2`, evaluating every series
-/// function at each point.
-///
-/// # Errors
-///
-/// Propagates errors from the series functions; rejects empty grids or
-/// series lists.
-///
-/// # Examples
-///
-/// ```
-/// use actuary_dse::sweep::sweep_area;
-/// use actuary_units::Area;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let sweep = sweep_area(
-///     &[100.0, 200.0, 300.0],
-///     vec![
-///         ("linear".to_string(), Box::new(|a: Area| Ok(a.mm2()))),
-///         ("quadratic".to_string(), Box::new(|a: Area| Ok(a.mm2() * a.mm2()))),
-///     ],
-/// )?;
-/// assert_eq!(sweep.points().len(), 3);
-/// assert_eq!(sweep.series().len(), 2);
-/// # Ok(())
-/// # }
-/// ```
-#[allow(clippy::type_complexity)]
-pub fn sweep_area(
-    areas_mm2: &[f64],
-    mut series: Vec<(String, Box<dyn FnMut(Area) -> Result<f64, ArchError> + '_>)>,
-) -> Result<Sweep, ArchError> {
-    if areas_mm2.is_empty() || series.is_empty() {
-        return Err(ArchError::InvalidArchitecture {
-            reason: "sweep needs at least one point and one series".to_string(),
-        });
-    }
-    let mut points = Vec::with_capacity(areas_mm2.len());
-    for &mm2 in areas_mm2 {
-        let area = Area::from_mm2(mm2)?;
-        let mut values = Vec::with_capacity(series.len());
-        for (_, f) in series.iter_mut() {
-            values.push(f(area)?);
-        }
-        points.push(SweepPoint { x: mm2, values });
-    }
-    Ok(Sweep {
-        series: series.into_iter().map(|(name, _)| name).collect(),
-        points,
-        x_label: "area_mm2".to_string(),
-    })
-}
-
-/// Sweeps production quantity over `quantities`, evaluating every series
-/// function at each point.
-///
-/// # Errors
-///
-/// Propagates errors from the series functions; rejects empty grids or
-/// series lists.
-#[allow(clippy::type_complexity)]
-pub fn sweep_quantity(
-    quantities: &[u64],
-    mut series: Vec<(
-        String,
-        Box<dyn FnMut(Quantity) -> Result<f64, ArchError> + '_>,
-    )>,
-) -> Result<Sweep, ArchError> {
-    if quantities.is_empty() || series.is_empty() {
-        return Err(ArchError::InvalidArchitecture {
-            reason: "sweep needs at least one point and one series".to_string(),
-        });
-    }
-    let mut points = Vec::with_capacity(quantities.len());
-    for &q in quantities {
-        let quantity = Quantity::new(q);
-        let mut values = Vec::with_capacity(series.len());
-        for (_, f) in series.iter_mut() {
-            values.push(f(quantity)?);
-        }
-        points.push(SweepPoint {
-            x: q as f64,
-            values,
-        });
-    }
-    Ok(Sweep {
-        series: series.into_iter().map(|(name, _)| name).collect(),
-        points,
-        x_label: "quantity".to_string(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use actuary_model::{re_cost, AssemblyFlow, DiePlacement};
+    use actuary_model::{equal_split_re_cost, AssemblyFlow};
     use actuary_tech::{IntegrationKind, TechLibrary};
+    use actuary_units::Area;
+
+    /// A sweep over `xs` with one series per `(name, f)` pair.
+    fn sampled(x_label: &str, xs: &[f64], series: &[(&str, &dyn Fn(f64) -> f64)]) -> Sweep {
+        let points = xs
+            .iter()
+            .map(|&x| SweepPoint {
+                x,
+                values: series.iter().map(|(_, f)| f(x)).collect(),
+            })
+            .collect();
+        let names = series.iter().map(|(name, _)| name.to_string()).collect();
+        Sweep::new(x_label, names, points)
+    }
 
     #[test]
     fn area_sweep_basics() {
-        let sweep = sweep_area(
-            &[10.0, 20.0],
-            vec![("id".to_string(), Box::new(|a: Area| Ok(a.mm2())))],
-        )
-        .unwrap();
+        let sweep = sampled("area_mm2", &[10.0, 20.0], &[("id", &|a| a)]);
         assert_eq!(sweep.points().len(), 2);
         assert_eq!(
             sweep.series_values("id").unwrap(),
@@ -217,45 +160,31 @@ mod tests {
     }
 
     #[test]
-    fn empty_inputs_rejected() {
-        assert!(sweep_area(&[], vec![("x".to_string(), Box::new(|_| Ok(0.0)))]).is_err());
-        assert!(sweep_area(&[1.0], vec![]).is_err());
-        assert!(sweep_quantity(&[], vec![("x".to_string(), Box::new(|_| Ok(0.0)))]).is_err());
-    }
-
-    #[test]
     fn csv_output_shape() {
-        let sweep = sweep_quantity(
-            &[100, 200],
-            vec![(
-                "cost".to_string(),
-                Box::new(|q: Quantity| Ok(1.0e6 / q.as_f64())),
-            )],
-        )
-        .unwrap();
+        let sweep = sampled("quantity", &[100.0, 200.0], &[("cost", &|q| 1.0e6 / q)]);
         let artifact = sweep.artifact("s");
         assert_eq!(artifact.name(), "s");
         assert_eq!(artifact.kind(), "sweep");
         let csv = artifact.csv();
         let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "quantity,cost");
-        assert_eq!(lines.len(), 3);
+        assert_eq!(
+            lines,
+            ["quantity,cost", "100,10000.000000", "200,5000.000000"]
+        );
+    }
+
+    /// `falling` drops below `flat` at 300 (1000 − 600 = 400 < 500).
+    fn falling_and_flat() -> Sweep {
+        sampled(
+            "area_mm2",
+            &[100.0, 200.0, 300.0, 400.0],
+            &[("falling", &|a| 1000.0 - 2.0 * a), ("flat", &|_| 500.0)],
+        )
     }
 
     #[test]
     fn crossover_detection() {
-        let sweep = sweep_area(
-            &[100.0, 200.0, 300.0, 400.0],
-            vec![
-                (
-                    "falling".to_string(),
-                    Box::new(|a: Area| Ok(1000.0 - 2.0 * a.mm2())),
-                ),
-                ("flat".to_string(), Box::new(|_| Ok(500.0))),
-            ],
-        )
-        .unwrap();
-        // falling < flat first at a = 300 (1000-600=400 < 500).
+        let sweep = falling_and_flat();
         assert_eq!(sweep.first_crossover("falling", "flat"), Some(300.0));
         assert_eq!(sweep.first_crossover("flat", "nope"), None);
         // `first_below` keeps the old "first point where a < b" semantics.
@@ -269,17 +198,7 @@ mod tests {
         // Regression: `first_crossover` used to report a "crossover" at the
         // very first grid point when series `a` started below `b`, even
         // though no sign change ever happened.
-        let sweep = sweep_area(
-            &[100.0, 200.0, 300.0, 400.0],
-            vec![
-                (
-                    "falling".to_string(),
-                    Box::new(|a: Area| Ok(1000.0 - 2.0 * a.mm2())),
-                ),
-                ("flat".to_string(), Box::new(|_| Ok(500.0))),
-            ],
-        )
-        .unwrap();
+        let sweep = falling_and_flat();
         // flat starts below falling (500 < 800) and only moves further
         // ahead — flat never drops below falling *after* having been at or
         // above it, so there is no flat-under-falling crossover.
@@ -287,46 +206,31 @@ mod tests {
         assert_eq!(sweep.first_below("flat", "falling"), Some(100.0));
     }
 
-    /// The paper's Figure 4 turning point, rediscovered with the generic
-    /// sweep machinery.
+    /// The paper's Figure 4 turning point, rediscovered with the sweep's
+    /// crossover detector.
     #[test]
     fn soc_vs_mcm_sweep_reproduces_turning_point() {
         let lib = TechLibrary::paper_defaults().unwrap();
         let node = lib.node("5nm").unwrap();
-        let soc_pkg = lib.packaging(IntegrationKind::Soc).unwrap();
-        let mcm_pkg = lib.packaging(IntegrationKind::Mcm).unwrap();
+        let re = |kind: IntegrationKind| {
+            let packaging = lib.packaging(kind).unwrap();
+            move |mm2: f64| {
+                let area = Area::from_mm2(mm2).unwrap();
+                equal_split_re_cost(node, packaging, area, 2, AssemblyFlow::ChipLast)
+                    .unwrap()
+                    .total()
+                    .usd()
+            }
+        };
         let grid: Vec<f64> = (1..=9).map(|i| i as f64 * 100.0).collect();
-        let sweep = sweep_area(
+        let sweep = sampled(
+            "area_mm2",
             &grid,
-            vec![
-                (
-                    "mcm2".to_string(),
-                    Box::new(|a: Area| {
-                        let die = node.d2d().inflate_module_area(a / 2.0)?;
-                        Ok(re_cost(
-                            &[DiePlacement::new(node, die, 2)],
-                            mcm_pkg,
-                            AssemblyFlow::ChipLast,
-                        )?
-                        .total()
-                        .usd())
-                    }),
-                ),
-                (
-                    "soc".to_string(),
-                    Box::new(|a: Area| {
-                        Ok(re_cost(
-                            &[DiePlacement::new(node, a, 1)],
-                            soc_pkg,
-                            AssemblyFlow::ChipLast,
-                        )?
-                        .total()
-                        .usd())
-                    }),
-                ),
+            &[
+                ("mcm2", &re(IntegrationKind::Mcm)),
+                ("soc", &re(IntegrationKind::Soc)),
             ],
-        )
-        .unwrap();
+        );
         let crossover = sweep
             .first_crossover("mcm2", "soc")
             .expect("5nm must cross");

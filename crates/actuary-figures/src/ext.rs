@@ -12,9 +12,9 @@
 //!   effective cost of both the chiplet and the monolithic option.
 
 use actuary_dse::maturity::{library_at_age, DefectRamp};
-use actuary_model::{re_cost, AssemblyFlow, DiePlacement};
+use actuary_model::{equal_split_re_cost, AssemblyFlow};
 use actuary_report::Table;
-use actuary_tech::{IntegrationKind, TechLibrary};
+use actuary_tech::{IntegrationKind, ProcessNode, TechLibrary};
 use actuary_units::Area;
 use actuary_yield::HarvestSpec;
 
@@ -62,25 +62,27 @@ pub fn maturity_study(lib: &TechLibrary) -> Result<MaturityStudy> {
     for age in [0.0, 6.0, 12.0, 18.0, 24.0, 36.0, 48.0] {
         let snapshot = library_at_age(lib, "7nm", &ramp, age)?;
         let node = snapshot.node("7nm")?;
-        let soc = re_cost(
-            &[DiePlacement::new(node, module_area, 1)],
-            snapshot.packaging(IntegrationKind::Soc)?,
-            AssemblyFlow::ChipLast,
-        )?;
-        let die = node.d2d().inflate_module_area(module_area / 2.0)?;
-        let mcm = re_cost(
-            &[DiePlacement::new(node, die, 2)],
-            snapshot.packaging(IntegrationKind::Mcm)?,
-            AssemblyFlow::ChipLast,
-        )?;
         rows.push(MaturityRow {
             age_months: age,
             defect_density: node.defect_density().value(),
-            soc_cost_usd: soc.total().usd(),
-            mcm_cost_usd: mcm.total().usd(),
+            soc_cost_usd: two_chiplet_re_usd(&snapshot, node, IntegrationKind::Soc, module_area)?,
+            mcm_cost_usd: two_chiplet_re_usd(&snapshot, node, IntegrationKind::Mcm, module_area)?,
         });
     }
     Ok(MaturityStudy { rows })
+}
+
+/// Per-unit RE cost, chip-last, of `module_area` on `kind`: one die on a
+/// monolithic kind, two D2D-inflated chiplets on a multi-chip one.
+fn two_chiplet_re_usd(
+    lib: &TechLibrary,
+    node: &ProcessNode,
+    kind: IntegrationKind,
+    module_area: Area,
+) -> Result<f64> {
+    let packaging = lib.packaging(kind)?;
+    let re = equal_split_re_cost(node, packaging, module_area, 2, AssemblyFlow::ChipLast)?;
+    Ok(re.total().usd())
 }
 
 impl MaturityStudy {
@@ -300,38 +302,16 @@ pub fn yield_model_ablation(lib: &TechLibrary) -> Result<YieldModelAblation> {
     ];
     let mut rows = Vec::new();
     for (label, cluster) in variants {
-        let snapshot = lib.with_modified_node("5nm", |n| {
-            actuary_tech::ProcessNode::builder(n.id().clone())
-                .defect_density(n.defect_density().value())
-                .cluster(cluster)
-                .wafer_price(n.wafer_price())
-                .wafer(n.wafer())
-                .k_module(n.nre().k_module)
-                .k_chip(n.nre().k_chip)
-                .mask_set(n.nre().mask_set)
-                .ip_license(n.nre().ip_license)
-                .relative_density(n.relative_density())
-                .d2d(*n.d2d())
-                .build()
-        })?;
+        let snapshot =
+            lib.with_modified_node("5nm", |n| n.to_builder().cluster(cluster).build())?;
         let node = snapshot.node("5nm")?;
         let yield_800mm2_frac = node.die_yield(Area::from_mm2(800.0)?).value();
         // Discrete crossover on the Figure 4 grid.
         let mut crossover = None;
         for step in 1..=18 {
             let area = Area::from_mm2(step as f64 * 50.0)?;
-            let soc = re_cost(
-                &[DiePlacement::new(node, area, 1)],
-                snapshot.packaging(IntegrationKind::Soc)?,
-                AssemblyFlow::ChipLast,
-            )?;
-            let die = node.d2d().inflate_module_area(area / 2.0)?;
-            let mcm = re_cost(
-                &[DiePlacement::new(node, die, 2)],
-                snapshot.packaging(IntegrationKind::Mcm)?,
-                AssemblyFlow::ChipLast,
-            )?;
-            if mcm.total() < soc.total() {
+            let soc = two_chiplet_re_usd(&snapshot, node, IntegrationKind::Soc, area)?;
+            if two_chiplet_re_usd(&snapshot, node, IntegrationKind::Mcm, area)? < soc {
                 crossover = Some(area.mm2());
                 break;
             }

@@ -3,7 +3,7 @@
 //! with 10 % D2D overhead and no reuse, normalized to the 100 mm² SoC of
 //! each node.
 
-use actuary_model::{re_cost, AssemblyFlow, DiePlacement, ReCostBreakdown};
+use actuary_model::{equal_split_re_cost, AssemblyFlow, ReCostBreakdown};
 use actuary_report::{StackedBarChart, Table};
 use actuary_tech::{IntegrationKind, TechLibrary};
 use actuary_units::Area;
@@ -58,16 +58,13 @@ fn raw_cell(
     module_area: Area,
     chiplets: u32,
 ) -> Result<ReCostBreakdown> {
-    let node = lib.node(node_id)?;
-    let packaging = lib.packaging(integration)?;
-    let placements = if integration.is_multi_chip() {
-        let per_chiplet = module_area / chiplets as f64;
-        let die = node.d2d().inflate_module_area(per_chiplet)?;
-        vec![DiePlacement::new(node, die, chiplets)]
-    } else {
-        vec![DiePlacement::new(node, module_area, 1)]
-    };
-    Ok(re_cost(&placements, packaging, AssemblyFlow::ChipLast)?)
+    Ok(equal_split_re_cost(
+        lib.node(node_id)?,
+        lib.packaging(integration)?,
+        module_area,
+        chiplets,
+        AssemblyFlow::ChipLast,
+    )?)
 }
 
 /// Computes the Figure 4 dataset.

@@ -17,7 +17,7 @@
 
 use actuary_model::{re_cost, re_cost_sized, AssemblyFlow, DiePlacement, ReCostBreakdown};
 use actuary_report::{StackedBarChart, Table};
-use actuary_tech::{IntegrationKind, ProcessNode, TechLibrary};
+use actuary_tech::{IntegrationKind, TechLibrary};
 use actuary_units::Area;
 
 use crate::common::{pct, ShapeCheck};
@@ -83,26 +83,8 @@ pub struct Fig5 {
 ///
 /// Propagates library errors.
 pub fn validation_library(base: &TechLibrary) -> Result<TechLibrary> {
-    let with7 = base.with_modified_node("7nm", |n| rebuild_with_defect(n, D_7NM))?;
-    Ok(with7.with_modified_node("12nm", |n| rebuild_with_defect(n, D_12NM))?)
-}
-
-fn rebuild_with_defect(
-    node: &ProcessNode,
-    defect: f64,
-) -> std::result::Result<ProcessNode, actuary_tech::TechError> {
-    ProcessNode::builder(node.id().clone())
-        .defect_density(defect)
-        .cluster(node.cluster())
-        .wafer_price(node.wafer_price())
-        .wafer(node.wafer())
-        .k_module(node.nre().k_module)
-        .k_chip(node.nre().k_chip)
-        .mask_set(node.nre().mask_set)
-        .ip_license(node.nre().ip_license)
-        .relative_density(node.relative_density())
-        .d2d(*node.d2d())
-        .build()
+    let with7 = base.with_modified_node("7nm", |n| n.to_builder().defect_density(D_7NM).build())?;
+    Ok(with7.with_modified_node("12nm", |n| n.to_builder().defect_density(D_12NM).build())?)
 }
 
 /// Computes the Figure 5 dataset.

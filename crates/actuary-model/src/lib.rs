@@ -57,7 +57,9 @@ mod re;
 pub use breakdown::{NreBreakdown, ReCostBreakdown};
 pub use error::ModelError;
 pub use nre::{chip_level_nre, d2d_nre, module_design_cost, package_nre, package_nre_for_silicon};
-pub use re::{overall_soc_yield, re_cost, re_cost_sized, AssemblyFlow, DiePlacement};
+pub use re::{
+    equal_split_re_cost, overall_soc_yield, re_cost, re_cost_sized, AssemblyFlow, DiePlacement,
+};
 
 /// Convenience result alias for this crate.
 pub type Result<T> = std::result::Result<T, ModelError>;

@@ -145,6 +145,35 @@ pub fn re_cost(
     re_cost_sized(dies, packaging, flow, None)
 }
 
+/// The RE cost of a module of `module_area` split into `chiplets` equal
+/// chiplets, the computation behind the paper's Figure 4 and §4's turning
+/// points. A monolithic `packaging` kind places one die of the whole area
+/// and ignores `chiplets`; a multi-chip kind places `chiplets` dies of
+/// `module_area / chiplets`, each grown by the node's D2D overhead.
+///
+/// # Errors
+///
+/// [`ModelError::Tech`] if a chiplet's inflated area is invalid (for
+/// instance when `chiplets` is 0), otherwise the conditions of
+/// [`re_cost`].
+pub fn equal_split_re_cost(
+    node: &ProcessNode,
+    packaging: &PackagingTech,
+    module_area: Area,
+    chiplets: u32,
+    flow: AssemblyFlow,
+) -> Result<ReCostBreakdown, ModelError> {
+    let placement = if packaging.kind().is_multi_chip() {
+        let die = node
+            .d2d()
+            .inflate_module_area(module_area / f64::from(chiplets))?;
+        DiePlacement::new(node, die, chiplets)
+    } else {
+        DiePlacement::new(node, module_area, 1)
+    };
+    re_cost(&[placement], packaging, flow)
+}
+
 /// Like [`re_cost`], but sizes the package materials (substrate and
 /// interposer) for `package_silicon` instead of the actual silicon carried.
 ///
@@ -500,6 +529,54 @@ mod tests {
             five.chip_defects < two.chip_defects,
             "smaller dies yield better"
         );
+    }
+
+    #[test]
+    fn equal_split_matches_the_explicit_placements_bit_for_bit() {
+        let lib = lib();
+        for node_id in ["14nm", "7nm", "5nm"] {
+            let node = lib.node(node_id).unwrap();
+            for kind in IntegrationKind::ALL {
+                let packaging = lib.packaging(kind).unwrap();
+                for chiplets in [2u32, 3, 5] {
+                    for mm2 in [100.0, 450.0, 900.0] {
+                        let module = area(mm2);
+                        let die = node
+                            .d2d()
+                            .inflate_module_area(module / chiplets as f64)
+                            .unwrap();
+                        let explicit = if kind.is_multi_chip() {
+                            DiePlacement::new(node, die, chiplets)
+                        } else {
+                            DiePlacement::new(node, module, 1)
+                        };
+                        for flow in [AssemblyFlow::ChipFirst, AssemblyFlow::ChipLast] {
+                            assert_eq!(
+                                equal_split_re_cost(node, packaging, module, chiplets, flow),
+                                re_cost(&[explicit], packaging, flow),
+                                "{node_id} {kind} {chiplets} × {mm2} mm² {flow}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn equal_split_monolithic_kind_ignores_the_chiplet_count() {
+        let lib = lib();
+        let n7 = lib.node("7nm").unwrap();
+        let soc = lib.packaging(IntegrationKind::Soc).unwrap();
+        let one = equal_split_re_cost(n7, soc, area(400.0), 1, AssemblyFlow::ChipLast).unwrap();
+        for chiplets in [0, 2, 5] {
+            let b = equal_split_re_cost(n7, soc, area(400.0), chiplets, AssemblyFlow::ChipLast)
+                .unwrap();
+            assert_eq!(b, one, "{chiplets} chiplets");
+        }
+        // A multi-chip kind cannot split a module into zero chiplets.
+        let mcm = lib.packaging(IntegrationKind::Mcm).unwrap();
+        assert!(equal_split_re_cost(n7, mcm, area(400.0), 0, AssemblyFlow::ChipLast).is_err());
     }
 
     #[test]

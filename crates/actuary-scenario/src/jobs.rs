@@ -15,8 +15,8 @@ use actuary_dse::portfolio::{
     PortfolioSpace, ReuseScheme, SharedCoreCache,
 };
 use actuary_dse::refine::{explore_portfolio_refined_observed, ExploreMode, RefineObserver};
-use actuary_dse::sweep::{sweep_area, sweep_quantity, Sweep};
-use actuary_model::{re_cost, AssemblyFlow, DiePlacement};
+use actuary_dse::sweep::{Sweep, SweepPoint};
+use actuary_model::{equal_split_re_cost, AssemblyFlow};
 use actuary_tech::{IntegrationKind, NodeId, TechLibrary};
 use actuary_units::{Area, Artifact, Quantity};
 
@@ -1160,55 +1160,53 @@ fn lower_sweep_job(table: &Table, lib: &TechLibrary) -> Result<SweepJob, Scenari
 /// integration kind at the fixed area, each series evaluating its
 /// quantity-independent [`candidate_core`] once and re-amortizing it per
 /// point.
-#[allow(clippy::type_complexity)] // the series types are the sweep functions' own signatures
 fn run_sweep_job(lib: &TechLibrary, job: &SweepJob) -> Result<Sweep, ArchError> {
-    let node = lib.node(&job.node).map_err(ArchError::Tech)?;
-    match &job.axis {
+    let (x_label, points) = match &job.axis {
         SweepAxis::Area(areas_mm2) => {
-            let mut series: Vec<(String, Box<dyn FnMut(Area) -> Result<f64, ArchError> + '_>)> =
-                Vec::with_capacity(job.integrations.len());
-            for &kind in &job.integrations {
-                let packaging = lib.packaging(kind).map_err(ArchError::Tech)?;
-                let (chiplets, flow) = (job.chiplets, job.flow);
-                series.push((
-                    kind.to_string(),
-                    Box::new(move |area: Area| {
-                        let placements = if kind.is_multi_chip() {
-                            let die = node.d2d().inflate_module_area(area / f64::from(chiplets))?;
-                            vec![DiePlacement::new(node, die, chiplets)]
-                        } else {
-                            vec![DiePlacement::new(node, area, 1)]
-                        };
-                        Ok(re_cost(&placements, packaging, flow)?.total().usd())
-                    }),
-                ));
+            let node = lib.node(&job.node)?;
+            let packagings = (job.integrations.iter())
+                .map(|&kind| lib.packaging(kind))
+                .collect::<Result<Vec<_>, _>>()?;
+            let mut points = Vec::with_capacity(areas_mm2.len());
+            for &x in areas_mm2 {
+                let area = Area::from_mm2(x)?;
+                let mut values = Vec::with_capacity(packagings.len());
+                for packaging in &packagings {
+                    let re = equal_split_re_cost(node, packaging, area, job.chiplets, job.flow)?;
+                    values.push(re.total().usd());
+                }
+                points.push(SweepPoint { x, values });
             }
-            sweep_area(areas_mm2, series)
+            ("area_mm2", points)
         }
         SweepAxis::Quantity {
             area_mm2,
             quantities,
         } => {
             let area = Area::from_mm2(*area_mm2)?;
-            let mut series: Vec<(
-                String,
-                Box<dyn FnMut(Quantity) -> Result<f64, ArchError> + '_>,
-            )> = Vec::with_capacity(job.integrations.len());
-            for &kind in &job.integrations {
-                let chiplets = if kind.is_multi_chip() {
-                    job.chiplets
-                } else {
-                    1
-                };
-                let core = candidate_core(lib, &job.node, area, kind, chiplets, job.flow)?;
-                series.push((
-                    kind.to_string(),
-                    Box::new(move |q: Quantity| Ok(core.at_quantity(q).per_unit.usd())),
-                ));
-            }
-            sweep_quantity(quantities, series)
+            let cores = (job.integrations.iter())
+                .map(|&kind| {
+                    let chiplets = if kind.is_multi_chip() {
+                        job.chiplets
+                    } else {
+                        1
+                    };
+                    candidate_core(lib, &job.node, area, kind, chiplets, job.flow)
+                })
+                .collect::<Result<Vec<_>, _>>()?;
+            let points = (quantities.iter())
+                .map(|&q| SweepPoint {
+                    x: q as f64,
+                    values: (cores.iter())
+                        .map(|core| core.at_quantity(Quantity::new(q)).per_unit.usd())
+                        .collect(),
+                })
+                .collect();
+            ("quantity", points)
         }
-    }
+    };
+    let series = job.integrations.iter().map(ToString::to_string).collect();
+    Ok(Sweep::new(x_label, series, points))
 }
 
 /// Lowers the `[explore]` table into an [`ExploreJob`].

@@ -118,68 +118,53 @@ fn lower_node(
     let wafer = opt_wafer(&mut view, default_wafer)?;
     view.deny_unknown()?;
 
-    let require = |value: Option<f64>, base_value: Option<f64>, key: &str| {
-        value.or(base_value).ok_or_else(|| {
-            ScenarioError::schema(
-                table_pos,
-                format!("new node `{id}` requires key `{key}` in [nodes.{id}]"),
-            )
-        })
-    };
-    let require_money = |value: Option<Money>, base_value: Option<Money>, key: &str| {
-        value.or(base_value).ok_or_else(|| {
-            ScenarioError::schema(
-                table_pos,
-                format!("new node `{id}` requires key `{key}` in [nodes.{id}]"),
-            )
-        })
-    };
-
-    let mut builder = ProcessNode::builder(id)
-        .defect_density(require(
-            defect.map(|s| s.value),
-            base.map(|n| n.defect_density().value()),
-            "defect_density",
-        )?)
-        .cluster(
-            cluster
-                .map(|s| s.value)
-                .or(base.map(|n| n.cluster()))
-                .unwrap_or(10.0),
-        )
-        .wafer_price(require_money(
-            wafer_price,
-            base.map(|n| n.wafer_price()),
-            "wafer_price_usd",
-        )?)
-        .wafer(wafer)
-        .k_module(require_money(
-            k_module,
-            base.map(|n| n.nre().k_module),
-            "k_module_usd",
-        )?)
-        .k_chip(require_money(
-            k_chip,
-            base.map(|n| n.nre().k_chip),
-            "k_chip_usd",
-        )?)
-        .mask_set(require_money(
-            mask_set,
-            base.map(|n| n.nre().mask_set),
-            "mask_set_usd (or mask_set_musd)",
-        )?)
-        .ip_license(
-            ip_license
-                .or(base.map(|n| n.nre().ip_license))
-                .unwrap_or(Money::ZERO),
-        )
-        .relative_density(
-            relative_density
-                .map(|s| s.value)
-                .or(base.map(|n| n.relative_density()))
-                .unwrap_or(1.0),
-        );
-    if let Some(d2d) = d2d.or(base.map(|n| *n.d2d())) {
+    // An overlay starts from every parameter of its base node; a new node
+    // must name each parameter the builder has no default for.
+    let mut builder = match base {
+        Some(node) => node.to_builder(),
+        None => {
+            let required = [
+                (defect.is_some(), "defect_density"),
+                (wafer_price.is_some(), "wafer_price_usd"),
+                (k_module.is_some(), "k_module_usd"),
+                (k_chip.is_some(), "k_chip_usd"),
+                (mask_set.is_some(), "mask_set_usd (or mask_set_musd)"),
+            ];
+            if let Some((_, key)) = required.iter().find(|(present, _)| !present) {
+                return Err(ScenarioError::schema(
+                    table_pos,
+                    format!("new node `{id}` requires key `{key}` in [nodes.{id}]"),
+                ));
+            }
+            ProcessNode::builder(id)
+        }
+    }
+    .wafer(wafer);
+    if let Some(d) = defect {
+        builder = builder.defect_density(d.value);
+    }
+    if let Some(c) = cluster {
+        builder = builder.cluster(c.value);
+    }
+    if let Some(price) = wafer_price {
+        builder = builder.wafer_price(price);
+    }
+    if let Some(k) = k_module {
+        builder = builder.k_module(k);
+    }
+    if let Some(k) = k_chip {
+        builder = builder.k_chip(k);
+    }
+    if let Some(cost) = mask_set {
+        builder = builder.mask_set(cost);
+    }
+    if let Some(cost) = ip_license {
+        builder = builder.ip_license(cost);
+    }
+    if let Some(density) = relative_density {
+        builder = builder.relative_density(density.value);
+    }
+    if let Some(d2d) = d2d {
         builder = builder.d2d(d2d);
     }
     builder

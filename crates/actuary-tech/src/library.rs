@@ -181,19 +181,7 @@ mod tests {
         let lib = TechLibrary::paper_defaults().unwrap();
         let original_d = lib.node("7nm").unwrap().defect_density().value();
         let modified = lib
-            .with_modified_node("7nm", |n| {
-                ProcessNode::builder(n.id().clone())
-                    .defect_density(0.13)
-                    .cluster(n.cluster())
-                    .wafer_price(n.wafer_price())
-                    .k_module(n.nre().k_module)
-                    .k_chip(n.nre().k_chip)
-                    .mask_set(n.nre().mask_set)
-                    .ip_license(n.nre().ip_license)
-                    .relative_density(n.relative_density())
-                    .d2d(*n.d2d())
-                    .build()
-            })
+            .with_modified_node("7nm", |n| n.to_builder().defect_density(0.13).build())
             .unwrap();
         assert_eq!(modified.node("7nm").unwrap().defect_density().value(), 0.13);
         assert_eq!(

@@ -138,6 +138,25 @@ impl ProcessNode {
         ProcessNodeBuilder::new(id)
     }
 
+    /// A builder that holds every parameter of this node, so a what-if
+    /// variant sets only what it changes:
+    /// `node.to_builder().defect_density(0.13).build()`.
+    pub fn to_builder(&self) -> ProcessNodeBuilder {
+        ProcessNodeBuilder {
+            id: self.id.clone(),
+            defect_density: Some(self.defect_density.value()),
+            cluster: self.cluster,
+            wafer_price: Some(self.wafer_price),
+            wafer: Some(self.wafer),
+            k_module: Some(self.nre.k_module),
+            k_chip: Some(self.nre.k_chip),
+            mask_set: Some(self.nre.mask_set),
+            ip_license: self.nre.ip_license,
+            relative_density: self.relative_density,
+            d2d: Some(self.d2d),
+        }
+    }
+
     /// The node id.
     pub fn id(&self) -> &NodeId {
         &self.id
@@ -492,6 +511,20 @@ mod tests {
         // Round trip returns the original.
         let back = n14.port_area_from(at7, &n7).unwrap();
         assert!((back.mm2() - 100.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn to_builder_rebuilds_every_preset_node_unchanged() {
+        let lib = crate::TechLibrary::paper_defaults().unwrap();
+        for node in lib.nodes() {
+            assert_eq!(&node.to_builder().build().unwrap(), node, "{}", node.id());
+        }
+        let custom = sample_node();
+        assert_eq!(custom.to_builder().build().unwrap(), custom);
+        let what_if = custom.to_builder().defect_density(0.2).build().unwrap();
+        assert_eq!(what_if.defect_density().value(), 0.2);
+        assert_eq!(what_if.nre(), custom.nre());
+        assert_eq!(what_if.wafer(), custom.wafer());
     }
 
     #[test]

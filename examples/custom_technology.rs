@@ -60,10 +60,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         AssemblyFlow::ChipLast,
     )?;
     for n in [2u32, 3, 4] {
-        let die = n2.d2d().inflate_module_area(module_area / n as f64)?;
-        let multi = re_cost(
-            &[DiePlacement::new(n2, die, n)],
+        let multi = equal_split_re_cost(
+            n2,
             lib.packaging(IntegrationKind::Info)?,
+            module_area,
+            n,
             AssemblyFlow::ChipLast,
         )?;
         println!(
@@ -77,19 +78,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // How sensitive is the monolithic cost to the defect-density guess?
     let base_d = n2.defect_density().value();
     let e = elasticity(base_d, 0.01, |d| {
-        let snapshot = lib.with_modified_node("2nm", |node| {
-            ProcessNode::builder(node.id().clone())
-                .defect_density(d)
-                .cluster(node.cluster())
-                .wafer_price(node.wafer_price())
-                .k_module(node.nre().k_module)
-                .k_chip(node.nre().k_chip)
-                .mask_set(node.nre().mask_set)
-                .ip_license(node.nre().ip_license)
-                .relative_density(node.relative_density())
-                .d2d(*node.d2d())
-                .build()
-        })?;
+        let snapshot =
+            lib.with_modified_node("2nm", |node| node.to_builder().defect_density(d).build())?;
         let b = re_cost(
             &[DiePlacement::new(snapshot.node("2nm")?, module_area, 1)],
             snapshot.packaging(IntegrationKind::Soc)?,
@@ -110,10 +100,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             snapshot.packaging(IntegrationKind::Soc)?,
             AssemblyFlow::ChipLast,
         )?;
-        let die = node.d2d().inflate_module_area(module_area / 2.0)?;
-        let mcm = re_cost(
-            &[DiePlacement::new(node, die, 2)],
+        let mcm = equal_split_re_cost(
+            node,
             snapshot.packaging(IntegrationKind::Mcm)?,
+            module_area,
+            2,
             AssemblyFlow::ChipLast,
         )?;
         println!(

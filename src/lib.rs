@@ -107,7 +107,8 @@ pub mod prelude {
         partition, reuse, Chip, Module, Portfolio, PortfolioCost, System, SystemCost,
     };
     pub use actuary_model::{
-        re_cost, re_cost_sized, AssemblyFlow, DiePlacement, NreBreakdown, ReCostBreakdown,
+        equal_split_re_cost, re_cost, re_cost_sized, AssemblyFlow, DiePlacement, NreBreakdown,
+        ReCostBreakdown,
     };
     pub use actuary_tech::{
         D2dSpec, IntegrationKind, NodeId, PackagingTech, ProcessNode, TechLibrary,
