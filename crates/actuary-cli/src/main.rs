@@ -107,13 +107,15 @@ fn usage() -> &'static str {
        repro --figure 2|4|5|6|8|9|10|ext|all [--csv]\n\
        experiments                        paper-vs-measured Markdown record\n\
        sensitivity --node N --area MM2 [--chiplets K]  cost elasticities\n\
-     flags not listed for a command are rejected, not ignored"
+     flags not listed for a command, and flags given twice, are rejected,\n\
+     not ignored"
 }
 
 /// Flags that take no value (present = true).
 const BOOLEAN_FLAGS: [&str; 4] = ["csv", "flow-axis", "package-reuse", "refine"];
 
-/// Parses `--key value` pairs after the subcommand.
+/// Parses `--key value` pairs after the subcommand. A flag given twice is
+/// an error, not a silent override by the last value.
 fn parse_flags(args: &[String]) -> Result<BTreeMap<String, String>, String> {
     let mut flags = BTreeMap::new();
     let mut i = 0;
@@ -121,22 +123,18 @@ fn parse_flags(args: &[String]) -> Result<BTreeMap<String, String>, String> {
         let key = args[i]
             .strip_prefix("--")
             .ok_or_else(|| format!("expected --flag, got {:?}", args[i]))?;
-        let boolean = BOOLEAN_FLAGS.contains(&key);
-        if let Some(value) = args.get(i + 1) {
-            if value.starts_with("--") && !boolean {
-                return Err(format!("flag --{key} is missing a value"));
-            }
-        }
-        if boolean {
-            flags.insert(key.to_string(), "true".to_string());
-            i += 1;
+        let (value, step) = if BOOLEAN_FLAGS.contains(&key) {
+            ("true".to_string(), 1)
         } else {
-            let value = args
-                .get(i + 1)
-                .ok_or_else(|| format!("flag --{key} is missing a value"))?;
-            flags.insert(key.to_string(), value.clone());
-            i += 2;
+            match args.get(i + 1) {
+                Some(value) if !value.starts_with("--") => (value.clone(), 2),
+                _ => return Err(format!("flag --{key} is missing a value")),
+            }
+        };
+        if flags.insert(key.to_string(), value).is_some() {
+            return Err(format!("flag --{key} is given more than once"));
         }
+        i += step;
     }
     Ok(flags)
 }
@@ -149,19 +147,21 @@ fn parse_flow(s: &str) -> Result<AssemblyFlow, String> {
     s.parse()
 }
 
-fn get_f64(flags: &BTreeMap<String, String>, key: &str) -> Result<f64, String> {
+/// The value of `--key` parsed as `T`, or `None` when the flag is absent.
+/// A value `T` cannot hold, out of range included, is an error naming
+/// the flag and the value, never a wrapped number.
+fn flag<T>(flags: &BTreeMap<String, String>, key: &str) -> Result<Option<T>, String>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
     flags
         .get(key)
-        .ok_or_else(|| format!("missing required flag --{key}"))?
-        .parse()
-        .map_err(|e| format!("invalid --{key}: {e}"))
-}
-
-fn get_u64_or(flags: &BTreeMap<String, String>, key: &str, default: u64) -> Result<u64, String> {
-    match flags.get(key) {
-        Some(v) => v.parse().map_err(|e| format!("invalid --{key}: {e}")),
-        None => Ok(default),
-    }
+        .map(|raw| {
+            raw.parse()
+                .map_err(|e| format!("invalid --{key} {raw:?}: {e}"))
+        })
+        .transpose()
 }
 
 fn run(args: &[String]) -> Result<(), String> {
@@ -316,7 +316,7 @@ fn cmd_list(lib: &TechLibrary) -> Result<(), String> {
 
 fn cmd_yield(lib: &TechLibrary, flags: &BTreeMap<String, String>) -> Result<(), String> {
     let node_id = flags.get("node").ok_or("missing required flag --node")?;
-    let area_mm2 = get_f64(flags, "area")?;
+    let area_mm2: f64 = flag(flags, "area")?.ok_or("missing required flag --area")?;
     let node = lib.node(node_id).map_err(|e| e.to_string())?;
     let area = Area::from_mm2(area_mm2).map_err(|e| e.to_string())?;
     let y = node.die_yield(area);
@@ -352,14 +352,14 @@ fn build_single_system(
 
 fn cmd_cost(lib: &TechLibrary, flags: &BTreeMap<String, String>) -> Result<(), String> {
     let node = flags.get("node").ok_or("missing required flag --node")?;
-    let area = get_f64(flags, "area")?;
-    let chiplets = get_u64_or(flags, "chiplets", 1)? as u32;
+    let area: f64 = flag(flags, "area")?.ok_or("missing required flag --area")?;
+    let chiplets: u32 = flag(flags, "chiplets")?.unwrap_or(1);
     let integration = match flags.get("integration") {
         Some(s) => parse_integration(s)?,
         None if chiplets > 1 => IntegrationKind::Mcm,
         None => IntegrationKind::Soc,
     };
-    let quantity = get_u64_or(flags, "quantity", 1_000_000)?;
+    let quantity: u64 = flag(flags, "quantity")?.unwrap_or(1_000_000);
     let flow = match flags.get("flow") {
         Some(s) => parse_flow(s)?,
         None => AssemblyFlow::ChipLast,
@@ -397,7 +397,7 @@ fn cmd_cost(lib: &TechLibrary, flags: &BTreeMap<String, String>) -> Result<(), S
 
 fn cmd_sweep(lib: &TechLibrary, flags: &BTreeMap<String, String>) -> Result<(), String> {
     let node_id = flags.get("node").ok_or("missing required flag --node")?;
-    let chiplets = get_u64_or(flags, "chiplets", 2)? as u32;
+    let chiplets: u32 = flag(flags, "chiplets")?.unwrap_or(2);
     let integration = match flags.get("integration") {
         Some(s) => parse_integration(s)?,
         None => IntegrationKind::Mcm,
@@ -447,8 +447,8 @@ fn cmd_sweep(lib: &TechLibrary, flags: &BTreeMap<String, String>) -> Result<(), 
 
 fn cmd_partition(lib: &TechLibrary, flags: &BTreeMap<String, String>) -> Result<(), String> {
     let node = flags.get("node").ok_or("missing required flag --node")?;
-    let area = get_f64(flags, "area")?;
-    let quantity = get_u64_or(flags, "quantity", 1_000_000)?;
+    let area: f64 = flag(flags, "area")?.ok_or("missing required flag --area")?;
+    let quantity: u64 = flag(flags, "quantity")?.unwrap_or(1_000_000);
     let rec = recommend(
         lib,
         node,
@@ -539,18 +539,13 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             .get("addr")
             .cloned()
             .unwrap_or_else(|| "127.0.0.1:8080".to_string()),
-        engine_threads: get_u64_or(&flags, "threads", 0)? as usize,
-        workers: get_u64_or(&flags, "workers", 4)? as usize,
-        result_cache_entries: get_u64_or(
-            &flags,
-            "cache-entries",
-            defaults.result_cache_entries as u64,
-        )? as usize,
-        core_cache_entries: get_u64_or(&flags, "core-cache", defaults.core_cache_entries as u64)?
-            as usize,
-        rate_limit: get_u64_or(&flags, "rate-limit", u64::from(defaults.rate_limit))? as u32,
-        max_concurrent: get_u64_or(&flags, "max-concurrent", u64::from(defaults.max_concurrent))?
-            as u32,
+        engine_threads: flag(&flags, "threads")?.unwrap_or(0),
+        workers: flag(&flags, "workers")?.unwrap_or(4),
+        result_cache_entries: flag(&flags, "cache-entries")?
+            .unwrap_or(defaults.result_cache_entries),
+        core_cache_entries: flag(&flags, "core-cache")?.unwrap_or(defaults.core_cache_entries),
+        rate_limit: flag(&flags, "rate-limit")?.unwrap_or(defaults.rate_limit),
+        max_concurrent: flag(&flags, "max-concurrent")?.unwrap_or(defaults.max_concurrent),
         log_level: match flags.get("log-level") {
             Some(raw) => actuary_obs::log::Level::parse(raw).ok_or_else(|| {
                 format!("invalid --log-level {raw:?} (error|warn|info|debug|trace)")
@@ -671,7 +666,7 @@ fn cmd_explore(lib: &TechLibrary, flags: &BTreeMap<String, String>) -> Result<()
                 .to_string(),
         );
     }
-    let threads = get_u64_or(flags, "threads", 0)? as usize;
+    let threads: usize = flag(flags, "threads")?.unwrap_or(0);
 
     let result = if flags.contains_key("refine") {
         explore_portfolio_refined(lib, &space, threads)
@@ -813,7 +808,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     if flags.contains_key("csv") && flags.contains_key("out-dir") {
         return Err("choose --csv (stdout) or --out-dir DIR, not both".to_string());
     }
-    let threads = get_u64_or(&flags, "threads", 0)? as usize;
+    let threads: usize = flag(&flags, "threads")?.unwrap_or(0);
 
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
     let scenario =
@@ -950,13 +945,13 @@ fn write_run_outputs(run: &actuary_scenario::ScenarioRun, dir: &str) -> Result<(
 
 fn cmd_mc(lib: &TechLibrary, flags: &BTreeMap<String, String>) -> Result<(), String> {
     let node = flags.get("node").ok_or("missing required flag --node")?;
-    let area = get_f64(flags, "area")?;
-    let chiplets = get_u64_or(flags, "chiplets", 2)? as u32;
+    let area: f64 = flag(flags, "area")?.ok_or("missing required flag --area")?;
+    let chiplets: u32 = flag(flags, "chiplets")?.unwrap_or(2);
     let integration = match flags.get("integration") {
         Some(s) => parse_integration(s)?,
         None => IntegrationKind::Mcm,
     };
-    let systems = get_u64_or(flags, "systems", 2_000)? as u32;
+    let systems: u32 = flag(flags, "systems")?.unwrap_or(2_000);
 
     let system = build_single_system(node, area * chiplets as f64, chiplets, integration, 1)?;
     let analytic = system
@@ -1009,7 +1004,7 @@ fn cmd_repro(lib: &TechLibrary, flags: &BTreeMap<String, String>) -> Result<(), 
     for study in selected {
         let (table, text, checks) = (study.compute)(lib).map_err(|e| e.to_string())?;
         if csv {
-            print!("{}", table.to_csv());
+            print!("{}", table.artifact(study.key).csv());
         } else {
             println!("{text}");
         }
@@ -1041,8 +1036,11 @@ fn cmd_sensitivity(lib: &TechLibrary, flags: &BTreeMap<String, String>) -> Resul
         .get("node")
         .ok_or("missing required flag --node")?
         .clone();
-    let area_mm2 = get_f64(flags, "area")?;
-    let chiplets = get_u64_or(flags, "chiplets", 2)? as u32;
+    let area_mm2: f64 = flag(flags, "area")?.ok_or("missing required flag --area")?;
+    let chiplets: u32 = flag(flags, "chiplets")?.unwrap_or(2);
+    if chiplets == 0 {
+        return Err("--chiplets must be at least 1, got 0".to_string());
+    }
     let integration = if chiplets > 1 {
         IntegrationKind::Mcm
     } else {

@@ -831,12 +831,20 @@ fn read_request<S: Read + Write>(
 
     let head = String::from_utf8_lossy(&buf[..head_end]).into_owned();
     // Lines end at CRLF only. A bare CR or LF inside a line is a line
-    // break to some recipients and data to others, so it is rejected,
-    // not kept in a value (RFC 9112 §2.2).
-    if let Some(line) = head.split("\r\n").find(|line| line.contains(['\r', '\n'])) {
+    // break to some recipients and data to others (RFC 9112 §2.2), and a
+    // NUL or other control character is where some parsers stop reading a
+    // value (RFC 9110 §5.5), so either is rejected, not kept in a value.
+    // HTAB is the one control character a field value may hold.
+    let forbidden = |b: u8| b.is_ascii_control() && b != b'\t';
+    if let Some(line) = head.split("\r\n").find(|line| line.bytes().any(forbidden)) {
+        let what = if line.contains(['\r', '\n']) {
+            "bare CR or LF"
+        } else {
+            "control character"
+        };
         return Err(HttpError::new(
             400,
-            format!("bare CR or LF in the request head line {line:?}\n"),
+            format!("{what} in the request head line {line:?}\n"),
         ));
     }
     let mut lines = head.split("\r\n");
@@ -1596,9 +1604,10 @@ mod tests {
         // these lengths as 25 answers one `200`, while a proxy that reads
         // them otherwise sees a second request in the body. A line
         // without a colon is no more skippable, a bare CR or LF hides a
-        // length from a reader that keeps it in the value, and a request
-        // line off its grammar (tabs, doubled spaces, extra tokens, a
-        // version like `HTTP/1.1x`) gets no lenient reading.
+        // length from a reader that keeps it in the value, a NUL or other
+        // control byte ends the value early for a reader that stops there,
+        // and a request line off its grammar (tabs, doubled spaces, extra
+        // tokens, a version like `HTTP/1.1x`) gets no lenient reading.
         let body = "GET /healthz HTTP/1.1\r\n\r\n";
         assert_eq!(body.len(), 25);
         let get = "GET /healthz HTTP/1.1";
@@ -1609,6 +1618,9 @@ mod tests {
             (get, "bogus line\r\n", ""),
             (get, "X: a\rContent-Length: 25\r\n", body),
             (get, "X: a\nContent-Length: 25\r\n", body),
+            (get, "X: a\0b\r\n", body),
+            (get, "X: a\x01b\r\n", body),
+            (get, "X: a\x7fb\r\n", body),
             ("GET /healthz HTTP/1.1 extra tokens", "", body),
             ("GET\t/healthz\tHTTP/1.1", "", body),
             ("GET /healthz HTTP/1.1x", "", body),
@@ -1620,6 +1632,10 @@ mod tests {
             assert!(output.starts_with("HTTP/1.1 400 Bad Request"), "{output}");
             assert!(output.contains("Connection: close"), "{output}");
         }
+        // HTAB is the one control byte a field value may hold.
+        let (answers, output) = serve_bytes(format!("{get}\r\nX: a\tb\r\n\r\n{body}").as_bytes());
+        assert_eq!(answers, 2, "{output}");
+        assert!(output.starts_with("HTTP/1.1 200 OK"), "{output}");
     }
 
     #[test]
@@ -2153,14 +2169,15 @@ mod tests {
     /// it frames with `Content-Length`) or a `POST /run` (batch or
     /// `?stream=refine`) whose body is a tiny valid scenario, random bytes
     /// or nothing, its `Content-Length` sometimes repeated with the same
-    /// value. A hostile one draws its method, path, version, the spacing
-    /// of its request line (single spaces, tabs, doubled spaces or extra
-    /// tokens) and `Content-Length` (valid, too long, over the cap,
-    /// negative, signed, not a number, or repeated with a different
-    /// value) and its field line (plain, with whitespace before the
-    /// colon, or obs-folded) freely, may carry a line without a colon, a
-    /// bare CR or LF inside a field line or `Transfer-Encoding`, and may
-    /// be mutated byte by byte.
+    /// value; either may carry a field value holding a HTAB. A hostile one
+    /// draws its method, path, version, the spacing of its request line
+    /// (single spaces, tabs, doubled spaces or extra tokens) and
+    /// `Content-Length` (valid, too long, over the cap, negative, signed,
+    /// not a number, or repeated with a different value) and its field
+    /// line (plain, with whitespace before the colon, or obs-folded)
+    /// freely, may carry a line without a colon, a bare CR or LF, a NUL or
+    /// another control character inside a field line or
+    /// `Transfer-Encoding`, and may be mutated byte by byte.
     fn fuzz_request(rng: &mut StdRng) -> (Vec<u8>, bool) {
         let hostile = rng.gen_bool(0.3);
         let (method, path, version) = if hostile {
@@ -2249,6 +2266,10 @@ mod tests {
             );
         }
         if hostile && rng.gen_bool(0.1) {
+            // A value a reader that stops at the control byte cuts short.
+            head += pick(rng, &["X: a\0b\r\n", "X: a\x01b\r\n"]);
+        }
+        if hostile && rng.gen_bool(0.1) {
             head += pick(
                 rng,
                 &[
@@ -2275,6 +2296,9 @@ mod tests {
                 rng,
                 &["Accept: application/json\r\n", "Accept: text/csv\r\n"],
             );
+        }
+        if rng.gen_bool(0.1) {
+            head += "X-Note: a\tb\r\n";
         }
         head += "\r\n";
         let mut bytes = head.into_bytes();

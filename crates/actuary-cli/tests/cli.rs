@@ -312,6 +312,77 @@ fn every_subcommand_rejects_foreign_flags() {
 }
 
 #[test]
+fn integer_flags_reject_values_their_type_cannot_hold() {
+    // Counts used to be read as u64 and cast, so 2³² + 2 chiplets became
+    // 2 and 2³² systems became 0. Each value now parses at the flag's own
+    // type, and the error names the flag and the value.
+    let big = "18446744073709551616"; // 2⁶⁴: past u64 and usize
+    let cost: &[&str] = &["cost", "--node", "5nm", "--area", "800"];
+    let sweep: &[&str] = &["sweep", "--node", "5nm"];
+    let partition: &[&str] = &["partition", "--node", "5nm", "--area", "800"];
+    // `--threads` parses before the scenario file is read.
+    let run: &[&str] = &["run", "no-such.toml"];
+    let mc: &[&str] = &["mc", "--node", "7nm", "--area", "150"];
+    let sensitivity: &[&str] = &["sensitivity", "--node", "5nm", "--area", "800"];
+    // `serve` fails on its flags before it binds: an address without a
+    // port never binds, so a `serve` past its flags would fail on that.
+    let serve: &[&str] = &["serve", "--addr", "127.0.0.1"];
+    for (command, flag, value) in [
+        (cost, "--chiplets", "4294967298"),
+        (cost, "--quantity", big),
+        (sweep, "--chiplets", "4294967298"),
+        (partition, "--quantity", big),
+        (&["explore"], "--threads", big),
+        (run, "--threads", big),
+        (mc, "--chiplets", "4294967298"),
+        (mc, "--systems", "4294967296"),
+        (sensitivity, "--chiplets", "4294967297"),
+        // 2³² requests/s used to wrap to 0, which turns the limiter off.
+        (serve, "--rate-limit", "4294967296"),
+        (serve, "--max-concurrent", "-1"),
+        (serve, "--workers", big),
+        (serve, "--core-cache", big),
+    ] {
+        let args = [command, &[flag, value]].concat();
+        let out = actuary(&args);
+        assert!(!out.status.success(), "{args:?} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let message = format!("invalid {flag} {value:?}");
+        assert!(stderr.contains(&message), "{args:?}: {stderr}");
+    }
+    // Zero chiplets used to print elasticities "for 0 × inf mm²".
+    let out = actuary(&[sensitivity, &["--chiplets", "0"]].concat());
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--chiplets must be at least 1, got 0"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn a_repeated_flag_is_rejected_not_overridden() {
+    // The last value used to win: this priced 400 mm², not 800.
+    for args in [
+        &["cost", "--node", "5nm", "--area", "800", "--area", "400"][..],
+        &["repro", "--figure", "8", "--csv", "--csv"],
+        &["run", "no-such.toml", "--threads", "1", "--threads", "2"],
+        // An address without a port never binds, so a `serve` that took
+        // the last value would fail on binding it rather than run.
+        &["serve", "--addr", "127.0.0.1", "--addr", "127.0.0.1"],
+    ] {
+        let out = actuary(args);
+        assert!(!out.status.success(), "{args:?} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let flag = args.iter().rev().find(|a| a.starts_with("--")).unwrap();
+        assert!(
+            stderr.contains(&format!("flag {flag} is given more than once")),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn explore_rejects_the_retired_quantity_stride_flag() {
     let out = actuary(&["explore", "--refine", "--quantity-stride", "8"]);
     assert!(!out.status.success());

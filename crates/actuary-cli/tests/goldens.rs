@@ -4,9 +4,9 @@
 //! `Scenario::run_with` hands a stream sink must be those same files in
 //! artifact order, and fig8's JSON-lines rendering (what `actuary serve`
 //! streams for `Accept: application/json`) must equal
-//! `golden-jsonl/fig8.jsonl`. The reproduced studies are pinned the same
-//! way: `actuary repro --figure all --csv` and `actuary experiments` must
-//! print the files of `examples/studies/`.
+//! `golden-jsonl/fig8.jsonl`, the one file there. The reproduced studies
+//! are pinned the same way: `actuary repro --figure all --csv` and
+//! `actuary experiments` must print the files of `examples/studies/`.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -114,7 +114,13 @@ fn fig8_jsonl_rendering_matches_its_golden() {
     for artifact in run.artifacts() {
         jsonl.push_str(&artifact.jsonl());
     }
-    let pinned = std::fs::read_to_string(scenarios.join("golden-jsonl/fig8.jsonl")).unwrap();
+    let golden = scenarios.join("golden-jsonl");
+    assert_eq!(
+        files(&golden, "jsonl"),
+        ["fig8.jsonl"],
+        "golden-jsonl/ must hold exactly the goldens this test checks"
+    );
+    let pinned = std::fs::read_to_string(golden.join("fig8.jsonl")).unwrap();
     assert!(
         jsonl == pinned,
         "fig8's JSON-lines rendering differs from golden-jsonl/fig8.jsonl"

@@ -6,9 +6,9 @@
 //! exact dataset behind the corresponding figure from a
 //! [`TechLibrary`](actuary_tech::TechLibrary), renders it as text, and
 //! returns machine-checkable [`ShapeCheck`]s for the qualitative claims the
-//! paper's prose makes about that figure. The same datasets feed the CLI
-//! (`actuary repro --figure N`), the Criterion benches and the
-//! `EXPERIMENTS.md` record.
+//! paper's prose makes about that figure. The same datasets feed the CLI's
+//! `actuary repro --figure N` and `actuary experiments`, whose outputs
+//! are pinned byte for byte under `examples/studies/`.
 //!
 //! # Examples
 //!

@@ -1,3 +1,5 @@
-// The base layer declares one column schema; the golden CSV next to this
-// workspace has a second column nothing declares (golden-header drift).
-pub const COLUMNS: [&str; 1] = ["declared_col"];
+// NOT a violation: the base layer is the one serializer crate, so the CSV
+// row writer it defines here produces no single-serializer finding.
+pub fn write_csv_row(cells: &[&str]) -> String {
+    cells.join(",")
+}

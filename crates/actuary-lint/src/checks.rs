@@ -1,9 +1,8 @@
-//! The six named invariant checks. Each walks the lexed workspace and
+//! The five named invariant checks. Each walks the lexed workspace and
 //! pushes [`Finding`]s; inline-allow filtering happens in the runner
 //! ([`crate::run_checks`]), so every check reports unconditionally.
 
 use std::fmt;
-use std::fs;
 
 use crate::config;
 use crate::lexer::{Token, TokenKind};
@@ -16,8 +15,8 @@ pub struct Finding {
     pub check: &'static str,
     /// Workspace-relative file path.
     pub file: String,
-    /// 1-based line (line 1 for whole-file findings such as manifest or
-    /// CSV-header violations).
+    /// 1-based line (line 1 for whole-file findings such as manifest
+    /// violations).
     pub line: u32,
     /// Human-readable description of the violation.
     pub message: String,
@@ -40,7 +39,6 @@ pub const CHECK_NAMES: &[&str] = &[
     "single-serializer",
     "unit-suffix",
     "determinism",
-    "golden-header",
 ];
 
 /// Runs one named check over the workspace.
@@ -51,7 +49,6 @@ pub fn run_check(name: &str, ws: &Workspace, findings: &mut Vec<Finding>) {
         "single-serializer" => single_serializer(ws, findings),
         "unit-suffix" => unit_suffix(ws, findings),
         "determinism" => determinism(ws, findings),
-        "golden-header" => golden_header(ws, findings),
         other => unreachable!("unknown check `{other}` (CHECK_NAMES is the registry)"),
     }
 }
@@ -496,122 +493,4 @@ fn determinism(ws: &Workspace, findings: &mut Vec<Finding>) {
             }
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// golden-header
-// ---------------------------------------------------------------------
-
-/// Every column of every `examples/scenarios/golden/*.csv` header — and
-/// every column named in the meta lines of every
-/// `examples/scenarios/golden-jsonl/*.jsonl` — must appear as a string
-/// literal in production library source: a renamed schema column with a
-/// stale golden (or vice versa) fails here instead of silently shipping
-/// drifted output. The JSON-lines row objects are keyed by exactly those
-/// columns, so checking the meta line covers the row field names too.
-fn golden_header(ws: &Workspace, findings: &mut Vec<Finding>) {
-    // All string literals declared in production library code.
-    let mut declared: Vec<&str> = Vec::new();
-    for krate in &ws.crates {
-        for file in &krate.files {
-            for tok in &file.lexed.tokens {
-                if tok.kind == TokenKind::Str && is_production(file, tok) {
-                    declared.push(tok.text.as_str());
-                }
-            }
-        }
-    }
-    declared.sort_unstable();
-    let rel_of = |path: &std::path::Path| {
-        path.strip_prefix(&ws.root)
-            .unwrap_or(path)
-            .components()
-            .map(|c| c.as_os_str().to_string_lossy().into_owned())
-            .collect::<Vec<_>>()
-            .join("/")
-    };
-
-    for csv in goldens(&ws.root.join(config::GOLDEN_DIR), "csv") {
-        let rel = rel_of(&csv);
-        let Ok(text) = fs::read_to_string(&csv) else {
-            continue;
-        };
-        let Some(header) = text.lines().next() else {
-            continue;
-        };
-        for column in header.split(',') {
-            if declared.binary_search(&column).is_err() {
-                findings.push(Finding {
-                    check: "golden-header",
-                    file: rel.clone(),
-                    line: 1,
-                    message: format!(
-                        "header column `{column}` is not declared as a string \
-                         literal in any library source — the golden has drifted \
-                         from the schema (or the column needs declaring)",
-                    ),
-                });
-            }
-        }
-    }
-
-    for jsonl in goldens(&ws.root.join(config::GOLDEN_JSONL_DIR), "jsonl") {
-        let rel = rel_of(&jsonl);
-        let Ok(text) = fs::read_to_string(&jsonl) else {
-            continue;
-        };
-        for (idx, line) in text.lines().enumerate() {
-            for column in meta_columns(line) {
-                if declared.binary_search(&column).is_err() {
-                    findings.push(Finding {
-                        check: "golden-header",
-                        file: rel.clone(),
-                        line: idx as u32 + 1,
-                        message: format!(
-                            "meta-line column `{column}` is not declared as a \
-                             string literal in any library source — the JSON-lines \
-                             golden has drifted from the schema (or the column \
-                             needs declaring)",
-                        ),
-                    });
-                }
-            }
-        }
-    }
-}
-
-/// The golden files with `extension` under `dir`, sorted; empty when the
-/// directory does not exist.
-fn goldens(dir: &std::path::Path, extension: &str) -> Vec<std::path::PathBuf> {
-    let mut files: Vec<std::path::PathBuf> = match fs::read_dir(dir) {
-        Ok(rd) => rd
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|x| x == extension))
-            .collect(),
-        Err(_) => Vec::new(),
-    };
-    files.sort();
-    files
-}
-
-/// Column names from a JSON-lines artifact meta line
-/// (`{"artifact":…,"kind":…,"columns":[…]}`); empty for row lines, which
-/// carry no `columns` array.
-fn meta_columns(line: &str) -> Vec<&str> {
-    let Some(start) = line.find("\"columns\":[") else {
-        return Vec::new();
-    };
-    let rest = &line[start + "\"columns\":[".len()..];
-    let Some(end) = rest.find(']') else {
-        return Vec::new();
-    };
-    rest[..end]
-        .split(',')
-        .filter_map(|cell| {
-            cell.trim()
-                .strip_prefix('"')
-                .and_then(|c| c.strip_suffix('"'))
-        })
-        .collect()
 }

@@ -52,9 +52,9 @@ pub const PANIC_FREE_PATHS: &[&str] = &[
 
 /// Crates allowed to define CSV serialization (everything else must go
 /// through `actuary_report::Artifact`). `actuary-units` hosts the one
-/// writer (`write_csv_row`) for DAG reasons; `actuary-report` is its
-/// canonical re-export surface plus the legacy `Table::to_csv`.
-pub const SERIALIZER_CRATES: &[&str] = &["actuary-units", "actuary-report"];
+/// row writer (`write_csv_row`) behind every `Artifact`, in the base
+/// layer for DAG reasons.
+pub const SERIALIZER_CRATES: &[&str] = &["actuary-units"];
 
 /// Result-producing crates: everything whose output feeds grids, CSVs or
 /// served responses. Inside these, wall-clock time sources and
@@ -110,17 +110,6 @@ pub const UNIT_SUFFIXES: &[&str] = &[
     "_per_mm2",
     "_per_unit",
 ];
-
-/// Workspace-relative directory holding the golden CSVs whose header
-/// columns must be declared somewhere in (non-test, library) source.
-pub const GOLDEN_DIR: &str = "examples/scenarios/golden";
-
-/// Workspace-relative directory holding the golden JSON-lines artifacts
-/// (the `Accept: application/json` serving encoding); the column names in
-/// their meta lines are held to the same declared-literal rule as CSV
-/// headers. A separate directory so `diff -r` over [`GOLDEN_DIR`] in the
-/// scenario smoke test keeps comparing only what `actuary run` emits.
-pub const GOLDEN_JSONL_DIR: &str = "examples/scenarios/golden-jsonl";
 
 /// True when `rel` (workspace-relative path) is under a compat shim —
 /// compat crates mirror external APIs and are exempt from project

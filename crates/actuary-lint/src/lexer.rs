@@ -643,9 +643,9 @@ mod tests {
     #[test]
     fn allow_directives_record_line_and_scope() {
         let src =
-            "// lint:allow-file(golden-header)\nlet x = 1; // lint:allow(float-eq): exact guard\n";
+            "// lint:allow-file(unit-suffix)\nlet x = 1; // lint:allow(float-eq): exact guard\n";
         let f = lex(src);
-        assert!(f.allowed("golden-header", 40));
+        assert!(f.allowed("unit-suffix", 40));
         assert!(f.allowed("float-eq", 2));
         assert!(f.allowed("float-eq", 3), "allow covers the next line too");
         assert!(!f.allowed("float-eq", 4));

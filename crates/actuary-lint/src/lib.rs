@@ -8,16 +8,15 @@
 //! by convention. This crate makes them mechanical: a std-only binary
 //! (no dependencies, not even internal ones — the linter sits outside
 //! the DAG it enforces) that lexes every workspace source file and runs
-//! six named checks:
+//! five named checks:
 //!
 //! | check | invariant |
 //! |---|---|
 //! | `crate-dag` | `[dependencies]` point strictly downward in the layer order; every `actuary_*` reference is declared |
 //! | `no-panic` | no `unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!` outside tests in the serving path and scenario parser |
-//! | `single-serializer` | no CSV serialization defined outside `actuary-units`/`actuary-report` |
+//! | `single-serializer` | no CSV serialization defined outside `actuary-units` |
 //! | `unit-suffix` | `pub` `f64` fields and scenario float keys end in a unit suffix (`_usd`, `_mm2`, …) |
 //! | `determinism` | no `SystemTime`/`Instant` outside `actuary-obs` (bench exempt); no `HashMap`/`HashSet` or float `==` against literals in result-producing crates |
-//! | `golden-header` | every golden CSV header / JSON-lines meta column is declared in library source |
 //!
 //! A finding prints as `file:line: [check] message` and fails the run.
 //! To exempt one line, put `// lint:allow(check-name): reason` on the
@@ -66,7 +65,7 @@ pub fn run_checks(root: &Path, only: Option<&[String]>) -> io::Result<Vec<Findin
                 }
             }
         }
-        true // non-Rust findings (manifests, CSVs) have no inline allows
+        true // manifest findings have no inline allows
     });
     findings.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.check).cmp(&(b.file.as_str(), b.line, b.check))

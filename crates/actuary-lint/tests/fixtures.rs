@@ -90,6 +90,14 @@ fn single_serializer_rejects_defs_and_handrolled_rows() {
     assert_fires(&found, "single-serializer", lib, 13); // fn to_csv
     assert_fires(&found, "single-serializer", lib, 15); // "{},{}" format row
     assert_fires(&found, "single-serializer", lib, 17); // .join(",")
+
+    // The serializer crate's own row writer is exempt.
+    assert!(
+        !found
+            .iter()
+            .any(|f| f.check == "single-serializer" && f.file.starts_with("crates/actuary-units/")),
+        "actuary-units is the serializer crate: {found:#?}"
+    );
 }
 
 #[test]
@@ -147,31 +155,6 @@ fn determinism_clock_ban_spans_crates_but_spares_actuary_obs() {
         })
         .collect();
     assert!(stray.is_empty(), "clock scoping leaked: {stray:#?}");
-}
-
-#[test]
-fn golden_header_rejects_undeclared_columns() {
-    let found = violations();
-    assert_fires(
-        &found,
-        "golden-header",
-        "examples/scenarios/golden/drifted.csv",
-        1,
-    );
-    // The JSON-lines golden's meta line is held to the same rule.
-    assert_fires(
-        &found,
-        "golden-header",
-        "examples/scenarios/golden-jsonl/drifted.jsonl",
-        1,
-    );
-    // Only the phantom columns fire; declared_col is in the units crate.
-    let drift: Vec<&Finding> = found
-        .iter()
-        .filter(|f| f.check == "golden-header")
-        .collect();
-    assert_eq!(drift.len(), 2, "{drift:?}");
-    assert!(drift.iter().all(|f| f.message.contains("phantom")));
 }
 
 #[test]

@@ -45,10 +45,8 @@
 
 mod artifact;
 mod chart;
-mod csv;
 mod table;
 
 pub use artifact::{Artifact, IoSink, RowEmit};
 pub use chart::{LineChart, StackedBarChart};
-pub use csv::{csv_escape, write_csv, write_csv_row};
 pub use table::Table;

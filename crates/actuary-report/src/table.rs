@@ -2,8 +2,8 @@ use std::fmt;
 
 /// A simple text table with fixed headers and string cells.
 ///
-/// Renders as aligned plain text ([`Table::render`]), GitHub-flavoured
-/// Markdown ([`Table::to_markdown`]) or CSV ([`Table::to_csv`]).
+/// Renders as aligned plain text ([`Table::render`]) or GitHub-flavoured
+/// Markdown ([`Table::to_markdown`]); its CSV is its [`Table::artifact`].
 ///
 /// # Examples
 ///
@@ -111,13 +111,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders CSV (RFC-4180 escaping).
-    pub fn to_csv(&self) -> String {
-        let mut records: Vec<Vec<String>> = vec![self.headers.clone()];
-        records.extend(self.rows.iter().cloned());
-        crate::csv::write_csv(&records)
-    }
 }
 
 impl fmt::Display for Table {
@@ -154,14 +147,6 @@ mod tests {
         assert!(md.starts_with("| name | value |"));
         assert!(md.contains("|---|---|"));
         assert!(md.contains("| alpha | 1 |"));
-    }
-
-    #[test]
-    fn csv_roundtrip_basics() {
-        let csv = sample().to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "name,value");
-        assert_eq!(lines[1], "alpha,1");
     }
 
     #[test]

@@ -74,8 +74,9 @@ pub fn csv_escape(field: &str) -> String {
 }
 
 /// Writes one record to `out` as an RFC-4180 CSV line (`\n` terminated) —
-/// the streaming primitive behind [`write_csv`], so huge documents (a
-/// 10⁶-cell exploration grid) never materialize as one `String`.
+/// the one CSV row writer, behind every [`Artifact`](crate::Artifact), so
+/// huge documents (a 10⁶-cell exploration grid) never materialize as one
+/// `String`.
 ///
 /// # Errors
 ///
@@ -101,27 +102,6 @@ pub fn write_csv_row<W: std::fmt::Write + ?Sized, S: AsRef<str>>(
         out.write_str(&csv_escape(field.as_ref()))?;
     }
     out.write_char('\n')
-}
-
-/// Serializes records as RFC-4180 CSV text with `\n` line endings.
-///
-/// # Examples
-///
-/// ```
-/// use actuary_units::write_csv;
-///
-/// let rows = vec![
-///     vec!["a".to_string(), "b".to_string()],
-///     vec!["1".to_string(), "x,y".to_string()],
-/// ];
-/// assert_eq!(write_csv(&rows), "a,b\n1,\"x,y\"\n");
-/// ```
-pub fn write_csv(records: &[Vec<String>]) -> String {
-    let mut out = String::new();
-    for record in records {
-        write_csv_row(&mut out, record).expect("writing to a String cannot fail");
-    }
-    out
 }
 
 #[cfg(test)]

@@ -1,33 +1,14 @@
-//! Shared scaffolding for the figure-reproduction benchmarks.
-//!
-//! Every bench target regenerates one figure of the paper: it first prints
-//! the reproduced data series (the "rows the paper reports") together with
-//! the shape-claim verdicts, then times the computation under Criterion.
+//! Shared scaffolding for the performance-snapshot binaries
+//! (`bench_json`, `bench_serve`) and their trend gate (`bench_gate`).
 
 #![forbid(unsafe_code)]
 
-use actuary_figures::ShapeCheck;
 use actuary_tech::TechLibrary;
 
 /// Builds the default library, panicking with a clear message on failure
-/// (benches have no error channel).
+/// (the snapshot binaries have no error channel).
 pub fn library() -> TechLibrary {
     TechLibrary::paper_defaults().expect("paper defaults must construct")
-}
-
-/// Prints a figure's reproduced output and its shape-claim verdicts once,
-/// before the timing loop starts.
-pub fn announce(figure: &str, rendered: &str, checks: &[ShapeCheck]) {
-    println!("==================================================================");
-    println!("reproduction of paper {figure}");
-    println!("==================================================================");
-    println!("{rendered}");
-    println!("shape claims vs the paper:");
-    for check in checks {
-        println!("  {check}");
-    }
-    let passed = checks.iter().filter(|c| c.pass).count();
-    println!("{passed}/{} claims hold\n", checks.len());
 }
 
 #[cfg(test)]
@@ -37,14 +18,5 @@ mod tests {
     #[test]
     fn library_builds() {
         assert_eq!(library().node_count(), 7);
-    }
-
-    #[test]
-    fn announce_does_not_panic() {
-        announce(
-            "Figure 0",
-            "rendered",
-            &[ShapeCheck::new("claim", "expected", "measured", true)],
-        );
     }
 }
