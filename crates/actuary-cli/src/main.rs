@@ -27,6 +27,7 @@
 mod server;
 
 use std::collections::BTreeMap;
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 use actuary_arch::{partition::equal_chiplets, Portfolio, System};
@@ -45,14 +46,45 @@ fn main() -> ExitCode {
     // `actuary serve` re-initializes from its own flags.
     actuary_obs::log::init_from_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(message) => {
-            eprintln!("error: {message}");
-            eprintln!();
-            eprintln!("{}", usage());
-            ExitCode::FAILURE
-        }
+    // Every line of stdout goes through this one locked, buffered writer.
+    let mut out = io::BufWriter::new(io::stdout().lock());
+    let message = match run(&args, &mut out).and_then(|()| out.flush().map_err(Stop::Output)) {
+        Ok(()) => return ExitCode::SUCCESS,
+        // The reader closed the pipe (`actuary explore --csv | head -1`):
+        // it has every line it wanted.
+        Err(Stop::Output(e)) if e.kind() == io::ErrorKind::BrokenPipe => return ExitCode::SUCCESS,
+        Err(Stop::Output(e)) => format!("writing stdout failed: {e}"),
+        Err(Stop::Error(message)) => message,
+    };
+    let _ = out.flush();
+    // A closed stderr leaves nobody to tell.
+    let _ = writeln!(io::stderr().lock(), "error: {message}\n\n{}", usage());
+    ExitCode::FAILURE
+}
+
+/// Why a command stopped early.
+enum Stop {
+    /// A usage or model error, reported with the usage text.
+    Error(String),
+    /// Writing stdout failed.
+    Output(io::Error),
+}
+
+impl From<String> for Stop {
+    fn from(message: String) -> Self {
+        Stop::Error(message)
+    }
+}
+
+impl From<&str> for Stop {
+    fn from(message: &str) -> Self {
+        Stop::Error(message.to_string())
+    }
+}
+
+impl From<io::Error> for Stop {
+    fn from(e: io::Error) -> Self {
+        Stop::Output(e)
     }
 }
 
@@ -111,12 +143,15 @@ fn usage() -> &'static str {
      not ignored"
 }
 
+/// A command's parsed `--key value` flags.
+type Flags = BTreeMap<String, String>;
+
 /// Flags that take no value (present = true).
 const BOOLEAN_FLAGS: [&str; 4] = ["csv", "flow-axis", "package-reuse", "refine"];
 
 /// Parses `--key value` pairs after the subcommand. A flag given twice is
 /// an error, not a silent override by the last value.
-fn parse_flags(args: &[String]) -> Result<BTreeMap<String, String>, String> {
+fn parse_flags(args: &[String]) -> Result<Flags, String> {
     let mut flags = BTreeMap::new();
     let mut i = 0;
     while i < args.len() {
@@ -150,7 +185,7 @@ fn parse_flow(s: &str) -> Result<AssemblyFlow, String> {
 /// The value of `--key` parsed as `T`, or `None` when the flag is absent.
 /// A value `T` cannot hold, out of range included, is an error naming
 /// the flag and the value, never a wrapped number.
-fn flag<T>(flags: &BTreeMap<String, String>, key: &str) -> Result<Option<T>, String>
+fn flag<T>(flags: &Flags, key: &str) -> Result<Option<T>, String>
 where
     T: std::str::FromStr,
     T::Err: std::fmt::Display,
@@ -164,38 +199,38 @@ where
         .transpose()
 }
 
-fn run(args: &[String]) -> Result<(), String> {
+fn run(args: &[String], out: &mut dyn Write) -> Result<(), Stop> {
     let Some(command) = args.first() else {
-        return Err("no command given".to_string());
+        return Err("no command given".into());
     };
     // Honor help/version anywhere on the line (so `actuary repro --help`
     // shows usage instead of a flag-parse error).
     if command == "help" || args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{}", usage());
+        writeln!(out, "{}", usage())?;
         return Ok(());
     }
     if args.iter().any(|a| a == "--version" || a == "-V") {
-        println!("actuary {}", env!("CARGO_PKG_VERSION"));
+        writeln!(out, "actuary {}", env!("CARGO_PKG_VERSION"))?;
         return Ok(());
     }
     // `run` takes a positional scenario path and builds its own technology
     // library from the file (`extends` overlay), so it dispatches before
     // the table-driven subcommands below.
     if command == "run" {
-        return cmd_run(&args[1..]);
+        return cmd_run(&args[1..], out);
     }
     // `serve` never builds the preset library up front either: every
     // request carries its own scenario (with its own `extends` overlay).
     if command == "serve" {
-        return cmd_serve(&args[1..]);
+        return cmd_serve(&args[1..], out);
     }
     // Every subcommand declares the flags it accepts alongside its
     // handler; anything else is rejected instead of silently ignored (a
     // misspelled `--quanttiy` used to fall back to the default quantity
     // and print a wrong answer).
-    type Handler = fn(&TechLibrary, &BTreeMap<String, String>) -> Result<(), String>;
+    type Handler = fn(&TechLibrary, &Flags, &mut dyn Write) -> Result<(), Stop>;
     let (accepted, handler): (&[&str], Handler) = match command.as_str() {
-        "list" => (&[], |lib, _| cmd_list(lib)),
+        "list" => (&[], |lib, _, out| cmd_list(lib, out)),
         "yield" => (&["node", "area"], cmd_yield),
         "cost" => (
             &[
@@ -236,23 +271,19 @@ fn run(args: &[String]) -> Result<(), String> {
             cmd_mc,
         ),
         "repro" => (&["figure", "csv"], cmd_repro),
-        "experiments" => (&[], |lib, _| cmd_experiments(lib)),
+        "experiments" => (&[], |lib, _, out| cmd_experiments(lib, out)),
         "sensitivity" => (&["node", "area", "chiplets"], cmd_sensitivity),
-        other => return Err(format!("unknown command {other:?}")),
+        other => return Err(format!("unknown command {other:?}").into()),
     };
     let flags = parse_flags(&args[1..])?;
     reject_unknown_flags(command, &flags, accepted)?;
     let lib = TechLibrary::paper_defaults().map_err(|e| e.to_string())?;
-    handler(&lib, &flags)
+    handler(&lib, &flags, out)
 }
 
 /// Fails with the command's accepted flag list when any parsed flag is not
 /// on it.
-fn reject_unknown_flags(
-    command: &str,
-    flags: &BTreeMap<String, String>,
-    accepted: &[&str],
-) -> Result<(), String> {
+fn reject_unknown_flags(command: &str, flags: &Flags, accepted: &[&str]) -> Result<(), String> {
     for key in flags.keys() {
         if !accepted.contains(&key.as_str()) {
             let listing = if accepted.is_empty() {
@@ -272,8 +303,8 @@ fn reject_unknown_flags(
     Ok(())
 }
 
-fn cmd_list(lib: &TechLibrary) -> Result<(), String> {
-    println!("{lib}");
+fn cmd_list(lib: &TechLibrary, out: &mut dyn Write) -> Result<(), Stop> {
+    writeln!(out, "{lib}")?;
     let mut table = actuary_report::Table::new(vec![
         "node",
         "defect /cm²",
@@ -292,29 +323,31 @@ fn cmd_list(lib: &TechLibrary) -> Result<(), String> {
             node.nre().mask_set.to_string(),
         ]);
     }
-    println!("{table}");
+    writeln!(out, "{table}")?;
     for p in lib.packagings() {
         match p.interposer() {
-            Some(ip) => println!(
+            Some(ip) => writeln!(
+                out,
                 "{}: bond yield {}, attach {}, interposer {}",
                 p.kind(),
                 p.chip_bond_yield(),
                 p.substrate_attach_yield(),
                 ip
-            ),
-            None => println!(
+            )?,
+            None => writeln!(
+                out,
                 "{}: bond yield {}, substrate {} per mm² (layer factor {})",
                 p.kind(),
                 p.chip_bond_yield(),
                 p.substrate_cost_per_mm2(),
                 p.substrate_layer_factor()
-            ),
+            )?,
         }
     }
     Ok(())
 }
 
-fn cmd_yield(lib: &TechLibrary, flags: &BTreeMap<String, String>) -> Result<(), String> {
+fn cmd_yield(lib: &TechLibrary, flags: &Flags, out: &mut dyn Write) -> Result<(), Stop> {
     let node_id = flags.get("node").ok_or("missing required flag --node")?;
     let area_mm2: f64 = flag(flags, "area")?.ok_or("missing required flag --area")?;
     let node = lib.node(node_id).map_err(|e| e.to_string())?;
@@ -326,11 +359,11 @@ fn cmd_yield(lib: &TechLibrary, flags: &BTreeMap<String, String>) -> Result<(), 
         .map_err(|e| e.to_string())?;
     let raw = node.raw_die_cost(area).map_err(|e| e.to_string())?;
     let yielded = node.yielded_die_cost(area).map_err(|e| e.to_string())?;
-    println!("node {node} | die {area}");
-    println!("yield (Eq. 1):      {y}");
-    println!("dies per wafer:     {dpw:.1}");
-    println!("raw die cost:       {raw}");
-    println!("cost per good die:  {yielded}");
+    writeln!(out, "node {node} | die {area}")?;
+    writeln!(out, "yield (Eq. 1):      {y}")?;
+    writeln!(out, "dies per wafer:     {dpw:.1}")?;
+    writeln!(out, "raw die cost:       {raw}")?;
+    writeln!(out, "cost per good die:  {yielded}")?;
     Ok(())
 }
 
@@ -350,7 +383,7 @@ fn build_single_system(
     builder.build().map_err(|e| e.to_string())
 }
 
-fn cmd_cost(lib: &TechLibrary, flags: &BTreeMap<String, String>) -> Result<(), String> {
+fn cmd_cost(lib: &TechLibrary, flags: &Flags, out: &mut dyn Write) -> Result<(), Stop> {
     let node = flags.get("node").ok_or("missing required flag --node")?;
     let area: f64 = flag(flags, "area")?.ok_or("missing required flag --area")?;
     let chiplets: u32 = flag(flags, "chiplets")?.unwrap_or(1);
@@ -372,30 +405,37 @@ fn cmd_cost(lib: &TechLibrary, flags: &BTreeMap<String, String>) -> Result<(), S
         .map_err(|e| e.to_string())?;
     let sc = &cost.systems()[0];
 
-    println!(
+    writeln!(
+        out,
         "{chiplets} × {:.1} mm² modules at {node} on {integration}, {} units, {flow}",
         area / chiplets as f64,
         Quantity::new(quantity)
-    );
-    println!("\nRE cost per unit (Eq. 4/5):");
+    )?;
+    writeln!(out, "\nRE cost per unit (Eq. 4/5):")?;
     for (label, money) in re.components() {
-        println!("  {label:<26} {money}");
+        writeln!(out, "  {label:<26} {money}")?;
     }
-    println!("  {:<26} {}", "TOTAL RE", re.total());
-    println!("\nNRE amortized per unit (Eq. 6-8):");
+    writeln!(out, "  {:<26} {}", "TOTAL RE", re.total())?;
+    writeln!(out, "\nNRE amortized per unit (Eq. 6-8):")?;
     for (label, money) in sc.nre_per_unit().components() {
-        println!("  {label:<26} {money}");
+        writeln!(out, "  {label:<26} {money}")?;
     }
-    println!("  {:<26} {}", "TOTAL NRE/unit", sc.nre_per_unit().total());
-    println!(
+    writeln!(
+        out,
+        "  {:<26} {}",
+        "TOTAL NRE/unit",
+        sc.nre_per_unit().total()
+    )?;
+    writeln!(
+        out,
         "\nper-unit total: {} (RE share {:.0}%)",
         sc.per_unit_total(),
         sc.re_share() * 100.0
-    );
+    )?;
     Ok(())
 }
 
-fn cmd_sweep(lib: &TechLibrary, flags: &BTreeMap<String, String>) -> Result<(), String> {
+fn cmd_sweep(lib: &TechLibrary, flags: &Flags, out: &mut dyn Write) -> Result<(), Stop> {
     let node_id = flags.get("node").ok_or("missing required flag --node")?;
     let chiplets: u32 = flag(flags, "chiplets")?.unwrap_or(2);
     let integration = match flags.get("integration") {
@@ -408,12 +448,14 @@ fn cmd_sweep(lib: &TechLibrary, flags: &BTreeMap<String, String>) -> Result<(), 
         return Err(format!(
             "--integration must be a multi-chip kind (mcm|info|2.5d), got {integration}: the \
              table already compares against the SoC"
-        ));
+        )
+        .into());
     }
     if chiplets < 2 {
         return Err(format!(
             "--chiplets must be at least 2, got {chiplets} (a single die has no D2D interface)"
-        ));
+        )
+        .into());
     }
     let node = lib.node(node_id).map_err(|e| e.to_string())?;
     let re = |kind: IntegrationKind, area: Area| -> Result<actuary_units::Money, String> {
@@ -441,11 +483,11 @@ fn cmd_sweep(lib: &TechLibrary, flags: &BTreeMap<String, String>) -> Result<(), 
             format!("{:+.1}%", saving * 100.0),
         ]);
     }
-    println!("{table}");
+    writeln!(out, "{table}")?;
     Ok(())
 }
 
-fn cmd_partition(lib: &TechLibrary, flags: &BTreeMap<String, String>) -> Result<(), String> {
+fn cmd_partition(lib: &TechLibrary, flags: &Flags, out: &mut dyn Write) -> Result<(), Stop> {
     let node = flags.get("node").ok_or("missing required flag --node")?;
     let area: f64 = flag(flags, "area")?.ok_or("missing required flag --area")?;
     let quantity: u64 = flag(flags, "quantity")?.unwrap_or(1_000_000);
@@ -457,7 +499,7 @@ fn cmd_partition(lib: &TechLibrary, flags: &BTreeMap<String, String>) -> Result<
         &SearchSpace::default(),
     )
     .map_err(|e| e.to_string())?;
-    println!("{rec}\n");
+    writeln!(out, "{rec}\n")?;
     let mut table =
         actuary_report::Table::new(vec!["integration", "chiplets", "per-unit", "RE only"]);
     for c in &rec.candidates {
@@ -468,7 +510,7 @@ fn cmd_partition(lib: &TechLibrary, flags: &BTreeMap<String, String>) -> Result<
             c.re_per_unit.to_string(),
         ]);
     }
-    println!("{table}");
+    writeln!(out, "{table}")?;
     Ok(())
 }
 
@@ -494,29 +536,36 @@ fn parse_scheme(s: &str) -> Result<ReuseScheme, String> {
     s.parse()
 }
 
-/// Streams `write` into `path` through the library's
-/// [`actuary_report::IoSink`] adapter, translating the sink's io error.
+/// Streams `write` into `w` through the library's
+/// [`actuary_report::IoSink`] adapter, handing back the io error that
+/// stopped it.
+fn stream_to<W: Write>(
+    w: W,
+    write: impl FnOnce(&mut dyn std::fmt::Write) -> std::fmt::Result,
+) -> io::Result<W> {
+    let mut sink = actuary_report::IoSink::new(w);
+    match write(&mut sink) {
+        Ok(()) => Ok(sink.into_inner()),
+        Err(_) => Err(sink
+            .take_error()
+            .unwrap_or_else(|| io::Error::other("formatting error"))),
+    }
+}
+
+/// [`stream_to`] a new file at `path`, naming the path in any error.
 fn stream_to_file(
     path: &str,
     write: impl FnOnce(&mut dyn std::fmt::Write) -> std::fmt::Result,
 ) -> Result<(), String> {
     let file = std::fs::File::create(path).map_err(|e| format!("cannot create {path:?}: {e}"))?;
-    let mut sink = actuary_report::IoSink::new(std::io::BufWriter::new(file));
-    write(&mut sink).map_err(|_| {
-        let cause = sink
-            .take_error()
-            .map(|e| e.to_string())
-            .unwrap_or_else(|| "formatting error".to_string());
-        format!("writing {path:?} failed: {cause}")
-    })?;
-    use std::io::Write as _;
-    sink.into_inner()
+    stream_to(io::BufWriter::new(file), write)
+        .map_err(|e| format!("writing {path:?} failed: {e}"))?
         .flush()
         .map_err(|e| format!("flushing {path:?} failed: {e}"))
 }
 
 /// `actuary serve`: parse the flags and hand off to the HTTP server.
-fn cmd_serve(args: &[String]) -> Result<(), String> {
+fn cmd_serve(args: &[String], out: &mut dyn Write) -> Result<(), Stop> {
     let flags = parse_flags(args)?;
     reject_unknown_flags(
         "serve",
@@ -559,12 +608,14 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         },
     };
     if options.workers == 0 {
-        return Err("--workers must be at least 1".to_string());
+        return Err("--workers must be at least 1".into());
     }
-    server::serve(&options)
+    server::serve(&options, out).map_err(Stop::Error)?;
+    writeln!(out, "actuary serve: drained in-flight requests, exiting")?;
+    Ok(())
 }
 
-fn cmd_explore(lib: &TechLibrary, flags: &BTreeMap<String, String>) -> Result<(), String> {
+fn cmd_explore(lib: &TechLibrary, flags: &Flags, out: &mut dyn Write) -> Result<(), Stop> {
     let mut space = PortfolioSpace {
         flows: vec![AssemblyFlow::ChipLast],
         schemes: vec![ReuseScheme::None],
@@ -591,7 +642,8 @@ fn cmd_explore(lib: &TechLibrary, flags: &BTreeMap<String, String>) -> Result<()
                 return Err(format!(
                     "--quantities must be strictly increasing ({} follows {})",
                     pair[1], pair[0]
-                ));
+                )
+                .into());
             }
         }
     }
@@ -605,10 +657,10 @@ fn cmd_explore(lib: &TechLibrary, flags: &BTreeMap<String, String>) -> Result<()
         })?;
     }
     if flags.contains_key("flow") && flags.contains_key("flow-axis") {
-        return Err("choose --flow FLOW or --flow-axis, not both".to_string());
+        return Err("choose --flow FLOW or --flow-axis, not both".into());
     }
     if flags.contains_key("csv") && flags.contains_key("out") {
-        return Err("choose --csv (stdout) or --out FILE, not both".to_string());
+        return Err("choose --csv (stdout) or --out FILE, not both".into());
     }
     if let Some(raw) = flags.get("flow") {
         space.flows = vec![parse_flow(raw)?];
@@ -646,14 +698,10 @@ fn cmd_explore(lib: &TechLibrary, flags: &BTreeMap<String, String>) -> Result<()
     // on a grid that never builds that scheme would silently drop the axis
     // (the reject-don't-ignore rule applies to flag *combinations* too).
     if flags.contains_key("fsmc-situations") && !space.schemes.contains(&ReuseScheme::Fsmc) {
-        return Err(
-            "--fsmc-situations grids the fsmc scheme; add --schemes fsmc (or all)".to_string(),
-        );
+        return Err("--fsmc-situations grids the fsmc scheme; add --schemes fsmc (or all)".into());
     }
     if flags.contains_key("ocme-centers") && !space.schemes.contains(&ReuseScheme::Ocme) {
-        return Err(
-            "--ocme-centers grids the ocme scheme; add --schemes ocme (or all)".to_string(),
-        );
+        return Err("--ocme-centers grids the ocme scheme; add --schemes ocme (or all)".into());
     }
     if flags.contains_key("package-reuse")
         && !space
@@ -663,7 +711,7 @@ fn cmd_explore(lib: &TechLibrary, flags: &BTreeMap<String, String>) -> Result<()
     {
         return Err(
             "--package-reuse affects only the scms/ocme families; add --schemes scms,ocme (or all)"
-                .to_string(),
+                .into(),
         );
     }
     let threads: usize = flag(flags, "threads")?.unwrap_or(0);
@@ -690,7 +738,7 @@ fn cmd_explore(lib: &TechLibrary, flags: &BTreeMap<String, String>) -> Result<()
         })?;
         // No point count in the message: counting would recompute every
         // scheme's front the artifact write just streamed.
-        println!("wrote the program-Pareto front to {path}");
+        writeln!(out, "wrote the program-Pareto front to {path}")?;
     }
     if let Some(path) = flags.get("out") {
         stream_to_file(path, |sink| {
@@ -699,17 +747,25 @@ fn cmd_explore(lib: &TechLibrary, flags: &BTreeMap<String, String>) -> Result<()
                 .without_columns(dropped)
                 .write_csv_to(sink)
         })?;
-        println!("wrote {} grid cells to {path}", result.len());
+        writeln!(out, "wrote {} grid cells to {path}", result.len())?;
         return Ok(());
     }
     if flags.contains_key("csv") {
-        print!("{}", result.grid_artifact().without_columns(dropped).csv());
+        stream_to(out, |sink| {
+            result
+                .grid_artifact()
+                .without_columns(dropped)
+                .write_csv_to(sink)
+        })?;
         return Ok(());
     }
 
-    println!("explored {result}\n");
+    writeln!(out, "explored {result}\n")?;
     for &scheme in &result.space().schemes {
-        println!("[{scheme}] cheapest configuration per (node, area, quantity):");
+        writeln!(
+            out,
+            "[{scheme}] cheapest configuration per (node, area, quantity):"
+        )?;
         let mut winners = actuary_report::Table::new(vec![
             "node",
             "area_mm2",
@@ -746,15 +802,17 @@ fn cmd_explore(lib: &TechLibrary, flags: &BTreeMap<String, String>) -> Result<()
                 w.saving_vs_soc_display().unwrap_or_else(|| "-".to_string()),
             ]);
         }
-        println!("{winners}");
+        writeln!(out, "{winners}")?;
         let front = result.pareto_front(scheme);
-        println!(
+        writeln!(
+            out,
             "[{scheme}] Pareto front over (per-unit cost, chiplet count): {} point(s)",
             front.len()
-        );
+        )?;
         for cell in front {
             let c = cell.outcome.candidate().expect("Pareto cells are feasible");
-            println!(
+            writeln!(
+                out,
                 "  {} at {} chiplet(s): {} / {:.0} mm2 / {} units, {} ({})",
                 c.per_unit,
                 cell.chiplets,
@@ -763,11 +821,14 @@ fn cmd_explore(lib: &TechLibrary, flags: &BTreeMap<String, String>) -> Result<()
                 Quantity::new(cell.quantity),
                 cell.integration,
                 cell.flow,
-            );
+            )?;
         }
-        println!();
+        writeln!(out)?;
     }
-    println!("(re-run with --csv or --out FILE for the full machine-readable grid)");
+    writeln!(
+        out,
+        "(re-run with --csv or --out FILE for the full machine-readable grid)"
+    )?;
     Ok(())
 }
 
@@ -779,7 +840,7 @@ const SINGLE_SYSTEM_DROPPED: [&str; 3] = ["scheme", "scheme_params", "flow"];
 
 /// `actuary run <scenario.toml>`: parse, lower and execute a declarative
 /// scenario file through the scenario subsystem.
-fn cmd_run(args: &[String]) -> Result<(), String> {
+fn cmd_run(args: &[String], out: &mut dyn Write) -> Result<(), Stop> {
     // Split the positional scenario path from the `--key value` flags.
     let mut path: Option<&str> = None;
     let mut flag_args: Vec<String> = Vec::new();
@@ -799,14 +860,14 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             path = Some(arg);
             i += 1;
         } else {
-            return Err(format!("unexpected extra argument {arg:?} for `run`"));
+            return Err(format!("unexpected extra argument {arg:?} for `run`").into());
         }
     }
     let path = path.ok_or("`run` needs a scenario file: actuary run SCENARIO.toml")?;
     let flags = parse_flags(&flag_args)?;
     reject_unknown_flags("run", &flags, &["threads", "out-dir", "csv"])?;
     if flags.contains_key("csv") && flags.contains_key("out-dir") {
-        return Err("choose --csv (stdout) or --out-dir DIR, not both".to_string());
+        return Err("choose --csv (stdout) or --out-dir DIR, not both".into());
     }
     let threads: usize = flag(&flags, "threads")?.unwrap_or(0);
 
@@ -816,39 +877,40 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let run = scenario.run(threads).map_err(|e| e.to_string())?;
 
     if let Some(dir) = flags.get("out-dir") {
-        return write_run_outputs(&run, dir);
+        return write_run_outputs(&run, dir, out);
     }
     if flags.contains_key("csv") {
         // One concatenated stream, artifact by artifact — the same bytes
         // `actuary serve` chunk-streams back over HTTP.
         for artifact in run.artifacts() {
-            print!("{}", artifact.csv());
+            stream_to(&mut *out, |sink| artifact.write_csv_to(sink))?;
         }
         return Ok(());
     }
 
-    println!(
+    writeln!(
+        out,
         "scenario `{}`: {} job(s) on {}",
         scenario.name,
         scenario.jobs.len(),
         scenario.library
-    );
+    )?;
     if let Some(description) = &scenario.description {
-        println!("{description}");
+        writeln!(out, "{description}")?;
     }
     // `last_job` is an Option so the very first row always opens a group,
     // whatever the job is named.
     let mut last_job: Option<&str> = None;
     let mut table: Option<actuary_report::Table> = None;
-    let flush = |table: &mut Option<actuary_report::Table>| {
-        if let Some(t) = table.take() {
-            println!("{t}");
-        }
+    let flush = |out: &mut dyn Write, table: &mut Option<actuary_report::Table>| match table.take()
+    {
+        Some(t) => writeln!(out, "{t}"),
+        None => Ok(()),
     };
     for row in &run.cost_rows {
         if last_job != Some(&row.job) {
-            flush(&mut table);
-            println!("\n[{}] per-system cost breakdown ($/unit):", row.job);
+            flush(out, &mut table)?;
+            writeln!(out, "\n[{}] per-system cost breakdown ($/unit):", row.job)?;
             table = Some(actuary_report::Table::new(vec![
                 "system", "quantity", "RE", "RE pkg", "NRE mod", "NRE chip", "NRE pkg", "NRE D2D",
                 "total",
@@ -869,13 +931,13 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             ]);
         }
     }
-    flush(&mut table);
+    flush(out, &mut table)?;
     let mut last_job: Option<&str> = None;
     let mut table: Option<actuary_report::Table> = None;
     for row in &run.yield_rows {
         if last_job != Some(&row.job) {
-            flush(&mut table);
-            println!("\n[{}] yield and cost per area:", row.job);
+            flush(out, &mut table)?;
+            writeln!(out, "\n[{}] yield and cost per area:", row.job)?;
             table = Some(actuary_report::Table::new(vec![
                 "tech",
                 "area_mm2",
@@ -897,12 +959,13 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             ]);
         }
     }
-    flush(&mut table);
+    flush(out, &mut table)?;
     for sweep in &run.sweeps {
-        println!(
+        writeln!(
+            out,
             "\n[{}] per-unit RE cost over the area grid ($):",
             sweep.name
-        );
+        )?;
         let mut headers = vec![sweep.sweep.x_label().to_string()];
         headers.extend(sweep.sweep.series().iter().cloned());
         let mut table = actuary_report::Table::new(headers);
@@ -911,13 +974,16 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             row.extend(p.values.iter().map(|v| format!("{v:.2}")));
             table.push_row(row);
         }
-        println!("{table}");
+        writeln!(out, "{table}")?;
     }
     for explore in &run.explores {
-        println!("\n[{}] explored {}", explore.name, explore.result);
+        writeln!(out, "\n[{}] explored {}", explore.name, explore.result)?;
     }
     if !run.explores.is_empty() || !run.sweeps.is_empty() {
-        println!("(re-run with --out-dir DIR or --csv for the machine-readable artifacts)");
+        writeln!(
+            out,
+            "(re-run with --out-dir DIR or --csv for the machine-readable artifacts)"
+        )?;
     }
     Ok(())
 }
@@ -927,7 +993,11 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 /// `<scenario>-<job>-grid.csv`, `<scenario>-<job>-winners.csv`,
 /// `<scenario>-<job>-sweep.csv`, … exactly the artifact stream, one file
 /// each.
-fn write_run_outputs(run: &actuary_scenario::ScenarioRun, dir: &str) -> Result<(), String> {
+fn write_run_outputs(
+    run: &actuary_scenario::ScenarioRun,
+    dir: &str,
+    out: &mut dyn Write,
+) -> Result<(), Stop> {
     std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {dir:?}: {e}"))?;
     for artifact in run.artifacts() {
         let path = format!(
@@ -938,12 +1008,12 @@ fn write_run_outputs(run: &actuary_scenario::ScenarioRun, dir: &str) -> Result<(
         );
         let kind = artifact.kind();
         stream_to_file(&path, |sink| artifact.write_csv_to(sink))?;
-        println!("wrote {kind} artifact to {path}");
+        writeln!(out, "wrote {kind} artifact to {path}")?;
     }
     Ok(())
 }
 
-fn cmd_mc(lib: &TechLibrary, flags: &BTreeMap<String, String>) -> Result<(), String> {
+fn cmd_mc(lib: &TechLibrary, flags: &Flags, out: &mut dyn Write) -> Result<(), Stop> {
     let node = flags.get("node").ok_or("missing required flag --node")?;
     let area: f64 = flag(flags, "area")?.ok_or("missing required flag --area")?;
     let chiplets: u32 = flag(flags, "chiplets")?.unwrap_or(2);
@@ -965,26 +1035,28 @@ fn cmd_mc(lib: &TechLibrary, flags: &BTreeMap<String, String>) -> Result<(), Str
     };
     let result =
         simulate_system(&system, lib, AssemblyFlow::ChipLast, &cfg).map_err(|e| e.to_string())?;
-    println!("analytic expected cost: {analytic}");
-    println!("monte-carlo:            {result}");
-    println!(
+    writeln!(out, "analytic expected cost: {analytic}")?;
+    writeln!(out, "monte-carlo:            {result}")?;
+    writeln!(
+        out,
         "dies consumed {} | substrates {} | interposers {}",
         result.dies_consumed(),
         result.substrates_consumed(),
         result.interposers_consumed()
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "agreement within 4 standard errors: {}",
         if result.agrees_with(analytic, 4.0) {
             "yes"
         } else {
             "NO"
         }
-    );
+    )?;
     Ok(())
 }
 
-fn cmd_repro(lib: &TechLibrary, flags: &BTreeMap<String, String>) -> Result<(), String> {
+fn cmd_repro(lib: &TechLibrary, flags: &Flags, out: &mut dyn Write) -> Result<(), Stop> {
     let figure = flags
         .get("figure")
         .ok_or("missing required flag --figure")?;
@@ -995,35 +1067,35 @@ fn cmd_repro(lib: &TechLibrary, flags: &BTreeMap<String, String>) -> Result<(), 
     if selected.is_empty() {
         let mut keys: Vec<&str> = STUDIES.iter().map(|study| study.key).collect();
         keys.dedup();
-        return Err(format!(
-            "unknown figure {figure:?} ({}|all)",
-            keys.join("|")
-        ));
+        return Err(format!("unknown figure {figure:?} ({}|all)", keys.join("|")).into());
     }
     let mut all_checks = Vec::new();
     for study in selected {
         let (table, text, checks) = (study.compute)(lib).map_err(|e| e.to_string())?;
         if csv {
-            print!("{}", table.artifact(study.key).csv());
+            stream_to(&mut *out, |sink| {
+                table.artifact(study.key).write_csv_to(sink)
+            })?;
         } else {
-            println!("{text}");
+            writeln!(out, "{text}")?;
         }
         all_checks.extend(checks);
     }
     if !csv {
-        println!("shape claims vs the paper:");
+        writeln!(out, "shape claims vs the paper:")?;
         let mut failed = 0;
         for check in &all_checks {
-            println!("  {check}");
+            writeln!(out, "  {check}")?;
             if !check.pass {
                 failed += 1;
             }
         }
-        println!(
+        writeln!(
+            out,
             "\n{} of {} claims hold",
             all_checks.len() - failed,
             all_checks.len()
-        );
+        )?;
     }
     Ok(())
 }
@@ -1031,7 +1103,7 @@ fn cmd_repro(lib: &TechLibrary, flags: &BTreeMap<String, String>) -> Result<(), 
 /// Prints cost elasticities d(ln cost)/d(ln param) for the key model
 /// parameters of one system — which inputs the user should source most
 /// carefully (§4: "include the latest relevant data").
-fn cmd_sensitivity(lib: &TechLibrary, flags: &BTreeMap<String, String>) -> Result<(), String> {
+fn cmd_sensitivity(lib: &TechLibrary, flags: &Flags, out: &mut dyn Write) -> Result<(), Stop> {
     let node_id = flags
         .get("node")
         .ok_or("missing required flag --node")?
@@ -1039,7 +1111,7 @@ fn cmd_sensitivity(lib: &TechLibrary, flags: &BTreeMap<String, String>) -> Resul
     let area_mm2: f64 = flag(flags, "area")?.ok_or("missing required flag --area")?;
     let chiplets: u32 = flag(flags, "chiplets")?.unwrap_or(2);
     if chiplets == 0 {
-        return Err("--chiplets must be at least 1, got 0".to_string());
+        return Err("--chiplets must be at least 1, got 0".into());
     }
     let integration = if chiplets > 1 {
         IntegrationKind::Mcm
@@ -1086,10 +1158,11 @@ fn cmd_sensitivity(lib: &TechLibrary, flags: &BTreeMap<String, String>) -> Resul
     )
     .map_err(|e| e.to_string())?;
 
-    println!(
+    writeln!(
+        out,
         "RE-cost elasticities for {chiplets} × {:.1} mm² at {node_id} on {integration}:",
         area_mm2 / chiplets as f64
-    );
+    )?;
     let mut table = actuary_report::Table::new(vec!["parameter", "base value", "elasticity"]);
     for s in sensitivities {
         table.push_row(vec![
@@ -1098,38 +1171,42 @@ fn cmd_sensitivity(lib: &TechLibrary, flags: &BTreeMap<String, String>) -> Resul
             format!("{:+.3}", s.elasticity),
         ]);
     }
-    println!("{table}");
-    println!("(an elasticity of e means +1% in the parameter moves cost by about e%)");
+    writeln!(out, "{table}")?;
+    writeln!(
+        out,
+        "(an elasticity of e means +1% in the parameter moves cost by about e%)"
+    )?;
     Ok(())
 }
 
 /// Emits the paper-vs-measured Markdown record behind `EXPERIMENTS.md`:
 /// for every study, every qualitative claim of the paper's prose with the
 /// value this reproduction measures.
-fn cmd_experiments(lib: &TechLibrary) -> Result<(), String> {
+fn cmd_experiments(lib: &TechLibrary, out: &mut dyn Write) -> Result<(), Stop> {
     let mut total = 0usize;
     let mut passed = 0usize;
     for study in &STUDIES {
         let (_, _, checks) = (study.compute)(lib).map_err(|e| e.to_string())?;
-        println!("## {} — {}\n", study.heading, study.description);
-        println!("| paper claim | paper value | measured | verdict |");
-        println!("|---|---|---|---|");
+        writeln!(out, "## {} — {}\n", study.heading, study.description)?;
+        writeln!(out, "| paper claim | paper value | measured | verdict |")?;
+        writeln!(out, "|---|---|---|---|")?;
         for c in &checks {
-            println!(
+            writeln!(
+                out,
                 "| {} | {} | {} | {} |",
                 c.claim,
                 c.expected,
                 c.measured,
                 if c.pass { "PASS" } else { "FAIL" }
-            );
+            )?;
             total += 1;
             if c.pass {
                 passed += 1;
             }
         }
-        println!();
+        writeln!(out)?;
     }
-    println!("**{passed} / {total} claims hold.**");
+    writeln!(out, "**{passed} / {total} claims hold.**")?;
     Ok(())
 }
 

@@ -156,14 +156,15 @@ impl Default for ServeOptions {
 }
 
 /// Binds the address and serves until `SIGTERM`/`SIGINT`, then drains
-/// in-flight requests and returns.
+/// in-flight requests and returns. The bound address is announced on
+/// `out`.
 ///
 /// # Errors
 ///
 /// Returns a message when the address cannot be bound or the shutdown
 /// handler cannot be registered; per-connection errors are answered over
 /// HTTP and never take the server down.
-pub fn serve(options: &ServeOptions) -> Result<(), String> {
+pub fn serve(options: &ServeOptions, out: &mut dyn Write) -> Result<(), String> {
     log::init(options.log_level, options.log_format);
     let listener = TcpListener::bind(&options.addr)
         .map_err(|e| format!("cannot bind {:?}: {e}", options.addr))?;
@@ -172,11 +173,13 @@ pub fn serve(options: &ServeOptions) -> Result<(), String> {
         .map_err(|e| format!("cannot resolve the bound address: {e}"))?;
     // The address line is the startup handshake: tests (and scripts) bind
     // port 0 and read the chosen port from it, so flush before serving.
-    println!(
+    writeln!(
+        out,
         "actuary serve: listening on http://{local} ({} worker(s); POST /run, GET /healthz, GET /statz, GET /metricsz)",
         options.workers
-    );
-    io::stdout().flush().map_err(|e| e.to_string())?;
+    )
+    .and_then(|()| out.flush())
+    .map_err(|e| e.to_string())?;
 
     let state = Arc::new(ServerState::new(options));
     for sig in [signal_hook::consts::SIGTERM, signal_hook::consts::SIGINT] {
@@ -253,7 +256,6 @@ pub fn serve(options: &ServeOptions) -> Result<(), String> {
     for worker in workers {
         let _ = worker.join();
     }
-    println!("actuary serve: drained in-flight requests, exiting");
     Ok(())
 }
 

@@ -1,7 +1,8 @@
 //! Smoke tests for the `actuary` binary: every subcommand runs on the
 //! default library and prints the expected structure.
 
-use std::process::{Command, Output};
+use std::io::BufRead;
+use std::process::{Command, Output, Stdio};
 
 fn actuary(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_actuary"))
@@ -433,6 +434,75 @@ fn explore_rejects_an_empty_axis() {
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--nodes"), "{stderr}");
+}
+
+#[test]
+fn explore_and_partition_reject_a_zero_quantity() {
+    // NRE is amortized over the quantity: a 0-unit answer would be the RE
+    // alone, so it must fail by name instead.
+    for args in [
+        &[
+            "explore",
+            "--nodes",
+            "7nm",
+            "--areas",
+            "400",
+            "--quantities",
+            "0",
+            "--csv",
+        ][..],
+        &[
+            "partition",
+            "--node",
+            "7nm",
+            "--area",
+            "400",
+            "--quantity",
+            "0",
+        ],
+    ] {
+        let out = actuary(args);
+        assert!(!out.status.success(), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a result");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr
+                .starts_with("error: invalid architecture: production quantity must be at least 1"),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn a_closed_stdout_ends_the_command_quietly() {
+    // Each output is larger than a pipe buffer (64 KiB on Linux): explore's
+    // CSV is about 105 KiB, fig10's run about 90 KiB as CSV and 84 KiB as
+    // text, so the command is still writing when the reader goes away.
+    let fig10 = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/scenarios/fig10.toml"
+    );
+    for args in [
+        &["explore", "--csv", "--threads", "1"][..],
+        &["run", fig10, "--csv", "--threads", "1"],
+        &["run", fig10, "--threads", "1"],
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_actuary"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("the actuary binary must spawn");
+        let mut reader = std::io::BufReader::new(child.stdout.take().unwrap());
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        assert!(!line.is_empty(), "{args:?} printed nothing");
+        drop(reader);
+        let out = child.wait_with_output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {} {stderr}", out.status);
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
 }
 
 #[test]

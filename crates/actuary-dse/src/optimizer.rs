@@ -234,6 +234,13 @@ pub fn recommend(
             reason: "search space has no chiplet counts".to_string(),
         });
     }
+    // NRE is amortized over the quantity: at 0 units every candidate
+    // would be ranked on its RE alone.
+    if quantity.is_zero() {
+        return Err(ArchError::InvalidArchitecture {
+            reason: "production quantity must be at least 1, got 0".to_string(),
+        });
+    }
     let mut candidates = Vec::new();
     // Monolithic baseline.
     match evaluate_candidate(
@@ -494,6 +501,22 @@ mod tests {
             .unwrap();
             assert_eq!(cached, direct, "quantity {qty}");
         }
+    }
+
+    #[test]
+    fn a_zero_quantity_is_rejected_not_ranked_on_re_alone() {
+        let err = recommend(
+            &lib(),
+            "7nm",
+            area(400.0),
+            Quantity::new(0),
+            &SearchSpace::default(),
+        )
+        .expect_err("0 units amortize no NRE");
+        assert_eq!(
+            err.to_string(),
+            "invalid architecture: production quantity must be at least 1, got 0"
+        );
     }
 
     #[test]

@@ -405,6 +405,13 @@ impl PortfolioSpace {
                 reason: "chiplet count must be at least 1, got 0".to_string(),
             });
         }
+        // NRE is amortized over the quantity: a 0-unit cell would price
+        // the RE alone.
+        if self.quantities.contains(&0) {
+            return Err(ArchError::InvalidArchitecture {
+                reason: "production quantity must be at least 1, got 0".to_string(),
+            });
+        }
         if self.schemes.contains(&ReuseScheme::Scms) {
             if self.scms_multiplicities.is_empty() {
                 return Err(axis_err("SCMS multiplicities"));
@@ -1927,6 +1934,19 @@ mod tests {
             }
         }
         assert_eq!(i, shape.len());
+    }
+
+    #[test]
+    fn a_zero_quantity_fails_by_name_instead_of_pricing_the_re_alone() {
+        let space = PortfolioSpace {
+            quantities: vec![0, 10],
+            ..small_space()
+        };
+        let err = explore_portfolio(&lib(), &space, 1).expect_err("0 units amortize no NRE");
+        assert_eq!(
+            err.to_string(),
+            "invalid architecture: production quantity must be at least 1, got 0"
+        );
     }
 
     #[test]

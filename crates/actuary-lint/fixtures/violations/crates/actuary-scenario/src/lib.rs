@@ -8,15 +8,22 @@ pub fn parse(input: &str) -> f64 {
     value
 }
 
-// unit-suffix violation: a scalar float scenario key with no unit suffix.
+// unit-suffix violations: scenario keys with no unit suffix, read as a float or untyped.
 pub fn schema_key() -> &'static str {
     let mut view = View;
-    view.opt_f64("cluster")
+    view.opt::<f64>("cluster");
+    view.req("bare");
+    view.opt("area_mm2"); // fine: the key names its unit
+    view.req::<&str>("name") // fine: a bare key read as a non-float type
 }
 
 struct View;
 impl View {
-    fn opt_f64(&mut self, key: &'static str) -> &'static str {
+    fn opt<T>(&mut self, key: &'static str) -> &'static str {
+        key
+    }
+
+    fn req<T>(&mut self, key: &'static str) -> &'static str {
         key
     }
 }

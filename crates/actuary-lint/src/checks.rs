@@ -304,7 +304,10 @@ fn single_serializer(ws: &Workspace, findings: &mut Vec<Finding>) {
 
 /// `pub` `f64` (and `Option<f64>`) struct fields, and scalar float
 /// scenario keys, must end in an allowlisted unit suffix — a bare
-/// `cost: f64` is exactly how the unit bugs PR 2 fixed slip in.
+/// `cost: f64` is exactly how the unit bugs PR 2 fixed slip in. A
+/// scenario key is read as `.opt::<T>("key")` / `.req::<T>("key")` with
+/// `T` often inferred, so a key without a suffix must name its type, and
+/// that type must not be `f64`.
 fn unit_suffix(ws: &Workspace, findings: &mut Vec<Finding>) {
     for krate in &ws.crates {
         if config::is_compat(&krate.dir) || krate.name == config::LINT_CRATE {
@@ -332,30 +335,73 @@ fn unit_suffix(ws: &Workspace, findings: &mut Vec<Finding>) {
                         }
                     }
                 }
-                // Scenario float keys: `opt_f64("key")` / `req_f64("key")`.
-                if (tok.text == "opt_f64" || tok.text == "req_f64")
-                    && krate.name == "actuary-scenario"
-                {
-                    if let (Some(paren), Some(key)) = (toks.get(i + 1), toks.get(i + 2)) {
-                        if paren.text == "("
-                            && key.kind == TokenKind::Str
-                            && !has_unit_suffix(&key.text)
-                        {
-                            findings.push(Finding {
-                                check: "unit-suffix",
-                                file: file.rel.clone(),
-                                line: key.line,
-                                message: format!(
-                                    "scenario float key `{}` has no unit suffix (allowed: {})",
-                                    key.text,
-                                    config::UNIT_SUFFIXES.join(", ")
-                                ),
-                            });
-                        }
-                    }
+                // Scenario keys: `.opt::<T>("key")` / `.req::<T>("key")`.
+                let method = tok.text == "opt" || tok.text == "req";
+                if method && krate.name == "actuary-scenario" && i > 0 && toks[i - 1].text == "." {
+                    let Some((key, ty)) = scenario_key_read(toks, i) else {
+                        continue;
+                    };
+                    let problem = match ty {
+                        _ if has_unit_suffix(&key.text) => continue,
+                        KeyType::Other => continue,
+                        KeyType::Float => "has no unit suffix".to_string(),
+                        KeyType::Inferred => format!(
+                            "has no unit suffix and its read names no type (write `{}::<T>` \
+                             so a float key cannot pass unchecked)",
+                            tok.text
+                        ),
+                    };
+                    findings.push(Finding {
+                        check: "unit-suffix",
+                        file: file.rel.clone(),
+                        line: key.line,
+                        message: format!(
+                            "scenario {}key `{}` {problem} (allowed: {})",
+                            if matches!(ty, KeyType::Float) {
+                                "float "
+                            } else {
+                                ""
+                            },
+                            key.text,
+                            config::UNIT_SUFFIXES.join(", ")
+                        ),
+                    });
                 }
             }
         }
+    }
+}
+
+/// The type a scenario key read names with its turbofish.
+enum KeyType {
+    /// No turbofish: the compiler infers the type.
+    Inferred,
+    /// `::<f64>`.
+    Float,
+    /// Any other named type.
+    Other,
+}
+
+/// If the tokens after `i` (the ident of a `.opt` / `.req` call) read a
+/// literal scenario key, `opt("key")` or `opt::<T>("key")`, returns the
+/// key token and the type the read names.
+fn scenario_key_read(toks: &[Token], i: usize) -> Option<(&Token, KeyType)> {
+    let mut j = i + 1;
+    let mut ty = KeyType::Inferred;
+    if toks.get(j)?.text == "::" && toks.get(j + 1)?.text == "<" {
+        let close = (j + 2..toks.len()).find(|&k| toks[k].text == ">")?;
+        ty = if close == j + 3 && toks[j + 2].text == "f64" {
+            KeyType::Float
+        } else {
+            KeyType::Other
+        };
+        j = close + 1;
+    }
+    match (toks.get(j), toks.get(j + 1)) {
+        (Some(paren), Some(key)) if paren.text == "(" && key.kind == TokenKind::Str => {
+            Some((key, ty))
+        }
+        _ => None,
     }
 }
 

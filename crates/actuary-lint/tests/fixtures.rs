@@ -109,11 +109,15 @@ fn unit_suffix_rejects_bare_float_fields_and_scenario_keys() {
         "crates/actuary-dse/src/lib.rs",
         8, // pub cost: f64
     );
-    assert_fires(
-        &found,
-        "unit-suffix",
-        "crates/actuary-scenario/src/lib.rs",
-        14, // opt_f64("cluster")
+    let scenario = "crates/actuary-scenario/src/lib.rs";
+    assert_fires(&found, "unit-suffix", scenario, 14); // opt::<f64>("cluster")
+    assert_fires(&found, "unit-suffix", scenario, 15); // req("bare"): untyped
+                                                       // A suffixed key may be read untyped, and a bare key as a non-float.
+    assert!(
+        !found
+            .iter()
+            .any(|f| f.check == "unit-suffix" && f.file == scenario && f.line > 15),
+        "area_mm2 and a typed name read are compliant: {found:#?}"
     );
     // The compliant `area_mm2` field must NOT fire.
     assert!(

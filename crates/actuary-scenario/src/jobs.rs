@@ -21,8 +21,8 @@ use actuary_tech::{IntegrationKind, NodeId, TechLibrary};
 use actuary_units::{Area, Artifact, Quantity};
 
 use crate::error::ScenarioError;
-use crate::schema::{elem_f64, elem_str, elem_u32, elem_u64, Spanned, View};
-use crate::tech::{lower_library, parse_kind};
+use crate::schema::{elem, Spanned, View};
+use crate::tech::lower_library;
 use crate::toml::{parse, Pos, Table};
 
 /// A fully lowered scenario: a technology library plus the jobs to run.
@@ -431,8 +431,10 @@ impl Scenario {
     /// offending line and column.
     pub fn from_doc(doc: &Table) -> Result<Scenario, ScenarioError> {
         let mut root = View::new(doc, "the scenario root");
-        let name = check_file_name(root.req_str("name")?, "scenario name")?;
-        let description = root.opt_str("description")?.map(|s| s.value.to_string());
+        let name = check_file_name(root.req::<&str>("name")?, "scenario name")?;
+        let description = root
+            .opt::<&str>("description")?
+            .map(|s| s.value.to_string());
         let library = lower_library(&mut root)?;
 
         let mut jobs = Vec::new();
@@ -700,13 +702,20 @@ fn check_file_name(s: Spanned<&str>, what: &str) -> Result<String, ScenarioError
     Ok(s.value.to_string())
 }
 
-/// Validates a `quantities` axis: strictly increasing, diagnosed by axis
-/// name and offending value. Both the sweep and explore quantity axes
-/// feed machinery that walks them as *ordered* axes — amortization
-/// crossover curves, coarse-to-fine refinement — so an unordered or
-/// duplicated list is always a mistake, caught at the schema layer where
-/// the diagnostic can point at the element.
-fn check_increasing_quantities(list: Vec<(u64, Pos)>) -> Result<Vec<u64>, ScenarioError> {
+/// Validates a `quantities` axis: every quantity at least 1, since NRE is
+/// amortized over it, and strictly increasing, each diagnosed at the
+/// offending element. Both the sweep and explore quantity axes feed
+/// machinery that walks them as *ordered* axes — amortization crossover
+/// curves, coarse-to-fine refinement — so an unordered or duplicated list
+/// is always a mistake, caught at the schema layer where the diagnostic
+/// can point at the element.
+fn check_quantities(list: Vec<(u64, Pos)>) -> Result<Vec<u64>, ScenarioError> {
+    if let Some(&(_, pos)) = list.iter().find(|(q, _)| *q == 0) {
+        return Err(ScenarioError::schema(
+            pos,
+            "a quantity must be at least 1 (NRE is amortized over it)",
+        ));
+    }
     for pair in list.windows(2) {
         let ((prev, _), (next, pos)) = (pair[0], pair[1]);
         if next <= prev {
@@ -738,13 +747,6 @@ fn check_node(lib: &TechLibrary, id: Spanned<&str>) -> Result<NodeId, ScenarioEr
     Ok(NodeId::new(id.value))
 }
 
-fn parse_flow(s: Spanned<&str>) -> Result<AssemblyFlow, ScenarioError> {
-    // The grammar is owned by actuary-model's FromStr, shared with the CLI.
-    s.value
-        .parse()
-        .map_err(|message: String| ScenarioError::schema(s.pos, message))
-}
-
 fn area_mm2(v: Spanned<f64>) -> Result<Area, ScenarioError> {
     Area::from_mm2(v.value).map_err(|e| ScenarioError::schema(v.pos, e.to_string()))
 }
@@ -752,13 +754,12 @@ fn area_mm2(v: Spanned<f64>) -> Result<Area, ScenarioError> {
 /// Lowers one `[[portfolio]]` table into a [`CostJob`].
 fn lower_portfolio_job(table: &Table, lib: &TechLibrary) -> Result<CostJob, ScenarioError> {
     let mut view = View::new(table, "[[portfolio]]");
-    let name = check_file_name(view.req_str("name")?, "job name")?;
-    let scheme = view.req_str("scheme")?;
-    let flow = match view.opt_str("flow")? {
-        Some(s) => parse_flow(s)?,
-        None => AssemblyFlow::ChipLast,
-    };
-    let soc_baseline = match view.opt_str("baseline")? {
+    let name = check_file_name(view.req::<&str>("name")?, "job name")?;
+    let scheme = view.req::<&str>("scheme")?;
+    let flow = view
+        .opt::<AssemblyFlow>("flow")?
+        .map_or(AssemblyFlow::ChipLast, |s| s.value);
+    let soc_baseline = match view.opt::<&str>("baseline")? {
         None => false,
         Some(s) => match s.value {
             "reuse" | "multi-chip" => false,
@@ -773,18 +774,15 @@ fn lower_portfolio_job(table: &Table, lib: &TechLibrary) -> Result<CostJob, Scen
     };
     let portfolio = match scheme.value {
         "scms" => {
-            let node = check_node(lib, view.req_str("node")?)?;
+            let node = check_node(lib, view.req::<&str>("node")?)?;
             let spec = ScmsSpec {
-                chiplet_module_area: area_mm2(view.req_f64("chiplet_module_area_mm2")?)?,
+                chiplet_module_area: area_mm2(view.req("chiplet_module_area_mm2")?)?,
                 node,
                 multiplicities: view
-                    .req_array("multiplicities", |v, p| elem_u32(v, p, "a multiplicity"))?,
-                integration: {
-                    let s = view.req_str("integration")?;
-                    parse_kind(s.value, s.pos)?
-                },
-                quantity_each: Quantity::new(view.req_u64("quantity")?.value),
-                package_reuse: view.opt_bool("package_reuse")?.is_some_and(|s| s.value),
+                    .req_array("multiplicities", |v, p| elem(v, p, "a multiplicity"))?,
+                integration: view.req::<IntegrationKind>("integration")?.value,
+                quantity_each: Quantity::new(view.req::<u64>("quantity")?.value),
+                package_reuse: view.opt::<bool>("package_reuse")?.is_some_and(|s| s.value),
             };
             view.deny_unknown()?;
             build_reuse_portfolio(&name, || {
@@ -796,21 +794,18 @@ fn lower_portfolio_job(table: &Table, lib: &TechLibrary) -> Result<CostJob, Scen
             })?
         }
         "ocme" => {
-            let node = check_node(lib, view.req_str("node")?)?;
-            let center_node = match view.opt_str("center_node")? {
+            let node = check_node(lib, view.req::<&str>("node")?)?;
+            let center_node = match view.opt::<&str>("center_node")? {
                 None => None,
                 Some(s) => Some(check_node(lib, s)?),
             };
             let spec = OcmeSpec {
-                socket_module_area: area_mm2(view.req_f64("socket_module_area_mm2")?)?,
+                socket_module_area: area_mm2(view.req("socket_module_area_mm2")?)?,
                 node,
                 center_node,
-                integration: {
-                    let s = view.req_str("integration")?;
-                    parse_kind(s.value, s.pos)?
-                },
-                quantity_each: Quantity::new(view.req_u64("quantity")?.value),
-                package_reuse: view.opt_bool("package_reuse")?.is_some_and(|s| s.value),
+                integration: view.req::<IntegrationKind>("integration")?.value,
+                quantity_each: Quantity::new(view.req::<u64>("quantity")?.value),
+                package_reuse: view.opt::<bool>("package_reuse")?.is_some_and(|s| s.value),
             };
             view.deny_unknown()?;
             build_reuse_portfolio(&name, || {
@@ -822,17 +817,14 @@ fn lower_portfolio_job(table: &Table, lib: &TechLibrary) -> Result<CostJob, Scen
             })?
         }
         "fsmc" => {
-            let node = check_node(lib, view.req_str("node")?)?;
+            let node = check_node(lib, view.req::<&str>("node")?)?;
             let spec = FsmcSpec {
-                sockets: view.req_u32("sockets")?.value,
-                chiplet_types: view.req_u32("chiplet_types")?.value,
-                socket_module_area: area_mm2(view.req_f64("socket_module_area_mm2")?)?,
+                sockets: view.req::<u32>("sockets")?.value,
+                chiplet_types: view.req::<u32>("chiplet_types")?.value,
+                socket_module_area: area_mm2(view.req("socket_module_area_mm2")?)?,
                 node,
-                integration: {
-                    let s = view.req_str("integration")?;
-                    parse_kind(s.value, s.pos)?
-                },
-                quantity_each: Quantity::new(view.req_u64("quantity")?.value),
+                integration: view.req::<IntegrationKind>("integration")?.value,
+                quantity_each: Quantity::new(view.req::<u64>("quantity")?.value),
             };
             view.deny_unknown()?;
             build_reuse_portfolio(&name, || {
@@ -894,13 +886,12 @@ fn build_reuse_portfolio(
 /// Lowers one `[[portfolio.system]]` table.
 fn lower_system(table: &Table, lib: &TechLibrary) -> Result<System, ScenarioError> {
     let mut view = View::new(table, "[[portfolio.system]]");
-    let name = view.req_str("name")?.value.to_string();
-    let integration = {
-        let s = view.req_str("integration")?;
-        parse_kind(s.value, s.pos)?
-    };
-    let quantity = view.req_u64("quantity")?.value;
-    let package_design = view.opt_str("package_design")?.map(|s| s.value.to_string());
+    let name = view.req::<&str>("name")?.value.to_string();
+    let integration = view.req::<IntegrationKind>("integration")?.value;
+    let quantity = view.req::<u64>("quantity")?.value;
+    let package_design = view
+        .opt::<&str>("package_design")?
+        .map(|s| s.value.to_string());
     let chips = view.opt_tables("chip")?;
     view.deny_unknown()?;
     if chips.is_empty() {
@@ -926,10 +917,10 @@ fn lower_system(table: &Table, lib: &TechLibrary) -> Result<System, ScenarioErro
 /// Lowers one `[[portfolio.system.chip]]` table.
 fn lower_chip(table: &Table, lib: &TechLibrary) -> Result<(Chip, u32), ScenarioError> {
     let mut view = View::new(table, "[[portfolio.system.chip]]");
-    let name = view.req_str("name")?.value.to_string();
-    let node = check_node(lib, view.req_str("node")?)?;
-    let count = view.opt_u32("count")?.map_or(1, |s| s.value);
-    let monolithic = view.opt_bool("monolithic")?.is_some_and(|s| s.value);
+    let name = view.req::<&str>("name")?.value.to_string();
+    let node = check_node(lib, view.req::<&str>("node")?)?;
+    let count = view.opt::<u32>("count")?.map_or(1, |s| s.value);
+    let monolithic = view.opt::<bool>("monolithic")?.is_some_and(|s| s.value);
     let modules = view.opt_tables("module")?;
     view.deny_unknown()?;
     if modules.is_empty() {
@@ -941,9 +932,9 @@ fn lower_chip(table: &Table, lib: &TechLibrary) -> Result<(Chip, u32), ScenarioE
     let mut built = Vec::with_capacity(modules.len());
     for module_table in modules {
         let mut m = View::new(module_table, "[[portfolio.system.chip.module]]");
-        let module_name = m.req_str("name")?.value.to_string();
-        let area = area_mm2(m.req_f64("area_mm2")?)?;
-        let module_node = match m.opt_str("node")? {
+        let module_name = m.req::<&str>("name")?.value.to_string();
+        let area = area_mm2(m.req("area_mm2")?)?;
+        let module_node = match m.opt::<&str>("node")? {
             Some(s) => check_node(lib, s)?,
             None => node.clone(),
         };
@@ -961,9 +952,12 @@ fn lower_chip(table: &Table, lib: &TechLibrary) -> Result<(Chip, u32), ScenarioE
 /// Lowers one `[[yield]]` table.
 fn lower_yield_job(table: &Table, lib: &TechLibrary) -> Result<YieldJob, ScenarioError> {
     let mut view = View::new(table, "[[yield]]");
-    let name = check_file_name(view.req_str("name")?, "job name")?;
+    let name = check_file_name(view.req::<&str>("name")?, "job name")?;
     let techs = view.req_array("techs", |v, p| {
-        let s = elem_str(v, p, "a technology")?;
+        let s = Spanned {
+            value: elem::<&str>(v, p, "a technology")?,
+            pos: p,
+        };
         match s.value.to_ascii_lowercase().as_str() {
             "info" | "rdl" => Ok(YieldTech::Interposer(IntegrationKind::Info)),
             "2.5d" | "si" | "si-interposer" => {
@@ -975,7 +969,7 @@ fn lower_yield_job(table: &Table, lib: &TechLibrary) -> Result<YieldJob, Scenari
             }
         }
     })?;
-    let areas_mm2 = view.req_array("areas_mm2", |v, p| elem_f64(v, p, "an area"))?;
+    let areas_mm2 = view.req_array("areas_mm2", |v, p| elem(v, p, "an area"))?;
     view.deny_unknown()?;
     if techs.is_empty() || areas_mm2.is_empty() {
         return Err(ScenarioError::schema(
@@ -1047,17 +1041,16 @@ fn run_yield_job(
 /// Lowers one `[[sweep]]` table into a [`SweepJob`].
 fn lower_sweep_job(table: &Table, lib: &TechLibrary) -> Result<SweepJob, ScenarioError> {
     let mut view = View::new(table, "[[sweep]]");
-    let name = check_file_name(view.req_str("name")?, "job name")?;
-    let node = view.req_str("node")?;
+    let name = check_file_name(view.req::<&str>("name")?, "job name")?;
+    let node = view.req::<&str>("node")?;
     check_node(lib, node)?;
-    let chiplets = view.req_u32("chiplets")?;
+    let chiplets = view.req::<u32>("chiplets")?;
     // Each integration becomes a series column named after it, so
     // duplicates would emit ambiguous CSV columns — reject them like
     // duplicate `outputs`.
     let mut integrations: Vec<IntegrationKind> = Vec::new();
     for (kind, pos) in view.req_array("integrations", |v, p| {
-        let s = elem_str(v, p, "an integration")?;
-        Ok((parse_kind(s.value, s.pos)?, s.pos))
+        Ok((elem::<IntegrationKind>(v, p, "an integration")?, p))
     })? {
         if integrations.contains(&kind) {
             return Err(ScenarioError::schema(
@@ -1068,15 +1061,15 @@ fn lower_sweep_job(table: &Table, lib: &TechLibrary) -> Result<SweepJob, Scenari
         integrations.push(kind);
     }
     let areas_mm2 = view.opt_array("areas_mm2", |v, p| {
-        let mm2 = elem_f64(v, p, "an area")?;
+        let mm2 = elem(v, p, "an area")?;
         Area::from_mm2(mm2).map_err(|e| ScenarioError::schema(p, e.to_string()))?;
         Ok(mm2)
     })?;
     let quantities = view
-        .opt_array("quantities", |v, p| Ok((elem_u64(v, p, "a quantity")?, p)))?
-        .map(check_increasing_quantities)
+        .opt_array("quantities", |v, p| Ok((elem(v, p, "a quantity")?, p)))?
+        .map(check_quantities)
         .transpose()?;
-    let fixed_area = view.opt_f64("area_mm2")?;
+    let fixed_area = view.opt::<f64>("area_mm2")?;
     let axis = match (areas_mm2, quantities) {
         (Some(areas), None) => {
             if let Some(a) = fixed_area {
@@ -1124,10 +1117,9 @@ fn lower_sweep_job(table: &Table, lib: &TechLibrary) -> Result<SweepJob, Scenari
             ));
         }
     };
-    let flow = match view.opt_str("flow")? {
-        Some(s) => parse_flow(s)?,
-        None => AssemblyFlow::ChipLast,
-    };
+    let flow = view
+        .opt::<AssemblyFlow>("flow")?
+        .map_or(AssemblyFlow::ChipLast, |s| s.value);
     view.deny_unknown()?;
     if integrations.is_empty() {
         return Err(ScenarioError::schema(
@@ -1212,7 +1204,7 @@ fn run_sweep_job(lib: &TechLibrary, job: &SweepJob) -> Result<Sweep, ArchError> 
 /// Lowers the `[explore]` table into an [`ExploreJob`].
 fn lower_explore_job(table: &Table, lib: &TechLibrary) -> Result<ExploreJob, ScenarioError> {
     let mut view = View::new(table, "[explore]");
-    let name = match view.opt_str("name")? {
+    let name = match view.opt::<&str>("name")? {
         Some(s) => check_file_name(s, "job name")?,
         None => "explore".to_string(),
     };
@@ -1222,7 +1214,10 @@ fn lower_explore_job(table: &Table, lib: &TechLibrary) -> Result<ExploreJob, Sce
         ..PortfolioSpace::default()
     };
     if let Some(nodes) = view.opt_array("nodes", |v, p| {
-        let s = elem_str(v, p, "a node id")?;
+        let s = Spanned {
+            value: elem::<&str>(v, p, "a node id")?,
+            pos: p,
+        };
         check_node(lib, s)?;
         Ok(s.value.to_string())
     })? {
@@ -1239,47 +1234,39 @@ fn lower_explore_job(table: &Table, lib: &TechLibrary) -> Result<ExploreJob, Sce
             ));
         }
     }
-    if let Some(areas) = view.opt_array("areas_mm2", |v, p| elem_f64(v, p, "an area"))? {
+    if let Some(areas) = view.opt_array("areas_mm2", |v, p| elem(v, p, "an area"))? {
         space.areas_mm2 = areas;
     }
-    if let Some(q) = view.opt_array("quantities", |v, p| Ok((elem_u64(v, p, "a quantity")?, p)))? {
-        space.quantities = check_increasing_quantities(q)?;
+    if let Some(q) = view.opt_array("quantities", |v, p| Ok((elem(v, p, "a quantity")?, p)))? {
+        space.quantities = check_quantities(q)?;
     }
-    if let Some(kinds) = view.opt_array("integrations", |v, p| {
-        let s = elem_str(v, p, "an integration")?;
-        parse_kind(s.value, s.pos)
-    })? {
+    if let Some(kinds) = view.opt_array("integrations", |v, p| elem(v, p, "an integration"))? {
         space.integrations = kinds;
     }
-    if let Some(chiplets) = view.opt_array("chiplets", |v, p| elem_u32(v, p, "a chiplet count"))? {
+    if let Some(chiplets) = view.opt_array("chiplets", |v, p| elem(v, p, "a chiplet count"))? {
         space.chiplet_counts = chiplets;
     }
-    if let Some(flows) = view.opt_array("flows", |v, p| parse_flow(elem_str(v, p, "a flow")?))? {
+    if let Some(flows) = view.opt_array("flows", |v, p| elem(v, p, "a flow"))? {
         space.flows = flows;
     }
-    if let Some(schemes) = view.opt_array("schemes", |v, p| {
-        let s = elem_str(v, p, "a scheme")?;
-        // The grammar is owned by actuary-dse's FromStr, shared with the CLI.
-        s.value
-            .parse::<ReuseScheme>()
-            .map_err(|message| ScenarioError::schema(s.pos, message))
-    })? {
+    if let Some(schemes) = view.opt_array("schemes", |v, p| elem(v, p, "a scheme"))? {
         space.schemes = schemes;
     }
-    if let Some(m) = view.opt_array("scms_multiplicities", |v, p| {
-        elem_u32(v, p, "a multiplicity")
-    })? {
+    if let Some(m) = view.opt_array("scms_multiplicities", |v, p| elem(v, p, "a multiplicity"))? {
         space.scms_multiplicities = m;
     }
     if let Some(situations) = view.opt_array("fsmc_situations", |v, p| {
-        let s = elem_str(v, p, "an FSMC situation")?;
+        let s = elem(v, p, "an FSMC situation")?;
         // The KxN grammar is owned by actuary-dse, shared with the CLI.
-        parse_fsmc_situation(s.value).map_err(|message| ScenarioError::schema(p, message))
+        parse_fsmc_situation(s).map_err(|message| ScenarioError::schema(p, message))
     })? {
         space.fsmc_situations = situations;
     }
     if let Some(centers) = view.opt_array("ocme_center_nodes", |v, p| {
-        let s = elem_str(v, p, "a centre node")?;
+        let s = Spanned {
+            value: elem::<&str>(v, p, "a centre node")?,
+            pos: p,
+        };
         if s.value.eq_ignore_ascii_case("none") {
             Ok(None)
         } else {
@@ -1289,7 +1276,7 @@ fn lower_explore_job(table: &Table, lib: &TechLibrary) -> Result<ExploreJob, Sce
     })? {
         space.ocme_center_nodes = centers;
     }
-    if let Some(b) = view.opt_bool("package_reuse")? {
+    if let Some(b) = view.opt::<bool>("package_reuse")? {
         space.package_reuse = b.value;
     }
     // A scheme parameter only acts on its scheme's cells: given for a
@@ -1325,22 +1312,11 @@ fn lower_explore_job(table: &Table, lib: &TechLibrary) -> Result<ExploreJob, Sce
             ));
         }
     }
-    let mode = match view.opt_str("mode")? {
-        None => ExploreMode::Exhaustive,
-        Some(s) => s
-            .value
-            // The grammar is owned by actuary-dse's FromStr, shared with
-            // the CLI's --refine flag.
-            .parse::<ExploreMode>()
-            .map_err(|message| ScenarioError::schema(s.pos, message))?,
-    };
+    let mode = view
+        .opt::<ExploreMode>("mode")?
+        .map_or(ExploreMode::Exhaustive, |s| s.value);
     let outputs = match view.opt_array("outputs", |v, p| {
-        let s = elem_str(v, p, "an output")?;
-        // The grammar is owned by this crate's FromStr, shared with docs.
-        s.value
-            .parse::<ExploreOutput>()
-            .map(|o| (o, s.pos))
-            .map_err(|message| ScenarioError::schema(s.pos, message))
+        Ok((elem::<ExploreOutput>(v, p, "an output")?, p))
     })? {
         None => vec![ExploreOutput::Grid],
         Some(list) => {

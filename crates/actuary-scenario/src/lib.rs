@@ -108,7 +108,8 @@ pub use tech::library_to_scenario;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use actuary_tech::TechLibrary;
+    use actuary_tech::{IntegrationKind, PackagingTech, TechLibrary};
+    use actuary_units::{Money, Prob};
 
     fn minimal(job: &str) -> String {
         format!("name = \"t\"\n{job}")
@@ -208,6 +209,86 @@ mod tests {
         assert_eq!(n7.nre().k_module, b7.nre().k_module);
         assert_eq!(n7.d2d(), b7.d2d());
         assert_eq!(s.library.node_count(), base.node_count());
+    }
+
+    #[test]
+    fn packaging_overlay_changes_only_the_keys_present() {
+        let s = Scenario::from_toml(&minimal(&format!(
+            "[packaging.mcm]\nassembly_cost_usd = 13.46\n{SCMS_JOB}"
+        )))
+        .unwrap();
+        let base = TechLibrary::paper_defaults().unwrap();
+        let preset = base.packaging(IntegrationKind::Mcm).unwrap();
+        let expected = (preset.to_builder())
+            .assembly_cost(Money::from_usd(13.46).unwrap())
+            .build()
+            .unwrap();
+        assert_ne!(&expected, preset);
+        assert_eq!(
+            s.library.packaging(IntegrationKind::Mcm).unwrap(),
+            &expected
+        );
+        for kind in [
+            IntegrationKind::Soc,
+            IntegrationKind::Info,
+            IntegrationKind::TwoPointFiveD,
+        ] {
+            assert_eq!(s.library.packaging(kind), base.packaging(kind));
+        }
+    }
+
+    #[test]
+    fn a_new_packaging_entry_starts_from_the_builder_defaults() {
+        let s = Scenario::from_toml(&minimal(concat!(
+            "extends = \"none\"\n",
+            "[packaging.mcm]\n",
+            "substrate_layer_factor = 2.5\n",
+            "chip_bond_yield = 0.97\n",
+            "fixed_package_nre_musd = 1.5\n",
+            "[nodes.7nm]\n",
+            "defect_density = 0.09\n",
+            "wafer_price_usd = 9346\n",
+            "k_module_usd = 540000\n",
+            "k_chip_usd = 180000\n",
+            "mask_set_musd = 30\n",
+            "[[yield]]\n",
+            "name = \"y\"\n",
+            "techs = [\"7nm\"]\n",
+            "areas_mm2 = [100]\n",
+        )))
+        .unwrap();
+        let expected = PackagingTech::builder(IntegrationKind::Mcm)
+            .substrate_layer_factor(2.5)
+            .chip_bond_yield(Prob::new(0.97).unwrap())
+            .fixed_package_nre(Money::from_musd(1.5).unwrap())
+            .build()
+            .unwrap();
+        assert_eq!(s.library.packagings().count(), 1);
+        assert_eq!(
+            s.library.packaging(IntegrationKind::Mcm).unwrap(),
+            &expected
+        );
+    }
+
+    #[test]
+    fn zero_quantities_fail_at_their_element_on_both_quantity_axes() {
+        let explore = "[explore]\nnodes = [\"7nm\"]\nquantities = [0, 10]\n";
+        let sweep = concat!(
+            "[[sweep]]\n",
+            "name = \"s\"\n",
+            "node = \"7nm\"\n",
+            "chiplets = 2\n",
+            "integrations = [\"soc\", \"mcm\"]\n",
+            "area_mm2 = 400\n",
+            "quantities = [0, 1000]\n",
+        );
+        for (job, pos) in [(explore, "line 4, column 15"), (sweep, "line 8, column 15")] {
+            let err = Scenario::from_toml(&minimal(job)).expect_err(job);
+            assert_eq!(
+                err.to_string(),
+                format!("{pos}: a quantity must be at least 1 (NRE is amortized over it)")
+            );
+        }
     }
 
     #[test]

@@ -4,9 +4,130 @@
 //! rejects leftovers at [`View::deny_unknown`] time with the offending
 //! key's line and column plus the accepted-key list — the same philosophy
 //! as the CLI's `reject_unknown_flags`.
+//!
+//! Every scalar is read through one [`FromValue`] conversion, whether it is
+//! a key's value ([`View::opt`], [`View::req`]) or an array element
+//! ([`elem`]): a type has one reading and one set of diagnostics wherever
+//! it appears.
+
+use actuary_dse::portfolio::ReuseScheme;
+use actuary_dse::refine::ExploreMode;
+use actuary_model::AssemblyFlow;
+use actuary_tech::IntegrationKind;
 
 use crate::error::ScenarioError;
-use crate::toml::{Pos, Table, Value};
+use crate::jobs::ExploreOutput;
+use crate::toml::{Entry, Pos, Table, Value};
+
+/// Why a value failed its [`FromValue`] conversion. A key and an array
+/// element word the same reason differently ([`Invalid::for_key`],
+/// [`Invalid::for_elem`]).
+pub(crate) enum Invalid {
+    /// The value has another TOML type; names the expected one.
+    Type(&'static str),
+    /// A negative integer where a count is expected.
+    Negative,
+    /// An integer above `u32::MAX`.
+    TooLarge,
+    /// A string outside the type's grammar, with the grammar's message.
+    Grammar(String),
+}
+
+impl Invalid {
+    /// The message for the value of key `key` in table `context`.
+    fn for_key(self, key: &str, context: &str, got: &Value) -> String {
+        match self {
+            Invalid::Type(want) => format!(
+                "key `{key}` in {context} must be {want}, got {}",
+                got.type_name()
+            ),
+            Invalid::Negative => format!("key `{key}` in {context} must be a non-negative integer"),
+            Invalid::TooLarge => format!("key `{key}` in {context} is too large for u32"),
+            Invalid::Grammar(message) => message,
+        }
+    }
+
+    /// The message for an array element described as `what`.
+    fn for_elem(self, what: &str, got: &Value) -> String {
+        match self {
+            Invalid::Type(want) => format!("{what} must be {want}, got {}", got.type_name()),
+            Invalid::Negative => format!("{what} must be non-negative"),
+            Invalid::TooLarge => format!("{what} is too large"),
+            Invalid::Grammar(message) => message,
+        }
+    }
+}
+
+/// A type a scenario value converts to: the one reading behind
+/// [`View::opt`], [`View::req`] and [`elem`].
+pub(crate) trait FromValue<'a>: Sized {
+    /// Converts `value`, or names why it cannot be one.
+    fn from_value(value: &'a Value) -> Result<Self, Invalid>;
+}
+
+impl<'a> FromValue<'a> for &'a str {
+    fn from_value(value: &'a Value) -> Result<Self, Invalid> {
+        match value {
+            Value::Str(s) => Ok(s),
+            _ => Err(Invalid::Type("a string")),
+        }
+    }
+}
+
+/// Integers are accepted and widened.
+impl FromValue<'_> for f64 {
+    fn from_value(value: &Value) -> Result<Self, Invalid> {
+        match *value {
+            Value::Float(v) => Ok(v),
+            Value::Int(v) => Ok(v as f64),
+            _ => Err(Invalid::Type("a number")),
+        }
+    }
+}
+
+impl FromValue<'_> for u64 {
+    fn from_value(value: &Value) -> Result<Self, Invalid> {
+        match *value {
+            Value::Int(v) => u64::try_from(v).map_err(|_| Invalid::Negative),
+            _ => Err(Invalid::Type("an integer")),
+        }
+    }
+}
+
+impl FromValue<'_> for u32 {
+    fn from_value(value: &Value) -> Result<Self, Invalid> {
+        u32::try_from(u64::from_value(value)?).map_err(|_| Invalid::TooLarge)
+    }
+}
+
+impl FromValue<'_> for bool {
+    fn from_value(value: &Value) -> Result<Self, Invalid> {
+        match *value {
+            Value::Bool(v) => Ok(v),
+            _ => Err(Invalid::Type("a boolean")),
+        }
+    }
+}
+
+/// The grammar enums read a string through their `FromStr`, the one
+/// grammar the CLI flags share.
+macro_rules! from_grammar {
+    ($($grammar:ty),*) => {$(
+        impl FromValue<'_> for $grammar {
+            fn from_value(value: &Value) -> Result<Self, Invalid> {
+                <&str>::from_value(value)?.parse().map_err(Invalid::Grammar)
+            }
+        }
+    )*};
+}
+
+from_grammar!(
+    IntegrationKind,
+    AssemblyFlow,
+    ReuseScheme,
+    ExploreMode,
+    ExploreOutput
+);
 
 /// A schema-checking lens over one table.
 pub(crate) struct View<'a> {
@@ -35,27 +156,38 @@ impl<'a> View<'a> {
         &self.context
     }
 
-    /// The raw entries of the underlying table — for schemas whose keys are
-    /// data (node ids, packaging kinds) rather than a fixed vocabulary.
-    pub(crate) fn raw_entries(&self) -> &'a [crate::toml::Entry] {
-        self.table.entries()
+    /// Every entry of the table as `(key, key position, table)`, for
+    /// schemas whose keys are data (node ids, packaging kinds) rather than
+    /// a fixed vocabulary; a non-table entry is an error.
+    pub(crate) fn children(&self) -> Result<Vec<(&'a str, Pos, &'a Table)>, ScenarioError> {
+        (self.table.entries().iter())
+            .map(|entry| match &entry.value {
+                Value::Table(t) => Ok((entry.key.as_str(), entry.key_pos, t)),
+                other => Err(ScenarioError::schema(
+                    entry.key_pos,
+                    format!(
+                        "entry `{}` of {} must be a table, got {}",
+                        entry.key,
+                        self.context,
+                        other.type_name()
+                    ),
+                )),
+            })
+            .collect()
     }
 
-    fn lookup(&mut self, key: &'static str) -> Option<&'a crate::toml::Entry> {
+    fn lookup(&mut self, key: &'static str) -> Option<&'a Entry> {
         if !self.known.contains(&key) {
             self.known.push(key);
         }
         self.table.get(key)
     }
 
-    fn type_error(&self, key: &str, pos: Pos, want: &str, got: &Value) -> ScenarioError {
+    /// The diagnostic for key `key`'s value, which failed for `why`.
+    fn invalid(&self, key: &str, entry: &Entry, why: Invalid) -> ScenarioError {
         ScenarioError::schema(
-            pos,
-            format!(
-                "key `{key}` in {} must be {want}, got {}",
-                self.context,
-                got.type_name()
-            ),
+            entry.value_pos,
+            why.for_key(key, &self.context, &entry.value),
         )
     }
 
@@ -66,122 +198,29 @@ impl<'a> View<'a> {
         )
     }
 
-    /// Optional string.
-    pub(crate) fn opt_str(
+    /// Optional key, converted to `T`.
+    pub(crate) fn opt<T: FromValue<'a>>(
         &mut self,
         key: &'static str,
-    ) -> Result<Option<Spanned<&'a str>>, ScenarioError> {
-        match self.lookup(key) {
-            None => Ok(None),
-            Some(e) => match &e.value {
-                Value::Str(s) => Ok(Some(Spanned {
-                    value: s.as_str(),
-                    pos: e.value_pos,
-                })),
-                other => Err(self.type_error(key, e.value_pos, "a string", other)),
-            },
+    ) -> Result<Option<Spanned<T>>, ScenarioError> {
+        let Some(entry) = self.lookup(key) else {
+            return Ok(None);
+        };
+        match T::from_value(&entry.value) {
+            Ok(value) => Ok(Some(Spanned {
+                value,
+                pos: entry.value_pos,
+            })),
+            Err(why) => Err(self.invalid(key, entry, why)),
         }
     }
 
-    /// Required string.
-    pub(crate) fn req_str(&mut self, key: &'static str) -> Result<Spanned<&'a str>, ScenarioError> {
-        self.opt_str(key)?.ok_or_else(|| self.missing(key))
-    }
-
-    /// Optional float (integers are accepted and widened).
-    pub(crate) fn opt_f64(
+    /// Required key, converted to `T`.
+    pub(crate) fn req<T: FromValue<'a>>(
         &mut self,
         key: &'static str,
-    ) -> Result<Option<Spanned<f64>>, ScenarioError> {
-        match self.lookup(key) {
-            None => Ok(None),
-            Some(e) => match &e.value {
-                Value::Float(v) => Ok(Some(Spanned {
-                    value: *v,
-                    pos: e.value_pos,
-                })),
-                Value::Int(v) => Ok(Some(Spanned {
-                    value: *v as f64,
-                    pos: e.value_pos,
-                })),
-                other => Err(self.type_error(key, e.value_pos, "a number", other)),
-            },
-        }
-    }
-
-    /// Required float.
-    pub(crate) fn req_f64(&mut self, key: &'static str) -> Result<Spanned<f64>, ScenarioError> {
-        self.opt_f64(key)?.ok_or_else(|| self.missing(key))
-    }
-
-    /// Optional non-negative integer.
-    pub(crate) fn opt_u64(
-        &mut self,
-        key: &'static str,
-    ) -> Result<Option<Spanned<u64>>, ScenarioError> {
-        match self.lookup(key) {
-            None => Ok(None),
-            Some(e) => match &e.value {
-                Value::Int(v) if *v >= 0 => Ok(Some(Spanned {
-                    value: *v as u64,
-                    pos: e.value_pos,
-                })),
-                Value::Int(_) => Err(ScenarioError::schema(
-                    e.value_pos,
-                    format!(
-                        "key `{key}` in {} must be a non-negative integer",
-                        self.context
-                    ),
-                )),
-                other => Err(self.type_error(key, e.value_pos, "an integer", other)),
-            },
-        }
-    }
-
-    /// Required non-negative integer.
-    pub(crate) fn req_u64(&mut self, key: &'static str) -> Result<Spanned<u64>, ScenarioError> {
-        self.opt_u64(key)?.ok_or_else(|| self.missing(key))
-    }
-
-    /// Optional `u32` (range-checked).
-    pub(crate) fn opt_u32(
-        &mut self,
-        key: &'static str,
-    ) -> Result<Option<Spanned<u32>>, ScenarioError> {
-        match self.opt_u64(key)? {
-            None => Ok(None),
-            Some(s) => {
-                let value = u32::try_from(s.value).map_err(|_| {
-                    ScenarioError::schema(
-                        s.pos,
-                        format!("key `{key}` in {} is too large for u32", self.context),
-                    )
-                })?;
-                Ok(Some(Spanned { value, pos: s.pos }))
-            }
-        }
-    }
-
-    /// Required `u32`.
-    pub(crate) fn req_u32(&mut self, key: &'static str) -> Result<Spanned<u32>, ScenarioError> {
-        self.opt_u32(key)?.ok_or_else(|| self.missing(key))
-    }
-
-    /// Optional boolean.
-    pub(crate) fn opt_bool(
-        &mut self,
-        key: &'static str,
-    ) -> Result<Option<Spanned<bool>>, ScenarioError> {
-        match self.lookup(key) {
-            None => Ok(None),
-            Some(e) => match &e.value {
-                Value::Bool(v) => Ok(Some(Spanned {
-                    value: *v,
-                    pos: e.value_pos,
-                })),
-                other => Err(self.type_error(key, e.value_pos, "a boolean", other)),
-            },
-        }
+    ) -> Result<Spanned<T>, ScenarioError> {
+        self.opt(key)?.ok_or_else(|| self.missing(key))
     }
 
     /// Optional array, each element converted by `f` (which receives the
@@ -201,7 +240,7 @@ impl<'a> View<'a> {
                     }
                     Ok(Some(out))
                 }
-                other => Err(self.type_error(key, e.value_pos, "an array", other)),
+                _ => Err(self.invalid(key, e, Invalid::Type("an array"))),
             },
         }
     }
@@ -233,7 +272,7 @@ impl<'a> View<'a> {
             None => Ok(None),
             Some(e) => match &e.value {
                 Value::Table(t) => Ok(Some(View::new(t, child_context))),
-                other => Err(self.type_error(key, e.value_pos, "a table", other)),
+                _ => Err(self.invalid(key, e, Invalid::Type("a table"))),
             },
         }
     }
@@ -249,7 +288,7 @@ impl<'a> View<'a> {
                 Value::Tables(tables) => Ok(tables.iter().collect()),
                 // A single [key] table is accepted as a one-element list.
                 Value::Table(t) => Ok(vec![t]),
-                other => Err(self.type_error(key, e.value_pos, "an array of tables", other)),
+                _ => Err(self.invalid(key, e, Invalid::Type("an array of tables"))),
             },
         }
     }
@@ -287,53 +326,12 @@ pub(crate) struct Spanned<T> {
     pub pos: Pos,
 }
 
-/// Converts an array element to a string, with a position-carrying error.
-pub(crate) fn elem_str<'a>(
+/// Converts an array element to `T`; `what` names the element in
+/// diagnostics ("an area", "a quantity").
+pub(crate) fn elem<'a, T: FromValue<'a>>(
     value: &'a Value,
     pos: Pos,
     what: &str,
-) -> Result<Spanned<&'a str>, ScenarioError> {
-    match value {
-        Value::Str(s) => Ok(Spanned {
-            value: s.as_str(),
-            pos,
-        }),
-        other => Err(ScenarioError::schema(
-            pos,
-            format!("{what} must be a string, got {}", other.type_name()),
-        )),
-    }
-}
-
-/// Converts an array element to an f64.
-pub(crate) fn elem_f64(value: &Value, pos: Pos, what: &str) -> Result<f64, ScenarioError> {
-    match value {
-        Value::Float(v) => Ok(*v),
-        Value::Int(v) => Ok(*v as f64),
-        other => Err(ScenarioError::schema(
-            pos,
-            format!("{what} must be a number, got {}", other.type_name()),
-        )),
-    }
-}
-
-/// Converts an array element to a u64.
-pub(crate) fn elem_u64(value: &Value, pos: Pos, what: &str) -> Result<u64, ScenarioError> {
-    match value {
-        Value::Int(v) if *v >= 0 => Ok(*v as u64),
-        Value::Int(_) => Err(ScenarioError::schema(
-            pos,
-            format!("{what} must be non-negative"),
-        )),
-        other => Err(ScenarioError::schema(
-            pos,
-            format!("{what} must be an integer, got {}", other.type_name()),
-        )),
-    }
-}
-
-/// Converts an array element to a u32.
-pub(crate) fn elem_u32(value: &Value, pos: Pos, what: &str) -> Result<u32, ScenarioError> {
-    let v = elem_u64(value, pos, what)?;
-    u32::try_from(v).map_err(|_| ScenarioError::schema(pos, format!("{what} is too large")))
+) -> Result<T, ScenarioError> {
+    T::from_value(value).map_err(|why| ScenarioError::schema(pos, why.for_elem(what, value)))
 }

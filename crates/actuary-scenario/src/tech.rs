@@ -10,7 +10,9 @@
 //! calibration — so a scenario can override one wafer price without
 //! restating the paper's presets. A new id must provide the full required
 //! set (`defect_density`, `wafer_price_usd`, `k_module_usd`, `k_chip_usd`,
-//! and a mask-set price). `[packaging.<kind>]` overlays the same way.
+//! and a mask-set price). `[packaging.<kind>]` overlays the same way; a
+//! new kind starts from [`PackagingTech::builder`]'s defaults, and a new
+//! interposer (InFO, 2.5D) must provide all four of its process keys.
 
 use actuary_tech::{
     D2dSpec, IntegrationKind, InterposerSpec, PackagingTech, ProcessNode, TechLibrary,
@@ -39,8 +41,8 @@ fn opt_money_usd_or_musd(
     usd_key: &'static str,
     musd_key: &'static str,
 ) -> Result<Option<Money>, ScenarioError> {
-    let usd = view.opt_f64(usd_key)?;
-    let musd = view.opt_f64(musd_key)?;
+    let usd = view.opt(usd_key)?;
+    let musd = view.opt(musd_key)?;
     match (usd, musd) {
         (Some(_), Some(m)) => Err(ScenarioError::schema(
             m.pos,
@@ -66,13 +68,13 @@ fn opt_wafer(view: &mut View<'_>, base: WaferSpec) -> Result<WaferSpec, Scenario
     };
     let pos = wafer.pos();
     let diameter = wafer
-        .opt_f64("diameter_mm")?
+        .opt("diameter_mm")?
         .map_or(base.diameter_mm(), |s| s.value);
     let edge = wafer
-        .opt_f64("edge_exclusion_mm")?
+        .opt("edge_exclusion_mm")?
         .map_or(base.edge_exclusion_mm(), |s| s.value);
     let scribe = wafer
-        .opt_f64("scribe_lane_mm")?
+        .opt("scribe_lane_mm")?
         .map_or(base.scribe_lane_mm(), |s| s.value);
     wafer.deny_unknown()?;
     WaferSpec::new(diameter, edge, scribe).map_err(|e| ScenarioError::schema(pos, e.to_string()))
@@ -85,20 +87,20 @@ fn lower_node(
     base: Option<&ProcessNode>,
 ) -> Result<ProcessNode, ScenarioError> {
     let table_pos = view.pos();
-    let defect = view.opt_f64("defect_density")?;
+    let defect = view.opt("defect_density")?;
     // lint:allow(unit-suffix): `cluster` is the paper's dimensionless α; the key is scenario-file API
-    let cluster = view.opt_f64("cluster")?;
-    let wafer_price = view.opt_f64("wafer_price_usd")?.map(money).transpose()?;
-    let k_module = view.opt_f64("k_module_usd")?.map(money).transpose()?;
-    let k_chip = view.opt_f64("k_chip_usd")?.map(money).transpose()?;
+    let cluster = view.opt("cluster")?;
+    let wafer_price = view.opt("wafer_price_usd")?.map(money).transpose()?;
+    let k_module = view.opt("k_module_usd")?.map(money).transpose()?;
+    let k_chip = view.opt("k_chip_usd")?.map(money).transpose()?;
     let mask_set = opt_money_usd_or_musd(&mut view, "mask_set_usd", "mask_set_musd")?;
     let ip_license = opt_money_usd_or_musd(&mut view, "ip_license_usd", "ip_license_musd")?;
-    let relative_density = view.opt_f64("relative_density")?;
+    let relative_density = view.opt("relative_density")?;
     let d2d = match view.opt_table("d2d")? {
         None => None,
         Some(mut d2d_view) => {
             let pos = d2d_view.pos();
-            let fraction = d2d_view.opt_f64("area_fraction")?;
+            let fraction = d2d_view.opt("area_fraction")?;
             let nre = opt_money_usd_or_musd(&mut d2d_view, "nre_usd", "nre_musd")?;
             d2d_view.deny_unknown()?;
             let base_d2d = base.map(|n| *n.d2d()).unwrap_or_default();
@@ -172,172 +174,100 @@ fn lower_node(
         .map_err(|e| ScenarioError::schema(table_pos, e.to_string()))
 }
 
-/// Parses a packaging kind key (`soc`, `mcm`, `info`, `2.5d`). The
-/// grammar is owned by actuary-tech's `FromStr`, shared with the CLI.
-pub(crate) fn parse_kind(s: &str, pos: Pos) -> Result<IntegrationKind, ScenarioError> {
-    s.parse()
-        .map_err(|message| ScenarioError::schema(pos, message))
-}
-
-/// Lowers one `[packaging.<kind>]` table, overlaying `base` when present.
+/// Lowers one `[packaging.<kind>]` table: an overlay of `base` changes
+/// only the keys present, a new entry starts from
+/// [`PackagingTech::builder`].
 fn lower_packaging(
     kind: IntegrationKind,
     mut view: View<'_>,
     base: Option<&PackagingTech>,
 ) -> Result<PackagingTech, ScenarioError> {
     let table_pos = view.pos();
-    let substrate = view
-        .opt_f64("substrate_cost_per_mm2_usd")?
-        .map(money)
-        .transpose()?;
-    let layer_factor = view.opt_f64("substrate_layer_factor")?;
-    let body_factor = view.opt_f64("package_body_factor")?;
-    let bond_yield = view.opt_f64("chip_bond_yield")?.map(prob).transpose()?;
-    let attach_yield = view
-        .opt_f64("substrate_attach_yield")?
-        .map(prob)
-        .transpose()?;
-    let test_yield = view.opt_f64("package_test_yield")?.map(prob).transpose()?;
-    let bond_cost = view
-        .opt_f64("bond_cost_per_chip_usd")?
-        .map(money)
-        .transpose()?;
-    let assembly = view.opt_f64("assembly_cost_usd")?.map(money).transpose()?;
-    let k_package = view
-        .opt_f64("k_package_per_mm2_usd")?
-        .map(money)
-        .transpose()?;
-    let fixed_nre =
-        opt_money_usd_or_musd(&mut view, "fixed_package_nre_usd", "fixed_package_nre_musd")?;
-    let interposer = match view.opt_table("interposer")? {
-        None => None,
-        Some(mut ip_view) => {
-            let pos = ip_view.pos();
-            let base_ip = base.and_then(|p| p.interposer());
-            let defect = ip_view.opt_f64("defect_density")?;
-            // lint:allow(unit-suffix): `cluster` is the paper's dimensionless α; the key is scenario-file API
-            let cluster = ip_view.opt_f64("cluster")?;
-            let price = ip_view.opt_f64("wafer_price_usd")?.map(money).transpose()?;
-            let area_factor = ip_view.opt_f64("area_factor")?;
-            let default_wafer = match base_ip.map(|ip| ip.wafer()) {
-                Some(w) => w,
-                None => {
-                    WaferSpec::mm300().map_err(|e| ScenarioError::schema(pos, e.to_string()))?
-                }
-            };
-            let wafer = opt_wafer(&mut ip_view, default_wafer)?;
-            ip_view.deny_unknown()?;
-            let req = |name: &str, v: Option<f64>, b: Option<f64>| {
-                v.or(b).ok_or_else(|| {
-                    ScenarioError::schema(
-                        pos,
-                        format!("interposer of a new [packaging] entry requires key `{name}`"),
-                    )
-                })
-            };
-            let defect = DefectDensity::per_cm2(req(
-                "defect_density",
-                defect.map(|s| s.value),
-                base_ip.map(|ip| ip.defect_density().value()),
-            )?)
-            .map_err(|e| ScenarioError::schema(pos, e.to_string()))?;
-            Some(
-                InterposerSpec::new(
-                    defect,
-                    req(
-                        "cluster",
-                        cluster.map(|s| s.value),
-                        base_ip.map(|ip| ip.cluster()),
-                    )?,
-                    match price.or(base_ip.map(|ip| ip.wafer_price())) {
-                        Some(p) => p,
-                        None => {
-                            return Err(ScenarioError::schema(
-                                pos,
-                                "interposer of a new [packaging] entry requires key \
-                                 `wafer_price_usd`"
-                                    .to_string(),
-                            ))
-                        }
-                    },
-                    wafer,
-                    req(
-                        "area_factor",
-                        area_factor.map(|s| s.value),
-                        base_ip.map(|ip| ip.area_factor()),
-                    )?,
-                )
-                .map_err(|e| ScenarioError::schema(pos, e.to_string()))?,
-            )
-        }
-    };
-    view.deny_unknown()?;
-
-    let mut builder = PackagingTech::builder(kind)
-        .substrate_cost_per_mm2(
-            substrate
-                .or(base.map(|p| p.substrate_cost_per_mm2()))
-                .unwrap_or(Money::ZERO),
-        )
-        .substrate_layer_factor(
-            layer_factor
-                .map(|s| s.value)
-                .or(base.map(|p| p.substrate_layer_factor()))
-                .unwrap_or(1.0),
-        )
-        .package_body_factor(
-            body_factor
-                .map(|s| s.value)
-                .or(base.map(|p| p.package_body_factor()))
-                .unwrap_or(4.0),
-        )
-        .chip_bond_yield(
-            bond_yield
-                .or(base.map(|p| p.chip_bond_yield()))
-                .unwrap_or(Prob::ONE),
-        )
-        .substrate_attach_yield(
-            attach_yield
-                .or(base.map(|p| p.substrate_attach_yield()))
-                .unwrap_or(Prob::ONE),
-        )
-        .package_test_yield(
-            test_yield
-                .or(base.map(|p| p.package_test_yield()))
-                .unwrap_or(Prob::ONE),
-        )
-        .bond_cost_per_chip(
-            bond_cost
-                .or(base.map(|p| p.bond_cost_per_chip()))
-                .unwrap_or(Money::ZERO),
-        )
-        .assembly_cost(
-            assembly
-                .or(base.map(|p| p.assembly_cost()))
-                .unwrap_or(Money::ZERO),
-        )
-        .k_package_per_mm2(
-            k_package
-                .or(base.map(|p| p.k_package_per_mm2()))
-                .unwrap_or(Money::ZERO),
-        )
-        .fixed_package_nre(
-            fixed_nre
-                .or(base.map(|p| p.fixed_package_nre()))
-                .unwrap_or(Money::ZERO),
-        );
-    if let Some(ip) = interposer.or_else(|| base.and_then(|p| p.interposer().copied())) {
-        builder = builder.interposer(ip);
+    let mut builder = base.map_or_else(|| PackagingTech::builder(kind), PackagingTech::to_builder);
+    if let Some(cost) = view.opt("substrate_cost_per_mm2_usd")? {
+        builder = builder.substrate_cost_per_mm2(money(cost)?);
     }
+    if let Some(factor) = view.opt("substrate_layer_factor")? {
+        builder = builder.substrate_layer_factor(factor.value);
+    }
+    if let Some(factor) = view.opt("package_body_factor")? {
+        builder = builder.package_body_factor(factor.value);
+    }
+    if let Some(y) = view.opt("chip_bond_yield")? {
+        builder = builder.chip_bond_yield(prob(y)?);
+    }
+    if let Some(y) = view.opt("substrate_attach_yield")? {
+        builder = builder.substrate_attach_yield(prob(y)?);
+    }
+    if let Some(y) = view.opt("package_test_yield")? {
+        builder = builder.package_test_yield(prob(y)?);
+    }
+    if let Some(cost) = view.opt("bond_cost_per_chip_usd")? {
+        builder = builder.bond_cost_per_chip(money(cost)?);
+    }
+    if let Some(cost) = view.opt("assembly_cost_usd")? {
+        builder = builder.assembly_cost(money(cost)?);
+    }
+    if let Some(k) = view.opt("k_package_per_mm2_usd")? {
+        builder = builder.k_package_per_mm2(money(k)?);
+    }
+    if let Some(cost) =
+        opt_money_usd_or_musd(&mut view, "fixed_package_nre_usd", "fixed_package_nre_musd")?
+    {
+        builder = builder.fixed_package_nre(cost);
+    }
+    if let Some(ip_view) = view.opt_table("interposer")? {
+        let base_ip = base.and_then(PackagingTech::interposer);
+        builder = builder.interposer(lower_interposer(ip_view, base_ip)?);
+    }
+    view.deny_unknown()?;
     builder
         .build()
         .map_err(|e| ScenarioError::schema(table_pos, e.to_string()))
 }
 
+/// Lowers one `[packaging.<kind>.interposer]` table, overlaying `base`
+/// when present; without one, every process key is required.
+fn lower_interposer(
+    mut view: View<'_>,
+    base: Option<&InterposerSpec>,
+) -> Result<InterposerSpec, ScenarioError> {
+    let pos = view.pos();
+    let defect = view.opt::<f64>("defect_density")?.map(|s| s.value);
+    // lint:allow(unit-suffix): `cluster` is the paper's dimensionless α; the key is scenario-file API
+    let cluster = view.opt::<f64>("cluster")?.map(|s| s.value);
+    let price = view.opt("wafer_price_usd")?.map(money).transpose()?;
+    let area_factor = view.opt::<f64>("area_factor")?.map(|s| s.value);
+    let default_wafer = match base {
+        Some(ip) => ip.wafer(),
+        None => WaferSpec::mm300().map_err(|e| ScenarioError::schema(pos, e.to_string()))?,
+    };
+    let wafer = opt_wafer(&mut view, default_wafer)?;
+    view.deny_unknown()?;
+    let missing = |key: &str| {
+        ScenarioError::schema(
+            pos,
+            format!("interposer of a new [packaging] entry requires key `{key}`"),
+        )
+    };
+    let defect = (defect.or(base.map(|ip| ip.defect_density().value())))
+        .ok_or_else(|| missing("defect_density"))?;
+    let defect =
+        DefectDensity::per_cm2(defect).map_err(|e| ScenarioError::schema(pos, e.to_string()))?;
+    let cluster =
+        (cluster.or(base.map(InterposerSpec::cluster))).ok_or_else(|| missing("cluster"))?;
+    let price = (price.or(base.map(InterposerSpec::wafer_price)))
+        .ok_or_else(|| missing("wafer_price_usd"))?;
+    let area_factor = (area_factor.or(base.map(InterposerSpec::area_factor)))
+        .ok_or_else(|| missing("area_factor"))?;
+    InterposerSpec::new(defect, cluster, price, wafer, area_factor)
+        .map_err(|e| ScenarioError::schema(pos, e.to_string()))
+}
+
 /// Builds the scenario's [`TechLibrary`] from the root view: `extends` plus
 /// the `[nodes]` / `[packaging]` overlay tables.
 pub(crate) fn lower_library(root: &mut View<'_>) -> Result<TechLibrary, ScenarioError> {
-    let mut library = match root.opt_str("extends")? {
+    let mut library = match root.opt::<&str>("extends")? {
         None => TechLibrary::paper_defaults()
             .map_err(|e| ScenarioError::schema(Pos::default(), e.to_string()))?,
         Some(s) => match s.value {
@@ -354,16 +284,19 @@ pub(crate) fn lower_library(root: &mut View<'_>) -> Result<TechLibrary, Scenario
     };
     if let Some(nodes) = root.opt_table("nodes")? {
         // Each entry of [nodes] is one node table; iterate in file order.
-        for entry in nodes_entries(&nodes)? {
-            let (id, table) = entry;
+        for (id, _, table) in nodes.children()? {
             let base = library.node(id).ok().cloned();
             let node = lower_node(id, View::new(table, format!("[nodes.{id}]")), base.as_ref())?;
             library.insert_node(node);
         }
     }
     if let Some(packaging) = root.opt_table("packaging")? {
-        for (key, key_pos, table) in table_children(&packaging, "[packaging]")? {
-            let kind = parse_kind(key, key_pos)?;
+        for (key, key_pos, table) in packaging.children()? {
+            // The kind grammar is owned by actuary-tech's `FromStr`, shared
+            // with the CLI.
+            let kind = key
+                .parse()
+                .map_err(|message| ScenarioError::schema(key_pos, message))?;
             let base = library.packaging(kind).ok().cloned();
             let tech = lower_packaging(
                 kind,
@@ -374,47 +307,6 @@ pub(crate) fn lower_library(root: &mut View<'_>) -> Result<TechLibrary, Scenario
         }
     }
     Ok(library)
-}
-
-/// The `[nodes]` children as `(id, table)` pairs, rejecting non-table
-/// entries.
-fn nodes_entries<'a>(
-    nodes: &View<'a>,
-) -> Result<Vec<(&'a str, &'a crate::toml::Table)>, ScenarioError> {
-    let mut out = Vec::new();
-    for (key, _pos, table) in table_children(nodes, "[nodes]")? {
-        out.push((key, table));
-    }
-    Ok(out)
-}
-
-/// Every child entry of a view as `(key, key position, table)`, erroring on
-/// non-table children.
-fn table_children<'a>(
-    view: &View<'a>,
-    context: &str,
-) -> Result<Vec<(&'a str, Pos, &'a crate::toml::Table)>, ScenarioError> {
-    let mut out = Vec::new();
-    for entry in view_table_entries(view) {
-        match &entry.value {
-            crate::toml::Value::Table(t) => out.push((entry.key.as_str(), entry.key_pos, t)),
-            other => {
-                return Err(ScenarioError::schema(
-                    entry.key_pos,
-                    format!(
-                        "entry `{}` of {context} must be a table, got {}",
-                        entry.key,
-                        other.type_name()
-                    ),
-                ))
-            }
-        }
-    }
-    Ok(out)
-}
-
-fn view_table_entries<'a>(view: &View<'a>) -> &'a [crate::toml::Entry] {
-    view.raw_entries()
 }
 
 /// Renders a key for a `[header]` path: bare when possible, quoted (with

@@ -241,9 +241,33 @@ pub struct PackagingTech {
 }
 
 impl PackagingTech {
-    /// Starts building a packaging technology of the given kind.
+    /// Starts building a packaging technology of the given kind: no
+    /// substrate, bond, assembly or package-NRE cost, a layer factor of 1,
+    /// a package body 4× the silicon, every yield 1 and no interposer.
     pub fn builder(kind: IntegrationKind) -> PackagingTechBuilder {
-        PackagingTechBuilder::new(kind)
+        PackagingTechBuilder {
+            tech: PackagingTech {
+                kind,
+                substrate_cost_per_mm2: Money::ZERO,
+                substrate_layer_factor: 1.0,
+                package_body_factor: 4.0,
+                chip_bond_yield: Prob::ONE,
+                substrate_attach_yield: Prob::ONE,
+                package_test_yield: Prob::ONE,
+                bond_cost_per_chip: Money::ZERO,
+                assembly_cost: Money::ZERO,
+                interposer: None,
+                k_package_per_mm2: Money::ZERO,
+                fixed_package_nre: Money::ZERO,
+            },
+        }
+    }
+
+    /// A builder that holds every parameter of this technology, so a
+    /// what-if variant sets only what it changes:
+    /// `mcm.to_builder().assembly_cost(cost).build()`.
+    pub fn to_builder(&self) -> PackagingTechBuilder {
+        PackagingTechBuilder { tech: self.clone() }
     }
 
     /// The integration scheme this technology implements.
@@ -331,104 +355,77 @@ impl fmt::Display for PackagingTech {
     }
 }
 
-/// Builder for [`PackagingTech`] (see C-BUILDER).
+/// Builder for [`PackagingTech`] (see C-BUILDER): the technology it
+/// builds, validated by [`PackagingTechBuilder::build`].
 #[derive(Debug, Clone)]
 pub struct PackagingTechBuilder {
-    kind: IntegrationKind,
-    substrate_cost_per_mm2: Money,
-    substrate_layer_factor: f64,
-    package_body_factor: f64,
-    chip_bond_yield: Prob,
-    substrate_attach_yield: Prob,
-    package_test_yield: Prob,
-    bond_cost_per_chip: Money,
-    assembly_cost: Money,
-    interposer: Option<InterposerSpec>,
-    k_package_per_mm2: Money,
-    fixed_package_nre: Money,
+    tech: PackagingTech,
 }
 
 impl PackagingTechBuilder {
-    fn new(kind: IntegrationKind) -> Self {
-        PackagingTechBuilder {
-            kind,
-            substrate_cost_per_mm2: Money::ZERO,
-            substrate_layer_factor: 1.0,
-            package_body_factor: 4.0,
-            chip_bond_yield: Prob::ONE,
-            substrate_attach_yield: Prob::ONE,
-            package_test_yield: Prob::ONE,
-            bond_cost_per_chip: Money::ZERO,
-            assembly_cost: Money::ZERO,
-            interposer: None,
-            k_package_per_mm2: Money::ZERO,
-            fixed_package_nre: Money::ZERO,
-        }
-    }
-
     /// Sets the substrate cost per mm² of package body.
     pub fn substrate_cost_per_mm2(mut self, cost: Money) -> Self {
-        self.substrate_cost_per_mm2 = cost;
+        self.tech.substrate_cost_per_mm2 = cost;
         self
     }
 
     /// Sets the substrate layer growth factor (≥ 1).
     pub fn substrate_layer_factor(mut self, factor: f64) -> Self {
-        self.substrate_layer_factor = factor;
+        self.tech.substrate_layer_factor = factor;
         self
     }
 
     /// Sets the package-body to silicon area ratio (≥ 1).
     pub fn package_body_factor(mut self, factor: f64) -> Self {
-        self.package_body_factor = factor;
+        self.tech.package_body_factor = factor;
         self
     }
 
     /// Sets the per-chip bonding yield `y₂`.
     pub fn chip_bond_yield(mut self, y: Prob) -> Self {
-        self.chip_bond_yield = y;
+        self.tech.chip_bond_yield = y;
         self
     }
 
     /// Sets the interposer-to-substrate attach yield `y₃`.
     pub fn substrate_attach_yield(mut self, y: Prob) -> Self {
-        self.substrate_attach_yield = y;
+        self.tech.substrate_attach_yield = y;
         self
     }
 
     /// Sets the final package assembly/test yield.
     pub fn package_test_yield(mut self, y: Prob) -> Self {
-        self.package_test_yield = y;
+        self.tech.package_test_yield = y;
         self
     }
 
     /// Sets the per-chip bonding cost `C_bond`.
     pub fn bond_cost_per_chip(mut self, cost: Money) -> Self {
-        self.bond_cost_per_chip = cost;
+        self.tech.bond_cost_per_chip = cost;
         self
     }
 
     /// Sets the fixed assembly overhead per package.
     pub fn assembly_cost(mut self, cost: Money) -> Self {
-        self.assembly_cost = cost;
+        self.tech.assembly_cost = cost;
         self
     }
 
     /// Sets the interposer process (required for InFO / 2.5D).
     pub fn interposer(mut self, spec: InterposerSpec) -> Self {
-        self.interposer = Some(spec);
+        self.tech.interposer = Some(spec);
         self
     }
 
     /// Sets `K_p`, the package design NRE per mm².
     pub fn k_package_per_mm2(mut self, k: Money) -> Self {
-        self.k_package_per_mm2 = k;
+        self.tech.k_package_per_mm2 = k;
         self
     }
 
     /// Sets `C_p`, the fixed package NRE.
     pub fn fixed_package_nre(mut self, c: Money) -> Self {
-        self.fixed_package_nre = c;
+        self.tech.fixed_package_nre = c;
         self
     }
 
@@ -439,28 +436,29 @@ impl PackagingTechBuilder {
     /// Returns [`TechError::InvalidSpec`] if factors are out of range, costs
     /// are negative, or an interposer is missing/superfluous for the kind.
     pub fn build(self) -> Result<PackagingTech, TechError> {
-        if !self.substrate_layer_factor.is_finite() || self.substrate_layer_factor < 1.0 {
+        let tech = self.tech;
+        if !tech.substrate_layer_factor.is_finite() || tech.substrate_layer_factor < 1.0 {
             return Err(TechError::InvalidSpec {
                 reason: format!(
                     "substrate layer factor {} must be at least 1",
-                    self.substrate_layer_factor
+                    tech.substrate_layer_factor
                 ),
             });
         }
-        if !self.package_body_factor.is_finite() || self.package_body_factor < 1.0 {
+        if !tech.package_body_factor.is_finite() || tech.package_body_factor < 1.0 {
             return Err(TechError::InvalidSpec {
                 reason: format!(
                     "package body factor {} must be at least 1",
-                    self.package_body_factor
+                    tech.package_body_factor
                 ),
             });
         }
         for (name, m) in [
-            ("substrate cost", self.substrate_cost_per_mm2),
-            ("bond cost", self.bond_cost_per_chip),
-            ("assembly cost", self.assembly_cost),
-            ("package NRE factor", self.k_package_per_mm2),
-            ("fixed package NRE", self.fixed_package_nre),
+            ("substrate cost", tech.substrate_cost_per_mm2),
+            ("bond cost", tech.bond_cost_per_chip),
+            ("assembly cost", tech.assembly_cost),
+            ("package NRE factor", tech.k_package_per_mm2),
+            ("fixed package NRE", tech.fixed_package_nre),
         ] {
             if m.is_negative() {
                 return Err(TechError::InvalidSpec {
@@ -468,30 +466,17 @@ impl PackagingTechBuilder {
                 });
             }
         }
-        if self.kind.has_interposer() && self.interposer.is_none() {
+        if tech.kind.has_interposer() && tech.interposer.is_none() {
             return Err(TechError::InvalidSpec {
-                reason: format!("{} packaging requires an interposer spec", self.kind),
+                reason: format!("{} packaging requires an interposer spec", tech.kind),
             });
         }
-        if !self.kind.has_interposer() && self.interposer.is_some() {
+        if !tech.kind.has_interposer() && tech.interposer.is_some() {
             return Err(TechError::InvalidSpec {
-                reason: format!("{} packaging must not define an interposer", self.kind),
+                reason: format!("{} packaging must not define an interposer", tech.kind),
             });
         }
-        Ok(PackagingTech {
-            kind: self.kind,
-            substrate_cost_per_mm2: self.substrate_cost_per_mm2,
-            substrate_layer_factor: self.substrate_layer_factor,
-            package_body_factor: self.package_body_factor,
-            chip_bond_yield: self.chip_bond_yield,
-            substrate_attach_yield: self.substrate_attach_yield,
-            package_test_yield: self.package_test_yield,
-            bond_cost_per_chip: self.bond_cost_per_chip,
-            assembly_cost: self.assembly_cost,
-            interposer: self.interposer,
-            k_package_per_mm2: self.k_package_per_mm2,
-            fixed_package_nre: self.fixed_package_nre,
-        })
+        Ok(tech)
     }
 }
 
@@ -604,6 +589,24 @@ mod tests {
             .assembly_cost(usd(-1.0))
             .build()
             .is_err());
+    }
+
+    #[test]
+    fn to_builder_rebuilds_every_preset_packaging_unchanged() {
+        let lib = crate::TechLibrary::paper_defaults().unwrap();
+        for tech in lib.packagings() {
+            assert_eq!(&tech.to_builder().build().unwrap(), tech, "{tech}");
+        }
+        let mcm = lib.packaging(IntegrationKind::Mcm).unwrap();
+        let what_if = mcm.to_builder().assembly_cost(usd(13.46)).build().unwrap();
+        assert_eq!(what_if.assembly_cost(), usd(13.46));
+        assert_eq!(
+            what_if
+                .to_builder()
+                .assembly_cost(mcm.assembly_cost())
+                .build(),
+            Ok(mcm.clone())
+        );
     }
 
     #[test]

@@ -604,3 +604,40 @@ fn custom_node_scenario_runs_on_the_declared_node() {
         .feasible()
         .any(|c| c.node == "4nm" && c.scheme_params == "k=4,n=4"));
 }
+
+/// Every document under `examples/scenarios/errors/` fails to lower with
+/// exactly the diagnostic pinned beside it in `<name>.err`: one malformed
+/// document per diagnostic form (each scalar type as a key and as an array
+/// element, each grammar, the structural and new-entry errors).
+#[test]
+fn every_malformed_scenario_keeps_its_pinned_diagnostic() {
+    let dir = format!("{}/examples/scenarios/errors", env!("CARGO_MANIFEST_DIR"));
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("{dir}: {e}"))
+        .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    let tomls: Vec<&str> = names
+        .iter()
+        .filter_map(|n| n.strip_suffix(".toml"))
+        .collect();
+    let errs: Vec<&str> = names
+        .iter()
+        .filter_map(|n| n.strip_suffix(".err"))
+        .collect();
+    assert_eq!(
+        tomls, errs,
+        "every corpus document needs its pinned .err and no more"
+    );
+    assert!(
+        tomls.len() >= 50,
+        "the corpus lost documents: {}",
+        tomls.len()
+    );
+    for name in tomls {
+        let text = std::fs::read_to_string(format!("{dir}/{name}.toml")).unwrap();
+        let pinned = std::fs::read_to_string(format!("{dir}/{name}.err")).unwrap();
+        let err = Scenario::from_toml(&text).expect_err(name);
+        assert_eq!(format!("{err}\n"), pinned, "{name}.toml");
+    }
+}
