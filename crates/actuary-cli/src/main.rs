@@ -31,6 +31,7 @@ use std::io::{self, Write};
 use std::process::ExitCode;
 
 use actuary_arch::{partition::equal_chiplets, Portfolio, System};
+use actuary_dse::explore::SINGLE_SYSTEM_DROPPED;
 use actuary_dse::optimizer::{recommend, SearchSpace};
 use actuary_dse::portfolio::{
     explore_portfolio, parse_fsmc_situation, PortfolioSpace, ReuseScheme,
@@ -831,12 +832,6 @@ fn cmd_explore(lib: &TechLibrary, flags: &Flags, out: &mut dyn Write) -> Result<
     )?;
     Ok(())
 }
-
-/// The grid columns a plain `explore` (no `--schemes`, no `--flow-axis`)
-/// leaves out of its CSV outputs: its only scheme is `none` and its only
-/// flow the `--flow` one, so they carry nothing, and without them the
-/// outputs keep the single-system layout.
-const SINGLE_SYSTEM_DROPPED: [&str; 3] = ["scheme", "scheme_params", "flow"];
 
 /// `actuary run <scenario.toml>`: parse, lower and execute a declarative
 /// scenario file through the scenario subsystem.

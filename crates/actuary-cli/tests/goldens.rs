@@ -1,12 +1,14 @@
 //! The committed goldens, pinned: every bundled scenario run through the
 //! real `actuary run --out-dir` must write exactly the files of
-//! `examples/scenarios/golden/`, byte for byte, the segments
+//! `examples/scenarios/golden/`, byte for byte, and those grid files
+//! together must hold a row of every status; the segments
 //! `Scenario::run_with` hands a stream sink must be those same files in
-//! artifact order, and fig8's JSON-lines rendering (what `actuary serve`
-//! streams for `Accept: application/json`) must equal
-//! `golden-jsonl/fig8.jsonl`, the one file there. The reproduced studies
-//! are pinned the same way: `actuary repro --figure all --csv` and
-//! `actuary experiments` must print the files of `examples/studies/`.
+//! artifact order (a streamed refine grid as the same rows in wave
+//! order), and every scenario's JSON-lines rendering (what `actuary
+//! serve` streams for `Accept: application/json`) must equal its
+//! `golden-jsonl/<name>.jsonl`. The reproduced studies are pinned the
+//! same way: `actuary repro --figure all --csv` and `actuary experiments`
+//! must print the files of `examples/studies/`.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -61,12 +63,26 @@ fn every_scenario_reproduces_the_committed_goldens() {
         expected,
         "the scenarios must write exactly the golden files"
     );
+    let mut grids = String::new();
     for name in &expected {
         let written = std::fs::read(out.join(name)).unwrap();
         let pinned = std::fs::read(golden.join(name)).unwrap();
         assert!(
             written == pinned,
             "{name} differs from examples/scenarios/golden/{name}"
+        );
+        let text = String::from_utf8(pinned).unwrap();
+        if text.starts_with("node,area_mm2,quantity,integration,") {
+            grids.push_str(&text);
+        }
+    }
+    // The status column sits between two unquoted cells (the scheme
+    // parameters may be quoted, the per-unit cost never is), so a row of
+    // each status holds the keyword between commas.
+    for status in ["feasible", "infeasible", "incompatible", "pruned"] {
+        assert!(
+            grids.contains(&format!(",{status},")),
+            "no grid golden holds a {status} row"
         );
     }
     std::fs::remove_dir_all(&out).unwrap();
@@ -105,26 +121,33 @@ fn experiments_record_matches_its_golden() {
 #[test]
 fn fig8_jsonl_rendering_matches_its_golden() {
     let scenarios = scenarios_dir();
-    let toml = std::fs::read_to_string(scenarios.join("fig8.toml")).unwrap();
-    let run = Scenario::from_toml(&toml)
-        .expect("fig8 parses")
-        .run(1)
-        .expect("fig8 runs");
-    let mut jsonl = String::new();
-    for artifact in run.artifacts() {
-        jsonl.push_str(&artifact.jsonl());
-    }
     let golden = scenarios.join("golden-jsonl");
+    let tomls = files(&scenarios, "toml");
+    let expected: Vec<String> = tomls
+        .iter()
+        .map(|toml| toml.replace(".toml", ".jsonl"))
+        .collect();
     assert_eq!(
         files(&golden, "jsonl"),
-        ["fig8.jsonl"],
-        "golden-jsonl/ must hold exactly the goldens this test checks"
+        expected,
+        "golden-jsonl/ must hold exactly one golden per bundled scenario"
     );
-    let pinned = std::fs::read_to_string(golden.join("fig8.jsonl")).unwrap();
-    assert!(
-        jsonl == pinned,
-        "fig8's JSON-lines rendering differs from golden-jsonl/fig8.jsonl"
-    );
+    for (toml, name) in tomls.iter().zip(&expected) {
+        let text = std::fs::read_to_string(scenarios.join(toml)).unwrap();
+        let run = Scenario::from_toml(&text)
+            .unwrap_or_else(|e| panic!("{toml}: {e}"))
+            .run(1)
+            .unwrap_or_else(|e| panic!("{toml}: {e}"));
+        let mut jsonl = String::new();
+        for artifact in run.artifacts() {
+            jsonl.push_str(&artifact.jsonl());
+        }
+        let pinned = std::fs::read_to_string(golden.join(name)).unwrap();
+        assert!(
+            jsonl == pinned,
+            "{toml}: the JSON-lines rendering differs from golden-jsonl/{name}"
+        );
+    }
 }
 
 /// Records every delivered segment as (artifact name, continuation, CSV
@@ -158,22 +181,49 @@ fn every_scenario_delivers_the_committed_goldens_to_a_stream_sink() {
         let run = scenario
             .run_with(1, None, &mut sink)
             .unwrap_or_else(|e| panic!("{toml}: {e}"));
-        // No bundled scenario streams a refine grid, so every segment is
-        // one whole artifact, delivered in the batch order.
+        // A refine-mode grid arrives as an opening segment plus
+        // continuations; every other artifact arrives whole. Either way
+        // the artifacts open in the batch order.
+        let mut whole: Vec<(String, bool, String)> = Vec::new();
+        for (name, continuation, text) in sink.0 {
+            match whole.last_mut() {
+                Some((last, segmented, rows)) if continuation => {
+                    assert_eq!(*last, name, "{toml}: a continuation of another artifact");
+                    *segmented = true;
+                    rows.push_str(&text);
+                }
+                _ => {
+                    assert!(!continuation, "{toml}: {name} opened as a continuation");
+                    whole.push((name, false, text));
+                }
+            }
+        }
         let order: Vec<String> = run
             .artifacts()
             .iter()
             .map(|a| a.name().to_string())
             .collect();
-        let names: Vec<String> = sink.0.iter().map(|(name, ..)| name.clone()).collect();
+        let names: Vec<String> = whole.iter().map(|(name, ..)| name.clone()).collect();
         assert_eq!(names, order, "{toml}: delivery order");
-        for (name, continuation, text) in sink.0 {
-            assert!(!continuation, "{toml}: {name} was delivered in segments");
+        for (name, segmented, text) in whole {
             let file = format!("{}-{name}.csv", scenario.name);
             let pinned = std::fs::read_to_string(golden.join(&file))
                 .unwrap_or_else(|e| panic!("{toml}: no golden {file}: {e}"));
+            // Streamed waves deliver the priced rows as they finish, then
+            // the pruned and incompatible rest: the golden's header first,
+            // then its rows in another order.
+            let same = if segmented {
+                let lines = |text: &str| {
+                    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+                    lines[1..].sort();
+                    lines
+                };
+                lines(&text) == lines(&pinned)
+            } else {
+                text == pinned
+            };
             assert!(
-                text == pinned,
+                same,
                 "{toml}: the delivered {name} differs from examples/scenarios/golden/{file}"
             );
             delivered.push(file);

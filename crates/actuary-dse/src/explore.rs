@@ -209,6 +209,7 @@ impl CellOutcome {
     }
 
     /// The CSV status keyword for this outcome.
+    #[cfg(test)]
     pub(crate) fn status(&self) -> &'static str {
         match self {
             CellOutcome::Feasible(_) => "feasible",
@@ -219,17 +220,25 @@ impl CellOutcome {
     }
 
     /// The recorded reason for a cell that was not costed.
+    #[cfg(test)]
     pub(crate) fn detail(&self) -> String {
         match self {
             CellOutcome::Feasible(_) => String::new(),
             CellOutcome::Infeasible(reason) => reason.clone(),
             CellOutcome::Incompatible(reason) => reason.to_string(),
-            CellOutcome::Pruned => {
-                "not evaluated (pruned by coarse-to-fine refinement)".to_string()
-            }
+            CellOutcome::Pruned => PRUNED_DETAIL.to_string(),
         }
     }
 }
+
+/// The columns a single-system grid's artifacts leave out: with `none`
+/// as its only scheme and one flow, the `scheme`, `scheme_params` and
+/// `flow` columns carry nothing (see
+/// [`actuary_units::Artifact::without_columns`]).
+pub const SINGLE_SYSTEM_DROPPED: [&str; 3] = ["scheme", "scheme_params", "flow"];
+
+/// The grid's `detail` text of a cell coarse-to-fine refinement skipped.
+pub(crate) const PRUNED_DETAIL: &str = "not evaluated (pruned by coarse-to-fine refinement)";
 
 #[cfg(test)]
 mod tests {
@@ -509,7 +518,7 @@ mod tests {
     fn csv_shapes_are_machine_readable() {
         // Without the scheme and flow axes, the `none` slice's artifacts
         // carry the historical single-system columns.
-        const SLICE: [&str; 3] = ["scheme", "scheme_params", "flow"];
+        const SLICE: [&str; 3] = SINGLE_SYSTEM_DROPPED;
         let result = explore_portfolio(&lib(), &small_space(), 2).unwrap();
         let grid = result.grid_artifact().without_columns(&SLICE).csv();
         let mut lines = grid.lines();

@@ -126,11 +126,11 @@ use actuary_arch::reuse::{FsmcSpec, OcmeSpec, ScmsSpec};
 use actuary_arch::{ArchError, PortfolioCore};
 use actuary_model::AssemblyFlow;
 use actuary_tech::{IntegrationKind, NodeId, TechLibrary};
-use actuary_units::{Area, Artifact, Quantity};
+use actuary_units::{write_fixed, Area, Artifact, Quantity, RowEmit};
 
 use crate::cache::{CacheStats, Lru};
 use crate::engine::{resolve_threads, run_chunked, run_chunked_into};
-use crate::explore::{CellOutcome, IncompatibleReason, ScmsFamily};
+use crate::explore::{CellOutcome, IncompatibleReason, ScmsFamily, PRUNED_DETAIL};
 use crate::optimizer::{single_system_core, Candidate};
 use crate::pareto::pareto_min_indices;
 
@@ -943,6 +943,28 @@ impl PortfolioResult {
     /// operating point is reported, feasible or not.
     pub fn winners(&self, scheme: ReuseScheme) -> Vec<SchemeWinner> {
         let shape = self.shape();
+        self.winners_by_index(scheme)
+            .into_iter()
+            .map(|w| {
+                let at = shape.coords(w.at);
+                SchemeWinner {
+                    scheme,
+                    node: self.space.nodes[at.node].clone(),
+                    area_mm2: self.space.areas_mm2[at.area],
+                    quantity: self.space.quantities[at.quantity],
+                    best: w
+                        .best
+                        .map(|(i, c)| (c.clone(), self.space.flows[shape.coords(i).flow])),
+                    saving_vs_soc_frac: w.saving_vs_soc_frac,
+                }
+            })
+            .collect()
+    }
+
+    /// [`PortfolioResult::winners`] by flat grid index, borrowing the
+    /// winning candidates from the store.
+    fn winners_by_index(&self, scheme: ReuseScheme) -> Vec<WinnerAt<'_>> {
+        let shape = self.shape();
         let block = shape.block();
         // Per block offset: whether the configuration is of this scheme.
         let in_scheme: Vec<bool> = (0..block)
@@ -971,8 +993,8 @@ impl PortfolioResult {
                     }
                 }
             }
-            let best = best.map(|(off, c)| (shape.coords(off), c));
-            let saving_vs_soc_frac = best.and_then(|(b, bc)| {
+            let saving_vs_soc_frac = best.and_then(|(off, bc)| {
+                let b = shape.coords(off);
                 let baseline_chiplets = match scheme {
                     ReuseScheme::None => 1,
                     _ => self.space.chiplet_counts[b.chiplets],
@@ -994,13 +1016,9 @@ impl PortfolioResult {
                     _ => None,
                 }
             });
-            let at = shape.coords(start);
-            out.push(SchemeWinner {
-                scheme,
-                node: self.space.nodes[at.node].clone(),
-                area_mm2: self.space.areas_mm2[at.area],
-                quantity: self.space.quantities[at.quantity],
-                best: best.map(|(b, c)| (c.clone(), self.space.flows[b.flow])),
+            out.push(WinnerAt {
+                at: start,
+                best: best.map(|(off, c)| (start + off, c)),
                 saving_vs_soc_frac,
             });
         }
@@ -1027,6 +1045,11 @@ impl PortfolioResult {
     /// sorts after it; the front over the representatives is the front
     /// over every feasible cell, cell for cell.
     pub fn pareto_front(&self, scheme: ReuseScheme) -> Vec<PortfolioCell> {
+        self.front_cells(self.chiplet_front(scheme))
+    }
+
+    /// [`PortfolioResult::pareto_front`] by flat grid index.
+    fn chiplet_front(&self, scheme: ReuseScheme) -> Vec<(usize, &Candidate)> {
         let shape = self.shape();
         let stride = shape.variants * shape.flows;
         self.front_of_group_minima(
@@ -1051,6 +1074,11 @@ impl PortfolioResult {
     /// IEEE arithmetic) no lower program total; it is weakly dominated by
     /// the representative and sorts after it, so the front is unchanged.
     pub fn pareto_program(&self, scheme: ReuseScheme) -> Vec<PortfolioCell> {
+        self.front_cells(self.program_front(scheme))
+    }
+
+    /// [`PortfolioResult::pareto_program`] by flat grid index.
+    fn program_front(&self, scheme: ReuseScheme) -> Vec<(usize, &Candidate)> {
         let shape = self.shape();
         let block = shape.block();
         self.front_of_group_minima(
@@ -1066,19 +1094,29 @@ impl PortfolioResult {
         )
     }
 
+    /// Materializes front members given by flat grid index.
+    fn front_cells(&self, cells: Vec<(usize, &Candidate)>) -> Vec<PortfolioCell> {
+        let shape = self.shape();
+        cells
+            .into_iter()
+            .map(|(i, c)| self.cell_at(shape.coords(i), CellOutcome::Feasible(c.clone())))
+            .collect()
+    }
+
     /// One pass over the sparse store keeps, for each of `groups` axis
     /// indices (`group_of` maps a flat index to one), the first feasible
     /// cell of `scheme` in grid order with the strictly smallest per-unit
     /// cost. [`pareto_min_indices`] then runs on those representatives in
     /// grid order, with `objectives` mapping a representative's
-    /// coordinates and per-unit cost to its two minimized objectives.
+    /// coordinates and per-unit cost to its two minimized objectives. The
+    /// front comes back as (flat index, candidate) pairs.
     fn front_of_group_minima(
         &self,
         scheme: ReuseScheme,
         groups: usize,
         group_of: impl Fn(usize) -> usize,
         objectives: impl Fn(CellIdx, f64) -> (f64, f64),
-    ) -> Vec<PortfolioCell> {
+    ) -> Vec<(usize, &Candidate)> {
         let mut span = actuary_obs::span!("dse.fronts");
         let shape = self.shape();
         let in_scheme: Vec<bool> = self.variants.iter().map(|v| v.scheme == scheme).collect();
@@ -1101,12 +1139,9 @@ impl PortfolioResult {
             .iter()
             .map(|&(i, c)| objectives(shape.coords(i), c.per_unit.usd()))
             .collect();
-        let front: Vec<PortfolioCell> = pareto_min_indices(&points)
+        let front: Vec<(usize, &Candidate)> = pareto_min_indices(&points)
             .into_iter()
-            .map(|k| {
-                let (i, c) = candidates[k];
-                self.cell_at(shape.coords(i), CellOutcome::Feasible(c.clone()))
-            })
+            .map(|k| candidates[k])
             .collect();
         span.record("cells", self.stored.len() as u64);
         span.record("candidates", candidates.len() as u64);
@@ -1130,42 +1165,11 @@ impl PortfolioResult {
         "detail",
     ];
 
-    /// The one grid-row encoding, shared by the batch artifact and the
-    /// streamed-segment artifacts so their bytes can never drift apart.
-    fn grid_row(cell: &PortfolioCell) -> [String; 12] {
-        let (per_unit, re_per_unit) = match cell.outcome.candidate() {
-            Some(c) => (
-                format!("{:.6}", c.per_unit.usd()),
-                format!("{:.6}", c.re_per_unit.usd()),
-            ),
-            None => (String::new(), String::new()),
-        };
-        [
-            cell.node.clone(),
-            format!("{}", cell.area_mm2),
-            cell.quantity.to_string(),
-            cell.integration.to_string(),
-            cell.chiplets.to_string(),
-            cell.flow.to_string(),
-            cell.scheme.to_string(),
-            cell.scheme_params.clone(),
-            cell.outcome.status().to_string(),
-            per_unit,
-            re_per_unit,
-            cell.outcome.detail(),
-        ]
-    }
-
     /// The full grid as a streaming [`Artifact`] named `"grid"`: one row
     /// per cell in grid order, never materialized as one string;
     /// byte-identical across thread counts.
     pub fn grid_artifact(&self) -> Artifact<'_> {
-        Artifact::new("grid", "grid", &Self::GRID_COLUMNS, move |emit| {
-            for cell in self.iter_cells() {
-                emit(&Self::grid_row(&cell))?;
-            }
-            Ok(())
-        })
+        self.grid_part_artifact(GridPart::All)
     }
 
     /// The grid rows of every cell in the sparse store, in grid order, with
@@ -1174,14 +1178,7 @@ impl PortfolioResult {
     /// streamed refinement: each wave's own result renders the cells that
     /// wave priced.
     pub fn grid_stored_artifact(&self) -> Artifact<'_> {
-        Artifact::new("grid", "grid", &Self::GRID_COLUMNS, move |emit| {
-            let shape = self.shape();
-            for (i, outcome) in &self.stored {
-                let cell = self.cell_at(shape.coords(*i), outcome.clone());
-                emit(&Self::grid_row(&cell))?;
-            }
-            Ok(())
-        })
+        self.grid_part_artifact(GridPart::Stored)
     }
 
     /// The grid rows of every cell *absent* from the sparse store — the
@@ -1190,18 +1187,32 @@ impl PortfolioResult {
     /// [`PortfolioResult::grid_stored_artifact`] segments: the segments
     /// plus this artifact's rows cover every grid row exactly once.
     pub fn grid_unstored_artifact(&self) -> Artifact<'_> {
+        self.grid_part_artifact(GridPart::Unstored)
+    }
+
+    /// The rows of `part` of the grid, through the one grid-row writer
+    /// ([`GridRows`]), so the batch grid and the streamed segments can
+    /// never drift apart.
+    fn grid_part_artifact(&self, part: GridPart) -> Artifact<'_> {
         Artifact::new("grid", "grid", &Self::GRID_COLUMNS, move |emit| {
             let shape = self.shape();
-            let mut cursor = 0usize;
+            let mut rows = GridRows::new(self);
+            if part == GridPart::Stored {
+                for (i, outcome) in &self.stored {
+                    rows.emit(emit, shape.coords(*i), Some(outcome))?;
+                }
+                return Ok(());
+            }
+            let mut stored = self.stored.iter().peekable();
             for i in 0..self.len {
-                while cursor < self.stored.len() && self.stored[cursor].0 < i {
-                    cursor += 1;
+                let at = shape.coords(i);
+                match stored.next_if(|(s, _)| *s == i) {
+                    Some((_, outcome)) if part == GridPart::All => {
+                        rows.emit(emit, at, Some(outcome))?;
+                    }
+                    Some(_) => {}
+                    None => rows.emit(emit, at, None)?,
                 }
-                if matches!(self.stored.get(cursor), Some((stored_i, _)) if *stored_i == i) {
-                    continue;
-                }
-                let cell = self.cell_at(shape.coords(i), self.unstored_outcome(shape.coords(i)));
-                emit(&Self::grid_row(&cell))?;
             }
             Ok(())
         })
@@ -1225,29 +1236,42 @@ impl PortfolioResult {
                 "saving_vs_soc",
             ],
             move |emit| {
-                for w in self.all_winners() {
-                    let (integration, chiplets, flow, per_unit) = match &w.best {
-                        Some((c, flow)) => (
-                            c.integration.to_string(),
-                            c.chiplets.to_string(),
-                            flow.to_string(),
-                            format!("{:.6}", c.per_unit.usd()),
-                        ),
-                        None => (String::new(), String::new(), String::new(), String::new()),
-                    };
-                    emit(&[
-                        w.scheme.to_string(),
-                        w.node.clone(),
-                        format!("{}", w.area_mm2),
-                        w.quantity.to_string(),
-                        integration,
-                        chiplets,
-                        flow,
-                        per_unit,
-                        w.saving_vs_soc_frac
-                            .map(|s| format!("{s:.6}"))
-                            .unwrap_or_default(),
-                    ])?;
+                let shape = self.shape();
+                let labels = AxisLabels::of(self);
+                let mut numbers = String::new();
+                for &scheme in &self.space.schemes {
+                    for w in self.winners_by_index(scheme) {
+                        let at = shape.coords(w.at);
+                        numbers.clear();
+                        let (integration, chiplets, flow) = match w.best {
+                            Some((i, c)) => {
+                                write_fixed(&mut numbers, c.per_unit.usd(), 6)?;
+                                let b = shape.coords(i);
+                                (
+                                    labels.integrations[b.integration].as_str(),
+                                    labels.chiplets[b.chiplets].as_str(),
+                                    labels.flows[b.flow].as_str(),
+                                )
+                            }
+                            None => ("", "", ""),
+                        };
+                        let split = numbers.len();
+                        if let Some(s) = w.saving_vs_soc_frac {
+                            write_fixed(&mut numbers, s, 6)?;
+                        }
+                        let (per_unit, saving) = numbers.split_at(split);
+                        emit(&[
+                            scheme.label(),
+                            &labels.nodes[at.node],
+                            &labels.areas[at.area],
+                            &labels.quantities[at.quantity],
+                            integration,
+                            chiplets,
+                            flow,
+                            per_unit,
+                            saving,
+                        ])?;
+                    }
                 }
                 Ok(())
             },
@@ -1257,82 +1281,217 @@ impl PortfolioResult {
     /// Every scheme's (per-unit cost, chiplet count) Pareto front as one
     /// [`Artifact`] named `"pareto"`, concatenated in scheme order.
     pub fn pareto_artifact(&self) -> Artifact<'_> {
-        Artifact::new(
-            "pareto",
-            "pareto",
-            &[
-                "scheme",
-                "scheme_params",
-                "node",
-                "area_mm2",
-                "quantity",
-                "integration",
-                "chiplets",
-                "flow",
-                "per_unit_usd",
-            ],
-            move |emit| {
-                for &scheme in &self.space.schemes {
-                    for cell in self.pareto_front(scheme) {
-                        let c = cell.outcome.candidate().expect("Pareto cells are feasible");
-                        emit(&[
-                            cell.scheme.to_string(),
-                            cell.scheme_params.clone(),
-                            cell.node.clone(),
-                            format!("{}", cell.area_mm2),
-                            cell.quantity.to_string(),
-                            cell.integration.to_string(),
-                            cell.chiplets.to_string(),
-                            cell.flow.to_string(),
-                            format!("{:.6}", c.per_unit.usd()),
-                        ])?;
-                    }
-                }
-                Ok(())
-            },
-        )
+        self.fronts_artifact(false)
     }
 
     /// Every scheme's [`PortfolioResult::pareto_program`] front as one
     /// [`Artifact`] named `"pareto_program"`, concatenated in scheme
     /// order.
     pub fn pareto_program_artifact(&self) -> Artifact<'_> {
-        Artifact::new(
-            "pareto_program",
-            "pareto_program",
-            &[
-                "scheme",
-                "scheme_params",
-                "node",
-                "area_mm2",
-                "quantity",
-                "integration",
-                "chiplets",
-                "flow",
-                "program_total_usd",
-                "per_unit_usd",
-            ],
-            move |emit| {
-                for &scheme in &self.space.schemes {
-                    for cell in self.pareto_program(scheme) {
-                        let c = cell.outcome.candidate().expect("Pareto cells are feasible");
-                        emit(&[
-                            cell.scheme.to_string(),
-                            cell.scheme_params.clone(),
-                            cell.node.clone(),
-                            format!("{}", cell.area_mm2),
-                            cell.quantity.to_string(),
-                            cell.integration.to_string(),
-                            cell.chiplets.to_string(),
-                            cell.flow.to_string(),
-                            format!("{:.2}", c.per_unit.usd() * cell.quantity as f64),
-                            format!("{:.6}", c.per_unit.usd()),
-                        ])?;
+        self.fronts_artifact(true)
+    }
+
+    /// The Pareto fronts of every scheme, in scheme order: each member's
+    /// coordinates and per-unit cost, plus its program total when
+    /// `program` selects the (program total, per-unit cost) fronts.
+    fn fronts_artifact(&self, program: bool) -> Artifact<'_> {
+        const COLUMNS: [&str; 10] = [
+            "scheme",
+            "scheme_params",
+            "node",
+            "area_mm2",
+            "quantity",
+            "integration",
+            "chiplets",
+            "flow",
+            "program_total_usd",
+            "per_unit_usd",
+        ];
+        let (name, columns) = if program {
+            ("pareto_program", COLUMNS.to_vec())
+        } else {
+            ("pareto", [&COLUMNS[..8], &COLUMNS[9..]].concat())
+        };
+        Artifact::new(name, name, &columns, move |emit| {
+            let shape = self.shape();
+            let labels = AxisLabels::of(self);
+            let mut numbers = String::new();
+            for &scheme in &self.space.schemes {
+                let front = if program {
+                    self.program_front(scheme)
+                } else {
+                    self.chiplet_front(scheme)
+                };
+                for (i, c) in front {
+                    let at = shape.coords(i);
+                    let mut row = [""; 10];
+                    row[..8].copy_from_slice(&labels.coordinates(at));
+                    numbers.clear();
+                    if program {
+                        let units = self.space.quantities[at.quantity] as f64;
+                        write_fixed(&mut numbers, c.per_unit.usd() * units, 2)?;
                     }
+                    let split = numbers.len();
+                    write_fixed(&mut numbers, c.per_unit.usd(), 6)?;
+                    let (total, per_unit) = numbers.split_at(split);
+                    let last = if program {
+                        row[8] = total;
+                        9
+                    } else {
+                        8
+                    };
+                    row[last] = per_unit;
+                    emit(&row[..=last])?;
                 }
-                Ok(())
-            },
-        )
+            }
+            Ok(())
+        })
+    }
+}
+
+/// One operating point's winner under one scheme, by flat grid index.
+struct WinnerAt<'r> {
+    /// The operating point's first cell.
+    at: usize,
+    /// The cheapest feasible cell and its candidate.
+    best: Option<(usize, &'r Candidate)>,
+    /// See [`SchemeWinner::saving_vs_soc_frac`].
+    saving_vs_soc_frac: Option<f64>,
+}
+
+/// Which cells a grid artifact renders.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum GridPart {
+    /// Every cell.
+    All,
+    /// The cells in the sparse store (feasible and infeasible).
+    Stored,
+    /// The cells absent from it (incompatible and pruned).
+    Unstored,
+}
+
+/// Every axis value's label, rendered once per artifact and indexed by a
+/// cell's coordinates.
+struct AxisLabels<'r> {
+    nodes: &'r [String],
+    areas: Vec<String>,
+    quantities: Vec<String>,
+    integrations: Vec<String>,
+    chiplets: Vec<String>,
+    flows: Vec<String>,
+    /// Per scheme variant.
+    schemes: Vec<&'static str>,
+    /// Per scheme variant.
+    params: &'r [String],
+}
+
+impl<'r> AxisLabels<'r> {
+    fn of(result: &'r PortfolioResult) -> Self {
+        let space = &result.space;
+        AxisLabels {
+            nodes: &space.nodes,
+            areas: space.areas_mm2.iter().map(f64::to_string).collect(),
+            quantities: space.quantities.iter().map(u64::to_string).collect(),
+            integrations: space.integrations.iter().map(|i| i.to_string()).collect(),
+            chiplets: space.chiplet_counts.iter().map(u32::to_string).collect(),
+            flows: space.flows.iter().map(|f| f.to_string()).collect(),
+            schemes: result.variants.iter().map(|v| v.scheme.label()).collect(),
+            params: &result.params_labels,
+        }
+    }
+
+    /// A cell's scheme, scheme parameters, node, area, quantity,
+    /// integration, chiplet count and flow, in the Pareto artifacts'
+    /// column order.
+    fn coordinates(&self, at: CellIdx) -> [&str; 8] {
+        [
+            self.schemes[at.variant],
+            &self.params[at.variant],
+            &self.nodes[at.node],
+            &self.areas[at.area],
+            &self.quantities[at.quantity],
+            &self.integrations[at.integration],
+            &self.chiplets[at.chiplets],
+            &self.flows[at.flow],
+        ]
+    }
+}
+
+/// The one grid-row writer: axis labels, each configuration's
+/// incompatibility reason and the pruned sentence are rendered once per
+/// artifact, stored outcomes are read in place, and every row's two costs
+/// share one buffer.
+struct GridRows<'r> {
+    shape: GridShape,
+    labels: AxisLabels<'r>,
+    /// Per (integration, chiplet count, variant) configuration, in grid
+    /// order: why its cells are incompatible, or `None` when the scheme
+    /// builds it (an unstored cell of it was pruned).
+    incompatible: Vec<Option<String>>,
+    costs: String,
+}
+
+impl<'r> GridRows<'r> {
+    fn new(result: &'r PortfolioResult) -> Self {
+        let space = &result.space;
+        let mut incompatible = Vec::new();
+        for &integration in &space.integrations {
+            for &chiplets in &space.chiplet_counts {
+                for variant in &result.variants {
+                    let reason = classify(space, variant, integration, chiplets);
+                    incompatible.push(reason.map(|r| r.to_string()));
+                }
+            }
+        }
+        GridRows {
+            shape: result.shape(),
+            labels: AxisLabels::of(result),
+            incompatible,
+            costs: String::new(),
+        }
+    }
+
+    /// Emits the row of the cell at `at`; `stored` is its entry in the
+    /// sparse store, `None` for a cell absent from it.
+    fn emit(
+        &mut self,
+        emit: &mut RowEmit<'_>,
+        at: CellIdx,
+        stored: Option<&'r CellOutcome>,
+    ) -> fmt::Result {
+        let config =
+            (at.integration * self.shape.chiplets + at.chiplets) * self.shape.variants + at.variant;
+        self.costs.clear();
+        let mut split = 0;
+        let (status, detail) = match (stored, &self.incompatible[config]) {
+            (Some(CellOutcome::Feasible(c)), _) => {
+                write_fixed(&mut self.costs, c.per_unit.usd(), 6)?;
+                split = self.costs.len();
+                write_fixed(&mut self.costs, c.re_per_unit.usd(), 6)?;
+                ("feasible", "")
+            }
+            (Some(CellOutcome::Infeasible(reason)), _) => ("infeasible", reason.as_str()),
+            (Some(CellOutcome::Incompatible(_)) | None, Some(reason)) => {
+                ("incompatible", reason.as_str())
+            }
+            _ => ("pruned", PRUNED_DETAIL),
+        };
+        let (per_unit, re_per_unit) = self.costs.split_at(split);
+        let l = &self.labels;
+        emit(&[
+            &l.nodes[at.node],
+            &l.areas[at.area],
+            &l.quantities[at.quantity],
+            &l.integrations[at.integration],
+            &l.chiplets[at.chiplets],
+            &l.flows[at.flow],
+            l.schemes[at.variant],
+            &l.params[at.variant],
+            status,
+            per_unit,
+            re_per_unit,
+            detail,
+        ])
     }
 }
 
@@ -1799,6 +1958,9 @@ fn eval_core(lib: &TechLibrary, spec: &CoreSpec<'_>) -> Result<PortfolioCore, Ar
     };
     portfolio.core(lib, spec.flow)
 }
+
+#[cfg(test)]
+mod render_oracle;
 
 #[cfg(test)]
 mod tests {

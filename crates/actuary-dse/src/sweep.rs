@@ -120,7 +120,7 @@ impl Sweep {
                 let mut row = Vec::with_capacity(1 + p.values.len());
                 row.push(format!("{}", p.x));
                 row.extend(p.values.iter().map(|v| format!("{v:.6}")));
-                emit(&row)?;
+                emit(&row.iter().map(String::as_str).collect::<Vec<_>>())?;
             }
             Ok(())
         })

@@ -29,8 +29,11 @@ impl Table {
     pub fn artifact(&self, name: impl Into<String>) -> Artifact<'_> {
         let columns: Vec<&str> = self.headers().iter().map(String::as_str).collect();
         Artifact::new(name, "table", &columns, move |emit| {
+            let mut cells = Vec::with_capacity(self.headers().len());
             for row in self.rows() {
-                emit(row)?;
+                cells.clear();
+                cells.extend(row.iter().map(String::as_str));
+                emit(&cells)?;
             }
             Ok(())
         })

@@ -23,7 +23,7 @@ use actuary_units::{Area, Artifact, Quantity};
 use crate::error::ScenarioError;
 use crate::schema::{elem, Spanned, View};
 use crate::tech::lower_library;
-use crate::toml::{parse, Pos, Table};
+use crate::toml::{parse, Pos, Table, Value};
 
 /// A fully lowered scenario: a technology library plus the jobs to run.
 #[derive(Debug)]
@@ -357,16 +357,16 @@ impl ScenarioRun {
             move |emit| {
                 for r in &self.cost_rows {
                     emit(&[
-                        r.job.clone(),
-                        r.system.clone(),
-                        r.quantity.to_string(),
-                        format!("{:.6}", r.re_usd),
-                        format!("{:.6}", r.re_packaging_usd),
-                        format!("{:.6}", r.nre_modules_usd),
-                        format!("{:.6}", r.nre_chips_usd),
-                        format!("{:.6}", r.nre_packages_usd),
-                        format!("{:.6}", r.nre_d2d_usd),
-                        format!("{:.6}", r.per_unit_usd),
+                        &r.job,
+                        &r.system,
+                        &r.quantity.to_string(),
+                        &format!("{:.6}", r.re_usd),
+                        &format!("{:.6}", r.re_packaging_usd),
+                        &format!("{:.6}", r.nre_modules_usd),
+                        &format!("{:.6}", r.nre_chips_usd),
+                        &format!("{:.6}", r.nre_packages_usd),
+                        &format!("{:.6}", r.nre_d2d_usd),
+                        &format!("{:.6}", r.per_unit_usd),
                     ])?;
                 }
                 Ok(())
@@ -392,13 +392,13 @@ impl ScenarioRun {
             move |emit| {
                 for r in &self.yield_rows {
                     emit(&[
-                        r.job.clone(),
-                        r.tech.clone(),
-                        format!("{}", r.area_mm2),
-                        format!("{:.9}", r.yield_frac),
-                        format!("{:.6}", r.raw_die_usd),
-                        format!("{:.6}", r.yielded_die_usd),
-                        format!("{:.9}", r.cost_per_area_norm),
+                        &r.job,
+                        &r.tech,
+                        &format!("{}", r.area_mm2),
+                        &format!("{:.9}", r.yield_frac),
+                        &format!("{:.6}", r.raw_die_usd),
+                        &format!("{:.6}", r.yielded_die_usd),
+                        &format!("{:.9}", r.cost_per_area_norm),
                     ])?;
                 }
                 Ok(())
@@ -702,6 +702,15 @@ fn check_file_name(s: Spanned<&str>, what: &str) -> Result<String, ScenarioError
     Ok(s.value.to_string())
 }
 
+/// Reads one `areas_mm2` element: a number that is a valid [`Area`]
+/// (finite and non-negative), diagnosed at the element itself rather
+/// than by the engine after lowering.
+fn area_elem(value: &Value, pos: Pos) -> Result<f64, ScenarioError> {
+    let mm2 = elem(value, pos, "an area")?;
+    Area::from_mm2(mm2).map_err(|e| ScenarioError::schema(pos, e.to_string()))?;
+    Ok(mm2)
+}
+
 /// Validates a `quantities` axis: every quantity at least 1, since NRE is
 /// amortized over it, and strictly increasing, each diagnosed at the
 /// offending element. Both the sweep and explore quantity axes feed
@@ -969,7 +978,7 @@ fn lower_yield_job(table: &Table, lib: &TechLibrary) -> Result<YieldJob, Scenari
             }
         }
     })?;
-    let areas_mm2 = view.req_array("areas_mm2", |v, p| elem(v, p, "an area"))?;
+    let areas_mm2 = view.req_array("areas_mm2", area_elem)?;
     view.deny_unknown()?;
     if techs.is_empty() || areas_mm2.is_empty() {
         return Err(ScenarioError::schema(
@@ -1060,11 +1069,7 @@ fn lower_sweep_job(table: &Table, lib: &TechLibrary) -> Result<SweepJob, Scenari
         }
         integrations.push(kind);
     }
-    let areas_mm2 = view.opt_array("areas_mm2", |v, p| {
-        let mm2 = elem(v, p, "an area")?;
-        Area::from_mm2(mm2).map_err(|e| ScenarioError::schema(p, e.to_string()))?;
-        Ok(mm2)
-    })?;
+    let areas_mm2 = view.opt_array("areas_mm2", area_elem)?;
     let quantities = view
         .opt_array("quantities", |v, p| Ok((elem(v, p, "a quantity")?, p)))?
         .map(check_quantities)
@@ -1234,7 +1239,7 @@ fn lower_explore_job(table: &Table, lib: &TechLibrary) -> Result<ExploreJob, Sce
             ));
         }
     }
-    if let Some(areas) = view.opt_array("areas_mm2", |v, p| elem(v, p, "an area"))? {
+    if let Some(areas) = view.opt_array("areas_mm2", area_elem)? {
         space.areas_mm2 = areas;
     }
     if let Some(q) = view.opt_array("quantities", |v, p| Ok((elem(v, p, "a quantity")?, p)))? {

@@ -183,6 +183,13 @@ fn lower_packaging(
     base: Option<&PackagingTech>,
 ) -> Result<PackagingTech, ScenarioError> {
     let table_pos = view.pos();
+    // An interposer on a kind that takes none is the fault to report,
+    // whatever the interposer table itself holds or lacks.
+    let interposer = view.opt_table("interposer")?;
+    if interposer.is_some() {
+        kind.check_interposer(true)
+            .map_err(|e| ScenarioError::schema(table_pos, e.to_string()))?;
+    }
     let mut builder = base.map_or_else(|| PackagingTech::builder(kind), PackagingTech::to_builder);
     if let Some(cost) = view.opt("substrate_cost_per_mm2_usd")? {
         builder = builder.substrate_cost_per_mm2(money(cost)?);
@@ -216,7 +223,7 @@ fn lower_packaging(
     {
         builder = builder.fixed_package_nre(cost);
     }
-    if let Some(ip_view) = view.opt_table("interposer")? {
+    if let Some(ip_view) = interposer {
         let base_ip = base.and_then(PackagingTech::interposer);
         builder = builder.interposer(lower_interposer(ip_view, base_ip)?);
     }

@@ -53,6 +53,22 @@ impl IntegrationKind {
         matches!(self, IntegrationKind::Info | IntegrationKind::TwoPointFiveD)
     }
 
+    /// Checks a packaging spec of this kind that does (`defined`) or does
+    /// not define an interposer: one is required exactly when the kind
+    /// [has one](IntegrationKind::has_interposer).
+    ///
+    /// # Errors
+    ///
+    /// [`TechError::InvalidSpec`] naming the kind when the two disagree.
+    pub fn check_interposer(self, defined: bool) -> Result<(), TechError> {
+        let reason = match (self.has_interposer(), defined) {
+            (true, false) => format!("{self} packaging requires an interposer spec"),
+            (false, true) => format!("{self} packaging must not define an interposer"),
+            _ => return Ok(()),
+        };
+        Err(TechError::InvalidSpec { reason })
+    }
+
     /// Short label used in tables and figures ("SoC", "MCM", "InFO", "2.5D").
     pub fn label(self) -> &'static str {
         match self {
@@ -466,16 +482,7 @@ impl PackagingTechBuilder {
                 });
             }
         }
-        if tech.kind.has_interposer() && tech.interposer.is_none() {
-            return Err(TechError::InvalidSpec {
-                reason: format!("{} packaging requires an interposer spec", tech.kind),
-            });
-        }
-        if !tech.kind.has_interposer() && tech.interposer.is_some() {
-            return Err(TechError::InvalidSpec {
-                reason: format!("{} packaging must not define an interposer", tech.kind),
-            });
-        }
+        tech.kind.check_interposer(tech.interposer.is_some())?;
         Ok(tech)
     }
 }

@@ -13,8 +13,8 @@
 //! `fmt::Write` sink — a `String`, a file behind [`IoSink`], an HTTP
 //! chunked-transfer stream — receives the same bytes.
 //!
-//! The type lives in the base layer for the same reason `csv_escape` does
-//! (the DSE crate must produce artifacts without depending upward);
+//! The type lives in the base layer for the same reason `write_csv_row`
+//! does (the DSE crate must produce artifacts without depending upward);
 //! `actuary_report::Artifact` is the canonical public name.
 //!
 //! # Examples
@@ -24,7 +24,7 @@
 //!
 //! let table = Artifact::new("demo", "grid", &["x", "y"], |emit| {
 //!     for i in 0..3u32 {
-//!         emit(&[i.to_string(), (i * i).to_string()])?;
+//!         emit(&[&i.to_string(), &(i * i).to_string()])?;
 //!     }
 //!     Ok(())
 //! });
@@ -35,11 +35,15 @@
 use std::fmt;
 use std::io;
 
-use crate::fmt::write_csv_row;
+use crate::fmt::{write_csv_fields, write_csv_row};
 
 /// The row callback an artifact's source streams into: called once per
-/// row, in order; a returned error aborts the stream.
-pub type RowEmit<'e> = dyn FnMut(&[String]) -> fmt::Result + 'e;
+/// row, in order, with one cell per column of the source's schema. The
+/// cells are borrowed for the duration of the call only: the sink has
+/// encoded them when it returns, so a source may lend labels it rendered
+/// once and reuse one buffer for every row's numbers. A returned error
+/// aborts the stream.
+pub type RowEmit<'e> = dyn FnMut(&[&str]) -> fmt::Result + 'e;
 
 /// A named tabular result: column schema + streaming row source +
 /// metadata — the one shape every tabular emitter in the workspace
@@ -53,7 +57,11 @@ pub type RowEmit<'e> = dyn FnMut(&[String]) -> fmt::Result + 'e;
 pub struct Artifact<'a> {
     name: String,
     kind: &'static str,
+    /// The columns written, in order (the source's minus any dropped).
     columns: Vec<String>,
+    /// One flag per column of the source's schema: whether the writers
+    /// write that cell of every row.
+    keep: Vec<bool>,
     #[allow(clippy::type_complexity)]
     rows: Box<dyn FnOnce(&mut RowEmit<'_>) -> fmt::Result + 'a>,
 }
@@ -89,6 +97,7 @@ impl<'a> Artifact<'a> {
             name: name.into(),
             kind,
             columns: columns.iter().map(|c| c.to_string()).collect(),
+            keep: vec![true; columns.len()],
             rows: Box::new(rows),
         }
     }
@@ -123,41 +132,17 @@ impl<'a> Artifact<'a> {
     /// columns of a one-value axis gives a narrower view of the same table
     /// (the single-system exploration grid is the `none`-scheme, one-flow
     /// grid without its `scheme`, `scheme_params` and `flow` columns).
+    ///
+    /// The projection is a column mask the writers apply as they encode
+    /// each row; the row source is untouched.
     #[must_use]
-    pub fn without_columns(self, dropped: &[&str]) -> Artifact<'a> {
-        let keep: Vec<bool> = self
-            .columns
-            .iter()
-            .map(|c| !dropped.contains(&c.as_str()))
-            .collect();
-        if keep.iter().all(|&k| k) {
-            return self;
+    pub fn without_columns(mut self, dropped: &[&str]) -> Artifact<'a> {
+        let mut written = self.columns.iter().map(|c| !dropped.contains(&c.as_str()));
+        for keep in self.keep.iter_mut().filter(|keep| **keep) {
+            *keep = written.next().unwrap_or(true);
         }
-        let columns = self
-            .columns
-            .into_iter()
-            .zip(&keep)
-            .filter_map(|(c, &k)| k.then_some(c))
-            .collect();
-        let rows = self.rows;
-        Artifact {
-            name: self.name,
-            kind: self.kind,
-            columns,
-            rows: Box::new(move |emit| {
-                let mut kept = Vec::with_capacity(keep.len());
-                rows(&mut |row: &[String]| {
-                    kept.clear();
-                    kept.extend(
-                        row.iter()
-                            .zip(&keep)
-                            .filter(|(_, &k)| k)
-                            .map(|(cell, _)| cell.clone()),
-                    );
-                    emit(&kept)
-                })
-            }),
-        }
+        self.columns.retain(|c| !dropped.contains(&c.as_str()));
+        self
     }
 
     /// Streams the artifact as RFC-4180 CSV into `out` — header row, then
@@ -184,7 +169,15 @@ impl<'a> Artifact<'a> {
     /// Propagates the sink's [`fmt::Error`] (infallible for `String`; an
     /// [`IoSink`] records the underlying [`io::Error`]).
     pub fn write_csv_rows_to<W: fmt::Write + ?Sized>(self, out: &mut W) -> fmt::Result {
-        (self.rows)(&mut |row: &[String]| write_csv_row(out, row))
+        let keep = self.keep;
+        // Each row is encoded into one reused line, so the sink takes one
+        // write per row rather than one per field and separator.
+        let mut line = String::new();
+        (self.rows)(&mut |row: &[&str]| {
+            line.clear();
+            write_csv_fields(&mut line, kept(row, &keep))?;
+            out.write_str(&line)
+        })
     }
 
     /// Renders the artifact as a CSV string (delegates to
@@ -218,7 +211,7 @@ impl<'a> Artifact<'a> {
     /// use actuary_units::Artifact;
     ///
     /// let a = Artifact::new("demo", "grid", &["x", "label"], |emit| {
-    ///     emit(&["1.5".to_string(), "a,b".to_string()])
+    ///     emit(&["1.5", "a,b"])
     /// });
     /// assert_eq!(
     ///     a.jsonl(),
@@ -253,8 +246,32 @@ impl<'a> Artifact<'a> {
     /// Propagates the sink's [`fmt::Error`] (infallible for `String`; an
     /// [`IoSink`] records the underlying [`io::Error`]).
     pub fn write_jsonl_rows_to<W: fmt::Write + ?Sized>(self, out: &mut W) -> fmt::Result {
-        let columns = self.columns;
-        (self.rows)(&mut |row: &[String]| write_jsonl_row(out, &columns, row))
+        // Each column's `"name":` key (`,"name":` after the first) is
+        // escaped once here, not once per row.
+        let mut keys = Vec::with_capacity(self.columns.len());
+        for (i, column) in self.columns.iter().enumerate() {
+            let mut key = String::from(if i > 0 { "," } else { "" });
+            write_json_string(&mut key, column)?;
+            key.push(':');
+            keys.push(key);
+        }
+        let keep = self.keep;
+        // One reused line per row, as in `write_csv_rows_to`.
+        let mut line = String::new();
+        (self.rows)(&mut |row: &[&str]| {
+            line.clear();
+            line.push('{');
+            for (key, cell) in keys.iter().zip(kept(row, &keep)) {
+                line.push_str(key);
+                if is_json_number(cell) {
+                    line.push_str(cell);
+                } else {
+                    write_json_string(&mut line, cell)?;
+                }
+            }
+            line.push_str("}\n");
+            out.write_str(&line)
+        })
     }
 
     /// Renders the artifact as a JSON-lines string (delegates to
@@ -267,43 +284,38 @@ impl<'a> Artifact<'a> {
     }
 }
 
-/// Writes one artifact row as a JSON object keyed by column name — the
-/// row encoder both the full and rows-only JSON-lines sinks share.
-fn write_jsonl_row<W: fmt::Write + ?Sized>(
-    out: &mut W,
-    columns: &[String],
-    row: &[String],
-) -> fmt::Result {
-    out.write_str("{")?;
-    for (i, (column, cell)) in columns.iter().zip(row).enumerate() {
-        if i > 0 {
-            out.write_str(",")?;
-        }
-        write_json_string(out, column)?;
-        out.write_str(":")?;
-        if is_json_number(cell) {
-            out.write_str(cell)?;
-        } else {
-            write_json_string(out, cell)?;
-        }
-    }
-    out.write_str("}\n")
+/// The cells of `row` the column mask `keep` writes, in order.
+fn kept<'r>(row: &'r [&'r str], keep: &'r [bool]) -> impl Iterator<Item = &'r str> + 'r {
+    debug_assert_eq!(row.len(), keep.len(), "a row has one cell per column");
+    row.iter()
+        .zip(keep)
+        .filter_map(|(cell, &keep)| keep.then_some(*cell))
 }
 
-/// Writes `s` as a JSON string literal, escaping per RFC 8259.
+/// Writes `s` as a JSON string literal, escaping per RFC 8259. Every byte
+/// that needs an escape is ASCII, so the runs between them are whole
+/// UTF-8 and each goes out with one write.
 fn write_json_string<W: fmt::Write + ?Sized>(out: &mut W, s: &str) -> fmt::Result {
     out.write_char('"')?;
-    for c in s.chars() {
-        match c {
-            '"' => out.write_str("\\\"")?,
-            '\\' => out.write_str("\\\\")?,
-            '\n' => out.write_str("\\n")?,
-            '\r' => out.write_str("\\r")?,
-            '\t' => out.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
-            c => out.write_char(c)?,
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        out.write_str(&s[run..i])?;
+        match escape {
+            Some(escape) => out.write_str(escape)?,
+            None => write!(out, "\\u{b:04x}")?,
         }
+        run = i + 1;
     }
+    out.write_str(&s[run..])?;
     out.write_char('"')
 }
 
@@ -400,8 +412,8 @@ mod tests {
 
     fn sample() -> Artifact<'static> {
         Artifact::new("t", "table", &["a", "b"], |emit| {
-            emit(&["1".to_string(), "x,y".to_string()])?;
-            emit(&["2".to_string(), String::new()])
+            emit(&["1", "x,y"])?;
+            emit(&["2", ""])
         })
     }
 
@@ -427,15 +439,31 @@ mod tests {
 
     #[test]
     fn without_columns_drops_header_and_cells_together() {
-        let a = Artifact::new("t", "table", &["a", "b", "c"], |emit| {
-            emit(&["1".to_string(), "x,y".to_string(), "p".to_string()])?;
-            emit(&["2".to_string(), String::new(), "q".to_string()])
-        });
-        let projected = a.without_columns(&["b", "not-a-column"]);
+        let a = || {
+            Artifact::new("t", "table", &["a", "b", "c"], |emit| {
+                emit(&["1", "x,y", "p"])?;
+                emit(&["2", "", "q"])
+            })
+        };
+        let projected = a().without_columns(&["b", "not-a-column"]);
         assert_eq!(projected.name(), "t");
         assert_eq!(projected.kind(), "table");
         assert_eq!(projected.columns(), ["a", "c"]);
         assert_eq!(projected.csv(), "a,c\n1,p\n2,q\n");
+        // The JSON-lines writer applies the same mask.
+        assert_eq!(
+            a().without_columns(&["b"]).jsonl(),
+            concat!(
+                "{\"artifact\":\"t\",\"kind\":\"table\",\"columns\":[\"a\",\"c\"]}\n",
+                "{\"a\":1,\"c\":\"p\"}\n",
+                "{\"a\":2,\"c\":\"q\"}\n",
+            )
+        );
+        // Projections compose: dropping `a` from the projected view keeps
+        // the source's third cell, not its second.
+        let twice = a().without_columns(&["b"]).without_columns(&["a"]);
+        assert_eq!(twice.columns(), ["c"]);
+        assert_eq!(twice.csv(), "c\np\nq\n");
         // Dropping nothing is the identity.
         assert_eq!(sample().without_columns(&[]).csv(), sample().csv());
     }
@@ -458,7 +486,8 @@ mod tests {
         let rows: Vec<Vec<String>> = vec![vec!["r".to_string()]];
         let a = Artifact::new("borrow", "table", &["c"], |emit| {
             for row in &rows {
-                emit(row)?;
+                let cells: Vec<&str> = row.iter().map(String::as_str).collect();
+                emit(&cells)?;
             }
             Ok(())
         });
@@ -480,15 +509,15 @@ mod tests {
     #[test]
     fn jsonl_escapes_strings_and_passes_numbers_verbatim() {
         let a = Artifact::new("esc", "table", &["q\"c", "v"], |emit| {
-            emit(&["say \"hi\"\n".to_string(), "-12.5e3".to_string()])?;
-            emit(&["tab\there".to_string(), "007".to_string()])
+            emit(&["say \"hi\"\n", "-12.5e3"])?;
+            emit(&["tab\there\u{1f}ü\\", "007"])
         });
         assert_eq!(
             a.jsonl(),
             concat!(
                 "{\"artifact\":\"esc\",\"kind\":\"table\",\"columns\":[\"q\\\"c\",\"v\"]}\n",
                 "{\"q\\\"c\":\"say \\\"hi\\\"\\n\",\"v\":-12.5e3}\n",
-                "{\"q\\\"c\":\"tab\\there\",\"v\":\"007\"}\n",
+                "{\"q\\\"c\":\"tab\\there\\u001fü\\\\\",\"v\":\"007\"}\n",
             )
         );
     }
@@ -513,7 +542,7 @@ mod tests {
         // byte-identical to the one-shot serializers — the invariant the
         // incremental HTTP stream relies on.
         let mut csv = String::new();
-        write_csv_row(&mut csv, &["a".to_string(), "b".to_string()]).unwrap();
+        write_csv_row(&mut csv, &["a", "b"]).unwrap();
         sample().write_csv_rows_to(&mut csv).unwrap();
         assert_eq!(csv, sample().csv());
 

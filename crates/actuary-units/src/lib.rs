@@ -45,7 +45,7 @@ mod quantity;
 pub use area::Area;
 pub use artifact::{Artifact, IoSink, RowEmit};
 pub use error::UnitError;
-pub use fmt::{csv_escape, fmt_thousands, format_percent, format_ratio, write_csv_row};
+pub use fmt::{fmt_thousands, format_percent, format_ratio, write_csv_row, write_fixed};
 pub use money::Money;
 pub use prob::Prob;
 pub use quantity::Quantity;
