@@ -9,7 +9,8 @@
 //! * `actuary sweep --node 5nm --chiplets 2 --integration mcm` — RE cost
 //!   over the Figure 4 area grid;
 //! * `actuary partition --node 5nm --area 800 --quantity 2000000` — the
-//!   optimizer's recommendation;
+//!   cheapest integration and chiplet count at one operating point (a
+//!   one-point exploration);
 //! * `actuary explore --threads 0` — the multi-axis (node × area ×
 //!   quantity × integration × chiplet count, plus flow and reuse scheme
 //!   under `--flow-axis` / `--schemes`) grid, evaluated in parallel;
@@ -31,16 +32,14 @@ use std::io::{self, Write};
 use std::process::ExitCode;
 
 use actuary_arch::{partition::equal_chiplets, Portfolio, System};
-use actuary_dse::explore::SINGLE_SYSTEM_DROPPED;
-use actuary_dse::optimizer::{recommend, SearchSpace};
-use actuary_dse::portfolio::{
-    explore_portfolio, parse_fsmc_situation, PortfolioSpace, ReuseScheme,
-};
-use actuary_dse::refine::explore_portfolio_refined;
+use actuary_dse::explore::{IncompatibleReason, SINGLE_SYSTEM_DROPPED};
+use actuary_dse::portfolio::{PortfolioSpace, ReuseScheme};
 use actuary_mc::{simulate_system, DefectProcess, McConfig};
 use actuary_model::{equal_split_re_cost, AssemblyFlow};
+use actuary_scenario::toml::{Pos, Value};
+use actuary_scenario::{Job, Scenario, ScenarioError, ScenarioRun};
 use actuary_tech::{IntegrationKind, TechLibrary};
-use actuary_units::{Area, Quantity};
+use actuary_units::{Area, Money, Quantity};
 
 fn main() -> ExitCode {
     // `ACTUARY_LOG=debug` surfaces engine phase spans on any subcommand;
@@ -49,23 +48,35 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // Every line of stdout goes through this one locked, buffered writer.
     let mut out = io::BufWriter::new(io::stdout().lock());
-    let message = match run(&args, &mut out).and_then(|()| out.flush().map_err(Stop::Output)) {
+    let (message, with_usage) = match run(&args, &mut out)
+        .and_then(|()| out.flush().map_err(Stop::Output))
+    {
         Ok(()) => return ExitCode::SUCCESS,
         // The reader closed the pipe (`actuary explore --csv | head -1`):
         // it has every line it wanted.
         Err(Stop::Output(e)) if e.kind() == io::ErrorKind::BrokenPipe => return ExitCode::SUCCESS,
-        Err(Stop::Output(e)) => format!("writing stdout failed: {e}"),
-        Err(Stop::Error(message)) => message,
+        Err(Stop::Output(e)) => (format!("writing stdout failed: {e}"), false),
+        Err(Stop::Error(message)) => (message, false),
+        Err(Stop::Usage(message)) => (message, true),
     };
     let _ = out.flush();
     // A closed stderr leaves nobody to tell.
-    let _ = writeln!(io::stderr().lock(), "error: {message}\n\n{}", usage());
+    let mut stderr = io::stderr().lock();
+    let _ = if with_usage {
+        writeln!(stderr, "error: {message}\n\n{}", usage())
+    } else {
+        writeln!(stderr, "error: {message}")
+    };
     ExitCode::FAILURE
 }
 
 /// Why a command stopped early.
 enum Stop {
-    /// A usage or model error, reported with the usage text.
+    /// A command line off the usage (a missing or unknown command, an
+    /// unknown, repeated or value-less flag, a missing required flag),
+    /// reported with the usage text.
+    Usage(String),
+    /// Any other error, reported as one line.
     Error(String),
     /// Writing stdout failed.
     Output(io::Error),
@@ -144,6 +155,11 @@ fn usage() -> &'static str {
      not ignored"
 }
 
+/// The usage error of a missing required flag.
+fn missing(key: &str) -> Stop {
+    Stop::Usage(format!("missing required flag --{key}"))
+}
+
 /// A command's parsed `--key value` flags.
 type Flags = BTreeMap<String, String>;
 
@@ -152,35 +168,27 @@ const BOOLEAN_FLAGS: [&str; 4] = ["csv", "flow-axis", "package-reuse", "refine"]
 
 /// Parses `--key value` pairs after the subcommand. A flag given twice is
 /// an error, not a silent override by the last value.
-fn parse_flags(args: &[String]) -> Result<Flags, String> {
+fn parse_flags(args: &[String]) -> Result<Flags, Stop> {
     let mut flags = BTreeMap::new();
     let mut i = 0;
     while i < args.len() {
         let key = args[i]
             .strip_prefix("--")
-            .ok_or_else(|| format!("expected --flag, got {:?}", args[i]))?;
+            .ok_or_else(|| Stop::Usage(format!("expected --flag, got {:?}", args[i])))?;
         let (value, step) = if BOOLEAN_FLAGS.contains(&key) {
             ("true".to_string(), 1)
         } else {
             match args.get(i + 1) {
                 Some(value) if !value.starts_with("--") => (value.clone(), 2),
-                _ => return Err(format!("flag --{key} is missing a value")),
+                _ => return Err(Stop::Usage(format!("flag --{key} is missing a value"))),
             }
         };
         if flags.insert(key.to_string(), value).is_some() {
-            return Err(format!("flag --{key} is given more than once"));
+            return Err(Stop::Usage(format!("flag --{key} is given more than once")));
         }
         i += step;
     }
     Ok(flags)
-}
-
-fn parse_integration(s: &str) -> Result<IntegrationKind, String> {
-    s.parse()
-}
-
-fn parse_flow(s: &str) -> Result<AssemblyFlow, String> {
-    s.parse()
 }
 
 /// The value of `--key` parsed as `T`, or `None` when the flag is absent.
@@ -202,7 +210,7 @@ where
 
 fn run(args: &[String], out: &mut dyn Write) -> Result<(), Stop> {
     let Some(command) = args.first() else {
-        return Err("no command given".into());
+        return Err(Stop::Usage("no command given".to_string()));
     };
     // Honor help/version anywhere on the line (so `actuary repro --help`
     // shows usage instead of a flag-parse error).
@@ -274,7 +282,7 @@ fn run(args: &[String], out: &mut dyn Write) -> Result<(), Stop> {
         "repro" => (&["figure", "csv"], cmd_repro),
         "experiments" => (&[], |lib, _, out| cmd_experiments(lib, out)),
         "sensitivity" => (&["node", "area", "chiplets"], cmd_sensitivity),
-        other => return Err(format!("unknown command {other:?}").into()),
+        other => return Err(Stop::Usage(format!("unknown command {other:?}"))),
     };
     let flags = parse_flags(&args[1..])?;
     reject_unknown_flags(command, &flags, accepted)?;
@@ -284,7 +292,7 @@ fn run(args: &[String], out: &mut dyn Write) -> Result<(), Stop> {
 
 /// Fails with the command's accepted flag list when any parsed flag is not
 /// on it.
-fn reject_unknown_flags(command: &str, flags: &Flags, accepted: &[&str]) -> Result<(), String> {
+fn reject_unknown_flags(command: &str, flags: &Flags, accepted: &[&str]) -> Result<(), Stop> {
     for key in flags.keys() {
         if !accepted.contains(&key.as_str()) {
             let listing = if accepted.is_empty() {
@@ -296,9 +304,9 @@ fn reject_unknown_flags(command: &str, flags: &Flags, accepted: &[&str]) -> Resu
                     .collect::<Vec<_>>()
                     .join(", ")
             };
-            return Err(format!(
+            return Err(Stop::Usage(format!(
                 "unknown flag --{key} for `{command}` (accepted: {listing})"
-            ));
+            )));
         }
     }
     Ok(())
@@ -349,8 +357,8 @@ fn cmd_list(lib: &TechLibrary, out: &mut dyn Write) -> Result<(), Stop> {
 }
 
 fn cmd_yield(lib: &TechLibrary, flags: &Flags, out: &mut dyn Write) -> Result<(), Stop> {
-    let node_id = flags.get("node").ok_or("missing required flag --node")?;
-    let area_mm2: f64 = flag(flags, "area")?.ok_or("missing required flag --area")?;
+    let node_id = flags.get("node").ok_or_else(|| missing("node"))?;
+    let area_mm2: f64 = flag(flags, "area")?.ok_or_else(|| missing("area"))?;
     let node = lib.node(node_id).map_err(|e| e.to_string())?;
     let area = Area::from_mm2(area_mm2).map_err(|e| e.to_string())?;
     let y = node.die_yield(area);
@@ -366,6 +374,15 @@ fn cmd_yield(lib: &TechLibrary, flags: &Flags, out: &mut dyn Write) -> Result<()
     writeln!(out, "raw die cost:       {raw}")?;
     writeln!(out, "cost per good die:  {yielded}")?;
     Ok(())
+}
+
+/// Fails, naming `--chiplets`, when one system cannot be `integration` ×
+/// `chiplets` (the exploration grid's single-system rule).
+fn check_single_system(integration: IntegrationKind, chiplets: u32) -> Result<(), Stop> {
+    match IncompatibleReason::single_system(integration, chiplets) {
+        Some(reason) => Err(format!("invalid --chiplets \"{chiplets}\": {reason}").into()),
+        None => Ok(()),
+    }
 }
 
 fn build_single_system(
@@ -385,19 +402,24 @@ fn build_single_system(
 }
 
 fn cmd_cost(lib: &TechLibrary, flags: &Flags, out: &mut dyn Write) -> Result<(), Stop> {
-    let node = flags.get("node").ok_or("missing required flag --node")?;
-    let area: f64 = flag(flags, "area")?.ok_or("missing required flag --area")?;
+    let node = flags.get("node").ok_or_else(|| missing("node"))?;
+    let area: f64 = flag(flags, "area")?.ok_or_else(|| missing("area"))?;
     let chiplets: u32 = flag(flags, "chiplets")?.unwrap_or(1);
-    let integration = match flags.get("integration") {
-        Some(s) => parse_integration(s)?,
+    let integration = match flag(flags, "integration")? {
+        Some(kind) => kind,
         None if chiplets > 1 => IntegrationKind::Mcm,
         None => IntegrationKind::Soc,
     };
     let quantity: u64 = flag(flags, "quantity")?.unwrap_or(1_000_000);
-    let flow = match flags.get("flow") {
-        Some(s) => parse_flow(s)?,
-        None => AssemblyFlow::ChipLast,
-    };
+    let flow = flag(flags, "flow")?.unwrap_or(AssemblyFlow::ChipLast);
+    check_single_system(integration, chiplets)?;
+    if quantity == 0 {
+        return Err(
+            "invalid --quantity \"0\": a quantity must be at least 1 (NRE is amortized \
+                    over it)"
+                .into(),
+        );
+    }
 
     let system = build_single_system(node, area, chiplets, integration, quantity)?;
     let re = system.re_cost(lib, flow, None).map_err(|e| e.to_string())?;
@@ -436,35 +458,45 @@ fn cmd_cost(lib: &TechLibrary, flags: &Flags, out: &mut dyn Write) -> Result<(),
     Ok(())
 }
 
-fn cmd_sweep(lib: &TechLibrary, flags: &Flags, out: &mut dyn Write) -> Result<(), Stop> {
-    let node_id = flags.get("node").ok_or("missing required flag --node")?;
+fn cmd_sweep(_: &TechLibrary, flags: &Flags, out: &mut dyn Write) -> Result<(), Stop> {
+    let node = flags.get("node").ok_or_else(|| missing("node"))?;
     let chiplets: u32 = flag(flags, "chiplets")?.unwrap_or(2);
-    let integration = match flags.get("integration") {
-        Some(s) => parse_integration(s)?,
-        None => IntegrationKind::Mcm,
-    };
-    // The table sets a multi-chip split against the monolithic SoC, so it
-    // takes what a `[[sweep]]` multi-chip series takes.
-    if !integration.is_multi_chip() {
-        return Err(format!(
-            "--integration must be a multi-chip kind (mcm|info|2.5d), got {integration}: the \
-             table already compares against the SoC"
-        )
-        .into());
+    let mut doc = FlagDoc::new(&[
+        ("--node", "node"),
+        ("--chiplets", "chiplets"),
+        ("--integration", "integrations"),
+    ]);
+    doc.scalar("name", "", "", Value::Str("sweep".to_string()));
+    doc.scalar("node", "--node", node, Value::Str(node.clone()));
+    let count = chiplets.to_string();
+    doc.scalar(
+        "chiplets",
+        "--chiplets",
+        &count,
+        Value::Int(i64::from(chiplets)),
+    );
+    let kind = flags.get("integration").map_or("mcm", String::as_str);
+    doc.one("integrations", "--integration", kind, text)?;
+    let areas = (100..=900)
+        .step_by(100)
+        .map(|mm2| (Value::Int(mm2), COMMAND));
+    doc.scalar("areas_mm2", "", "", Value::Array(areas.collect()));
+    let mut scenario = doc.lower("sweep")?;
+    let mut integration = IntegrationKind::Mcm;
+    if let Some(Job::Sweep(job)) = scenario.jobs.first_mut() {
+        // The table sets the split against a fixed SoC column, so the
+        // split itself must be multi-chip.
+        integration = job.integrations[0];
+        if !integration.is_multi_chip() {
+            return Err(format!(
+                "--integration must be a multi-chip kind (mcm|info|2.5d), got {integration}: \
+                 the table already compares against the SoC"
+            )
+            .into());
+        }
+        job.integrations.insert(0, IntegrationKind::Soc);
     }
-    if chiplets < 2 {
-        return Err(format!(
-            "--chiplets must be at least 2, got {chiplets} (a single die has no D2D interface)"
-        )
-        .into());
-    }
-    let node = lib.node(node_id).map_err(|e| e.to_string())?;
-    let re = |kind: IntegrationKind, area: Area| -> Result<actuary_units::Money, String> {
-        let packaging = lib.packaging(kind).map_err(|e| e.to_string())?;
-        equal_split_re_cost(node, packaging, area, chiplets, AssemblyFlow::ChipLast)
-            .map(|b| b.total())
-            .map_err(|e| e.to_string())
-    };
+    let run = run_scenario(&scenario, 0)?;
 
     let mut table = actuary_report::Table::new(vec![
         "area_mm2",
@@ -472,13 +504,12 @@ fn cmd_sweep(lib: &TechLibrary, flags: &Flags, out: &mut dyn Write) -> Result<()
         &format!("{chiplets}-chiplet {integration} RE"),
         "saving",
     ]);
-    for area_mm2 in (100..=900).step_by(100) {
-        let area = Area::from_mm2(area_mm2 as f64).map_err(|e| e.to_string())?;
-        let soc = re(IntegrationKind::Soc, area)?;
-        let multi = re(integration, area)?;
+    let money = |usd: f64| Money::from_usd(usd).map_err(|e| e.to_string());
+    for point in run.sweeps[0].sweep.points() {
+        let (soc, multi) = (money(point.values[0])?, money(point.values[1])?);
         let saving = 1.0 - multi.usd() / soc.usd();
         table.push_row(vec![
-            area_mm2.to_string(),
+            point.x.to_string(),
             soc.to_string(),
             multi.to_string(),
             format!("{:+.1}%", saving * 100.0),
@@ -488,22 +519,47 @@ fn cmd_sweep(lib: &TechLibrary, flags: &Flags, out: &mut dyn Write) -> Result<()
     Ok(())
 }
 
-fn cmd_partition(lib: &TechLibrary, flags: &Flags, out: &mut dyn Write) -> Result<(), Stop> {
-    let node = flags.get("node").ok_or("missing required flag --node")?;
-    let area: f64 = flag(flags, "area")?.ok_or("missing required flag --area")?;
-    let quantity: u64 = flag(flags, "quantity")?.unwrap_or(1_000_000);
-    let rec = recommend(
-        lib,
-        node,
-        Area::from_mm2(area).map_err(|e| e.to_string())?,
-        Quantity::new(quantity),
-        &SearchSpace::default(),
-    )
-    .map_err(|e| e.to_string())?;
-    writeln!(out, "{rec}\n")?;
+/// `actuary partition`: the paper's §6 question at one operating point,
+/// answered as a one-point exploration over every integration × 1–5
+/// chiplets under chip-last.
+fn cmd_partition(_: &TechLibrary, flags: &Flags, out: &mut dyn Write) -> Result<(), Stop> {
+    let node = flags.get("node").ok_or_else(|| missing("node"))?;
+    let area = flags.get("area").ok_or_else(|| missing("area"))?;
+    let quantity = flags.get("quantity").map_or("1000000", String::as_str);
+    let mut doc = FlagDoc::new(&[
+        ("--node", "nodes"),
+        ("--area", "areas_mm2"),
+        ("--quantity", "quantities"),
+    ]);
+    doc.one("nodes", "--node", node, text)?;
+    doc.one("areas_mm2", "--area", area, number)?;
+    doc.one("quantities", "--quantity", quantity, integer)?;
+    let run = run_scenario(&doc.lower("explore")?, 0)?;
+    let result = &run.explores[0].result;
+    let winner = &result.winners(ReuseScheme::None)[0];
+    let Some((best, _)) = &winner.best else {
+        return Err(format!(
+            "invalid architecture: no feasible configuration for {} mm² at {}",
+            winner.area_mm2, winner.node
+        )
+        .into());
+    };
+    writeln!(
+        out,
+        "build {} chiplet(s) on {} at {} / unit ({:.1}% vs monolithic)\n",
+        best.chiplets,
+        best.integration,
+        best.per_unit,
+        winner.saving_vs_soc_frac.unwrap_or(0.0) * 100.0
+    )?;
+    let mut feasible: Vec<_> = (result.feasible())
+        .filter_map(|cell| cell.outcome.candidate().cloned())
+        .collect();
+    // Stable: equal costs keep grid order, as the winner does.
+    feasible.sort_by(|a, b| a.per_unit.usd().total_cmp(&b.per_unit.usd()));
     let mut table =
         actuary_report::Table::new(vec!["integration", "chiplets", "per-unit", "RE only"]);
-    for c in &rec.candidates {
+    for c in &feasible {
         table.push_row(vec![
             c.integration.to_string(),
             c.chiplets.to_string(),
@@ -515,26 +571,140 @@ fn cmd_partition(lib: &TechLibrary, flags: &Flags, out: &mut dyn Write) -> Resul
     Ok(())
 }
 
-/// Parses a comma-separated flag value (`--areas 100,200,300`) through a
-/// per-item parser.
-fn parse_list<T>(
-    raw: &str,
-    key: &str,
-    parse: impl Fn(&str) -> Result<T, String>,
-) -> Result<Vec<T>, String> {
-    let items: Vec<&str> = raw
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .collect();
-    if items.is_empty() {
-        return Err(format!("--{key} needs at least one comma-separated value"));
-    }
-    items.into_iter().map(parse).collect()
+/// The command itself as a place: the document's tables and the values a
+/// command fills in without a flag.
+const COMMAND: Pos = Pos { line: 0, col: 0 };
+
+/// A scenario document built from a command's flags: the tree a scenario
+/// file parses into, never written out as TOML text, and lowered by the
+/// same reader. Its positions are places on the command line, line 0
+/// (which no file has) and as the column an index into `places`, so a
+/// diagnostic names the flag and the value instead of a line and column.
+struct FlagDoc {
+    table: actuary_scenario::toml::Table,
+    /// The flag and the value text of each place; place 0 is the command.
+    places: Vec<(String, String)>,
+    /// The scenario key each flag of the command sets, to name the flag
+    /// where a diagnostic names the key.
+    keys: &'static [(&'static str, &'static str)],
 }
 
-fn parse_scheme(s: &str) -> Result<ReuseScheme, String> {
-    s.parse()
+impl FlagDoc {
+    fn new(keys: &'static [(&'static str, &'static str)]) -> Self {
+        FlagDoc {
+            table: actuary_scenario::toml::Table::new(COMMAND),
+            places: vec![(String::new(), String::new())],
+            keys,
+        }
+    }
+
+    fn place(&mut self, flag: &str, text: &str) -> Pos {
+        if flag.is_empty() {
+            return COMMAND;
+        }
+        self.places.push((flag.to_string(), text.to_string()));
+        Pos {
+            line: 0,
+            col: (self.places.len() - 1) as u32,
+        }
+    }
+
+    /// Sets `key` to `value`, placed at `flag` `text`.
+    fn scalar(&mut self, key: &str, flag: &str, text: &str, value: Value) {
+        let at = self.place(flag, text);
+        self.table.push(key, at, value);
+    }
+
+    /// Sets `key` to the array of `items`, each read by `read` and placed
+    /// at `flag` and its own text.
+    fn array<'t>(
+        &mut self,
+        key: &str,
+        flag: &str,
+        raw: &str,
+        items: impl Iterator<Item = &'t str>,
+        read: Read,
+    ) -> Result<(), Stop> {
+        let at = self.place(flag, raw);
+        let mut values = Vec::new();
+        for text in items {
+            let value = read(text).map_err(|e| format!("invalid {flag} {text:?}: {e}"))?;
+            values.push((value, self.place(flag, text)));
+        }
+        self.table.push(key, at, Value::Array(values));
+        Ok(())
+    }
+
+    /// Sets `key` to the comma list of `--flag RAW`.
+    fn list(&mut self, key: &str, flag: &str, raw: &str, read: Read) -> Result<(), Stop> {
+        let items = raw.split(',').map(str::trim).filter(|s| !s.is_empty());
+        self.array(key, flag, raw, items, read)
+    }
+
+    /// Sets `key` to the one-element array of `--flag RAW`.
+    fn one(&mut self, key: &str, flag: &str, raw: &str, read: Read) -> Result<(), Stop> {
+        self.array(key, flag, raw, std::iter::once(raw), read)
+    }
+
+    /// Lowers the document as the `[job]` table of a scenario.
+    fn lower(mut self, job: &str) -> Result<Scenario, Stop> {
+        let mut root = actuary_scenario::toml::Table::new(COMMAND);
+        root.push("name", COMMAND, Value::Str("cli".to_string()));
+        root.push(job, COMMAND, Value::Table(std::mem::take(&mut self.table)));
+        Scenario::from_doc(&root).map_err(|e| self.diagnostic(e))
+    }
+
+    /// A lowering diagnostic in the command line's terms: `--flag VALUE`
+    /// for its place, and each key it names as its flag.
+    fn diagnostic(&self, e: ScenarioError) -> Stop {
+        let (pos, mut message) = match e {
+            ScenarioError::Parse { pos, message } | ScenarioError::Schema { pos, message } => {
+                (pos, message)
+            }
+            ScenarioError::Engine { message, .. } => (COMMAND, message),
+        };
+        for (flag, key) in self.keys {
+            message = message.replace(&format!("`{key}`"), flag);
+        }
+        match self.places.get(pos.col as usize).filter(|_| pos.line == 0) {
+            Some((flag, text)) if !flag.is_empty() && text.is_empty() => {
+                format!("invalid {flag}: {message}").into()
+            }
+            Some((flag, text)) if !flag.is_empty() => {
+                format!("invalid {flag} {text:?}: {message}").into()
+            }
+            _ => message.into(),
+        }
+    }
+}
+
+/// Reads one flag value (or one element of a comma list) as a document
+/// value: the flag syntax, no range checks.
+type Read = fn(&str) -> Result<Value, String>;
+
+/// A flag value read as a string.
+fn text(s: &str) -> Result<Value, String> {
+    Ok(Value::Str(s.to_string()))
+}
+
+/// A flag value read as a number.
+fn number(s: &str) -> Result<Value, String> {
+    s.parse().map(Value::Float).map_err(|e| e.to_string())
+}
+
+/// A flag value read as an integer.
+fn integer(s: &str) -> Result<Value, String> {
+    s.parse().map(Value::Int).map_err(|e| e.to_string())
+}
+
+/// Runs a scenario lowered from flags; an engine error is its message.
+fn run_scenario(scenario: &Scenario, threads: usize) -> Result<ScenarioRun, Stop> {
+    scenario
+        .run_with(threads, None, &mut ())
+        .map_err(|e| match e {
+            ScenarioError::Engine { message, .. } => message.into(),
+            other => other.to_string().into(),
+        })
 }
 
 /// Streams `write` into `w` through the library's
@@ -616,113 +786,67 @@ fn cmd_serve(args: &[String], out: &mut dyn Write) -> Result<(), Stop> {
     Ok(())
 }
 
-fn cmd_explore(lib: &TechLibrary, flags: &Flags, out: &mut dyn Write) -> Result<(), Stop> {
-    let mut space = PortfolioSpace {
-        flows: vec![AssemblyFlow::ChipLast],
-        schemes: vec![ReuseScheme::None],
-        ..PortfolioSpace::default()
-    };
-    if let Some(raw) = flags.get("nodes") {
-        space.nodes = parse_list(raw, "nodes", |s| Ok(s.to_string()))?;
-    }
-    if let Some(raw) = flags.get("areas") {
-        space.areas_mm2 = parse_list(raw, "areas", |s| {
-            s.parse().map_err(|e| format!("invalid area {s:?}: {e}"))
-        })?;
-    }
-    if let Some(raw) = flags.get("quantities") {
-        space.quantities = parse_list(raw, "quantities", |s| {
-            s.parse()
-                .map_err(|e| format!("invalid quantity {s:?}: {e}"))
-        })?;
-        // Quantity axes feed ordered-axis machinery (amortization curves,
-        // coarse-to-fine refinement), so an unordered list is a mistake
-        // worth naming here rather than deep in the engine.
-        for pair in space.quantities.windows(2) {
-            if pair[1] <= pair[0] {
-                return Err(format!(
-                    "--quantities must be strictly increasing ({} follows {})",
-                    pair[1], pair[0]
-                )
-                .into());
-            }
-        }
-    }
-    if let Some(raw) = flags.get("integrations") {
-        space.integrations = parse_list(raw, "integrations", parse_integration)?;
-    }
-    if let Some(raw) = flags.get("chiplets") {
-        space.chiplet_counts = parse_list(raw, "chiplets", |s| {
-            s.parse()
-                .map_err(|e| format!("invalid chiplet count {s:?}: {e}"))
-        })?;
-    }
+fn cmd_explore(_: &TechLibrary, flags: &Flags, out: &mut dyn Write) -> Result<(), Stop> {
     if flags.contains_key("flow") && flags.contains_key("flow-axis") {
         return Err("choose --flow FLOW or --flow-axis, not both".into());
     }
     if flags.contains_key("csv") && flags.contains_key("out") {
         return Err("choose --csv (stdout) or --out FILE, not both".into());
     }
-    if let Some(raw) = flags.get("flow") {
-        space.flows = vec![parse_flow(raw)?];
+    let mut doc = FlagDoc::new(&[
+        ("--nodes", "nodes"),
+        ("--areas", "areas_mm2"),
+        ("--quantities", "quantities"),
+        ("--integrations", "integrations"),
+        ("--chiplets", "chiplets"),
+        ("--flow", "flows"),
+        ("--schemes", "schemes"),
+        ("--fsmc-situations", "fsmc_situations"),
+        ("--ocme-centers", "ocme_center_nodes"),
+        ("--package-reuse", "package_reuse"),
+    ]);
+    let paper: Vec<String> = (PortfolioSpace::FSMC_PAPER_SITUATIONS.iter())
+        .map(|(k, n)| format!("{k}x{n}"))
+        .collect();
+    let lists: [(&str, &str, Read); 9] = [
+        ("nodes", "nodes", text),
+        ("areas", "areas_mm2", number),
+        ("quantities", "quantities", integer),
+        ("integrations", "integrations", text),
+        ("chiplets", "chiplets", integer),
+        ("flow", "flows", text),
+        ("schemes", "schemes", text),
+        ("fsmc-situations", "fsmc_situations", text),
+        ("ocme-centers", "ocme_center_nodes", text),
+    ];
+    for (name, key, read) in lists {
+        let Some(raw) = flags.get(name) else {
+            continue;
+        };
+        let flag = format!("--{name}");
+        match name {
+            "schemes" if raw.eq_ignore_ascii_case("all") => {
+                let all = ReuseScheme::ALL.iter().map(|s| s.label());
+                doc.array(key, &flag, raw, all, read)?;
+            }
+            "fsmc-situations" if raw.eq_ignore_ascii_case("paper") => {
+                doc.array(key, &flag, raw, paper.iter().map(String::as_str), read)?;
+            }
+            _ => doc.list(key, &flag, raw, read)?,
+        }
     }
     if flags.contains_key("flow-axis") {
-        space.flows = vec![AssemblyFlow::ChipLast, AssemblyFlow::ChipFirst];
-    }
-    if let Some(raw) = flags.get("schemes") {
-        space.schemes = if raw.eq_ignore_ascii_case("all") {
-            ReuseScheme::ALL.to_vec()
-        } else {
-            parse_list(raw, "schemes", parse_scheme)?
-        };
-    }
-    if let Some(raw) = flags.get("fsmc-situations") {
-        space.fsmc_situations = if raw.eq_ignore_ascii_case("paper") {
-            PortfolioSpace::FSMC_PAPER_SITUATIONS.to_vec()
-        } else {
-            parse_list(raw, "fsmc-situations", parse_fsmc_situation)?
-        };
-    }
-    if let Some(raw) = flags.get("ocme-centers") {
-        space.ocme_center_nodes = parse_list(raw, "ocme-centers", |s| {
-            Ok(if s.eq_ignore_ascii_case("none") {
-                None
-            } else {
-                Some(s.to_string())
-            })
-        })?;
+        doc.list("flows", "--flow-axis", "chip-last,chip-first", text)?;
     }
     if flags.contains_key("package-reuse") {
-        space.package_reuse = true;
+        doc.scalar("package_reuse", "--package-reuse", "", Value::Bool(true));
     }
-    // Scheme-parameter flags only act through their scheme; accepting them
-    // on a grid that never builds that scheme would silently drop the axis
-    // (the reject-don't-ignore rule applies to flag *combinations* too).
-    if flags.contains_key("fsmc-situations") && !space.schemes.contains(&ReuseScheme::Fsmc) {
-        return Err("--fsmc-situations grids the fsmc scheme; add --schemes fsmc (or all)".into());
-    }
-    if flags.contains_key("ocme-centers") && !space.schemes.contains(&ReuseScheme::Ocme) {
-        return Err("--ocme-centers grids the ocme scheme; add --schemes ocme (or all)".into());
-    }
-    if flags.contains_key("package-reuse")
-        && !space
-            .schemes
-            .iter()
-            .any(|s| matches!(s, ReuseScheme::Scms | ReuseScheme::Ocme))
-    {
-        return Err(
-            "--package-reuse affects only the scms/ocme families; add --schemes scms,ocme (or all)"
-                .into(),
-        );
+    if flags.contains_key("refine") {
+        doc.scalar("mode", "--refine", "", Value::Str("refine".to_string()));
     }
     let threads: usize = flag(flags, "threads")?.unwrap_or(0);
-
-    let result = if flags.contains_key("refine") {
-        explore_portfolio_refined(lib, &space, threads)
-    } else {
-        explore_portfolio(lib, &space, threads)
-    }
-    .map_err(|e| e.to_string())?;
+    let run = run_scenario(&doc.lower("explore")?, threads)?;
+    let result = &run.explores[0].result;
     // Without a scheme or flow axis the grid is the single-system one, and
     // its machine-readable outputs keep the single-system columns.
     let dropped: &[&str] = if flags.contains_key("schemes") || flags.contains_key("flow-axis") {
@@ -855,10 +979,14 @@ fn cmd_run(args: &[String], out: &mut dyn Write) -> Result<(), Stop> {
             path = Some(arg);
             i += 1;
         } else {
-            return Err(format!("unexpected extra argument {arg:?} for `run`").into());
+            return Err(Stop::Usage(format!(
+                "unexpected extra argument {arg:?} for `run`"
+            )));
         }
     }
-    let path = path.ok_or("`run` needs a scenario file: actuary run SCENARIO.toml")?;
+    let path = path.ok_or_else(|| {
+        Stop::Usage("`run` needs a scenario file: actuary run SCENARIO.toml".to_string())
+    })?;
     let flags = parse_flags(&flag_args)?;
     reject_unknown_flags("run", &flags, &["threads", "out-dir", "csv"])?;
     if flags.contains_key("csv") && flags.contains_key("out-dir") {
@@ -1009,14 +1137,12 @@ fn write_run_outputs(
 }
 
 fn cmd_mc(lib: &TechLibrary, flags: &Flags, out: &mut dyn Write) -> Result<(), Stop> {
-    let node = flags.get("node").ok_or("missing required flag --node")?;
-    let area: f64 = flag(flags, "area")?.ok_or("missing required flag --area")?;
+    let node = flags.get("node").ok_or_else(|| missing("node"))?;
+    let area: f64 = flag(flags, "area")?.ok_or_else(|| missing("area"))?;
     let chiplets: u32 = flag(flags, "chiplets")?.unwrap_or(2);
-    let integration = match flags.get("integration") {
-        Some(s) => parse_integration(s)?,
-        None => IntegrationKind::Mcm,
-    };
+    let integration = flag(flags, "integration")?.unwrap_or(IntegrationKind::Mcm);
     let systems: u32 = flag(flags, "systems")?.unwrap_or(2_000);
+    check_single_system(integration, chiplets)?;
 
     let system = build_single_system(node, area * chiplets as f64, chiplets, integration, 1)?;
     let analytic = system
@@ -1052,9 +1178,7 @@ fn cmd_mc(lib: &TechLibrary, flags: &Flags, out: &mut dyn Write) -> Result<(), S
 }
 
 fn cmd_repro(lib: &TechLibrary, flags: &Flags, out: &mut dyn Write) -> Result<(), Stop> {
-    let figure = flags
-        .get("figure")
-        .ok_or("missing required flag --figure")?;
+    let figure = flags.get("figure").ok_or_else(|| missing("figure"))?;
     let csv = flags.contains_key("csv");
     let selected: Vec<&Study> = (STUDIES.iter())
         .filter(|study| figure == "all" || study.key == figure)
@@ -1099,11 +1223,8 @@ fn cmd_repro(lib: &TechLibrary, flags: &Flags, out: &mut dyn Write) -> Result<()
 /// parameters of one system — which inputs the user should source most
 /// carefully (§4: "include the latest relevant data").
 fn cmd_sensitivity(lib: &TechLibrary, flags: &Flags, out: &mut dyn Write) -> Result<(), Stop> {
-    let node_id = flags
-        .get("node")
-        .ok_or("missing required flag --node")?
-        .clone();
-    let area_mm2: f64 = flag(flags, "area")?.ok_or("missing required flag --area")?;
+    let node_id = flags.get("node").ok_or_else(|| missing("node"))?.clone();
+    let area_mm2: f64 = flag(flags, "area")?.ok_or_else(|| missing("area"))?;
     let chiplets: u32 = flag(flags, "chiplets")?.unwrap_or(2);
     if chiplets == 0 {
         return Err("--chiplets must be at least 1, got 0".into());

@@ -143,9 +143,12 @@ fn sweep_rejects_what_a_sweep_job_rejects() {
         ),
         (
             &["--chiplets", "1", "--integration", "mcm"],
-            "--chiplets must be at least 2, got 1",
+            "invalid --chiplets \"1\": multi-chip sweep series need at least 2 chiplets",
         ),
-        (&["--chiplets", "0"], "--chiplets must be at least 2, got 0"),
+        (
+            &["--chiplets", "0"],
+            "invalid --chiplets \"0\": multi-chip sweep series need at least 2 chiplets",
+        ),
     ] {
         let args = [&["sweep", "--node", "5nm"][..], flags].concat();
         let out = actuary(&args);
@@ -440,35 +443,48 @@ fn explore_rejects_an_empty_axis() {
 fn explore_and_partition_reject_a_zero_quantity() {
     // NRE is amortized over the quantity: a 0-unit answer would be the RE
     // alone, so it must fail by name instead.
-    for args in [
-        &[
-            "explore",
-            "--nodes",
-            "7nm",
-            "--areas",
-            "400",
+    for (args, flag) in [
+        (
+            &[
+                "explore",
+                "--nodes",
+                "7nm",
+                "--areas",
+                "400",
+                "--quantities",
+                "0",
+                "--csv",
+            ][..],
             "--quantities",
-            "0",
-            "--csv",
-        ][..],
-        &[
-            "partition",
-            "--node",
-            "7nm",
-            "--area",
-            "400",
+        ),
+        (
+            &[
+                "partition",
+                "--node",
+                "7nm",
+                "--area",
+                "400",
+                "--quantity",
+                "0",
+            ],
             "--quantity",
-            "0",
-        ],
+        ),
+        (
+            &["cost", "--node", "7nm", "--area", "400", "--quantity", "0"],
+            "--quantity",
+        ),
     ] {
         let out = actuary(args);
         assert!(!out.status.success(), "{args:?}");
         assert!(out.stdout.is_empty(), "{args:?} printed a result");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            stderr
-                .starts_with("error: invalid architecture: production quantity must be at least 1"),
-            "{args:?}: {stderr}"
+        assert_eq!(
+            stderr,
+            format!(
+                "error: invalid {flag} \"0\": a quantity must be at least 1 (NRE is amortized \
+                 over it)\n"
+            ),
+            "{args:?}"
         );
     }
 }
@@ -929,5 +945,91 @@ fn explore_rejects_scheme_parameter_flags_without_their_scheme() {
         assert!(!out.status.success(), "{args:?} must be rejected");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("--schemes"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn usage_follows_only_a_usage_error() {
+    // A command line off the usage gets the usage text after its error.
+    for args in [
+        &[][..],
+        &["frobnicate"],
+        &["cost", "--node", "5nm", "--area", "800", "--quanttiy", "5"],
+        &["cost", "--node"],
+        &["cost", "--node", "5nm", "--area", "800", "--area", "400"],
+        &["cost", "--node", "5nm"],
+        &["run"],
+    ] {
+        let out = actuary(args);
+        assert!(!out.status.success(), "{args:?} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+        assert!(stderr.contains("\n\nusage: actuary"), "{args:?}: {stderr}");
+    }
+    // Any other error is one line.
+    for args in [
+        &["cost", "--node", "5nm", "--area", "-5"][..],
+        &["explore", "--areas", "100,-5"],
+        &["explore", "--csv", "--out", "/tmp/unused.csv"],
+        &["repro", "--figure", "3"],
+        &["run", "no-such.toml"],
+    ] {
+        let out = actuary(args);
+        assert!(!out.status.success(), "{args:?} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn flag_diagnostics_name_the_flag_and_the_value() {
+    for (args, message) in [
+        (
+            &["explore", "--areas", "100,-5"][..],
+            "error: invalid --areas \"-5\": invalid area: -5 mm² (must be finite and non-negative)\n",
+        ),
+        (
+            &["explore", "--quantities", "1000,500"],
+            "error: invalid --quantities \"500\": the --quantities axis must be strictly \
+             increasing (500 follows 1000)\n",
+        ),
+        (
+            &["explore", "--nodes", "6nm"],
+            "error: invalid --nodes \"6nm\": unknown process node: \"6nm\"\n",
+        ),
+        (
+            &["partition", "--node", "7nm", "--area", "-5"],
+            "error: invalid --area \"-5\": invalid area: -5 mm² (must be finite and non-negative)\n",
+        ),
+        (
+            &["sweep", "--node", "6nm"],
+            "error: invalid --node \"6nm\": unknown process node: \"6nm\"\n",
+        ),
+        // `cost` and `mc` check one system's (integration, chiplets) pair
+        // with the grid's single-system rule.
+        (
+            &["cost", "--node", "5nm", "--area", "800", "--chiplets", "2", "--integration", "soc"],
+            "error: invalid --chiplets \"2\": monolithic SoC cannot hold 2 chiplets\n",
+        ),
+        (
+            &["cost", "--node", "5nm", "--area", "800", "--chiplets", "1", "--integration", "mcm"],
+            "error: invalid --chiplets \"1\": MCM needs at least 2 chiplets (a single die has no \
+             D2D interface)\n",
+        ),
+        (
+            &["mc", "--node", "7nm", "--area", "150", "--chiplets", "1"],
+            "error: invalid --chiplets \"1\": MCM needs at least 2 chiplets (a single die has no \
+             D2D interface)\n",
+        ),
+        (
+            &["mc", "--node", "7nm", "--area", "150", "--integration", "soc"],
+            "error: invalid --chiplets \"2\": monolithic SoC cannot hold 2 chiplets\n",
+        ),
+    ] {
+        let out = actuary(args);
+        assert!(!out.status.success(), "{args:?} must fail");
+        assert!(out.stdout.is_empty(), "{args:?} printed a result");
+        assert_eq!(String::from_utf8_lossy(&out.stderr), message, "{args:?}");
     }
 }

@@ -8,7 +8,8 @@
 //! serve` streams for `Accept: application/json`) must equal its
 //! `golden-jsonl/<name>.jsonl`. The reproduced studies are pinned the
 //! same way: `actuary repro --figure all --csv` and `actuary experiments`
-//! must print the files of `examples/studies/`.
+//! must print the files of `examples/studies/`, and the CLI's own text
+//! and CSV outputs the files of `examples/cli/`.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -235,4 +236,200 @@ fn every_scenario_delivers_the_committed_goldens_to_a_stream_sink() {
         files(&golden, "csv"),
         "the sinks must receive exactly the golden files"
     );
+}
+
+/// The CLI text goldens of `examples/cli/`: each is the standard output
+/// of `actuary` with these arguments, or, for a `--out` or `--pareto-out`
+/// golden, the file that flag writes.
+const CLI_GOLDENS: [(&str, &[&str]); 11] = [
+    (
+        "partition-5nm-800mm2-10M.txt",
+        &[
+            "partition",
+            "--node",
+            "5nm",
+            "--area",
+            "800",
+            "--quantity",
+            "10000000",
+        ],
+    ),
+    (
+        "partition-14nm-150mm2-100k.txt",
+        &[
+            "partition",
+            "--node",
+            "14nm",
+            "--area",
+            "150",
+            "--quantity",
+            "100000",
+        ],
+    ),
+    (
+        "sweep-5nm-2-mcm.txt",
+        &[
+            "sweep",
+            "--node",
+            "5nm",
+            "--chiplets",
+            "2",
+            "--integration",
+            "mcm",
+        ],
+    ),
+    (
+        "sweep-7nm-3-info.txt",
+        &[
+            "sweep",
+            "--node",
+            "7nm",
+            "--chiplets",
+            "3",
+            "--integration",
+            "info",
+        ],
+    ),
+    (
+        "sweep-5nm-4-2.5d.txt",
+        &[
+            "sweep",
+            "--node",
+            "5nm",
+            "--chiplets",
+            "4",
+            "--integration",
+            "2.5d",
+        ],
+    ),
+    ("explore.txt", &["explore", "--threads", "2"]),
+    (
+        "explore-schemes-all-flow-axis.txt",
+        &[
+            "explore",
+            "--nodes",
+            "7nm",
+            "--areas",
+            "200,400,800",
+            "--quantities",
+            "500000,2000000",
+            "--schemes",
+            "all",
+            "--flow-axis",
+            "--threads",
+            "2",
+        ],
+    ),
+    (
+        "explore-refine.txt",
+        &["explore", "--refine", "--threads", "2"],
+    ),
+    (
+        "explore-small.csv",
+        &[
+            "explore",
+            "--nodes",
+            "7nm",
+            "--areas",
+            "400,800",
+            "--quantities",
+            "500000,2000000",
+            "--chiplets",
+            "1,2,3",
+            "--threads",
+            "1",
+            "--csv",
+        ],
+    ),
+    (
+        "explore-small-schemes.csv",
+        &[
+            "explore",
+            "--nodes",
+            "7nm",
+            "--areas",
+            "400,800",
+            "--quantities",
+            "500000,2000000",
+            "--chiplets",
+            "1,2,3",
+            "--schemes",
+            "scms,ocme",
+            "--flow-axis",
+            "--threads",
+            "1",
+            "--out",
+        ],
+    ),
+    (
+        "explore-small-pareto.csv",
+        &[
+            "explore",
+            "--nodes",
+            "7nm",
+            "--areas",
+            "400,800",
+            "--quantities",
+            "500000,2000000",
+            "--chiplets",
+            "1,2,3",
+            "--threads",
+            "1",
+            "--pareto-out",
+        ],
+    ),
+];
+
+#[test]
+fn every_cli_golden_matches_the_built_binary() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/cli");
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    let mut expected: Vec<String> = CLI_GOLDENS
+        .iter()
+        .map(|(name, _)| name.to_string())
+        .collect();
+    expected.sort();
+    assert_eq!(
+        names, expected,
+        "examples/cli/ must hold exactly the pinned goldens"
+    );
+    for (name, args) in CLI_GOLDENS {
+        let pinned = std::fs::read(dir.join(name)).unwrap();
+        // A trailing `--out` or `--pareto-out` takes a scratch path: the
+        // golden is the file it writes, and stdout names that path.
+        let writes_file = args.last().is_some_and(|a| a.ends_with("-out"));
+        let scratch =
+            std::env::temp_dir().join(format!("actuary-cli-{}-{name}", std::process::id()));
+        let mut command = Command::new(env!("CARGO_BIN_EXE_actuary"));
+        command.args(args);
+        if writes_file {
+            command.arg(&scratch);
+        }
+        let out = command.output().expect("the actuary binary must spawn");
+        assert!(
+            out.status.success(),
+            "actuary {args:?} failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let written = if writes_file {
+            let stdout = String::from_utf8(out.stdout).unwrap();
+            assert!(
+                stdout.contains(&format!(" to {}\n", scratch.display())),
+                "{name}: {stdout}"
+            );
+            let bytes = std::fs::read(&scratch).unwrap();
+            std::fs::remove_file(&scratch).unwrap();
+            bytes
+        } else {
+            out.stdout
+        };
+        assert!(
+            written == pinned,
+            "actuary {args:?} differs from examples/cli/{name}"
+        );
+    }
 }

@@ -1,12 +1,11 @@
 //! The per-cell outcome vocabulary every exploration grid reports in,
 //! and the paper's §6 question as the single-system slice of that grid.
 //!
-//! [`crate::optimizer::recommend`] answers "which integration, how many
-//! chiplets" for *one* (node, area, quantity) operating point;
-//! [`crate::portfolio::explore_portfolio`] scales the same
-//! [`crate::optimizer::evaluate_candidate`] core to the whole grid of
-//! operating points × (integration, chiplet count, flow, reuse scheme)
-//! configurations, the way cost-aware exploration tools (Tang & Xie,
+//! [`crate::portfolio::explore_portfolio`] answers "which integration, how
+//! many chiplets" over a grid of operating points × (integration, chiplet
+//! count, flow, reuse scheme) configurations, pricing each single-system
+//! cell from its [`crate::optimizer::candidate_core`]; one operating point
+//! is a one-point grid. This is how cost-aware exploration tools (Tang & Xie,
 //! arXiv:2206.07308; CATCH, arXiv:2503.15753) derive crossovers and
 //! Pareto fronts. A space whose scheme axis is just
 //! [`crate::portfolio::ReuseScheme::None`] under one flow *is* the §6
@@ -148,6 +147,25 @@ pub enum IncompatibleReason {
     },
 }
 
+impl IncompatibleReason {
+    /// Why a single system cannot be `integration` × `chiplets`: a
+    /// monolithic integration holds exactly one die, a multi-chip one at
+    /// least two. The one single-system rule, shared by the grid's `none`
+    /// scheme and the CLI's one-system commands.
+    pub fn single_system(integration: IntegrationKind, chiplets: u32) -> Option<Self> {
+        if !integration.is_multi_chip() && chiplets != 1 {
+            return Some(IncompatibleReason::MonolithicMultiChip {
+                integration,
+                chiplets,
+            });
+        }
+        if integration.is_multi_chip() && chiplets < 2 {
+            return Some(IncompatibleReason::SingleDieMultiChip { integration });
+        }
+        None
+    }
+}
+
 impl fmt::Display for IncompatibleReason {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -246,6 +264,7 @@ mod tests {
     //! portfolio engine.
 
     use super::*;
+    use crate::optimizer::candidate_core;
     use crate::portfolio::{explore_portfolio, PortfolioCell, PortfolioSpace, ReuseScheme};
     use actuary_model::AssemblyFlow;
     use actuary_tech::TechLibrary;
@@ -455,37 +474,50 @@ mod tests {
 
     #[test]
     fn winners_agree_with_the_single_point_optimizer() {
-        use crate::optimizer::{recommend, SearchSpace};
+        // The single-point answer is the cheapest compatible configuration,
+        // each priced by its own `candidate_core`. Infeasible operating
+        // points included: 40,000 mm² exceeds the wafer at every count.
         let lib = lib();
-        let space = small_space();
-        let result = explore_portfolio(&lib, &space, 2).unwrap();
-        // The same feasible configuration set through `recommend`: the SoC
-        // baseline plus all multi-chip kinds × {2, 3} (the grid's
-        // single-chiplet multi-chip cells are incompatible, so they add
-        // nothing).
-        let search = SearchSpace {
-            chiplet_counts: vec![2, 3],
-            integrations: IntegrationKind::MULTI_CHIP.to_vec(),
-            flow: AssemblyFlow::ChipLast,
+        let space = PortfolioSpace {
+            nodes: vec!["14nm".into(), "7nm".into(), "5nm".into(), "3nm".into()],
+            areas_mm2: vec![100.0, 400.0, 800.0, 1_200.0, 40_000.0],
+            quantities: vec![1, 100_000, 2_000_000, 100_000_000],
+            chiplet_counts: vec![1, 2, 3, 4, 5],
+            ..small_space()
         };
+        let result = explore_portfolio(&lib, &space, 2).unwrap();
         for w in result.winners(ReuseScheme::None) {
-            let rec = recommend(
-                &lib,
-                &w.node,
-                Area::from_mm2(w.area_mm2).unwrap(),
-                Quantity::new(w.quantity),
-                &search,
-            )
-            .unwrap();
-            let (best, _flow) = w.best.as_ref().expect("small grid is fully feasible");
-            assert!(
-                (best.per_unit.usd() - rec.per_unit.usd()).abs() < 1e-9,
-                "{}/{}/{}: grid {} vs optimizer {}",
-                w.node,
-                w.area_mm2,
-                w.quantity,
-                best.per_unit,
-                rec.per_unit
+            // Every compatible configuration priced through its own core,
+            // in grid order; the first strict minimum wins.
+            let mut best: Option<Candidate> = None;
+            let mut soc = None;
+            for &kind in &space.integrations {
+                for &n in &space.chiplet_counts {
+                    if IncompatibleReason::single_system(kind, n).is_some() {
+                        continue;
+                    }
+                    let area = Area::from_mm2(w.area_mm2).unwrap();
+                    let Ok(core) =
+                        candidate_core(&lib, &w.node, area, kind, n, AssemblyFlow::ChipLast)
+                    else {
+                        continue;
+                    };
+                    let c = core.at_quantity(Quantity::new(w.quantity));
+                    if kind == IntegrationKind::Soc {
+                        soc = Some(c.per_unit.usd());
+                    }
+                    if best.as_ref().is_none_or(|b| c.per_unit < b.per_unit) {
+                        best = Some(c);
+                    }
+                }
+            }
+            let at = format!("{}/{}/{}", w.node, w.area_mm2, w.quantity);
+            assert_eq!(w.best.as_ref().map(|(c, _)| c), best.as_ref(), "{at}");
+            let saving = best.zip(soc).map(|(b, s)| (s - b.per_unit.usd()) / s);
+            assert_eq!(
+                w.saving_vs_soc_frac.map(f64::to_bits),
+                saving.map(f64::to_bits),
+                "{at}"
             );
         }
     }

@@ -4,8 +4,9 @@
 //! mechanically:
 //!
 //! * *"Which integration scheme to use, how many chiplets to partition?"*
-//!   — [`optimizer::recommend`] searches integration kind × chiplet count
-//!   for the cheapest configuration of a single system.
+//!   — a one-point [`portfolio::explore_portfolio`] searches integration
+//!   kind × chiplet count for the cheapest configuration of a single
+//!   system, each priced by [`optimizer::candidate_core`].
 //! * *"Multi-chip architecture begins to pay off when the cost of die
 //!   defects exceeds the total cost resulting from packaging"* —
 //!   [`crossover::find_area_crossover`] and
@@ -47,19 +48,21 @@
 //! # Examples
 //!
 //! ```
-//! use actuary_dse::optimizer::{recommend, SearchSpace};
+//! use actuary_dse::portfolio::{explore_portfolio, PortfolioSpace, ReuseScheme};
 //! use actuary_tech::TechLibrary;
-//! use actuary_units::{Area, Quantity};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let lib = TechLibrary::paper_defaults()?;
-//! let best = recommend(
-//!     &lib,
-//!     "5nm",
-//!     Area::from_mm2(800.0)?,
-//!     Quantity::new(10_000_000),
-//!     &SearchSpace::default(),
-//! )?;
+//! // One operating point × every integration × 1–5 chiplets.
+//! let point = PortfolioSpace {
+//!     nodes: vec!["5nm".to_string()],
+//!     areas_mm2: vec![800.0],
+//!     quantities: vec![10_000_000],
+//!     schemes: vec![ReuseScheme::None],
+//!     ..PortfolioSpace::default()
+//! };
+//! let winner = explore_portfolio(&lib, &point, 1)?.winners(ReuseScheme::None).remove(0);
+//! let (best, _flow) = winner.best.expect("feasible");
 //! assert!(best.chiplets >= 2, "an 800 mm² 5 nm system at volume wants chiplets");
 //! # Ok(())
 //! # }

@@ -705,18 +705,7 @@ pub(crate) fn classify(
     chiplets: u32,
 ) -> Option<IncompatibleReason> {
     match variant.scheme {
-        ReuseScheme::None => {
-            if !integration.is_multi_chip() && chiplets != 1 {
-                return Some(IncompatibleReason::MonolithicMultiChip {
-                    integration,
-                    chiplets,
-                });
-            }
-            if integration.is_multi_chip() && chiplets < 2 {
-                return Some(IncompatibleReason::SingleDieMultiChip { integration });
-            }
-            None
-        }
+        ReuseScheme::None => IncompatibleReason::single_system(integration, chiplets),
         ReuseScheme::Scms => {
             if !space.scms_multiplicities.contains(&chiplets) {
                 return Some(IncompatibleReason::ScmsNonMember {

@@ -1218,7 +1218,7 @@ fn lower_explore_job(table: &Table, lib: &TechLibrary) -> Result<ExploreJob, Sce
         schemes: vec![ReuseScheme::None],
         ..PortfolioSpace::default()
     };
-    if let Some(nodes) = view.opt_array("nodes", |v, p| {
+    if let Some(nodes) = view.opt_axis("nodes", |v, p| {
         let s = Spanned {
             value: elem::<&str>(v, p, "a node id")?,
             pos: p,
@@ -1239,35 +1239,35 @@ fn lower_explore_job(table: &Table, lib: &TechLibrary) -> Result<ExploreJob, Sce
             ));
         }
     }
-    if let Some(areas) = view.opt_array("areas_mm2", area_elem)? {
+    if let Some(areas) = view.opt_axis("areas_mm2", area_elem)? {
         space.areas_mm2 = areas;
     }
-    if let Some(q) = view.opt_array("quantities", |v, p| Ok((elem(v, p, "a quantity")?, p)))? {
+    if let Some(q) = view.opt_axis("quantities", |v, p| Ok((elem(v, p, "a quantity")?, p)))? {
         space.quantities = check_quantities(q)?;
     }
-    if let Some(kinds) = view.opt_array("integrations", |v, p| elem(v, p, "an integration"))? {
+    if let Some(kinds) = view.opt_axis("integrations", |v, p| elem(v, p, "an integration"))? {
         space.integrations = kinds;
     }
-    if let Some(chiplets) = view.opt_array("chiplets", |v, p| elem(v, p, "a chiplet count"))? {
+    if let Some(chiplets) = view.opt_axis("chiplets", |v, p| elem(v, p, "a chiplet count"))? {
         space.chiplet_counts = chiplets;
     }
-    if let Some(flows) = view.opt_array("flows", |v, p| elem(v, p, "a flow"))? {
+    if let Some(flows) = view.opt_axis("flows", |v, p| elem(v, p, "a flow"))? {
         space.flows = flows;
     }
-    if let Some(schemes) = view.opt_array("schemes", |v, p| elem(v, p, "a scheme"))? {
+    if let Some(schemes) = view.opt_axis("schemes", |v, p| elem(v, p, "a scheme"))? {
         space.schemes = schemes;
     }
-    if let Some(m) = view.opt_array("scms_multiplicities", |v, p| elem(v, p, "a multiplicity"))? {
+    if let Some(m) = view.opt_axis("scms_multiplicities", |v, p| elem(v, p, "a multiplicity"))? {
         space.scms_multiplicities = m;
     }
-    if let Some(situations) = view.opt_array("fsmc_situations", |v, p| {
+    if let Some(situations) = view.opt_axis("fsmc_situations", |v, p| {
         let s = elem(v, p, "an FSMC situation")?;
         // The KxN grammar is owned by actuary-dse, shared with the CLI.
         parse_fsmc_situation(s).map_err(|message| ScenarioError::schema(p, message))
     })? {
         space.fsmc_situations = situations;
     }
-    if let Some(centers) = view.opt_array("ocme_center_nodes", |v, p| {
+    if let Some(centers) = view.opt_axis("ocme_center_nodes", |v, p| {
         let s = Spanned {
             value: elem::<&str>(v, p, "a centre node")?,
             pos: p,
@@ -1345,6 +1345,11 @@ fn lower_explore_job(table: &Table, lib: &TechLibrary) -> Result<ExploreJob, Sce
         }
     };
     view.deny_unknown()?;
+    // The rules that span axes (distinct family parameters, counts of at
+    // least 1, socket and type counts) are the engine's own, checked once.
+    space
+        .validate()
+        .map_err(|e| ScenarioError::schema(table.pos, e.to_string()))?;
     Ok(ExploreJob {
         name,
         space,

@@ -245,6 +245,26 @@ impl<'a> View<'a> {
         }
     }
 
+    /// Optional array that must hold at least one entry when given: an
+    /// empty one is rejected at its key.
+    pub(crate) fn opt_axis<T>(
+        &mut self,
+        key: &'static str,
+        f: impl FnMut(&'a Value, Pos) -> Result<T, ScenarioError>,
+    ) -> Result<Option<Vec<T>>, ScenarioError> {
+        let list = self.opt_array(key, f)?;
+        match (
+            list.as_ref().is_some_and(Vec::is_empty),
+            self.table.get(key),
+        ) {
+            (true, Some(entry)) => Err(ScenarioError::schema(
+                entry.key_pos,
+                format!("`{key}` needs at least one entry"),
+            )),
+            _ => Ok(list),
+        }
+    }
+
     /// Required array.
     pub(crate) fn req_array<T>(
         &mut self,

@@ -116,12 +116,25 @@ impl Default for Pos {
 }
 
 impl Table {
-    fn new(pos: Pos) -> Self {
+    /// An empty table at `pos`. A front end that reads something other
+    /// than TOML text (the CLI reads flags) builds its document from these
+    /// and [`Table::push`], never by writing TOML text.
+    pub fn new(pos: Pos) -> Self {
         Table {
             pos,
             entries: Vec::new(),
             explicit: false,
         }
+    }
+
+    /// Appends `key = value`, its key and value both at `pos`.
+    pub fn push(&mut self, key: &str, pos: Pos, value: Value) {
+        self.entries.push(Entry {
+            key: key.to_string(),
+            key_pos: pos,
+            value_pos: pos,
+            value,
+        });
     }
 
     /// Looks up an entry by key.

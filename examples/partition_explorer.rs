@@ -4,7 +4,7 @@
 //! Run with `cargo run --example partition_explorer`.
 
 use chiplet_actuary::arch::partition::{best_partition, chips_for_partition};
-use chiplet_actuary::dse::optimizer::{recommend, SearchSpace};
+use chiplet_actuary::dse::portfolio::{explore_portfolio, PortfolioSpace, ReuseScheme};
 use chiplet_actuary::prelude::*;
 use chiplet_actuary::report::Table;
 
@@ -61,9 +61,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("{table}");
 
-    // Cross-check with the coarse optimizer (equal splits, all schemes).
-    let rec = recommend(&lib, node, total, quantity, &SearchSpace::default())?;
-    println!("coarse equal-split optimizer says: {rec}");
+    // Cross-check with a one-point exploration (equal splits, every
+    // integration × 1-5 chiplets).
+    let point = PortfolioSpace {
+        nodes: vec![node.to_string()],
+        areas_mm2: vec![total.mm2()],
+        quantities: vec![quantity.count()],
+        schemes: vec![ReuseScheme::None],
+        ..PortfolioSpace::default()
+    };
+    let winner = explore_portfolio(&lib, &point, 1)?
+        .winners(ReuseScheme::None)
+        .remove(0);
+    println!("coarse equal-split exploration says: {winner}");
     println!("\n(§6: \"splitting a single system into two or three chiplets is usually");
     println!(" sufficient\" — the exhaustive search agrees: gains flatten beyond 2-3.)");
     Ok(())

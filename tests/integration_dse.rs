@@ -4,13 +4,46 @@
 
 use chiplet_actuary::dse::crossover::find_area_crossover;
 use chiplet_actuary::dse::maturity::{library_at_age, DefectRamp};
-use chiplet_actuary::dse::optimizer::{evaluate_candidate, recommend, SearchSpace};
+use chiplet_actuary::dse::optimizer::{candidate_core, Candidate};
 use chiplet_actuary::dse::pareto::pareto_min_indices;
+use chiplet_actuary::dse::portfolio::{explore_portfolio, PortfolioSpace, ReuseScheme};
 use chiplet_actuary::dse::sensitivity::elasticity;
 use chiplet_actuary::prelude::*;
 
 fn lib() -> TechLibrary {
     TechLibrary::paper_defaults().unwrap()
+}
+
+/// Every feasible configuration of one operating point, cheapest first:
+/// a one-point exploration of the SoC and `integrations` × `chiplets`
+/// under chip-last.
+fn one_point(
+    lib: &TechLibrary,
+    node: &str,
+    area: Area,
+    quantity: Quantity,
+    integrations: &[IntegrationKind],
+    chiplets: &[u32],
+) -> Vec<Candidate> {
+    let space = PortfolioSpace {
+        nodes: vec![node.to_string()],
+        areas_mm2: vec![area.mm2()],
+        quantities: vec![quantity.count()],
+        integrations: [&[IntegrationKind::Soc], integrations].concat(),
+        chiplet_counts: [&[1], chiplets].concat(),
+        schemes: vec![ReuseScheme::None],
+        ..PortfolioSpace::default()
+    };
+    let result = explore_portfolio(lib, &space, 1).unwrap();
+    let mut feasible: Vec<Candidate> = (result.feasible())
+        .filter_map(|cell| cell.outcome.candidate().cloned())
+        .collect();
+    feasible.sort_by(|a, b| a.per_unit.usd().total_cmp(&b.per_unit.usd()));
+    assert!(
+        !feasible.is_empty(),
+        "{node} / {area}: no feasible configuration"
+    );
+    feasible
 }
 
 /// The optimizer's RE-driven preference at huge volume must agree with the
@@ -47,32 +80,30 @@ fn optimizer_agrees_with_crossover_finder() {
 
     // Far below: RE-only comparison favours the SoC; far above: the MCM.
     let huge_quantity = Quantity::new(1_000_000_000); // NRE negligible
-    let space = SearchSpace {
-        chiplet_counts: vec![2],
-        integrations: vec![IntegrationKind::Mcm],
-        flow: AssemblyFlow::ChipLast,
-    };
-    let below = recommend(
+    let mcm = [IntegrationKind::Mcm];
+    let below = one_point(
         &lib,
         "5nm",
         Area::from_mm2(crossover.mm2() * 0.5).unwrap(),
         huge_quantity,
-        &space,
+        &mcm,
+        &[2],
     )
-    .unwrap();
+    .remove(0);
     assert_eq!(
         below.integration,
         IntegrationKind::Soc,
         "below the crossover: {below}"
     );
-    let above = recommend(
+    let above = one_point(
         &lib,
         "5nm",
         Area::from_mm2((crossover.mm2() * 2.0).min(900.0)).unwrap(),
         huge_quantity,
-        &space,
+        &mcm,
+        &[2],
     )
-    .unwrap();
+    .remove(0);
     assert_eq!(
         above.integration,
         IntegrationKind::Mcm,
@@ -143,24 +174,20 @@ fn chiplets_reduce_defect_density_elasticity() {
 fn maturity_flips_the_partitioning_decision() {
     let base = lib();
     let ramp = DefectRamp::new(0.15, 0.04, 12.0).unwrap();
-    let space = SearchSpace {
-        chiplet_counts: vec![2, 3],
-        integrations: vec![IntegrationKind::Mcm],
-        flow: AssemblyFlow::ChipLast,
-    };
+    let mcm = [IntegrationKind::Mcm];
     // Enormous volume: the decision is RE-driven.
     let quantity = Quantity::new(1_000_000_000);
     let area = Area::from_mm2(500.0).unwrap();
 
     let early = library_at_age(&base, "7nm", &ramp, 0.0).unwrap();
-    let early_rec = recommend(&early, "7nm", area, quantity, &space).unwrap();
+    let early_rec = one_point(&early, "7nm", area, quantity, &mcm, &[2, 3]).remove(0);
     assert!(
         early_rec.chiplets >= 2,
         "launch-day yield must favour chiplets: {early_rec}"
     );
 
     let mature = library_at_age(&base, "7nm", &ramp, 60.0).unwrap();
-    let mature_rec = recommend(&mature, "7nm", area, quantity, &space).unwrap();
+    let mature_rec = one_point(&mature, "7nm", area, quantity, &mcm, &[2, 3]).remove(0);
     assert_eq!(
         mature_rec.integration,
         IntegrationKind::Soc,
@@ -174,27 +201,22 @@ fn maturity_flips_the_partitioning_decision() {
 #[test]
 fn candidate_pareto_frontier_is_consistent() {
     let lib = lib();
-    let rec = recommend(
+    let candidates = one_point(
         &lib,
         "5nm",
         Area::from_mm2(800.0).unwrap(),
         Quantity::new(5_000_000),
-        &SearchSpace::default(),
-    )
-    .unwrap();
-    let points: Vec<(f64, f64)> = rec
-        .candidates
+        &IntegrationKind::MULTI_CHIP,
+        &[2, 3, 4, 5],
+    );
+    let points: Vec<(f64, f64)> = candidates
         .iter()
         .map(|c| (c.chiplets as f64, c.per_unit.usd()))
         .collect();
     let frontier = pareto_min_indices(&points);
     assert!(!frontier.is_empty());
     // The overall winner appears on the frontier.
-    let winner_idx = rec
-        .candidates
-        .iter()
-        .position(|c| c.per_unit == rec.per_unit)
-        .unwrap();
+    let winner_idx = 0;
     assert!(
         frontier.contains(&winner_idx),
         "the cheapest candidate must be Pareto-optimal"
@@ -207,16 +229,16 @@ fn evaluate_candidate_matches_manual_portfolio() {
     let lib = lib();
     let quantity = Quantity::new(2_000_000);
     let area = Area::from_mm2(600.0).unwrap();
-    let candidate = evaluate_candidate(
+    let candidate = candidate_core(
         &lib,
         "7nm",
         area,
-        quantity,
         IntegrationKind::Mcm,
         3,
         AssemblyFlow::ChipLast,
     )
-    .unwrap();
+    .unwrap()
+    .at_quantity(quantity);
 
     let chips = partition::equal_chiplets("opt", "7nm", area, 3).unwrap();
     let mut builder = System::builder("opt-sys", IntegrationKind::Mcm).quantity(quantity);

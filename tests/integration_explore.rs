@@ -1,10 +1,9 @@
 //! Integration tests of the multi-axis exploration engine's single-system
 //! slice (the `none` reuse scheme under one flow) against the full model
 //! stack: the parallel grid must agree with the serial grid byte for byte,
-//! with the single-point optimizer, and with the paper's §6 shape.
+//! with one-point explorations, and with the paper's §6 shape.
 
 use chiplet_actuary::dse::explore::CellOutcome;
-use chiplet_actuary::dse::optimizer::{recommend, SearchSpace};
 use chiplet_actuary::dse::portfolio::{explore_portfolio, PortfolioSpace, ReuseScheme};
 use chiplet_actuary::prelude::*;
 
@@ -91,28 +90,20 @@ fn grid_winners_match_the_single_point_optimizer() {
         ..fixed_space()
     };
     let result = explore_portfolio(&lib, &space, 2).unwrap();
-    let search = SearchSpace::default(); // multi-chip kinds × {2,3,4,5}
     for w in result.winners(ReuseScheme::None) {
-        let rec = recommend(
-            &lib,
-            &w.node,
-            Area::from_mm2(w.area_mm2).unwrap(),
-            Quantity::new(w.quantity),
-            &search,
-        )
-        .unwrap();
-        let (best, _flow) = w.best.as_ref().expect("these operating points cost fine");
-        assert!(
-            (best.per_unit.usd() - rec.per_unit.usd()).abs() < 1e-9,
-            "{}/{}/{}: grid {} vs optimizer {}",
-            w.node,
-            w.area_mm2,
-            w.quantity,
-            best.per_unit,
-            rec.per_unit
-        );
-        assert_eq!(best.integration, rec.integration);
-        assert_eq!(best.chiplets, rec.chiplets);
+        // The operating point alone: the `partition` command's grid.
+        let point = PortfolioSpace {
+            nodes: vec![w.node.clone()],
+            areas_mm2: vec![w.area_mm2],
+            quantities: vec![w.quantity],
+            ..space.clone()
+        };
+        let alone = explore_portfolio(&lib, &point, 1)
+            .unwrap()
+            .winners(ReuseScheme::None)
+            .remove(0);
+        assert!(w.best.is_some(), "these operating points cost fine");
+        assert_eq!(w, alone, "{}/{}/{}", w.node, w.area_mm2, w.quantity);
     }
 }
 

@@ -2,7 +2,7 @@
 //! analytic cost → Monte-Carlo agreement → DSE, all through the facade.
 
 use chiplet_actuary::dse::crossover::{find_area_crossover, find_quantity_payback};
-use chiplet_actuary::dse::optimizer::{recommend, SearchSpace};
+use chiplet_actuary::dse::portfolio::{explore_portfolio, PortfolioSpace, ReuseScheme};
 use chiplet_actuary::mc::{simulate_system, DefectProcess, McConfig};
 use chiplet_actuary::prelude::*;
 use chiplet_actuary::tech::D2dSpec;
@@ -113,23 +113,23 @@ fn custom_library_runs_the_whole_stack() {
         mcm.total()
     );
 
-    // DSE on the custom node.
-    let space = SearchSpace {
-        chiplet_counts: vec![2, 3],
-        integrations: vec![IntegrationKind::Mcm],
-        flow: AssemblyFlow::ChipLast,
+    // DSE on the custom node: a one-point exploration.
+    let space = PortfolioSpace {
+        nodes: vec!["test-node".to_string()],
+        areas_mm2: vec![module_area.mm2()],
+        quantities: vec![20_000_000],
+        integrations: vec![IntegrationKind::Soc, IntegrationKind::Mcm],
+        chiplet_counts: vec![1, 2, 3],
+        schemes: vec![ReuseScheme::None],
+        ..PortfolioSpace::default()
     };
-    let rec = recommend(
-        &lib,
-        "test-node",
-        module_area,
-        Quantity::new(20_000_000),
-        &space,
-    )
-    .unwrap();
+    let winner = explore_portfolio(&lib, &space, 1)
+        .unwrap()
+        .winners(ReuseScheme::None)
+        .remove(0);
     assert!(
-        rec.chiplets >= 2,
-        "high volume on a leaky node must split: {rec}"
+        winner.best.as_ref().is_some_and(|(c, _)| c.chiplets >= 2),
+        "high volume on a leaky node must split: {winner}"
     );
 }
 
